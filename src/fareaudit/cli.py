@@ -54,10 +54,6 @@ def _month_pair(text: str) -> tuple[str, str]:
     return lo, hi
 
 
-def _era_pair(text: str) -> tuple[str, str]:
-    return _month_pair(text)
-
-
 def _run_bundles(dirs: list[str], options: AuditOptions, jobs: int):
     if jobs > 1 and len(dirs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -235,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--era-boundaries",
-        type=_era_pair,
+        type=_month_pair,
         default=("2022-02", "2023-02"),
         metavar="YYYY-MM:YYYY-MM",
         help="opaque-gap start and dynamic-pricing start months",

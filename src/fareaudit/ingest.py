@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import (
     DEFAULT_ERAS,
@@ -105,11 +104,6 @@ class MissingTable(AuditError):
 
 class MalformedTable(AuditError):
     """A table cannot be used: unresolvable columns or too many bad rows."""
-
-
-class FareSemantics(enum.Enum):
-    RIDER_PRICE = "fare_is_rider_price"
-    UNRELIABLE = "fare_unreliable"
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,18 +275,6 @@ def _read_table(path: Path, table: str, column_map: ColumnMap) -> tuple[Mapping[
                 }
             )
     return tuple(rows)
-
-
-def load_bundles(
-    root: str | Path, column_map: ColumnMap | None = None
-) -> Iterator[RawBundle]:
-    """Yield bundles for every subdirectory of ``root``, in sorted name order."""
-    root = Path(root)
-    if not root.is_dir():
-        raise MissingTable(f"bundle root not found: {root}")
-    for entry in sorted(root.iterdir()):
-        if entry.is_dir():
-            yield load_bundle(entry, column_map)
 
 
 # ---------------------------------------------------------------------------
@@ -495,28 +477,11 @@ def _session_key(s: AppSession) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Fare semantics
-
-
-def detect_fare_semantics(
-    trips: Sequence[TripRecord], boundaries: EraBoundaries = DEFAULT_ERAS
-) -> dict[Era, FareSemantics]:
-    """Classify fare meaning per era.
-
-    During the opaque gap the exported fare field stops tracking the rider
-    price, so take-rate arithmetic over those trips is invalid; before and
-    after, the fare is the rider price.
-    """
-    if not trips:
-        raise RecordError("no trips to classify")
-    return {
-        Era.FIXED_COMMISSION: FareSemantics.RIDER_PRICE,
-        Era.OPAQUE_GAP: FareSemantics.UNRELIABLE,
-        Era.DYNAMIC_PRICING: FareSemantics.RIDER_PRICE,
-    }
+# Fare reliability
 
 
 def fare_reliable(ts: Timestamp, boundaries: EraBoundaries = DEFAULT_ERAS) -> bool:
+    """Whether the exported fare is the rider price: everywhere but the opaque gap."""
     return boundaries.era_of_month(ts.month(boundaries.tz)) is not Era.OPAQUE_GAP
 
 

@@ -20,14 +20,11 @@ from .model import (
     PaymentEvent,
     TripRecord,
     sum_money,
+    trip_anchor,
 )
 from .ingest import fare_reliable
 
 DEFAULT_WINDOW_S = 600.0
-
-
-class UnreliableFare(AuditError):
-    """The fare field does not represent the rider price in this trip's era."""
 
 
 class ZeroFare(AuditError):
@@ -83,26 +80,13 @@ def split_fraction(driver_total: Money, rider_fare: Money) -> tuple[float, float
     return driver, 1.0 - driver
 
 
-def split(
-    linked: LinkedTrip, boundaries: EraBoundaries = DEFAULT_ERAS
-) -> tuple[float, float]:
-    """Shares for one linked trip; raises where the fare cannot be trusted."""
-    if linked.rider_fare is None:
-        raise ZeroFare("no rider fare recorded")
-    anchor = linked.trip.dropoff_ts or linked.trip.request_ts
-    if not fare_reliable(anchor, boundaries):
-        raise UnreliableFare(f"fare field unreliable in month {anchor.month(boundaries.tz)}")
-    return split_fraction(linked.driver_total, linked.rider_fare)
-
-
 def _try_split(
     trip: TripRecord, total: Money, boundaries: EraBoundaries
 ) -> tuple[float | None, float | None]:
     fare = trip.original_fare
     if fare is None or fare.pence <= 0:
         return None, None
-    anchor = trip.dropoff_ts or trip.request_ts
-    if not fare_reliable(anchor, boundaries):
+    if not fare_reliable(trip_anchor(trip), boundaries):
         return None, None
     return split_fraction(total, fare)
 
@@ -202,9 +186,3 @@ def _nearest_dropoff(drop_ms: list[int], ts_ms: int, window_ms: int) -> int | No
         return None
     return best[2]
 
-
-def completed_linked(result: LinkResult) -> tuple[LinkedTrip, ...]:
-    """Linked trips whose underlying trip ran to completion."""
-    from .model import TripStatus
-
-    return tuple(lt for lt in result.linked if lt.trip.status is TripStatus.COMPLETED)

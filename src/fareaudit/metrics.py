@@ -20,25 +20,26 @@ from .linkage import LinkedTrip
 from .model import (
     DEFAULT_TIMEZONE,
     MS_PER_HOUR,
-    ActivitySegment,
+    ActivityState,
     AuditError,
     DispatchOffer,
     DriverProfile,
     Money,
-    PaymentEvent,
     RecordError,
     RpiSeries,
     Timestamp,
     TripRecord,
     TripStatus,
+    iso_week_label,
+    month_days,
     month_index,
     month_range,
-    month_window,
     sum_money,
+    trip_anchor,
+    week_days,
     week_monday,
-    week_window,
 )
-from .worktime import HoursDefinition, HoursIndex, hours_worked
+from .worktime import HoursDefinition, TimeLedger, hours_worked
 
 DEFAULT_SPLIT_BINS = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.5)
 
@@ -76,48 +77,20 @@ class WeeklyPayRow:
             raise RecordError("platform hours exceed tribunal hours")
 
 
-def weekly_pay(
-    payments: Sequence[PaymentEvent], week: str, tz: str = DEFAULT_TIMEZONE
-) -> Money:
-    """Signed sum of every payment category inside the ISO week.
+def weekly_rows(driver_id: str, ledger: TimeLedger) -> tuple[WeeklyPayRow, ...]:
+    """One row per ISO week with any pay or any working time.
 
-    This is the driver's cash position for the week, so tips, adjustments and
-    reimbursements all count, unlike take-rate inputs which use trip earnings
-    only.
+    Pay is the signed sum of every payment category (the week's cash position),
+    unlike take-rate inputs which use trip earnings only.
     """
-    return sum_money(p.amount for p in payments if p.ts.iso_week(tz) == week)
-
-
-def weekly_rows(
-    driver_id: str,
-    payments: Sequence[PaymentEvent],
-    segments: Sequence[ActivitySegment],
-    tz: str = DEFAULT_TIMEZONE,
-) -> tuple[WeeklyPayRow, ...]:
-    """One row per ISO week with any pay or any working time."""
-    weeks: set[str] = {p.ts.iso_week(tz) for p in payments}
-    for seg in segments:
-        weeks.add(seg.start_ts.iso_week(tz))
-        weeks.add(Timestamp(seg.end_ts.epoch_ms - 1).iso_week(tz))
-        # long segments can span >2 weeks; walk interior days
-        if seg.end_ts.epoch_ms - seg.start_ts.epoch_ms > 7 * 24 * MS_PER_HOUR:
-            cursor = seg.start_ts.epoch_ms
-            while cursor < seg.end_ts.epoch_ms:
-                weeks.add(Timestamp(cursor).iso_week(tz))
-                cursor += 6 * 24 * MS_PER_HOUR
-
+    weeks = {iso_week_label(day) for day in {*ledger.time, *ledger.pay}}
     rows: list[WeeklyPayRow] = []
-    pay_by_week: dict[str, Money] = {}
-    for p in payments:
-        w = p.ts.iso_week(tz)
-        pay_by_week[w] = pay_by_week.get(w, Money(0, p.amount.currency)) + p.amount
-    tribunal_index = HoursIndex(segments, HoursDefinition.TRIBUNAL)
-    platform_index = HoursIndex(segments, HoursDefinition.PLATFORM)
     for week in sorted(weeks, key=week_monday):
-        window = week_window(week, tz)
-        tribunal = tribunal_index.hours(window)
-        platform = platform_index.hours(window)
-        net = pay_by_week.get(week, Money(0))
+        period = week_days(week)
+        tribunal = hours_worked(ledger, period, HoursDefinition.TRIBUNAL)
+        platform = hours_worked(ledger, period, HoursDefinition.PLATFORM)
+        amounts = ledger.day_pay(period)
+        net = sum_money(amounts, amounts[0].currency) if amounts else Money(0)
         if net.pence == 0 and tribunal == 0.0:
             continue
         rows.append(WeeklyPayRow(driver_id, week, net, tribunal, platform))
@@ -271,15 +244,16 @@ class SurplusPoint:
 
 def surplus_series(
     linked_by_driver: Mapping[str, Sequence[LinkedTrip]],
-    segments_by_driver: Mapping[str, Sequence[ActivitySegment]],
+    ledgers_by_driver: Mapping[str, TimeLedger],
     tz: str = DEFAULT_TIMEZONE,
 ) -> tuple[SurplusPoint, ...]:
     """Monthly platform surplus per on-trip hour, with interior gaps interpolated.
 
     A month's direct value needs at least one share-valid linked trip; the
     denominator is the on-trip hours that month of the drivers contributing
-    those trips. Months without a direct value between two valid months are
-    filled linearly and flagged; gaps at either edge stay missing.
+    those trips, summed in integer milliseconds so that it does not depend on
+    the order of the drivers. Months without a direct value between two valid
+    months are filled linearly and flagged; gaps at either edge stay missing.
     """
     surplus: dict[str, int] = {}
     contributors: dict[str, set[str]] = {}
@@ -287,7 +261,7 @@ def surplus_series(
         for lt in linked:
             if lt.driver_share is None or lt.rider_fare is None:
                 continue
-            month = (lt.trip.dropoff_ts or lt.trip.request_ts).month(tz)
+            month = trip_anchor(lt.trip).month(tz)
             surplus[month] = surplus.get(month, 0) + (
                 lt.rider_fare.pence - lt.driver_total.pence
             )
@@ -300,15 +274,12 @@ def surplus_series(
     for month in months:
         if month not in surplus:
             continue
-        window = month_window(month, tz)
-        hours = 0.0
-        for driver_id in contributors[month]:
-            segs = segments_by_driver.get(driver_id, ())
-            hours += hours_worked(
-                [s for s in segs if s.state.value == "on_trip"],
-                window,
-                HoursDefinition.PLATFORM,
-            )
+        period = month_days(month)
+        on_trip_ms = sum(
+            ledgers_by_driver[driver_id].state_ms(period)[ActivityState.ON_TRIP]
+            for driver_id in contributors[month]
+        )
+        hours = on_trip_ms / MS_PER_HOUR
         if hours > 0.0:
             direct[month] = SurplusPoint(
                 month, (surplus[month] / 100.0) / hours, False, surplus[month], hours
@@ -336,12 +307,12 @@ def surplus_series(
 
 def surplus_per_on_trip_hour(
     linked_by_driver: Mapping[str, Sequence[LinkedTrip]],
-    segments_by_driver: Mapping[str, Sequence[ActivitySegment]],
+    ledgers_by_driver: Mapping[str, TimeLedger],
     month: str,
     tz: str = DEFAULT_TIMEZONE,
 ) -> tuple[float, bool]:
     """(value, was_interpolated) for one month; raises when unbracketed."""
-    series = surplus_series(linked_by_driver, segments_by_driver, tz)
+    series = surplus_series(linked_by_driver, ledgers_by_driver, tz)
     for point in series:
         if point.month == month:
             if point.value is None:
@@ -474,7 +445,7 @@ def cohort_pay_change(
     for driver_id in sorted(trips_by_driver):
         trips = trips_by_driver[driver_id]
         active_months = {
-            (t.dropoff_ts or t.request_ts).month(tz)
+            trip_anchor(t).month(tz)
             for t in trips
             if t.status is TripStatus.COMPLETED
         }

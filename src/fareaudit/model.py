@@ -79,10 +79,6 @@ class Money:
             pence = -pence
         return cls(pence, currency)
 
-    @property
-    def pounds(self) -> float:
-        return self.pence / 100.0
-
     def _check(self, other: "Money") -> None:
         if self.currency != other.currency:
             raise CurrencyMismatch(f"{self.currency} vs {other.currency}")
@@ -167,13 +163,6 @@ class Timestamp:
     def local_date(self, tz: str = DEFAULT_TIMEZONE) -> dt.date:
         return self.to_datetime(tz).date()
 
-    def hour(self, tz: str = DEFAULT_TIMEZONE) -> int:
-        return self.to_datetime(tz).hour
-
-    def weekday(self, tz: str = DEFAULT_TIMEZONE) -> int:
-        """Monday=0 .. Sunday=6 in the given zone."""
-        return self.to_datetime(tz).weekday()
-
     def month(self, tz: str = DEFAULT_TIMEZONE) -> str:
         d = self.to_datetime(tz)
         return f"{d.year:04d}-{d.month:02d}"
@@ -187,6 +176,11 @@ class Timestamp:
 
 # ---------------------------------------------------------------------------
 # Calendar helpers (months as "YYYY-MM" labels, weeks as "YYYY-Www")
+
+
+def local_midnight(day: dt.date, tz: str = DEFAULT_TIMEZONE) -> Timestamp:
+    """The instant at which ``day`` begins in ``tz``; every window below starts at one."""
+    return Timestamp.from_datetime(dt.datetime(day.year, day.month, day.day, tzinfo=_zone(tz)))
 
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -225,14 +219,16 @@ def month_range(first: str, last: str) -> list[str]:
     return [month_label(i) for i in range(lo, hi + 1)]
 
 
+def month_days(label: str) -> tuple[dt.date, dt.date]:
+    """Half-open [first day, first day of the next month) of a calendar month."""
+    year, month = parse_month(label)
+    return dt.date(year, month, 1), dt.date(year + month // 12, month % 12 + 1, 1)
+
+
 def month_window(label: str, tz: str = DEFAULT_TIMEZONE) -> tuple[Timestamp, Timestamp]:
     """Half-open [start, end) UTC window of a local calendar month."""
-    year, month = parse_month(label)
-    zone = _zone(tz)
-    start = dt.datetime(year, month, 1, tzinfo=zone)
-    ny, nm = (year + 1, 1) if month == 12 else (year, month + 1)
-    end = dt.datetime(ny, nm, 1, tzinfo=zone)
-    return Timestamp.from_datetime(start), Timestamp.from_datetime(end)
+    first, stop = month_days(label)
+    return local_midnight(first, tz), local_midnight(stop, tz)
 
 
 def iso_week_label(day: dt.date) -> str:
@@ -252,14 +248,16 @@ def week_monday(label: str) -> dt.date:
     return dt.date.fromisocalendar(year, week, 1)
 
 
+def week_days(label: str) -> tuple[dt.date, dt.date]:
+    """Half-open [Monday, next Monday) of an ISO week."""
+    monday = week_monday(label)
+    return monday, monday + dt.timedelta(days=7)
+
+
 def week_window(label: str, tz: str = DEFAULT_TIMEZONE) -> tuple[Timestamp, Timestamp]:
     """Half-open [Monday 00:00, next Monday 00:00) UTC window of a local ISO week."""
-    monday = week_monday(label)
-    zone = _zone(tz)
-    start = dt.datetime(monday.year, monday.month, monday.day, tzinfo=zone)
-    after = monday + dt.timedelta(days=7)
-    end = dt.datetime(after.year, after.month, after.day, tzinfo=zone)
-    return Timestamp.from_datetime(start), Timestamp.from_datetime(end)
+    monday, stop = week_days(label)
+    return local_midnight(monday, tz), local_midnight(stop, tz)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +361,11 @@ class TripRecord:
         if self.pickup_ts is None or self.dropoff_ts is None:
             return 0.0
         return (self.dropoff_ts.epoch_ms - self.pickup_ts.epoch_ms) / MS_PER_MINUTE
+
+
+def trip_anchor(trip: TripRecord) -> Timestamp:
+    """The instant that dates a trip: its dropoff, else its request."""
+    return trip.dropoff_ts or trip.request_ts
 
 
 @dataclass(frozen=True, slots=True)

@@ -42,12 +42,15 @@ from .model import (
     RpiSeries,
     Timestamp,
     era_of,
+    month_days,
     month_range,
     month_window,
+    trip_anchor,
 )
 from .worktime import (
     HoursDefinition,
-    Timeline,
+    TimeLedger,
+    build_ledger,
     build_segments,
     hours_worked,
     utilisation_daily,
@@ -78,7 +81,8 @@ class DriverResult:
     report: IngestReport
     bundle: NormalizedBundle
     links: LinkResult
-    timeline: Timeline
+    ledger: TimeLedger
+    orphan_trips: int
     rows: tuple[WeeklyPayRow, ...]
 
 
@@ -98,14 +102,15 @@ def process_bundle(directory: str, options: AuditOptions) -> DriverResult | Bund
             bundle.trips, bundle.payments, options.link_window_s, options.boundaries
         )
         timeline = build_segments(bundle.sessions, bundle.trips, bundle.driver_id)
-        rows = weekly_rows(
-            bundle.driver_id, bundle.payments, timeline.segments, options.tz
-        )
+        ledger = build_ledger(timeline.segments, bundle.payments, options.tz)
+        rows = weekly_rows(bundle.driver_id, ledger)
     except AuditError as exc:
         return BundleFailure(driver_id, str(exc))
     except (OSError, ValueError) as exc:
         return BundleFailure(driver_id, f"{type(exc).__name__}: {exc}")
-    return DriverResult(bundle.driver_id, report, bundle, links, timeline, rows)
+    return DriverResult(
+        bundle.driver_id, report, bundle, links, ledger, len(timeline.orphan_trips), rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,29 +166,19 @@ def _weekly_pooled(rows: Sequence[WeeklyPayRow]) -> dict:
     return out
 
 
-def _monthly_real_rates(
-    results: Sequence[DriverResult], rpi: RpiSeries, tz: str
-) -> dict:
+def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict:
     """Nominal and inflation-adjusted pooled pay per tribunal hour by month."""
-    months: set[str] = set()
-    for res in results:
-        for p in res.bundle.payments:
-            months.add(p.ts.month(tz))
+    months = {f"{day:%Y-%m}" for res in results for day in res.ledger.pay}
     if not months:
         return {"error": "no payments"}
-    ordered = month_range(min(months), max(months))
     nominal: dict[str, float] = {}
-    for month in ordered:
-        window = month_window(month, tz)
+    for month in month_range(min(months), max(months)):
+        period = month_days(month)
         pence = 0
         hours = 0.0
         for res in results:
-            pence += sum(
-                p.amount.pence
-                for p in res.bundle.payments
-                if window[0].epoch_ms <= p.ts.epoch_ms < window[1].epoch_ms
-            )
-            hours += hours_worked(res.timeline.segments, window, HoursDefinition.TRIBUNAL)
+            pence += sum(amount.pence for amount in res.ledger.day_pay(period))
+            hours += hours_worked(res.ledger, period, HoursDefinition.TRIBUNAL)
         if hours > 0.0:
             nominal[month] = (pence / 100.0) / hours
     if not nominal:
@@ -203,8 +198,7 @@ def _take_rate_section(linked_all, tz: str) -> dict:
     hist = take_rate_histogram(shares)
     monthly: dict[str, list[float]] = {}
     for lt in shares:
-        anchor = lt.trip.dropoff_ts or lt.trip.request_ts
-        monthly.setdefault(anchor.month(tz), []).append(lt.driver_share)
+        monthly.setdefault(trip_anchor(lt.trip).month(tz), []).append(lt.driver_share)
 
     def stats_dict(group_by: str) -> dict:
         s = take_rate_stats(shares, group_by)
@@ -227,18 +221,14 @@ def _take_rate_section(linked_all, tz: str) -> dict:
     }
 
 
-def _utilisation_section(results: Sequence[DriverResult], tz: str) -> dict:
-    months: set[str] = set()
-    for res in results:
-        for seg in res.timeline.segments:
-            months.add(seg.start_ts.month(tz))
-            months.add(Timestamp(seg.end_ts.epoch_ms - 1).month(tz))
+def _utilisation_section(results: Sequence[DriverResult]) -> dict:
+    months = {f"{day:%Y-%m}" for res in results for day in res.ledger.time}
     out = {}
     for month in sorted(months):
         standby = en_route = on_trip = 0.0
         days = 0
         for res in results:
-            u = utilisation_daily(res.timeline.segments, month, tz)
+            u = utilisation_daily(res.ledger, month)
             if u.active_days == 0:
                 continue
             standby += u.standby_hours * u.active_days
@@ -278,8 +268,7 @@ def _distribution_section(linked_all, boundaries: EraBoundaries) -> dict | None:
     for lt in linked_all:
         if lt.driver_share is None:
             continue
-        anchor = lt.trip.dropoff_ts or lt.trip.request_ts
-        era = era_of(anchor, boundaries)
+        era = era_of(trip_anchor(lt.trip), boundaries)
         if era is Era.FIXED_COMMISSION:
             fixed.append(lt.driver_share)
         elif era is Era.DYNAMIC_PRICING:
@@ -337,7 +326,7 @@ def build_report(
                     "unmatched_trips": len(res.links.unmatched_trips),
                     "unmatched_payments": len(res.links.unmatched_payments),
                 },
-                "orphan_trips": len(res.timeline.orphan_trips),
+                "orphan_trips": res.orphan_trips,
             }
             for res in results
         },
@@ -362,12 +351,12 @@ def build_report(
     }
 
     if rpi is not None:
-        report["inflation"] = _monthly_real_rates(results, rpi, tz)
+        report["inflation"] = _monthly_real_rates(results, rpi)
 
     report["take_rates"] = _take_rate_section(linked_all, tz)
 
     linked_by_driver = {res.driver_id: res.links.linked for res in results}
-    segments_by_driver = {res.driver_id: res.timeline.segments for res in results}
+    ledgers_by_driver = {res.driver_id: res.ledger for res in results}
     report["surplus"] = [
         {
             "month": p.month,
@@ -376,7 +365,7 @@ def build_report(
             "surplus_pence": p.surplus_pence,
             "on_trip_hours": p.on_trip_hours,
         }
-        for p in surplus_series(linked_by_driver, segments_by_driver, tz)
+        for p in surplus_series(linked_by_driver, ledgers_by_driver, tz)
     ]
 
     report["per_minute_by_split"] = [
@@ -393,7 +382,7 @@ def build_report(
         for b in per_minute_fare_by_split(linked_all)
     ]
 
-    report["utilisation"] = _utilisation_section(results, tz)
+    report["utilisation"] = _utilisation_section(results)
     report["acceptance"] = _acceptance_section(results, tz)
 
     if options.cohort_pre and options.cohort_post:

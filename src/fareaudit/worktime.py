@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DEFAULT_TIMEZONE,
@@ -20,10 +19,13 @@ from .model import (
     ActivityState,
     AppSession,
     MS_PER_HOUR,
+    Money,
+    PaymentEvent,
     Timestamp,
     TripRecord,
     TripStatus,
-    month_window,
+    local_midnight,
+    month_days,
 )
 
 Interval = tuple[int, int]  # [start_ms, end_ms)
@@ -169,52 +171,84 @@ def build_segments(
 
 
 # ---------------------------------------------------------------------------
-# Hours
+# Time ledger
+
+Period = tuple[dt.date, dt.date]  # local dates [first, stop)
+
+_STATES = tuple(ActivityState)
+
+_ONE_DAY = dt.timedelta(days=1)
 
 
-def hours_worked(
-    segments: Sequence[ActivitySegment],
-    period: tuple[Timestamp, Timestamp],
-    definition: HoursDefinition,
-) -> float:
-    """Hours inside [period start, period end) under the chosen definition."""
-    return HoursIndex(segments, definition).hours(period)
+def _each_day(period: Period) -> Iterator[dt.date]:
+    day, stop = period
+    while day < stop:
+        yield day
+        day += _ONE_DAY
 
 
-class HoursIndex:
-    """Hours under one definition for many periods over the same segments.
+@dataclass(frozen=True)
+class TimeLedger:
+    """One driver's milliseconds per state, and signed pay, per local date.
 
-    A segment [s, e) overlaps a period [lo, hi) by
-    (hi - max(s, lo))+ - (hi - max(e, lo))+, so the total is one sum over the
-    segment starts minus one over the ends. Sorted starts and ends with prefix
-    sums give each sum in two bisects: one O(n log n) build, then O(log n) per
-    period. Integer milliseconds keep it exact whatever the segments' order;
-    overlapping segments each count in full, as in a plain clip-and-sum.
+    Only dates with activity, or with payments, have entries. Weeks and months
+    are runs of dates, so every period total is an exact sum over days.
     """
 
-    def __init__(self, segments: Sequence[ActivitySegment], definition: HoursDefinition) -> None:
-        states = _STATES_FOR[definition]
-        kept = [s for s in segments if s.state in states]
-        self._starts = sorted(s.start_ts.epoch_ms for s in kept)
-        self._ends = sorted(s.end_ts.epoch_ms for s in kept)
-        self._start_sums = list(accumulate(self._starts, initial=0))
-        self._end_sums = list(accumulate(self._ends, initial=0))
+    time: Mapping[dt.date, Sequence[int]]  # milliseconds per state, in _STATES order
+    pay: Mapping[dt.date, Money]
 
-    def hours(self, period: tuple[Timestamp, Timestamp]) -> float:
-        lo, hi = period[0].epoch_ms, period[1].epoch_ms
-        if hi <= lo:
-            return 0.0
-        total_ms = _clipped_sum(self._starts, self._start_sums, lo, hi) - _clipped_sum(
-            self._ends, self._end_sums, lo, hi
-        )
-        return total_ms / MS_PER_HOUR
+    def state_ms(self, period: Period) -> dict[ActivityState, int]:
+        totals = [0] * len(_STATES)
+        for day in _each_day(period):
+            for i, ms in enumerate(self.time.get(day, ())):
+                totals[i] += ms
+        return dict(zip(_STATES, totals))
+
+    def day_pay(self, period: Period) -> list[Money]:
+        """Each date's pay in the period, in date order."""
+        return [self.pay[day] for day in _each_day(period) if day in self.pay]
 
 
-def _clipped_sum(points: Sequence[int], sums: Sequence[int], lo: int, hi: int) -> int:
-    """Sum of (hi - max(x, lo))+ over sorted points, given their prefix sums."""
-    i = bisect_right(points, lo)  # points at or before lo each add hi - lo
-    j = bisect_left(points, hi, i)  # points inside (lo, hi) each add hi - x
-    return i * (hi - lo) + (j - i) * hi - (sums[j] - sums[i])
+def build_ledger(
+    segments: Iterable[ActivitySegment],
+    payments: Iterable[PaymentEvent],
+    tz: str = DEFAULT_TIMEZONE,
+) -> TimeLedger:
+    """Split every segment at local midnights and date every payment.
+
+    Overlapping segments each count in full; two currencies on one date raise.
+    """
+    day, lo, hi = dt.date.min, 0, 0  # the last date looked up and its [lo, hi)
+
+    def locate(ms: int) -> None:
+        nonlocal day, lo, hi
+        if not lo <= ms < hi:
+            day = Timestamp(ms).local_date(tz)
+            lo = local_midnight(day, tz).epoch_ms
+            hi = local_midnight(day + _ONE_DAY, tz).epoch_ms
+
+    time: dict[dt.date, list[int]] = {}
+    for seg in segments:
+        slot = _STATES.index(seg.state)
+        start, end = seg.start_ts.epoch_ms, seg.end_ts.epoch_ms
+        while start < end:
+            locate(start)
+            cut = min(end, hi)
+            time.setdefault(day, [0] * len(_STATES))[slot] += cut - start
+            start = cut
+
+    pay: dict[dt.date, Money] = {}
+    for p in payments:
+        locate(p.ts.epoch_ms)
+        pay[day] = pay.get(day, Money(0, p.amount.currency)) + p.amount
+    return TimeLedger(time, pay)
+
+
+def hours_worked(ledger: TimeLedger, period: Period, definition: HoursDefinition) -> float:
+    """Hours on the period's dates under the chosen definition."""
+    totals = ledger.state_ms(period)
+    return sum(totals[state] for state in _STATES_FOR[definition]) / MS_PER_HOUR
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,52 +263,20 @@ class UtilisationDaily:
         return self.standby_hours + self.en_route_hours + self.on_trip_hours
 
 
-def utilisation_daily(
-    segments: Sequence[ActivitySegment], month: str, tz: str = DEFAULT_TIMEZONE
-) -> UtilisationDaily:
+def utilisation_daily(ledger: TimeLedger, month: str) -> UtilisationDaily:
     """Average hours per active day in each state over one calendar month.
 
-    An active day is a local date touched by any segment. With no activity the
+    An active day is a local date with any activity. With no activity the
     averages are zero and active_days is 0.
     """
-    lo, hi = month_window(month, tz)
-    lo_ms, hi_ms = lo.epoch_ms, hi.epoch_ms
-
-    totals = {state: 0 for state in ActivityState}
-    days: set[dt.date] = set()
-    for seg in segments:
-        s = max(seg.start_ts.epoch_ms, lo_ms)
-        e = min(seg.end_ts.epoch_ms, hi_ms)
-        if e <= s:
-            continue
-        totals[seg.state] += e - s
-        day = Timestamp(s).local_date(tz)
-        last_day = Timestamp(e - 1).local_date(tz)
-        while day <= last_day:
-            days.add(day)
-            day += dt.timedelta(days=1)
-
-    n = len(days)
+    period = month_days(month)
+    n = sum(1 for day in _each_day(period) if day in ledger.time)
     if n == 0:
         return UtilisationDaily(0.0, 0.0, 0.0, 0)
+    totals = ledger.state_ms(period)
     return UtilisationDaily(
         standby_hours=totals[ActivityState.STANDBY] / MS_PER_HOUR / n,
         en_route_hours=totals[ActivityState.EN_ROUTE] / MS_PER_HOUR / n,
         on_trip_hours=totals[ActivityState.ON_TRIP] / MS_PER_HOUR / n,
         active_days=n,
     )
-
-
-def state_hours(
-    segments: Sequence[ActivitySegment],
-    period: tuple[Timestamp, Timestamp],
-) -> dict[ActivityState, float]:
-    """Per-state hours inside a period; building block for reports."""
-    lo, hi = period[0].epoch_ms, period[1].epoch_ms
-    totals = {state: 0 for state in ActivityState}
-    for seg in segments:
-        s = max(seg.start_ts.epoch_ms, lo)
-        e = min(seg.end_ts.epoch_ms, hi)
-        if e > s:
-            totals[seg.state] += e - s
-    return {state: ms / MS_PER_HOUR for state, ms in totals.items()}

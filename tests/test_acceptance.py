@@ -31,6 +31,7 @@ from fareaudit.metrics import (
     cohort_pay_change,
 )
 from fareaudit.model import (
+    MS_PER_HOUR,
     ActivityState,
     AppSession,
     Money,
@@ -41,7 +42,7 @@ from fareaudit.model import (
     TripRecord,
     TripStatus,
     month_range,
-    week_window,
+    week_days,
 )
 from fareaudit.predictability import fit_ols, r2, year_matrix
 from fareaudit.synthgen import (
@@ -51,7 +52,7 @@ from fareaudit.synthgen import (
     generate,
     load_ground_truth,
 )
-from fareaudit.worktime import build_segments, state_hours
+from fareaudit.worktime import build_ledger, build_segments
 
 MIN = 60_000
 SECOND_H = 1.0 / 3600.0
@@ -74,9 +75,10 @@ def process_fleet(root: Path) -> dict[str, SimpleNamespace]:
         bundle, _report = normalize(load_bundle(directory))
         links = link(bundle.trips, bundle.payments)
         timeline = build_segments(bundle.sessions, bundle.trips, bundle.driver_id)
-        rows = weekly_rows(bundle.driver_id, bundle.payments, timeline.segments)
+        ledger = build_ledger(timeline.segments, bundle.payments)
+        rows = weekly_rows(bundle.driver_id, ledger)
         out[bundle.driver_id] = SimpleNamespace(
-            bundle=bundle, links=links, timeline=timeline, rows=rows
+            bundle=bundle, links=links, ledger=ledger, rows=rows
         )
     return out
 
@@ -188,7 +190,6 @@ def test_criterion_03_working_time_dominance(fixed_fleet):
     with criterion(3, "working-time dominance per week"):
         weeks_checked = 0
         for driver_id, data in fixed_fleet.drivers.items():
-            segments = data.timeline.segments
             for row in data.rows:
                 assert row.hours_platform <= row.hours_tribunal
                 if row.net_pay.pence >= 0 and row.hours_tribunal > 0.0:
@@ -204,7 +205,8 @@ def test_criterion_03_working_time_dominance(fixed_fleet):
 
             truth_weekly = fixed_fleet.truth["drivers"][driver_id]["weekly"]
             for week, want in truth_weekly.items():
-                got = state_hours(segments, week_window(week))
+                ms = data.ledger.state_ms(week_days(week))
+                got = {state: v / MS_PER_HOUR for state, v in ms.items()}
                 assert abs(got[ActivityState.STANDBY] - want["standby_h"]) <= SECOND_H
                 assert abs(got[ActivityState.EN_ROUTE] - want["en_route_h"]) <= SECOND_H
                 assert abs(got[ActivityState.ON_TRIP] - want["on_trip_h"]) <= SECOND_H
@@ -318,20 +320,19 @@ def test_criterion_06_surplus_gap_handling():
             pay_at("2021-03-05T10:06:00Z", "8.00"),  # surplus 12 pounds/hour
         ]
         linked = {"d1": link(trips, pays).linked}
-        segs = {
-            "d1": build_segments(
-                [
-                    AppSession(
-                        "d1",
-                        Timestamp(t.request_ts.epoch_ms - 10 * MIN),
-                        Timestamp(t.dropoff_ts.epoch_ms + 10 * MIN),
-                    )
-                    for t in trips
-                ],
-                trips,
-            ).segments
-        }
-        series = {p.month: p for p in surplus_series(linked, segs)}
+        segments = build_segments(
+            [
+                AppSession(
+                    "d1",
+                    Timestamp(t.request_ts.epoch_ms - 10 * MIN),
+                    Timestamp(t.dropoff_ts.epoch_ms + 10 * MIN),
+                )
+                for t in trips
+            ],
+            trips,
+        ).segments
+        ledgers = {"d1": build_ledger(segments, pays)}
+        series = {p.month: p for p in surplus_series(linked, ledgers)}
         feb = series["2021-02"]
         assert feb.interpolated
         assert abs(feb.value - 10.0) < 1e-9
@@ -341,7 +342,7 @@ def test_criterion_06_surplus_gap_handling():
         assert set(series) == {"2021-01", "2021-02", "2021-03"}
         for month in ("2020-12", "2021-04"):
             with pytest.raises(UnbracketedGap):
-                surplus_per_on_trip_hour(linked, segs, month)
+                surplus_per_on_trip_hour(linked, ledgers, month)
 
 
 # ---------------------------------------------------------------------------

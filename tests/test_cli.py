@@ -2,14 +2,25 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fareaudit
 from fareaudit.anonymize import SALT_ENV_VAR
-from fareaudit.cli import main
+from fareaudit.cli import _bundle_dirs, main
 from fareaudit.synthgen import CorruptionPlan, GenConfig, generate
+from conftest import (
+    PAYMENT_HEADER,
+    TRIP_HEADER,
+    payment_csv_row,
+    trip_csv_row,
+    write_table,
+)
 
 
 def tree_digest(root: Path) -> str:
@@ -144,6 +155,79 @@ def test_audit_writes_only_under_out(bundles, tmp_path):
     assert tree_digest(bundles) == before
     written = {p.name for p in (tmp_path / "o").iterdir()}
     assert written == {"audit_report.json"}
+
+
+def test_bundle_dirs_sorted(tmp_path):
+    for name in ("b", "a"):
+        d = tmp_path / name
+        write_table(d, "trips", TRIP_HEADER, [trip_csv_row()])
+        write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
+    (tmp_path / "rpi.csv").write_text("month,yoy_pct\n")
+    assert [Path(d).name for d in _bundle_dirs(str(tmp_path))] == ["a", "b"]
+
+
+def test_audit_utilisation_has_month_inside_one_session(tmp_path):
+    d = tmp_path / "bundles" / "d1"
+    trip = trip_csv_row(
+        req="2021-01-31T13:00:00Z",
+        accept="2021-01-31T13:01:00Z",
+        pickup="2021-01-31T13:05:00Z",
+        dropoff="2021-01-31T13:20:00Z",
+    )
+    write_table(d, "trips", TRIP_HEADER, [trip])
+    write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row(ts="2021-01-31T13:21:00Z")])
+    write_table(
+        d,
+        "sessions",
+        ["login_ts", "logout_ts"],
+        [{"login_ts": "2021-01-31T12:00:00Z", "logout_ts": "2021-03-01T12:00:00Z"}],
+    )
+    out = tmp_path / "o"
+    assert main(["audit", str(tmp_path / "bundles"), "--out", str(out)]) == 0
+    utilisation = json.loads((out / "audit_report.json").read_text())["utilisation"]
+    assert list(utilisation) == ["2021-01", "2021-02", "2021-03"]
+    assert utilisation["2021-02"]["active_driver_days"] == 28
+    assert utilisation["2021-02"]["standby_hours"] == 24.0
+
+
+# Eight drivers whose February on-trip hours sum to a value on a rounding tie
+# at six significant digits. Under the bundle names pinned000..pinned007 a sum
+# of per-driver float hours taken in set order reads 109.103 with
+# PYTHONHASHSEED=0 and 109.102 with 1.
+TIE_FLEET = GenConfig(
+    seed=15,
+    n_drivers=8,
+    first_month="2021-02",
+    last_month="2021-02",
+    commission="0.25",
+    jitter_sd_s=60.0,
+    work_prob=0.9,
+    session_min_h=1.0,
+    session_max_h=2.0,
+)
+
+
+def test_audit_identical_across_hash_seeds(tmp_path):
+    generate(TIE_FLEET, tmp_path / "generated")
+    (tmp_path / "bundles").mkdir()
+    for directory in (tmp_path / "generated").glob("driver*"):
+        directory.rename(tmp_path / "bundles" / directory.name.replace("driver", "pinned"))
+    src = str(Path(fareaudit.__file__).resolve().parent.parent)
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "fareaudit.cli", "audit", str(tmp_path / "bundles"),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        reports.append((out / "audit_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_audit_charts(bundles, tmp_path):

@@ -4,13 +4,10 @@ import pytest
 
 from fareaudit.ingest import (
     ColumnMap,
-    FareSemantics,
     MalformedTable,
     MissingTable,
-    detect_fare_semantics,
     fare_reliable,
     load_bundle,
-    load_bundles,
     normalize,
     write_bundle,
 )
@@ -199,11 +196,6 @@ def test_trips_per_era_counted(tmp_path):
 
 
 def test_fare_semantics_flags_opaque_gap():
-    from conftest import trip
-
-    semantics = detect_fare_semantics([trip()])
-    assert semantics[Era.OPAQUE_GAP] is FareSemantics.UNRELIABLE
-    assert semantics[Era.FIXED_COMMISSION] is FareSemantics.RIDER_PRICE
     assert fare_reliable(Timestamp.from_iso("2021-06-01T00:00:00Z"))
     assert not fare_reliable(Timestamp.from_iso("2022-06-01T00:00:00Z"))
 
@@ -220,11 +212,3 @@ def test_write_bundle_roundtrip_is_fixed_point(tmp_path, bundle_dir):
     for name in ("trips.csv", "payments.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-
-def test_load_bundles_sorted(tmp_path):
-    for name in ("b", "a"):
-        d = tmp_path / name
-        write_table(d, "trips", TRIP_HEADER, [trip_csv_row()])
-        write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
-    ids = [b.driver_id for b in load_bundles(tmp_path)]
-    assert ids == ["a", "b"]

@@ -2,11 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareaudit.linkage import (
-    LinkedTrip,
     ZeroFare,
-    completed_linked,
     link,
-    split,
     split_fraction,
 )
 from fareaudit.model import (
@@ -206,22 +203,9 @@ def test_payment_never_double_assigned():
     assert len(owners) == 1
 
 
-def test_completed_linked_filters_status():
-    t = trip()
-    result = link([t], [payment()])
-    assert completed_linked(result) == result.linked
-
-
 def test_split_on_linked_trip():
     result = link([trip(fare="20.00")], [payment(amount="15.00")])
-    assert split(result.linked[0]) == (0.75, 0.25)
-    opaque = LinkedTrip(
-        trip=result.linked[0].trip,
-        earnings=result.linked[0].earnings,
-        driver_total=Money(1500),
-        rider_fare=None,
-        driver_share=None,
-        platform_share=None,
-    )
-    with pytest.raises(ZeroFare):
-        split(opaque)
+    assert (result.linked[0].driver_share, result.linked[0].platform_share) == (0.75, 0.25)
+    (opaque,) = link([trip(fare=None)], [payment(amount="15.00")]).linked
+    assert opaque.rider_fare is None
+    assert opaque.driver_share is None and opaque.platform_share is None

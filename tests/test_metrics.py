@@ -22,11 +22,11 @@ from fareaudit.metrics import (
     surplus_series,
     take_rate_histogram,
     take_rate_stats,
-    weekly_pay,
     weekly_rows,
 )
 from fareaudit.model import (
     AuditError,
+    CurrencyMismatch,
     DriverProfile,
     Money,
     PaymentCategory,
@@ -36,7 +36,7 @@ from fareaudit.model import (
     TripRecord,
     TripStatus,
 )
-from fareaudit.worktime import HoursDefinition, build_segments
+from fareaudit.worktime import HoursDefinition, build_ledger, build_segments
 from conftest import at, offer, payment, trip
 
 MIN = 60_000
@@ -84,8 +84,9 @@ def test_weekly_pay_sums_all_categories_signed():
         payment(ts_min=20.0, amount="1.00", category=PaymentCategory.TIP),
         payment(ts_min=30.0, amount="-2.00", category=PaymentCategory.ADJUSTMENT),
     ]
-    week = pays[0].ts.iso_week()
-    assert weekly_pay(pays, week).pence == 650
+    (row,) = weekly_rows("d1", build_ledger([], pays))
+    assert row.iso_week == pays[0].ts.iso_week()
+    assert row.net_pay.pence == 650
 
 
 def test_weekly_rows_split_by_iso_week():
@@ -94,17 +95,31 @@ def test_weekly_rows_split_by_iso_week():
     t = trip_at("2021-03-01T10:00:00Z")
     sess = covering_session(t)
     segs = build_segments([sess], [t]).segments
-    rows = weekly_rows("d1", [p1, p2], segs)
+    rows = weekly_rows("d1", build_ledger(segs, [p1, p2]))
     assert [r.iso_week for r in rows] == ["2021-W09", "2021-W10"]
     assert rows[0].net_pay.pence == 1000
     assert rows[0].hours_tribunal > 0
     assert rows[1].hours_tribunal == 0.0  # pay with no recorded time that week
 
 
+def test_weekly_rows_reject_two_currencies_in_one_week():
+    def euros_at(iso):
+        return PaymentEvent("d1", Timestamp.from_iso(iso), PaymentCategory.TIP, Money(500, "EUR"))
+
+    pounds = pay_at("2021-03-01T12:00:00Z", 0, "10.00")  # Monday of 2021-W09
+    with pytest.raises(CurrencyMismatch):
+        weekly_rows("d1", build_ledger([], [pounds, euros_at("2021-03-03T12:00:00Z")]))
+    rows = weekly_rows("d1", build_ledger([], [pounds, euros_at("2021-03-08T12:00:00Z")]))
+    assert [(r.iso_week, r.net_pay) for r in rows] == [
+        ("2021-W09", Money(1000)),
+        ("2021-W10", Money(500, "EUR")),
+    ]
+
+
 def test_weekly_rows_platform_never_exceeds_tribunal():
     t = trip_at("2021-03-02T09:00:00Z", on_min=30)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows("d1", [pay_at("2021-03-02T09:40:00Z", 0, "9.00")], segs)
+    rows = weekly_rows("d1", build_ledger(segs, [pay_at("2021-03-02T09:40:00Z", 0, "9.00")]))
     for row in rows:
         assert row.hours_platform <= row.hours_tribunal
 
@@ -112,7 +127,7 @@ def test_weekly_rows_platform_never_exceeds_tribunal():
 def test_pay_per_hour_pooled_and_week_filter():
     t = trip_at("2021-03-02T09:00:00Z", on_min=55)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows("d1", [pay_at("2021-03-02T10:05:00Z", 0, "12.00")], segs)
+    rows = weekly_rows("d1", build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")]))
     rate = pay_per_hour(rows, HoursDefinition.TRIBUNAL)
     # session is 80 minutes: 10 before request + 70 through dropoff+10
     assert rate == pytest.approx(12.0 / (80 / 60))
@@ -123,7 +138,7 @@ def test_pay_per_hour_pooled_and_week_filter():
 def test_pay_per_hour_platform_dominates_for_nonnegative_pay():
     t = trip_at("2021-03-02T09:00:00Z", on_min=55)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows("d1", [pay_at("2021-03-02T10:05:00Z", 0, "12.00")], segs)
+    rows = weekly_rows("d1", build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")]))
     assert pay_per_hour(rows, HoursDefinition.PLATFORM) >= pay_per_hour(
         rows, HoursDefinition.TRIBUNAL
     )
@@ -231,38 +246,39 @@ def surplus_fixture():
     trips = [t_jan, t_mar]
     linked = link(trips, pays).linked
     segs = build_segments([covering_session(t) for t in trips], trips).segments
-    return {"d1": linked}, {"d1": segs}
+    return {"d1": linked}, {"d1": build_ledger(segs, pays)}
 
 
 def test_surplus_interior_gap_interpolated_and_flagged():
-    linked, segs = surplus_fixture()
-    series = surplus_series(linked, segs)
+    linked, ledgers = surplus_fixture()
+    series = surplus_series(linked, ledgers)
     by_month = {p.month: p for p in series}
     assert by_month["2021-01"].value == pytest.approx(8.0)
     assert not by_month["2021-01"].interpolated
     assert by_month["2021-02"].value == pytest.approx(10.0)
     assert by_month["2021-02"].interpolated
     assert by_month["2021-03"].value == pytest.approx(12.0)
-    value, interpolated = surplus_per_on_trip_hour(linked, segs, "2021-02")
+    value, interpolated = surplus_per_on_trip_hour(linked, ledgers, "2021-02")
     assert (value, interpolated) == (pytest.approx(10.0), True)
 
 
 def test_surplus_edge_gap_is_missing_not_extrapolated():
-    linked, segs = surplus_fixture()
+    linked, ledgers = surplus_fixture()
     with pytest.raises(UnbracketedGap):
-        surplus_per_on_trip_hour(linked, segs, "2020-12")
+        surplus_per_on_trip_hour(linked, ledgers, "2020-12")
     with pytest.raises(UnbracketedGap):
-        surplus_per_on_trip_hour(linked, segs, "2021-04")
+        surplus_per_on_trip_hour(linked, ledgers, "2021-04")
 
 
 def test_surplus_denominator_only_contributing_drivers():
-    linked, segs = surplus_fixture()
+    linked, ledgers = surplus_fixture()
     # a second driver with on-trip time but no valid shares must not dilute
     t_other = trip_at("2021-01-07T09:00:00Z", on_min=120, fare=None, driver="d2")
     segs2 = build_segments([covering_session(t_other)], [t_other]).segments
-    linked2 = link([t_other], [pay_at("2021-01-07T11:06:00Z", 0, "9.00", "d2")]).linked
+    pays2 = [pay_at("2021-01-07T11:06:00Z", 0, "9.00", "d2")]
+    linked2 = link([t_other], pays2).linked
     series = surplus_series(
-        {**linked, "d2": linked2}, {**segs, "d2": segs2}
+        {**linked, "d2": linked2}, {**ledgers, "d2": build_ledger(segs2, pays2)}
     )
     jan = next(p for p in series if p.month == "2021-01")
     assert jan.value == pytest.approx(8.0)
@@ -305,7 +321,7 @@ def driver_rows(driver: str, months: list[str], pounds_per_trip: float):
             pays.append(pay_at(month_iso(m, day, 10), 6, f"{pounds_per_trip:.2f}", driver))
             sessions.append(covering_session(t))
     segs = build_segments(sessions, trips).segments
-    return weekly_rows(driver, pays, segs), trips
+    return weekly_rows(driver, build_ledger(segs, pays)), trips
 
 
 def test_cohort_partition_and_qualification():

@@ -1,4 +1,5 @@
 import datetime as dt
+from zoneinfo import ZoneInfo
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,22 +7,35 @@ from fareaudit.metrics import weekly_rows
 from fareaudit.model import (
     ActivitySegment,
     ActivityState,
+    Money,
+    PaymentCategory,
+    PaymentEvent,
     Timestamp,
     TripStatus,
+    month_days,
+    month_window,
+    week_days,
     week_window,
 )
 from fareaudit.worktime import (
     HoursDefinition,
+    build_ledger,
     build_segments,
     hours_worked,
     merge_intervals,
-    state_hours,
     subtract_intervals,
     utilisation_daily,
 )
 from conftest import at, segment, session, trip
 
 MIN = 60_000
+DAY = dt.timedelta(days=1)
+BASE_DAY = dt.date(2021, 3, 2)  # the local date of conftest's base instant
+
+
+def days(first: int, stop: int) -> tuple[dt.date, dt.date]:
+    """Local dates [BASE_DAY + first, BASE_DAY + stop)."""
+    return BASE_DAY + first * DAY, BASE_DAY + stop * DAY
 
 
 def test_merge_intervals():
@@ -149,19 +163,20 @@ def test_cancelled_trip_contributes_en_route():
 def test_hours_definitions():
     sessions = [session(0.0, 60.0)]
     trips = [trip(req=10.0, accept=11.0, pickup=15.0, dropoff=30.0)]
-    tl = build_segments(sessions, trips)
-    period = (at(0.0), at(60.0))
-    tribunal = hours_worked(tl.segments, period, HoursDefinition.TRIBUNAL)
-    platform = hours_worked(tl.segments, period, HoursDefinition.PLATFORM)
+    ledger = build_ledger(build_segments(sessions, trips).segments, [])
+    tribunal = hours_worked(ledger, days(0, 1), HoursDefinition.TRIBUNAL)
+    platform = hours_worked(ledger, days(0, 1), HoursDefinition.PLATFORM)
     assert tribunal == 1.0
     assert platform == (4 + 15) / 60.0
     assert platform <= tribunal
 
 
 def test_hours_clipped_to_period():
-    sessions = [session(0.0, 120.0)]
-    tl = build_segments(sessions, [])
-    assert hours_worked(tl.segments, (at(30.0), at(90.0)), HoursDefinition.TRIBUNAL) == 1.0
+    sessions = [session(14 * 60.0, 17 * 60.0)]  # 23:00 to 02:00 the next night
+    ledger = build_ledger(build_segments(sessions, []).segments, [])
+    assert hours_worked(ledger, days(0, 1), HoursDefinition.TRIBUNAL) == 1.0
+    assert hours_worked(ledger, days(1, 2), HoursDefinition.TRIBUNAL) == 2.0
+    assert hours_worked(ledger, days(-1, 3), HoursDefinition.TRIBUNAL) == 3.0
 
 
 @given(
@@ -191,35 +206,34 @@ def test_platform_hours_never_exceed_tribunal(sess_raw, trips_raw):
                 dropoff=float(off + wait + en + dur),
             )
         )
-    tl = build_segments(sessions, trips)
-    period = (at(-10.0), at(3000.0))
-    platform = hours_worked(tl.segments, period, HoursDefinition.PLATFORM)
-    tribunal = hours_worked(tl.segments, period, HoursDefinition.TRIBUNAL)
+    ledger = build_ledger(build_segments(sessions, trips).segments, [])
+    platform = hours_worked(ledger, days(-1, 4), HoursDefinition.PLATFORM)
+    tribunal = hours_worked(ledger, days(-1, 4), HoursDefinition.TRIBUNAL)
     assert platform <= tribunal + 1e-12
 
 
 def test_utilisation_counts_active_days():
     sessions = [session(0.0, 60.0), session(24 * 60.0, 24 * 60.0 + 120.0)]
-    tl = build_segments(sessions, [])
-    u = utilisation_daily(tl.segments, "2021-03")
+    ledger = build_ledger(build_segments(sessions, []).segments, [])
+    u = utilisation_daily(ledger, "2021-03")
     assert u.active_days == 2
     assert u.standby_hours == (1.0 + 2.0) / 2
     assert u.on_trip_hours == 0.0
 
 
 def test_utilisation_empty_month():
-    u = utilisation_daily([], "2021-03")
+    u = utilisation_daily(build_ledger([], []), "2021-03")
     assert u.active_days == 0 and u.total_hours == 0.0
 
 
 def test_state_hours_breakdown():
     sessions = [session(0.0, 60.0)]
     trips = [trip(req=10.0, accept=11.0, pickup=15.0, dropoff=30.0)]
-    tl = build_segments(sessions, trips)
-    hours = state_hours(tl.segments, (at(0.0), at(60.0)))
-    assert hours[ActivityState.ON_TRIP] == 0.25
-    assert hours[ActivityState.EN_ROUTE] == 4 / 60.0
-    assert abs(hours[ActivityState.STANDBY] - 41 / 60.0) < 1e-12
+    ledger = build_ledger(build_segments(sessions, trips).segments, [])
+    ms = ledger.state_ms(days(0, 1))
+    assert ms[ActivityState.ON_TRIP] == 15 * MIN
+    assert ms[ActivityState.EN_ROUTE] == 4 * MIN
+    assert ms[ActivityState.STANDBY] == 41 * MIN
 
 
 # Independent clip-and-sum oracle for hours: which states each definition
@@ -240,27 +254,42 @@ def clip_and_sum_hours(segments, lo_ms, hi_ms, definition):
     return total / 3_600_000
 
 
-# ActivitySegment rejects empty segments, so the shortest segment here is one
-# minute; empty and inverted windows are drawn instead.
+def london_midnight(day: dt.date) -> int:
+    start = dt.datetime(day.year, day.month, day.day, tzinfo=ZoneInfo("Europe/London"))
+    return Timestamp.from_datetime(start).epoch_ms
+
+
+# Periods are runs of whole local dates, so the drawn windows are day offsets
+# from conftest's base date; segments cross midnights and the 2021-03-28
+# clock change (26 days after the base).
 @given(
     st.lists(
-        st.tuples(st.integers(0, 100), st.integers(1, 40), st.sampled_from(list(ActivityState))),
+        st.tuples(
+            st.integers(0, 30 * 24 * 60),
+            st.integers(1, 3 * 24 * 60),
+            st.sampled_from(list(ActivityState)),
+        ),
         max_size=12,
     ),
-    st.integers(-10, 150),
-    st.integers(-10, 150),
+    st.integers(-2, 34),
+    st.integers(-2, 34),
 )
-@example([(10, 20, ActivityState.STANDBY)], 30, 50)  # window misses the segment
-@example([(10, 20, ActivityState.STANDBY)], 30, 10)  # window touches its end
-@example([(10, 20, ActivityState.ON_TRIP)], -5, 140)  # window covers it
+@example([(600, 60, ActivityState.STANDBY)], 1, 3)  # window misses the segment
+@example([(600, 60, ActivityState.STANDBY)], 3, 1)  # inverted window
+@example([(600, 60, ActivityState.ON_TRIP)], -1, 3)  # window covers it
+@example([(26 * 24 * 60 - 600, 26 * 60, ActivityState.EN_ROUTE)], 26, 27)  # the 23-hour day
 # unsorted and overlapping
-@example([(40, 10, ActivityState.ON_TRIP), (0, 45, ActivityState.ON_TRIP)], 20, 60)
+@example([(2000, 600, ActivityState.ON_TRIP), (0, 2400, ActivityState.ON_TRIP)], 1, 2)
 @settings(max_examples=300, deadline=None)
-def test_hours_worked_matches_clip_and_sum(raw, lo, hi):
+def test_hours_worked_matches_clip_and_sum(raw, first, stop):
     segments = [segment(float(s), float(s + d), state) for s, d, state in raw]
+    ledger = build_ledger(segments, [])
+    lo_day, hi_day = days(first, stop)
     for definition in HoursDefinition:
-        want = clip_and_sum_hours(segments, at(lo).epoch_ms, at(hi).epoch_ms, definition)
-        assert hours_worked(segments, (at(lo), at(hi)), definition) == want
+        want = clip_and_sum_hours(
+            segments, london_midnight(lo_day), london_midnight(hi_day), definition
+        )
+        assert hours_worked(ledger, (lo_day, hi_day), definition) == want
 
 
 # Europe/London springs forward on Sunday 2021-03-28, the last day of 2021-W12.
@@ -303,5 +332,110 @@ def test_weekly_rows_hours_match_clip_and_sum(raw):
         if tribunal > 0:
             want[week] = (tribunal, platform)
         monday += dt.timedelta(days=7)
-    rows = weekly_rows("d1", [], segments)
+    rows = weekly_rows("d1", build_ledger(segments, []))
     assert {r.iso_week: (r.hours_tribunal, r.hours_platform) for r in rows} == want
+
+
+# Both 2021 clock changes fall on a Sunday, the last day of an ISO week:
+# 2021-03-28 four days before the end of March, 2021-10-31 the last day of
+# October. Each anchor is a Friday 00:00 UTC two days before the change.
+LEDGER_ANCHORS = (
+    Timestamp.from_iso("2021-03-26T00:00:00Z"),
+    Timestamp.from_iso("2021-10-29T00:00:00Z"),
+)
+LEDGER_WEEKS = ("2021-W11", "2021-W12", "2021-W13", "2021-W42", "2021-W43", "2021-W44")
+LEDGER_MONTHS = ("2021-02", "2021-03", "2021-04", "2021-10", "2021-11")
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(LEDGER_ANCHORS),
+            st.integers(-2 * 24 * 60, 7 * 24 * 60),
+            st.integers(1, 3 * 24 * 60),
+            st.sampled_from(list(ActivityState)),
+        ),
+        max_size=10,
+    ),
+    st.lists(
+        st.tuples(
+            st.sampled_from(LEDGER_ANCHORS),
+            st.integers(-2 * 24 * 60, 9 * 24 * 60),
+            st.integers(-5000, 5000),
+        ),
+        max_size=10,
+    ),
+)
+@example([(LEDGER_ANCHORS[0], 2 * 24 * 60 + 30, 60, ActivityState.ON_TRIP)], [])  # 00:30-01:30 UTC
+@example([(LEDGER_ANCHORS[1], 3 * 24 * 60 - 30, 60, ActivityState.STANDBY)], [])  # across 1 Nov
+@example(
+    [],
+    [
+        (LEDGER_ANCHORS[0], 3 * 24 * 60 - 30, 100),  # 00:30 BST on Monday 29 March
+        (LEDGER_ANCHORS[1], 3 * 24 * 60 - 1, 200),  # 23:59 GMT on Sunday 31 October
+        (LEDGER_ANCHORS[1], 3 * 24 * 60 + 30, 400),  # 00:30 GMT on Monday 1 November
+    ],
+)
+@settings(max_examples=150, deadline=None)
+def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_payments):
+    segments = [
+        ActivitySegment(
+            "d1",
+            Timestamp(anchor.epoch_ms + s * MIN),
+            Timestamp(anchor.epoch_ms + (s + d) * MIN),
+            state,
+        )
+        for anchor, s, d, state in raw_segments
+    ]
+    payments = [
+        PaymentEvent(
+            "d1", Timestamp(anchor.epoch_ms + s * MIN), PaymentCategory.TIP, Money(pence)
+        )
+        for anchor, s, pence in raw_payments
+    ]
+    ledger = build_ledger(segments, payments)
+
+    def want_ms(state, lo, hi):
+        return sum(
+            max(0, min(seg.end_ts.epoch_ms, hi.epoch_ms) - max(seg.start_ts.epoch_ms, lo.epoch_ms))
+            for seg in segments
+            if seg.state is state
+        )
+
+    def want_pence(lo, hi):
+        return sum(
+            p.amount.pence for p in payments if lo.epoch_ms <= p.ts.epoch_ms < hi.epoch_ms
+        )
+
+    for label, period, (lo, hi) in [
+        (week, week_days(week), week_window(week)) for week in LEDGER_WEEKS
+    ] + [(month, month_days(month), month_window(month)) for month in LEDGER_MONTHS]:
+        got = ledger.state_ms(period)
+        for state in ActivityState:
+            assert got[state] == want_ms(state, lo, hi), (label, state)
+        assert sum(m.pence for m in ledger.day_pay(period)) == want_pence(lo, hi), label
+
+    for month in LEDGER_MONTHS:
+        lo, hi = month_window(month)
+        active = set()
+        for seg in segments:
+            s = max(seg.start_ts.epoch_ms, lo.epoch_ms)
+            e = min(seg.end_ts.epoch_ms, hi.epoch_ms)
+            if e > s:
+                day = Timestamp(s).local_date()
+                while day <= Timestamp(e - 1).local_date():
+                    active.add(day)
+                    day += DAY
+        assert utilisation_daily(ledger, month).active_days == len(active), month
+
+
+def test_segment_spanning_a_whole_month_counts_in_it():
+    whole_february = ActivitySegment(
+        "d1",
+        Timestamp.from_iso("2021-01-31T12:00:00Z"),
+        Timestamp.from_iso("2021-03-01T12:00:00Z"),
+        ActivityState.STANDBY,
+    )
+    u = utilisation_daily(build_ledger([whole_february], []), "2021-02")
+    assert u.active_days == 28
+    assert u.standby_hours == 24.0
