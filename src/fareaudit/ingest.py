@@ -21,7 +21,6 @@ from .model import (
     AuditError,
     DispatchOffer,
     DriverProfile,
-    Era,
     EraBoundaries,
     Money,
     PaymentCategory,
@@ -30,6 +29,8 @@ from .model import (
     Timestamp,
     TripRecord,
     TripStatus,
+    era_of,
+    trip_anchor,
 )
 
 TABLE_FILES = {
@@ -424,7 +425,7 @@ def normalize(
 
     per_era: dict[str, int] = {}
     for trip in bundle.trips:
-        era = boundaries.era_of_month(trip.request_ts.month(boundaries.tz))
+        era = era_of(trip_anchor(trip), boundaries)
         per_era[era.value] = per_era.get(era.value, 0) + 1
 
     report = IngestReport(
@@ -474,15 +475,6 @@ def _dispatch_key(d: DispatchOffer) -> tuple:
 
 def _session_key(s: AppSession) -> tuple:
     return (s.login_ts, s.logout_ts)
-
-
-# ---------------------------------------------------------------------------
-# Fare reliability
-
-
-def fare_reliable(ts: Timestamp, boundaries: EraBoundaries = DEFAULT_ERAS) -> bool:
-    """Whether the exported fare is the rider price: everywhere but the opaque gap."""
-    return boundaries.era_of_month(ts.month(boundaries.tz)) is not Era.OPAQUE_GAP
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ from typing import Sequence
 from .model import (
     DEFAULT_ERAS,
     AuditError,
+    Era,
     EraBoundaries,
     Money,
     PaymentCategory,
     PaymentEvent,
     TripRecord,
+    era_of,
     sum_money,
     trip_anchor,
 )
-from .ingest import fare_reliable
 
 DEFAULT_WINDOW_S = 600.0
 
@@ -54,19 +55,6 @@ class LinkResult:
     unmatched_trips: tuple[TripRecord, ...]
     unmatched_payments: tuple[PaymentEvent, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "linked": len(self.linked),
-            "unmatched_trips": [
-                {"request_ts": t.request_ts.iso(), "reason": "no earnings within window"}
-                for t in self.unmatched_trips
-            ],
-            "unmatched_payments": [
-                {"ts": p.ts.iso(), "amount": str(p.amount), "reason": "no dropoff within window"}
-                for p in self.unmatched_payments
-            ],
-        }
-
 
 def split_fraction(driver_total: Money, rider_fare: Money) -> tuple[float, float]:
     """Driver and platform shares of the rider fare.
@@ -86,7 +74,7 @@ def _try_split(
     fare = trip.original_fare
     if fare is None or fare.pence <= 0:
         return None, None
-    if not fare_reliable(trip_anchor(trip), boundaries):
+    if era_of(trip_anchor(trip), boundaries) is Era.OPAQUE_GAP:
         return None, None
     return split_fraction(total, fare)
 

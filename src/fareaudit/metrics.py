@@ -27,7 +27,6 @@ from .model import (
     Money,
     RecordError,
     RpiSeries,
-    Timestamp,
     TripRecord,
     TripStatus,
     iso_week_label,
@@ -54,10 +53,6 @@ class MissingRpiMonth(AuditError):
 
 class NoOffers(AuditError):
     pass
-
-
-class UnbracketedGap(AuditError):
-    """A month with no data at the edge of the series cannot be interpolated."""
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +300,6 @@ def surplus_series(
     return tuple(points)
 
 
-def surplus_per_on_trip_hour(
-    linked_by_driver: Mapping[str, Sequence[LinkedTrip]],
-    ledgers_by_driver: Mapping[str, TimeLedger],
-    month: str,
-    tz: str = DEFAULT_TIMEZONE,
-) -> tuple[float, bool]:
-    """(value, was_interpolated) for one month; raises when unbracketed."""
-    series = surplus_series(linked_by_driver, ledgers_by_driver, tz)
-    for point in series:
-        if point.month == month:
-            if point.value is None:
-                raise UnbracketedGap(f"{month} has no data and no valid neighbours")
-            return point.value, point.interpolated
-    raise UnbracketedGap(f"{month} lies outside the observed series")
-
-
 # ---------------------------------------------------------------------------
 # Per-minute fare components by split band
 
@@ -500,14 +479,11 @@ def cohort_pay_change(
 # Acceptance rate
 
 
-def acceptance_rate(
-    offers: Sequence[DispatchOffer], period: tuple[Timestamp, Timestamp]
-) -> float:
-    lo, hi = period
-    in_period = [o for o in offers if lo.epoch_ms <= o.offered_ts.epoch_ms < hi.epoch_ms]
-    if not in_period:
-        raise NoOffers("no dispatch offers in period")
-    return sum(1 for o in in_period if o.accepted) / len(in_period)
+def acceptance_rate(offers: Sequence[DispatchOffer]) -> float:
+    """The accepted share of a list of dispatch offers."""
+    if not offers:
+        raise NoOffers("no dispatch offers")
+    return sum(1 for o in offers if o.accepted) / len(offers)
 
 
 # ---------------------------------------------------------------------------

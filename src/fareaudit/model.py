@@ -10,7 +10,7 @@ import csv
 import datetime as dt
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -274,33 +274,38 @@ class Era(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class EraBoundaries:
-    """The two month boundaries partitioning time into the three eras."""
+    """The two month boundaries partitioning time into the three eras.
+
+    Each boundary is also kept as the instant its month begins in ``tz``.
+    """
 
     opaque_start: str = "2022-02"
     dynamic_start: str = "2023-02"
     tz: str = DEFAULT_TIMEZONE
+    opaque_ms: int = field(init=False, repr=False, compare=False)
+    dynamic_ms: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if month_index(self.opaque_start) >= month_index(self.dynamic_start):
+        opaque, _ = month_window(self.opaque_start, self.tz)
+        dynamic, _ = month_window(self.dynamic_start, self.tz)
+        if opaque >= dynamic:
             raise RecordError(
                 f"era boundaries out of order: {self.opaque_start} >= {self.dynamic_start}"
             )
-
-    def era_of_month(self, label: str) -> Era:
-        idx = month_index(label)
-        if idx < month_index(self.opaque_start):
-            return Era.FIXED_COMMISSION
-        if idx < month_index(self.dynamic_start):
-            return Era.OPAQUE_GAP
-        return Era.DYNAMIC_PRICING
+        object.__setattr__(self, "opaque_ms", opaque.epoch_ms)
+        object.__setattr__(self, "dynamic_ms", dynamic.epoch_ms)
 
 
 DEFAULT_ERAS = EraBoundaries()
 
 
 def era_of(ts: Timestamp, boundaries: EraBoundaries = DEFAULT_ERAS) -> Era:
-    """Map a timestamp to the unique era containing its local month."""
-    return boundaries.era_of_month(ts.month(boundaries.tz))
+    """Map an instant to the era containing its local month."""
+    if ts.epoch_ms < boundaries.opaque_ms:
+        return Era.FIXED_COMMISSION
+    if ts.epoch_ms < boundaries.dynamic_ms:
+        return Era.OPAQUE_GAP
+    return Era.DYNAMIC_PRICING
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linkage import LinkedTrip
-from .model import DEFAULT_TIMEZONE, AuditError, TripStatus
+from .model import DEFAULT_TIMEZONE, AuditError, TripStatus, trip_anchor
 
 RIDGE_SCALE = 1e-8
 TRAIN_FRACTION = 0.8
@@ -299,7 +299,7 @@ def year_matrix(
 
     by_year: dict[int, list[LinkedTrip]] = {}
     for lt in usable:
-        by_year.setdefault(lt.trip.dropoff_ts.year(tz), []).append(lt)
+        by_year.setdefault(trip_anchor(lt.trip).year(tz), []).append(lt)
     years = sorted(by_year)
     if len(years) < 2:
         raise AuditError("need at least two calendar years of trips")

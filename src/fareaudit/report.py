@@ -19,7 +19,6 @@ from .ingest import IngestReport, NormalizedBundle, load_bundle, normalize
 from .linkage import DEFAULT_WINDOW_S, LinkResult, link
 from .metrics import (
     MissingRpiMonth,
-    NoOffers,
     WeeklyPayRow,
     ZeroHours,
     acceptance_rate,
@@ -40,11 +39,9 @@ from .model import (
     Era,
     EraBoundaries,
     RpiSeries,
-    Timestamp,
     era_of,
     month_days,
     month_range,
-    month_window,
     trip_anchor,
 )
 from .worktime import (
@@ -250,16 +247,11 @@ def _acceptance_section(results: Sequence[DriverResult], tz: str) -> dict:
     offers = [o for res in results for o in res.bundle.dispatches]
     if not offers:
         return {"overall": None, "monthly": {}}
-    lo = min(o.offered_ts.epoch_ms for o in offers)
-    hi = max(o.offered_ts.epoch_ms for o in offers) + 1
-    overall = acceptance_rate(offers, (Timestamp(lo), Timestamp(hi)))
-    monthly = {}
-    for month in month_range(Timestamp(lo).month(tz), Timestamp(hi - 1).month(tz)):
-        try:
-            monthly[month] = acceptance_rate(offers, month_window(month, tz))
-        except NoOffers:
-            continue
-    return {"overall": overall, "monthly": monthly, "n_offers": len(offers)}
+    by_month: dict[str, list] = {}
+    for o in offers:
+        by_month.setdefault(o.offered_ts.month(tz), []).append(o)
+    monthly = {month: acceptance_rate(by_month[month]) for month in sorted(by_month)}
+    return {"overall": acceptance_rate(offers), "monthly": monthly, "n_offers": len(offers)}
 
 
 def _distribution_section(linked_all, boundaries: EraBoundaries) -> dict | None:

@@ -38,6 +38,7 @@ from .model import (
     Timestamp,
     TripRecord,
     TripStatus,
+    era_of,
     month_add,
     month_index,
     month_range,
@@ -546,7 +547,7 @@ def _gen_driver(
         sessions.append(AppSession(driver_id, Timestamp(session_start), Timestamp(session_end)))
         session_iv.append((session_start, session_end))
 
-        era_here = boundaries.era_of_month(Timestamp(session_start).month(tz))
+        era_here = era_of(Timestamp(session_start), boundaries)
         standby_scale = (
             config.standby_inflation_post if era_here is Era.DYNAMIC_PRICING else 1.0
         )
@@ -573,8 +574,7 @@ def _gen_driver(
             )
             pickup_ms = accept_ms + int(en_route_s) * MS
 
-            pickup_month = Timestamp(pickup_ms).month(tz)
-            era = boundaries.era_of_month(pickup_month)
+            era = era_of(Timestamp(pickup_ms), boundaries)
             if era is Era.DYNAMIC_PRICING:
                 duration_s = _trunc_lognormal(rng, config.duration_dynamic)
             else:
@@ -585,7 +585,7 @@ def _gen_driver(
                 break
 
             # trips straddling an era boundary are skipped (time stays standby)
-            drop_era = boundaries.era_of_month(Timestamp(dropoff_ms).month(tz))
+            drop_era = era_of(Timestamp(dropoff_ms), boundaries)
             if drop_era is not era:
                 cursor = dropoff_ms
                 continue

@@ -258,10 +258,6 @@ class UtilisationDaily:
     on_trip_hours: float
     active_days: int
 
-    @property
-    def total_hours(self) -> float:
-        return self.standby_hours + self.en_route_hours + self.on_trip_hours
-
 
 def utilisation_daily(ledger: TimeLedger, month: str) -> UtilisationDaily:
     """Average hours per active day in each state over one calendar month.

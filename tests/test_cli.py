@@ -190,6 +190,28 @@ def test_audit_utilisation_has_month_inside_one_session(tmp_path):
     assert utilisation["2021-02"]["standby_hours"] == 24.0
 
 
+def test_audit_acceptance_by_local_month(tmp_path):
+    # 23:30 UTC on 30 June is already July in London (BST)
+    d = tmp_path / "bundles" / "d1"
+    write_table(d, "trips", TRIP_HEADER, [trip_csv_row()])
+    write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
+    write_table(
+        d,
+        "dispatches",
+        ["offered_ts", "accepted"],
+        [
+            {"offered_ts": "2021-06-30T22:30:00Z", "accepted": "true"},
+            {"offered_ts": "2021-06-30T23:30:00Z", "accepted": "false"},
+        ],
+    )
+    out = tmp_path / "o"
+    assert main(["audit", str(tmp_path / "bundles"), "--out", str(out)]) == 0
+    acceptance = json.loads((out / "audit_report.json").read_text())["acceptance"]
+    assert acceptance["monthly"] == {"2021-06": 1.0, "2021-07": 0.0}
+    assert acceptance["overall"] == 0.5
+    assert acceptance["n_offers"] == 2
+
+
 # Eight drivers whose February on-trip hours sum to a value on a rounding tie
 # at six significant digits. Under the bundle names pinned000..pinned007 a sum
 # of per-driver float hours taken in set order reads 109.103 with

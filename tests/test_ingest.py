@@ -6,11 +6,11 @@ from fareaudit.ingest import (
     ColumnMap,
     MalformedTable,
     MissingTable,
-    fare_reliable,
     load_bundle,
     normalize,
     write_bundle,
 )
+from fareaudit.linkage import link
 from fareaudit.model import Era, Timestamp, TripStatus
 from conftest import (
     PAYMENT_HEADER,
@@ -195,9 +195,40 @@ def test_trips_per_era_counted(tmp_path):
     }
 
 
-def test_fare_semantics_flags_opaque_gap():
-    assert fare_reliable(Timestamp.from_iso("2021-06-01T00:00:00Z"))
-    assert not fare_reliable(Timestamp.from_iso("2022-06-01T00:00:00Z"))
+def one_trip_bundle(directory, req, accept, pickup, dropoff, paid):
+    write_table(directory, "trips", TRIP_HEADER, [trip_csv_row(req, accept, pickup, dropoff)])
+    write_table(directory, "payments", PAYMENT_HEADER, [payment_csv_row(ts=paid)])
+    return normalize(load_bundle(directory))
+
+
+def test_fare_semantics_flags_opaque_gap(tmp_path):
+    fixed, _ = one_trip_bundle(
+        tmp_path / "fixed",
+        "2021-06-01T09:00:00Z", "2021-06-01T09:01:00Z",
+        "2021-06-01T09:05:00Z", "2021-06-01T09:20:00Z", "2021-06-01T09:21:00Z",
+    )
+    gap, _ = one_trip_bundle(
+        tmp_path / "gap",
+        "2022-06-01T09:00:00Z", "2022-06-01T09:01:00Z",
+        "2022-06-01T09:05:00Z", "2022-06-01T09:20:00Z", "2022-06-01T09:21:00Z",
+    )
+    (fixed_link,) = link(fixed.trips, fixed.payments).linked
+    assert fixed_link.driver_share == 0.75
+    (gap_link,) = link(gap.trips, gap.payments).linked
+    assert gap_link.driver_share is None and gap_link.platform_share is None
+
+
+def test_trip_straddling_an_era_boundary_takes_its_dropoff_era(tmp_path):
+    # requested in the last minutes of January 2022, dropped off in February
+    # (London is on UTC in winter): the dropoff dates the trip
+    bundle, report = one_trip_bundle(
+        tmp_path / "d",
+        "2022-01-31T23:50:00Z", "2022-01-31T23:51:00Z",
+        "2022-01-31T23:55:00Z", "2022-02-01T00:10:00Z", "2022-02-01T00:11:00Z",
+    )
+    assert report.trips_per_era == {Era.OPAQUE_GAP.value: 1}
+    (linked,) = link(bundle.trips, bundle.payments).linked
+    assert linked.driver_share is None and linked.platform_share is None
 
 
 def test_write_bundle_roundtrip_is_fixed_point(tmp_path, bundle_dir):

@@ -7,7 +7,6 @@ from fareaudit.metrics import (
     MissingRpiMonth,
     NoOffers,
     PerMinuteBin,
-    UnbracketedGap,
     ZeroHours,
     acceptance_rate,
     adjust_inflation,
@@ -18,7 +17,6 @@ from fareaudit.metrics import (
     pay_per_hour,
     per_minute_fare_by_split,
     silverman_bandwidth,
-    surplus_per_on_trip_hour,
     surplus_series,
     take_rate_histogram,
     take_rate_stats,
@@ -258,16 +256,13 @@ def test_surplus_interior_gap_interpolated_and_flagged():
     assert by_month["2021-02"].value == pytest.approx(10.0)
     assert by_month["2021-02"].interpolated
     assert by_month["2021-03"].value == pytest.approx(12.0)
-    value, interpolated = surplus_per_on_trip_hour(linked, ledgers, "2021-02")
-    assert (value, interpolated) == (pytest.approx(10.0), True)
 
 
 def test_surplus_edge_gap_is_missing_not_extrapolated():
     linked, ledgers = surplus_fixture()
-    with pytest.raises(UnbracketedGap):
-        surplus_per_on_trip_hour(linked, ledgers, "2020-12")
-    with pytest.raises(UnbracketedGap):
-        surplus_per_on_trip_hour(linked, ledgers, "2021-04")
+    by_month = {p.month: p for p in surplus_series(linked, ledgers)}
+    for month in ("2020-12", "2021-04"):
+        assert month not in by_month or by_month[month].value is None
 
 
 def test_surplus_denominator_only_contributing_drivers():
@@ -384,11 +379,10 @@ def test_cohort_split_partition_enforced():
 
 def test_acceptance_rate_window():
     offers = [offer(float(m), m % 3 != 0) for m in range(30)]
-    rate = acceptance_rate(offers, (at(0.0), at(30.0)))
-    assert rate == pytest.approx(20 / 30)
-    assert acceptance_rate(offers, (at(0.0), at(1.0))) == 0.0
+    assert acceptance_rate(offers) == pytest.approx(20 / 30)
+    assert acceptance_rate(offers[:1]) == 0.0
     with pytest.raises(NoOffers):
-        acceptance_rate(offers, (at(100.0), at(200.0)))
+        acceptance_rate([])
 
 
 # ---------------------------------------------------------------------------

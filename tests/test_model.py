@@ -1,7 +1,7 @@
 import datetime as dt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fareaudit.model import (
     DEFAULT_ERAS,
@@ -124,19 +124,66 @@ def test_era_partition():
 
 
 def test_era_boundary_uses_local_month():
-    # 2022-01-31 23:30 UTC is already February in London? No: London is UTC in
-    # winter, so this stays January. Check a BST-era edge instead.
-    ts = Timestamp.from_iso("2023-01-31T23:30:00Z")
-    assert era_of(ts, DEFAULT_ERAS) is Era.OPAQUE_GAP
-    summer = Timestamp.from_iso("2022-01-31T23:30:00Z")
-    assert era_of(summer) is Era.FIXED_COMMISSION
+    # London is an hour ahead of UTC in summer, so a boundary month begins at
+    # 23:00 UTC on the last day of the month before
+    summer = EraBoundaries("2021-07", "2021-09")
+    assert era_of(Timestamp.from_iso("2021-06-30T22:59:59.999Z"), summer) is Era.FIXED_COMMISSION
+    assert era_of(Timestamp.from_iso("2021-06-30T23:30:00Z"), summer) is Era.OPAQUE_GAP
+    assert era_of(Timestamp.from_iso("2021-08-31T22:59:59.999Z"), summer) is Era.OPAQUE_GAP
+    assert era_of(Timestamp.from_iso("2021-08-31T23:00:00Z"), summer) is Era.DYNAMIC_PRICING
+    # in winter London is on UTC, so the default boundaries start at UTC midnight
+    assert era_of(Timestamp.from_iso("2023-01-31T23:30:00Z"), DEFAULT_ERAS) is Era.OPAQUE_GAP
+    assert era_of(Timestamp.from_iso("2022-01-31T23:30:00Z")) is Era.FIXED_COMMISSION
+
+
+ERA_MONTHS = month_range("2020-01", "2023-12")
+TWO_DAYS_MS = 2 * 24 * 3_600_000
+
+
+def utc_month_start_ms(label: str) -> int:
+    year, month = (int(part) for part in label.split("-"))
+    return Timestamp.from_datetime(dt.datetime(year, month, 1, tzinfo=dt.timezone.utc)).epoch_ms
+
+
+@given(
+    pair=st.lists(st.sampled_from(ERA_MONTHS), min_size=2, max_size=2, unique=True).map(sorted),
+    near=st.sampled_from(["opaque", "dynamic", "2021-03-28T01:00:00Z", "2021-10-31T01:00:00Z"]),
+    offset_ms=st.integers(-TWO_DAYS_MS, TWO_DAYS_MS),
+)
+@example(pair=["2021-07", "2021-09"], near="opaque", offset_ms=-30 * 60_000)
+@example(pair=["2021-07", "2021-09"], near="dynamic", offset_ms=-60 * 60_000)
+@example(pair=["2021-03", "2021-04"], near="dynamic", offset_ms=-1)
+@settings(max_examples=300, deadline=None)
+def test_era_of_matches_local_month_labels(pair, near, offset_ms):
+    """Instants near the boundaries and the 2021 clock changes, against month labels."""
+    boundaries = EraBoundaries(*pair)
+    if near == "opaque":
+        centre = utc_month_start_ms(pair[0])
+    elif near == "dynamic":
+        centre = utc_month_start_ms(pair[1])
+    else:
+        centre = Timestamp.from_iso(near).epoch_ms
+    ts = Timestamp(centre + offset_ms)
+    label = month_index(ts.month(boundaries.tz))
+    if label < month_index(pair[0]):
+        expected = Era.FIXED_COMMISSION
+    elif label < month_index(pair[1]):
+        expected = Era.OPAQUE_GAP
+    else:
+        expected = Era.DYNAMIC_PRICING
+    assert era_of(ts, boundaries) is expected
 
 
 def test_era_boundaries_validated():
     with pytest.raises(RecordError):
         EraBoundaries("2023-02", "2022-02")
+    with pytest.raises(RecordError):
+        EraBoundaries("2022-02", "2022-02")
+    with pytest.raises(RecordError):
+        EraBoundaries("2022-13", "2023-02")
     custom = EraBoundaries("2020-06", "2021-06")
-    assert custom.era_of_month("2020-07") is Era.OPAQUE_GAP
+    assert era_of(Timestamp.from_iso("2020-07-15T12:00:00Z"), custom) is Era.OPAQUE_GAP
+    assert era_of(Timestamp.from_iso("2021-06-15T12:00:00Z"), custom) is Era.DYNAMIC_PRICING
 
 
 # ---------------------------------------------------------------------------

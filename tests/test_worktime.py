@@ -223,7 +223,8 @@ def test_utilisation_counts_active_days():
 
 def test_utilisation_empty_month():
     u = utilisation_daily(build_ledger([], []), "2021-03")
-    assert u.active_days == 0 and u.total_hours == 0.0
+    assert u.active_days == 0
+    assert (u.standby_hours, u.en_route_hours, u.on_trip_hours) == (0.0, 0.0, 0.0)
 
 
 def test_state_hours_breakdown():
