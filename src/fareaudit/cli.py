@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .anonymize import DEFAULT_STRIP_POLICY, WeakSalt, anonymize, load_salt
@@ -282,7 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s"
     )
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenProcessPool as exc:  # a --jobs worker died; its bundles have no result
+        log.error("worker process failed: %s", exc)
+        return EXIT_NO_DATA
 
 
 if __name__ == "__main__":

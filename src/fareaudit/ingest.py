@@ -9,7 +9,6 @@ through a ColumnMap so hand-mapped real exports can reuse the same loader.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -262,7 +261,7 @@ def load_bundle(directory: str | Path, column_map: ColumnMap | None = None) -> R
 
 
 def _read_table(path: Path, table: str, column_map: ColumnMap) -> tuple[Mapping[str, str], ...]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise MalformedTable(f"{path.name}: empty file, header row required")
@@ -282,27 +281,12 @@ def _read_table(path: Path, table: str, column_map: ColumnMap) -> tuple[Mapping[
 # Normalization
 
 
-def _parse_ts(text: str) -> tuple[Timestamp, bool]:
-    """Parse an ISO timestamp; returns (value, was_naive)."""
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    try:
-        parsed = dt.datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise RecordError(f"unparseable timestamp: {text!r}") from exc
-    naive = parsed.tzinfo is None
-    if naive:
-        parsed = parsed.replace(tzinfo=dt.timezone.utc)
-    return Timestamp.from_datetime(parsed), naive
-
-
 @dataclass
 class _RowContext:
     naive_count: int = 0
 
     def ts(self, text: str) -> Timestamp:
-        value, naive = _parse_ts(text)
+        value, naive = Timestamp.parse(text)
         if naive:
             self.naive_count += 1
         return value

@@ -136,19 +136,19 @@ class Timestamp:
         return cls((value - _EPOCH) // _MS)
 
     @classmethod
-    def from_iso(cls, text: str, *, naive_timezone: str = "UTC") -> "Timestamp":
-        """Parse ISO-8601. Naive inputs are interpreted in ``naive_timezone``."""
+    def parse(cls, text: str) -> tuple["Timestamp", bool]:
+        """Parse ISO-8601; returns (value, was_naive). Naive inputs are read as UTC."""
         raw = text.strip()
-        if raw.endswith("Z") or raw.endswith("z"):
+        if raw.endswith(("Z", "z")):
             raw = raw[:-1] + "+00:00"
         try:
             parsed = dt.datetime.fromisoformat(raw)
         except ValueError as exc:
             raise RecordError(f"unparseable timestamp: {text!r}") from exc
-        if parsed.tzinfo is None:
-            zone = dt.timezone.utc if naive_timezone == "UTC" else _zone(naive_timezone)
-            parsed = parsed.replace(tzinfo=zone)
-        return cls.from_datetime(parsed)
+        naive = parsed.tzinfo is None
+        if naive:
+            parsed = parsed.replace(tzinfo=dt.timezone.utc)
+        return cls.from_datetime(parsed), naive
 
     def to_datetime(self, tz: str = "UTC") -> dt.datetime:
         zone = dt.timezone.utc if tz == "UTC" else _zone(tz)
@@ -392,24 +392,6 @@ class DispatchOffer:
 
 
 @dataclass(frozen=True, slots=True)
-class ActivitySegment:
-    """A half-open [start, end) interval in one working state."""
-
-    driver_id: str
-    start_ts: Timestamp
-    end_ts: Timestamp
-    state: ActivityState
-
-    def __post_init__(self) -> None:
-        if self.start_ts >= self.end_ts:
-            raise RecordError("empty or inverted segment")
-
-    @property
-    def duration_ms(self) -> int:
-        return self.end_ts.epoch_ms - self.start_ts.epoch_ms
-
-
-@dataclass(frozen=True, slots=True)
 class DriverProfile:
     driver_id: str
     first_trip_ts: Timestamp
@@ -455,9 +437,13 @@ class RpiSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RpiSeries":
-        """Load a two-column CSV with header ``month,yoy_pct``."""
+        """Load a two-column CSV with header ``month,yoy_pct``; a UTF-8 BOM is allowed."""
         series: dict[str, float] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh, restval="")  # so a short row fails float() with ValueError
+            for column in ("month", "yoy_pct"):
+                if column not in (reader.fieldnames or ()):
+                    raise RecordError(f"no {column!r} column in the header")
+            for row in reader:
                 series[row["month"].strip()] = float(row["yoy_pct"])
         return cls(series)

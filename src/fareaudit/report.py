@@ -98,7 +98,7 @@ def process_bundle(directory: str, options: AuditOptions) -> DriverResult | Bund
         links = link(
             bundle.trips, bundle.payments, options.link_window_s, options.boundaries
         )
-        timeline = build_segments(bundle.sessions, bundle.trips, bundle.driver_id)
+        timeline = build_segments(bundle.sessions, bundle.trips)
         ledger = build_ledger(timeline.segments, bundle.payments, options.tz)
         rows = weekly_rows(bundle.driver_id, ledger)
     except AuditError as exc:

@@ -11,11 +11,10 @@ import datetime as dt
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
     DEFAULT_TIMEZONE,
-    ActivitySegment,
     ActivityState,
     AppSession,
     MS_PER_HOUR,
@@ -44,12 +43,17 @@ _STATES_FOR = {
 }
 
 
-@dataclass(frozen=True)
-class Timeline:
-    """Non-overlapping, time-sorted segments plus the trips found outside sessions."""
+Segment = tuple[int, int, ActivityState]  # [start_ms, end_ms) in one working state
 
-    driver_id: str
-    segments: tuple[ActivitySegment, ...]
+
+class Timeline(NamedTuple):
+    """Disjoint, non-empty segments plus the trips found outside sessions.
+
+    Segments come grouped by state (on-trip, en-route, standby), each group in
+    time order.
+    """
+
+    segments: list[Segment]
     orphan_trips: tuple[TripRecord, ...]
 
 
@@ -110,9 +114,7 @@ def _trip_intervals(trip: TripRecord) -> tuple[Interval | None, Interval | None]
     return (trip.accept_ts.epoch_ms, last.epoch_ms), None
 
 
-def build_segments(
-    sessions: Sequence[AppSession], trips: Sequence[TripRecord], driver_id: str | None = None
-) -> Timeline:
+def build_segments(sessions: Sequence[AppSession], trips: Sequence[TripRecord]) -> Timeline:
     """Derive the activity timeline for one driver.
 
     On-trip time wins over en-route wherever records overlap; standby is the
@@ -120,15 +122,6 @@ def build_segments(
     still emitted (pay-bearing time is never dropped) and the trip is flagged
     as an orphan.
     """
-    if driver_id is None:
-        driver_id = (
-            sessions[0].driver_id
-            if sessions
-            else trips[0].driver_id
-            if trips
-            else ""
-        )
-
     envelopes = merge_intervals((s.login_ts.epoch_ms, s.logout_ts.epoch_ms) for s in sessions)
     envelope_starts = [start for start, _ in envelopes]
 
@@ -137,14 +130,12 @@ def build_segments(
     orphans: list[TripRecord] = []
     for trip in trips:
         en, on = _trip_intervals(trip)
-        spans = [iv for iv in (en, on) if iv is not None]
         if en is not None:
             en_route_raw.append(en)
         if on is not None:
             on_trip_raw.append(on)
-        if spans:
-            lo = min(iv[0] for iv in spans)
-            hi = max(iv[1] for iv in spans)
+        if en or on:
+            lo, hi = (en or on)[0], (on or en)[1]  # en-route ends where on-trip begins
             # envelopes are sorted, disjoint and non-touching, so a span is
             # covered only when it lies inside the one envelope starting at or
             # before it
@@ -157,17 +148,16 @@ def build_segments(
     busy = merge_intervals(list(on_trip) + list(en_route))
     standby = subtract_intervals(envelopes, busy)
 
-    segments = sorted(
-        [(iv, ActivityState.ON_TRIP) for iv in on_trip]
-        + [(iv, ActivityState.EN_ROUTE) for iv in en_route]
-        + [(iv, ActivityState.STANDBY) for iv in standby]
-    , key=lambda pair: pair[0])
-
-    built = tuple(
-        ActivitySegment(driver_id, Timestamp(start), Timestamp(end), state)
-        for (start, end), state in segments
-    )
-    return Timeline(driver_id, built, tuple(orphans))
+    segments = [
+        (start, end, state)
+        for state, intervals in (
+            (ActivityState.ON_TRIP, on_trip),
+            (ActivityState.EN_ROUTE, en_route),
+            (ActivityState.STANDBY, standby),
+        )
+        for start, end in intervals
+    ]
+    return Timeline(segments, tuple(orphans))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +166,7 @@ def build_segments(
 Period = tuple[dt.date, dt.date]  # local dates [first, stop)
 
 _STATES = tuple(ActivityState)
+_SLOT = {state: i for i, state in enumerate(_STATES)}
 
 _ONE_DAY = dt.timedelta(days=1)
 
@@ -211,13 +202,14 @@ class TimeLedger:
 
 
 def build_ledger(
-    segments: Iterable[ActivitySegment],
+    segments: Iterable[Segment],
     payments: Iterable[PaymentEvent],
     tz: str = DEFAULT_TIMEZONE,
 ) -> TimeLedger:
     """Split every segment at local midnights and date every payment.
 
-    Overlapping segments each count in full; two currencies on one date raise.
+    Segments may come in any order; overlapping ones each count in full. Two
+    currencies on one date raise.
     """
     day, lo, hi = dt.date.min, 0, 0  # the last date looked up and its [lo, hi)
 
@@ -229,9 +221,8 @@ def build_ledger(
             hi = local_midnight(day + _ONE_DAY, tz).epoch_ms
 
     time: dict[dt.date, list[int]] = {}
-    for seg in segments:
-        slot = _STATES.index(seg.state)
-        start, end = seg.start_ts.epoch_ms, seg.end_ts.epoch_ms
+    for start, end, state in segments:
+        slot = _SLOT[state]
         while start < end:
             locate(start)
             cut = min(end, hi)

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from fareaudit.model import (
-    ActivitySegment,
     ActivityState,
     AppSession,
     DispatchOffer,
@@ -20,7 +19,13 @@ from fareaudit.model import (
     TripStatus,
 )
 
-BASE = Timestamp.from_iso("2021-03-02T09:00:00Z")  # fixed-commission era
+
+def instant(iso: str) -> Timestamp:
+    """The instant an ISO-8601 string names; naive strings are read as UTC."""
+    return Timestamp.parse(iso)[0]
+
+
+BASE = instant("2021-03-02T09:00:00Z")  # fixed-commission era
 
 
 def at(minutes: float) -> Timestamp:
@@ -70,10 +75,9 @@ def offer(ts_min: float, accepted: bool, driver: str = "d1") -> DispatchOffer:
     return DispatchOffer(driver, at(ts_min), accepted)
 
 
-def segment(
-    start: float, end: float, state: ActivityState, driver: str = "d1"
-) -> ActivitySegment:
-    return ActivitySegment(driver, at(start), at(end), state)
+def segment(start: float, end: float, state: ActivityState) -> tuple[int, int, ActivityState]:
+    """A timeline triple from ``start`` to ``end`` minutes after the base instant."""
+    return at(start).epoch_ms, at(end).epoch_ms, state
 
 
 TRIP_HEADER = [

@@ -51,6 +51,7 @@ from fareaudit.synthgen import (
     load_ground_truth,
 )
 from fareaudit.worktime import build_ledger, build_segments
+from conftest import instant
 
 MIN = 60_000
 SECOND_H = 1.0 / 3600.0
@@ -72,7 +73,7 @@ def process_fleet(root: Path) -> dict[str, SimpleNamespace]:
     for directory in sorted(p for p in Path(root).iterdir() if p.is_dir()):
         bundle, _report = normalize(load_bundle(directory))
         links = link(bundle.trips, bundle.payments)
-        timeline = build_segments(bundle.sessions, bundle.trips, bundle.driver_id)
+        timeline = build_segments(bundle.sessions, bundle.trips)
         ledger = build_ledger(timeline.segments, bundle.payments)
         rows = weekly_rows(bundle.driver_id, ledger)
         out[bundle.driver_id] = SimpleNamespace(
@@ -285,7 +286,7 @@ def test_criterion_05_predictability_shift(tmp_path_factory):
 
 
 def trip_at(iso: str, on_min: int, fare: str, driver: str = "d1") -> TripRecord:
-    t0 = Timestamp.from_iso(iso)
+    t0 = instant(iso)
     return TripRecord(
         driver_id=driver,
         request_ts=t0,
@@ -301,7 +302,7 @@ def trip_at(iso: str, on_min: int, fare: str, driver: str = "d1") -> TripRecord:
 def pay_at(iso: str, amount: str, driver: str = "d1") -> PaymentEvent:
     return PaymentEvent(
         driver,
-        Timestamp.from_iso(iso),
+        instant(iso),
         PaymentCategory.TRIP_EARNINGS,
         Money.parse(amount),
     )

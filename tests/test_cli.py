@@ -1,5 +1,6 @@
 """End-to-end command line checks: exit codes, outputs, determinism."""
 
+import codecs
 import hashlib
 import json
 import os
@@ -147,6 +148,44 @@ def test_audit_bad_options(bundles, tmp_path):
         ["audit", str(bundles), "--out", out, "--era-boundaries", "2023-02:2022-02"]
     )
     assert rc == 2
+
+
+def test_audit_rpi_with_bom_writes_the_same_report(bundles, tmp_path):
+    plain = (bundles / "rpi.csv").read_bytes()
+    bom = tmp_path / "rpi.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + plain)
+    assert main(["audit", str(bundles), "--out", str(tmp_path / "a")]) == 0
+    assert main(["audit", str(bundles), "--out", str(tmp_path / "b"), "--rpi", str(bom)]) == 0
+    report = (tmp_path / "b" / "audit_report.json").read_bytes()
+    assert report == (tmp_path / "a" / "audit_report.json").read_bytes()
+    assert "real" in json.loads(report)["inflation"]
+
+
+def test_audit_bad_rpi_file_is_a_config_error(bundles, tmp_path, caplog):
+    rpi = tmp_path / "rpi.csv"
+    for text, named in (
+        ("mon,yoy_pct\n2021-01,1.5\n", "'month'"),
+        ("month,yoy\n2021-01,1.5\n", "'yoy_pct'"),
+        ("month,yoy_pct\n2021-01\n", "float"),  # a row without its value
+    ):
+        rpi.write_text(text)
+        caplog.clear()
+        rc = main(["audit", str(bundles), "--out", str(tmp_path / "o"), "--rpi", str(rpi)])
+        assert rc == 2
+        assert "bad rpi file" in caplog.text and named in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
+def _worker_dies(directory, options):
+    os._exit(1)
+
+
+def test_audit_worker_crash_exits_no_data(bundles, tmp_path, monkeypatch):
+    # the pool forks, so its workers can load the replacement from this module
+    monkeypatch.setattr("fareaudit.cli.process_bundle", _worker_dies)
+    out = tmp_path / "o"
+    assert main(["audit", str(bundles), "--out", str(out), "--jobs", "2"]) == 3
+    assert not out.exists()
 
 
 def test_audit_writes_only_under_out(bundles, tmp_path):

@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import pytest
@@ -11,10 +12,11 @@ from fareaudit.ingest import (
     write_bundle,
 )
 from fareaudit.linkage import link
-from fareaudit.model import Era, Timestamp, TripStatus
+from fareaudit.model import Era, TripStatus
 from conftest import (
     PAYMENT_HEADER,
     TRIP_HEADER,
+    instant,
     payment_csv_row,
     trip_csv_row,
     write_table,
@@ -30,6 +32,13 @@ def test_load_and_normalize_minimal_bundle(bundle_dir):
     assert bundle.trips[0].status is TripStatus.COMPLETED
     assert bundle.payments[0].amount.pence == 750
     assert report.tables["trips"].rows_ok == 1
+
+
+def test_bom_on_trips_csv_loads_the_same_rows(bundle_dir):
+    plain = load_bundle(bundle_dir)
+    trips_csv = bundle_dir / "trips.csv"
+    trips_csv.write_bytes(codecs.BOM_UTF8 + trips_csv.read_bytes())
+    assert load_bundle(bundle_dir) == plain
 
 
 def test_missing_required_table(tmp_path):
@@ -149,7 +158,7 @@ def test_naive_timestamps_counted(tmp_path):
     write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
     bundle, report = normalize(load_bundle(d))
     assert report.naive_timestamps == 1
-    assert bundle.trips[0].request_ts == Timestamp.from_iso("2021-03-02T09:00:00Z")
+    assert bundle.trips[0].request_ts == instant("2021-03-02T09:00:00Z")
 
 
 def test_bad_money_quarantined(tmp_path):

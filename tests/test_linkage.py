@@ -10,10 +10,9 @@ from fareaudit.model import (
     AuditError,
     Money,
     PaymentCategory,
-    Timestamp,
     TripStatus,
 )
-from conftest import at, payment, trip
+from conftest import at, instant, payment, trip
 
 
 def test_basic_pairing_within_window():
@@ -91,7 +90,7 @@ def test_share_computed_fixed_era():
 
 def test_share_none_in_opaque_gap():
     t = trip(fare="10.00")
-    shifted = Timestamp.from_iso("2022-06-01T09:00:00Z").epoch_ms - at(0.0).epoch_ms
+    shifted = instant("2022-06-01T09:00:00Z").epoch_ms - at(0.0).epoch_ms
     opaque_trip = trip(
         req=shifted / 60000.0,
         accept=shifted / 60000.0 + 1,

@@ -35,13 +35,13 @@ from fareaudit.model import (
     TripStatus,
 )
 from fareaudit.worktime import HoursDefinition, build_ledger, build_segments
-from conftest import at, offer, payment, trip
+from conftest import at, instant, offer, payment, trip
 
 MIN = 60_000
 
 
 def trip_at(iso: str, on_min: int = 60, fare: str | None = "20.00", driver="d1"):
-    t0 = Timestamp.from_iso(iso)
+    t0 = instant(iso)
     return TripRecord(
         driver_id=driver,
         request_ts=t0,
@@ -55,7 +55,7 @@ def trip_at(iso: str, on_min: int = 60, fare: str | None = "20.00", driver="d1")
 
 
 def pay_at(iso: str, offset_min: float, amount: str, driver="d1"):
-    t0 = Timestamp.from_iso(iso)
+    t0 = instant(iso)
     return PaymentEvent(
         driver, Timestamp(t0.epoch_ms + round(offset_min * MIN)),
         PaymentCategory.TRIP_EARNINGS, Money.parse(amount),
@@ -102,7 +102,7 @@ def test_weekly_rows_split_by_iso_week():
 
 def test_weekly_rows_reject_two_currencies_in_one_week():
     def euros_at(iso):
-        return PaymentEvent("d1", Timestamp.from_iso(iso), PaymentCategory.TIP, Money(500, "EUR"))
+        return PaymentEvent("d1", instant(iso), PaymentCategory.TIP, Money(500, "EUR"))
 
     pounds = pay_at("2021-03-01T12:00:00Z", 0, "10.00")  # Monday of 2021-W09
     with pytest.raises(CurrencyMismatch):

@@ -25,7 +25,7 @@ from fareaudit.model import (
     week_monday,
     week_window,
 )
-from conftest import at, trip
+from conftest import at, instant, trip
 
 
 # ---------------------------------------------------------------------------
@@ -67,23 +67,26 @@ def test_money_parse_str_roundtrip(p, q):
 
 
 def test_timestamp_iso_parse_variants():
-    z = Timestamp.from_iso("2021-03-02T09:00:00Z")
-    offset = Timestamp.from_iso("2021-03-02T10:00:00+01:00")
+    z, z_naive = Timestamp.parse("2021-03-02T09:00:00Z")
+    offset, offset_naive = Timestamp.parse("2021-03-02T10:00:00+01:00")
     assert z.epoch_ms == offset.epoch_ms
-    frac = Timestamp.from_iso("2021-03-02T09:00:00.250Z")
+    assert not z_naive and not offset_naive
+    frac, frac_naive = Timestamp.parse("2021-03-02T09:00:00.250Z")
     assert frac.epoch_ms - z.epoch_ms == 250
+    assert not frac_naive
     assert frac.iso() == "2021-03-02T09:00:00.250Z"
-    assert Timestamp.from_iso(frac.iso()) == frac
+    assert Timestamp.parse(frac.iso()) == (frac, False)
 
 
 def test_timestamp_naive_interpreted_utc():
-    naive = Timestamp.from_iso("2021-03-02T09:00:00")
-    assert naive == Timestamp.from_iso("2021-03-02T09:00:00Z")
+    naive, was_naive = Timestamp.parse("2021-03-02T09:00:00")
+    assert was_naive
+    assert naive == Timestamp.parse("2021-03-02T09:00:00Z")[0]
 
 
 def test_local_calendar_fields_respect_timezone():
     # 23:30 UTC on 30 June is 00:30 on 1 July in London (BST)
-    ts = Timestamp.from_iso("2021-06-30T23:30:00Z")
+    ts = instant("2021-06-30T23:30:00Z")
     assert ts.month("Europe/London") == "2021-07"
     assert ts.month("UTC") == "2021-06"
 
@@ -117,23 +120,23 @@ def test_week_window_dst_transition_is_not_168h():
 
 
 def test_era_partition():
-    assert era_of(Timestamp.from_iso("2022-01-31T12:00:00Z")) is Era.FIXED_COMMISSION
-    assert era_of(Timestamp.from_iso("2022-02-01T12:00:00Z")) is Era.OPAQUE_GAP
-    assert era_of(Timestamp.from_iso("2023-01-15T12:00:00Z")) is Era.OPAQUE_GAP
-    assert era_of(Timestamp.from_iso("2023-02-01T12:00:00Z")) is Era.DYNAMIC_PRICING
+    assert era_of(instant("2022-01-31T12:00:00Z")) is Era.FIXED_COMMISSION
+    assert era_of(instant("2022-02-01T12:00:00Z")) is Era.OPAQUE_GAP
+    assert era_of(instant("2023-01-15T12:00:00Z")) is Era.OPAQUE_GAP
+    assert era_of(instant("2023-02-01T12:00:00Z")) is Era.DYNAMIC_PRICING
 
 
 def test_era_boundary_uses_local_month():
     # London is an hour ahead of UTC in summer, so a boundary month begins at
     # 23:00 UTC on the last day of the month before
     summer = EraBoundaries("2021-07", "2021-09")
-    assert era_of(Timestamp.from_iso("2021-06-30T22:59:59.999Z"), summer) is Era.FIXED_COMMISSION
-    assert era_of(Timestamp.from_iso("2021-06-30T23:30:00Z"), summer) is Era.OPAQUE_GAP
-    assert era_of(Timestamp.from_iso("2021-08-31T22:59:59.999Z"), summer) is Era.OPAQUE_GAP
-    assert era_of(Timestamp.from_iso("2021-08-31T23:00:00Z"), summer) is Era.DYNAMIC_PRICING
+    assert era_of(instant("2021-06-30T22:59:59.999Z"), summer) is Era.FIXED_COMMISSION
+    assert era_of(instant("2021-06-30T23:30:00Z"), summer) is Era.OPAQUE_GAP
+    assert era_of(instant("2021-08-31T22:59:59.999Z"), summer) is Era.OPAQUE_GAP
+    assert era_of(instant("2021-08-31T23:00:00Z"), summer) is Era.DYNAMIC_PRICING
     # in winter London is on UTC, so the default boundaries start at UTC midnight
-    assert era_of(Timestamp.from_iso("2023-01-31T23:30:00Z"), DEFAULT_ERAS) is Era.OPAQUE_GAP
-    assert era_of(Timestamp.from_iso("2022-01-31T23:30:00Z")) is Era.FIXED_COMMISSION
+    assert era_of(instant("2023-01-31T23:30:00Z"), DEFAULT_ERAS) is Era.OPAQUE_GAP
+    assert era_of(instant("2022-01-31T23:30:00Z")) is Era.FIXED_COMMISSION
 
 
 ERA_MONTHS = month_range("2020-01", "2023-12")
@@ -162,7 +165,7 @@ def test_era_of_matches_local_month_labels(pair, near, offset_ms):
     elif near == "dynamic":
         centre = utc_month_start_ms(pair[1])
     else:
-        centre = Timestamp.from_iso(near).epoch_ms
+        centre = instant(near).epoch_ms
     ts = Timestamp(centre + offset_ms)
     label = month_index(ts.month(boundaries.tz))
     if label < month_index(pair[0]):
@@ -182,8 +185,8 @@ def test_era_boundaries_validated():
     with pytest.raises(RecordError):
         EraBoundaries("2022-13", "2023-02")
     custom = EraBoundaries("2020-06", "2021-06")
-    assert era_of(Timestamp.from_iso("2020-07-15T12:00:00Z"), custom) is Era.OPAQUE_GAP
-    assert era_of(Timestamp.from_iso("2021-06-15T12:00:00Z"), custom) is Era.DYNAMIC_PRICING
+    assert era_of(instant("2020-07-15T12:00:00Z"), custom) is Era.OPAQUE_GAP
+    assert era_of(instant("2021-06-15T12:00:00Z"), custom) is Era.DYNAMIC_PRICING
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +211,11 @@ def test_on_trip_minutes():
     assert trip(pickup=5.0, dropoff=20.0).on_trip_minutes == 15.0
 
 
-def test_segment_and_session_must_be_nonempty():
-    from fareaudit.model import ActivitySegment, ActivityState, AppSession
+def test_session_must_be_nonempty():
+    from fareaudit.model import AppSession
 
     with pytest.raises(RecordError):
         AppSession("d1", at(5.0), at(5.0))
-    with pytest.raises(RecordError):
-        ActivitySegment("d1", at(5.0), at(4.0), ActivityState.STANDBY)
 
 
 def test_profile_label_validation():

@@ -15,7 +15,7 @@ from fareaudit.predictability import (
     r2,
     year_matrix,
 )
-from conftest import trip
+from conftest import instant, trip
 
 MIN = 60_000
 
@@ -30,7 +30,7 @@ def make_linked(
     product: str = "standard",
     origin: str = "zone-1",
 ) -> LinkedTrip:
-    t0 = Timestamp.from_iso(iso)
+    t0 = instant(iso)
     t = TripRecord(
         driver_id="d1",
         request_ts=t0,

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fareaudit.metrics import weekly_rows
 from fareaudit.model import (
-    ActivitySegment,
     ActivityState,
     Money,
     PaymentCategory,
@@ -26,7 +25,7 @@ from fareaudit.worktime import (
     subtract_intervals,
     utilisation_daily,
 )
-from conftest import at, segment, session, trip
+from conftest import at, instant, segment, session, trip
 
 MIN = 60_000
 DAY = dt.timedelta(days=1)
@@ -69,8 +68,8 @@ def test_timeline_states_partition_session():
     trips = [trip(req=10.0, accept=11.0, pickup=15.0, dropoff=30.0)]
     tl = build_segments(sessions, trips)
     total = {s: 0 for s in ActivityState}
-    for seg in tl.segments:
-        total[seg.state] += seg.end_ts.epoch_ms - seg.start_ts.epoch_ms
+    for start, end, state in tl.segments:
+        total[state] += end - start
     minute = 60_000
     assert total[ActivityState.EN_ROUTE] == 4 * minute  # accept..pickup
     assert total[ActivityState.ON_TRIP] == 15 * minute  # pickup..dropoff
@@ -86,7 +85,7 @@ def test_segments_never_overlap():
         trip(req=35.0, accept=36.0, pickup=42.0, dropoff=70.0),  # en-route overlaps prior on-trip
     ]
     tl = build_segments(sessions, trips)
-    spans = sorted((s.start_ts.epoch_ms, s.end_ts.epoch_ms, s.state) for s in tl.segments)
+    spans = sorted(tl.segments)
     for (s1, e1, _), (s2, e2, _) in zip(spans, spans[1:]):
         assert e1 <= s2
     on = sum(e - s for s, e, state in spans if state is ActivityState.ON_TRIP)
@@ -98,8 +97,8 @@ def test_orphan_trip_time_still_emitted():
     trips = [trip(req=30.0, accept=31.0, pickup=33.0, dropoff=45.0)]
     tl = build_segments(sessions, trips)
     assert tl.orphan_trips == (trips[0],)
-    on = [s for s in tl.segments if s.state is ActivityState.ON_TRIP]
-    assert on and on[0].start_ts == at(33.0)
+    on = [start for start, _end, state in tl.segments if state is ActivityState.ON_TRIP]
+    assert on == [at(33.0).epoch_ms]
 
 
 def test_trip_partly_inside_session_is_orphan():
@@ -152,12 +151,52 @@ def test_cancelled_trip_contributes_en_route():
         status=TripStatus.DRIVER_CANCELLED,
     )
     tl = build_segments(sessions, [cancelled])
-    en = sum(
-        s.end_ts.epoch_ms - s.start_ts.epoch_ms
-        for s in tl.segments
-        if s.state is ActivityState.EN_ROUTE
-    )
+    en = sum(end - start for start, end, state in tl.segments if state is ActivityState.EN_ROUTE)
     assert en == 8 * 60_000  # accept to last known point (pickup)
+
+
+# Independent per-minute oracle for the timeline: each minute takes the
+# strongest state that covers it, and every segment is non-empty.
+@given(
+    st.lists(st.tuples(st.integers(0, 120), st.integers(1, 40)), max_size=5),
+    st.lists(
+        st.tuples(st.integers(0, 110), st.integers(0, 15), st.integers(0, 25), st.booleans()),
+        max_size=6,
+    ),
+)
+@example([(0, 60)], [(10, 5, 20, False), (20, 10, 5, False)])  # en-route under on-trip
+@example([(0, 30), (30, 30)], [(50, 5, 20, True)])  # touching sessions, cancelled trip
+@settings(max_examples=200, deadline=None)
+def test_segments_match_minute_oracle(sess_raw, trips_raw):
+    sessions = [session(float(s), float(s + d)) for s, d in sess_raw]
+    trips = [
+        trip(
+            req=float(a),
+            accept=float(a),
+            pickup=float(a + en),
+            dropoff=None if cancelled else float(a + en + on),
+            status=TripStatus.DRIVER_CANCELLED if cancelled else TripStatus.COMPLETED,
+        )
+        for a, en, on, cancelled in trips_raw
+    ]
+    want = {}
+    for m in range(200):
+        if any(a + en <= m < a + en + on for a, en, on, cancelled in trips_raw if not cancelled):
+            want[m] = ActivityState.ON_TRIP
+        elif any(a <= m < a + en for a, en, _on, _cancelled in trips_raw):
+            want[m] = ActivityState.EN_ROUTE
+        elif any(s <= m < s + d for s, d in sess_raw):
+            want[m] = ActivityState.STANDBY
+
+    got = {}
+    base = at(0.0).epoch_ms
+    for start, end, state in build_segments(sessions, trips).segments:
+        assert start < end, "empty or inverted segment"
+        assert (start - base) % MIN == 0 and (end - base) % MIN == 0
+        for m in range((start - base) // MIN, (end - base) // MIN):
+            assert m not in got, f"minute {m} in two segments"
+            got[m] = state
+    assert got == want
 
 
 def test_hours_definitions():
@@ -249,9 +288,9 @@ _ORACLE_STATES = {
 
 def clip_and_sum_hours(segments, lo_ms, hi_ms, definition):
     total = 0
-    for seg in segments:
-        if seg.state in _ORACLE_STATES[definition]:
-            total += max(0, min(seg.end_ts.epoch_ms, hi_ms) - max(seg.start_ts.epoch_ms, lo_ms))
+    for start, end, state in segments:
+        if state in _ORACLE_STATES[definition]:
+            total += max(0, min(end, hi_ms) - max(start, lo_ms))
     return total / 3_600_000
 
 
@@ -294,7 +333,7 @@ def test_hours_worked_matches_clip_and_sum(raw, first, stop):
 
 
 # Europe/London springs forward on Sunday 2021-03-28, the last day of 2021-W12.
-WEEKS_BASE = Timestamp.from_iso("2021-03-15T00:00:00Z")  # Monday of 2021-W11
+WEEKS_BASE = instant("2021-03-15T00:00:00Z")  # Monday of 2021-W11
 
 
 @given(
@@ -314,12 +353,7 @@ WEEKS_BASE = Timestamp.from_iso("2021-03-15T00:00:00Z")  # Monday of 2021-W11
 @settings(max_examples=100, deadline=None)
 def test_weekly_rows_hours_match_clip_and_sum(raw):
     segments = [
-        ActivitySegment(
-            "d1",
-            Timestamp(WEEKS_BASE.epoch_ms + s * MIN),
-            Timestamp(WEEKS_BASE.epoch_ms + (s + d) * MIN),
-            state,
-        )
+        (WEEKS_BASE.epoch_ms + s * MIN, WEEKS_BASE.epoch_ms + (s + d) * MIN, state)
         for s, d, state in raw
     ]
     want = {}
@@ -341,8 +375,8 @@ def test_weekly_rows_hours_match_clip_and_sum(raw):
 # 2021-03-28 four days before the end of March, 2021-10-31 the last day of
 # October. Each anchor is a Friday 00:00 UTC two days before the change.
 LEDGER_ANCHORS = (
-    Timestamp.from_iso("2021-03-26T00:00:00Z"),
-    Timestamp.from_iso("2021-10-29T00:00:00Z"),
+    instant("2021-03-26T00:00:00Z"),
+    instant("2021-10-29T00:00:00Z"),
 )
 LEDGER_WEEKS = ("2021-W11", "2021-W12", "2021-W13", "2021-W42", "2021-W43", "2021-W44")
 LEDGER_MONTHS = ("2021-02", "2021-03", "2021-04", "2021-10", "2021-11")
@@ -380,12 +414,7 @@ LEDGER_MONTHS = ("2021-02", "2021-03", "2021-04", "2021-10", "2021-11")
 @settings(max_examples=150, deadline=None)
 def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_payments):
     segments = [
-        ActivitySegment(
-            "d1",
-            Timestamp(anchor.epoch_ms + s * MIN),
-            Timestamp(anchor.epoch_ms + (s + d) * MIN),
-            state,
-        )
+        (anchor.epoch_ms + s * MIN, anchor.epoch_ms + (s + d) * MIN, state)
         for anchor, s, d, state in raw_segments
     ]
     payments = [
@@ -398,9 +427,9 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
 
     def want_ms(state, lo, hi):
         return sum(
-            max(0, min(seg.end_ts.epoch_ms, hi.epoch_ms) - max(seg.start_ts.epoch_ms, lo.epoch_ms))
-            for seg in segments
-            if seg.state is state
+            max(0, min(end, hi.epoch_ms) - max(start, lo.epoch_ms))
+            for start, end, seg_state in segments
+            if seg_state is state
         )
 
     def want_pence(lo, hi):
@@ -419,9 +448,9 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
     for month in LEDGER_MONTHS:
         lo, hi = month_window(month)
         active = set()
-        for seg in segments:
-            s = max(seg.start_ts.epoch_ms, lo.epoch_ms)
-            e = min(seg.end_ts.epoch_ms, hi.epoch_ms)
+        for start, end, _state in segments:
+            s = max(start, lo.epoch_ms)
+            e = min(end, hi.epoch_ms)
             if e > s:
                 day = Timestamp(s).local_date()
                 while day <= Timestamp(e - 1).local_date():
@@ -431,10 +460,9 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
 
 
 def test_segment_spanning_a_whole_month_counts_in_it():
-    whole_february = ActivitySegment(
-        "d1",
-        Timestamp.from_iso("2021-01-31T12:00:00Z"),
-        Timestamp.from_iso("2021-03-01T12:00:00Z"),
+    whole_february = (
+        instant("2021-01-31T12:00:00Z").epoch_ms,
+        instant("2021-03-01T12:00:00Z").epoch_ms,
         ActivityState.STANDBY,
     )
     u = utilisation_daily(build_ledger([whole_february], []), "2021-02")
