@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -53,6 +54,16 @@ def _month_pair(text: str) -> tuple[str, str]:
     if not sep:
         raise argparse.ArgumentTypeError("expected YYYY-MM:YYYY-MM")
     return lo, hi
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step; a failed write leaves it whole."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _run_bundles(dirs: list[str], options: AuditOptions, jobs: int):
@@ -128,45 +139,46 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "audit_report.json").write_text(dumps_report(report))
+    _write_atomic(out / "audit_report.json", dumps_report(report))
     if args.charts:
         for name, svg in render_charts(report):
-            (out / name).write_text(svg)
+            _write_atomic(out / name, svg)
     log.info("report written to %s", out / "audit_report.json")
     return EXIT_OK
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    options = AuditOptions(link_window_s=args.link_window_seconds)
+    options = AuditOptions(link_window_s=args.link_window_seconds, features_only=True)
     dirs = _bundle_dirs(args.bundle_root)
     if not dirs:
         log.error("no bundle directories under %s", args.bundle_root)
         return EXIT_NO_DATA
 
     outcomes = _run_bundles(dirs, options, args.jobs)
-    linked = []
+    blocks = []
     for outcome in outcomes:
         if isinstance(outcome, BundleFailure):
             log.warning("bundle %s skipped: %s", outcome.driver_id, outcome.reason)
             continue
-        linked.extend(outcome.links.linked)
-    if not linked:
+        blocks.append(outcome)
+    if not any(b.years for b in blocks):
         log.error("no linkable trips")
         return EXIT_NO_DATA
 
     try:
-        matrix = year_matrix(linked, mode=args.mode, seed=args.seed)
+        matrix = year_matrix(blocks, mode=args.mode, seed=args.seed)
     except AuditError as exc:
         log.error("%s", exc)
         return EXIT_NO_DATA
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "predict_matrix.csv").write_text(matrix.to_csv())
+    _write_atomic(out / "predict_matrix.csv", matrix.to_csv())
     payload = matrix.to_dict()
     payload["seed"] = args.seed
-    (out / "predict_matrix.json").write_text(
-        json.dumps(json_ready(payload), sort_keys=True, indent=2) + "\n"
+    _write_atomic(
+        out / "predict_matrix.json",
+        json.dumps(json_ready(payload), sort_keys=True, indent=2) + "\n",
     )
     log.info("matrix written to %s", out / "predict_matrix.csv")
     return EXIT_OK

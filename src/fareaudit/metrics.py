@@ -18,20 +18,23 @@ import numpy as np
 
 from .linkage import LinkedTrip
 from .model import (
+    DEFAULT_ERAS,
     DEFAULT_TIMEZONE,
     MS_PER_HOUR,
-    ActivityState,
     AuditError,
     DispatchOffer,
     DriverProfile,
+    Era,
+    EraBoundaries,
     Money,
     RecordError,
     RpiSeries,
     TripRecord,
     TripStatus,
+    era_of,
     iso_week_label,
-    month_days,
     month_index,
+    month_label,
     month_range,
     sum_money,
     trip_anchor,
@@ -155,6 +158,77 @@ def _monthly_factor(rpi: RpiSeries, month: str) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Share-valid trips as columns
+
+ERAS = tuple(Era)
+
+_DTYPES = {
+    "driver": np.int32,
+    "month": np.int32,
+    "era": np.int8,
+    "share": np.float64,
+    "driver_pence": np.int64,
+    "fare_pence": np.int64,
+    "on_trip_minutes": np.float64,
+}
+
+
+@dataclass(frozen=True)
+class TripColumns:
+    """Share-valid linked trips as parallel numpy columns, one row per trip.
+
+    Rows keep the order they were given in. ``driver`` indexes ``driver_ids``,
+    ``month`` is the ``month_index`` of the trip's anchor in the display
+    timezone, ``era`` indexes ``ERAS``, ``share`` is the driver share of the
+    rider fare, and the pence are the trip's earnings and its rider fare.
+    """
+
+    driver_ids: tuple[str, ...]
+    driver: np.ndarray
+    month: np.ndarray
+    era: np.ndarray
+    share: np.ndarray
+    driver_pence: np.ndarray
+    fare_pence: np.ndarray
+    on_trip_minutes: np.ndarray
+
+    @classmethod
+    def from_linked(
+        cls, linked: Iterable[LinkedTrip], boundaries: EraBoundaries = DEFAULT_ERAS
+    ) -> "TripColumns":
+        valid = [lt for lt in linked if lt.driver_share is not None]
+        driver_ids = tuple(sorted({lt.trip.driver_id for lt in valid}))
+        code = {d: i for i, d in enumerate(driver_ids)}
+        anchors = [trip_anchor(lt.trip) for lt in valid]
+        values = {
+            "driver": [code[lt.trip.driver_id] for lt in valid],
+            "month": [month_index(a.month(boundaries.tz)) for a in anchors],
+            "era": [ERAS.index(era_of(a, boundaries)) for a in anchors],
+            "share": [lt.driver_share for lt in valid],
+            "driver_pence": [lt.driver_total.pence for lt in valid],
+            "fare_pence": [lt.rider_fare.pence for lt in valid],
+            "on_trip_minutes": [lt.trip.on_trip_minutes for lt in valid],
+        }
+        return cls(driver_ids, **{k: np.array(v, _DTYPES[k]) for k, v in values.items()})
+
+    @classmethod
+    def concat(cls, parts: Sequence["TripColumns"]) -> "TripColumns":
+        """The parts' rows one after another; their drivers must be distinct."""
+        offsets = np.cumsum([0] + [len(p.driver_ids) for p in parts])
+        columns = {
+            name: np.concatenate([np.zeros(0, dtype)] + [getattr(p, name) for p in parts])
+            for name, dtype in _DTYPES.items()
+        }
+        columns["driver"] = np.concatenate(
+            [np.zeros(0, np.int32)] + [p.driver + k for p, k in zip(parts, offsets)]
+        ).astype(np.int32)
+        return cls(tuple(d for p in parts for d in p.driver_ids), **columns)
+
+    def __len__(self) -> int:
+        return len(self.share)
+
+
+# ---------------------------------------------------------------------------
 # Take rates
 
 
@@ -169,18 +243,14 @@ def _bin_index(share: float, bins: Sequence[float]) -> int:
     return min(max(idx, 0), len(bins) - 2)
 
 
-def valid_shares(linked: Iterable[LinkedTrip]) -> list[float]:
-    return [lt.driver_share for lt in linked if lt.driver_share is not None]
-
-
 def take_rate_histogram(
-    linked: Iterable[LinkedTrip], bins: Sequence[float] = DEFAULT_SPLIT_BINS
+    trips: TripColumns, bins: Sequence[float] = DEFAULT_SPLIT_BINS
 ) -> dict[str, int]:
     if list(bins) != sorted(bins) or len(bins) < 2:
         raise AuditError("bins must be ordered and define at least one interval")
     labels = bin_labels(bins)
     counts = dict.fromkeys(labels, 0)
-    for share in valid_shares(linked):
+    for share in trips.share.tolist():
         counts[labels[_bin_index(share, bins)]] += 1
     return counts
 
@@ -194,7 +264,7 @@ class TakeRateStats:
     n_drivers: int
 
 
-def take_rate_stats(linked: Sequence[LinkedTrip], group_by: str = "trip") -> TakeRateStats:
+def take_rate_stats(trips: TripColumns, group_by: str = "trip") -> TakeRateStats:
     """Mean and median driver share, plus the fraction of drivers holding 0.75.
 
     group_by="trip" pools all trips; group_by="driver" averages within driver
@@ -202,13 +272,10 @@ def take_rate_stats(linked: Sequence[LinkedTrip], group_by: str = "trip") -> Tak
     """
     if group_by not in ("trip", "driver"):
         raise AuditError(f"unknown grouping {group_by!r}")
-    per_driver: dict[str, list[float]] = {}
-    all_shares: list[float] = []
-    for lt in linked:
-        if lt.driver_share is None:
-            continue
-        all_shares.append(lt.driver_share)
-        per_driver.setdefault(lt.trip.driver_id, []).append(lt.driver_share)
+    per_driver: dict[int, list[float]] = {}
+    all_shares = trips.share.tolist()
+    for driver, share in zip(trips.driver.tolist(), all_shares):
+        per_driver.setdefault(driver, []).append(share)
     if not all_shares:
         raise AuditError("no share-valid trips")
 
@@ -238,29 +305,28 @@ class SurplusPoint:
 
 
 def surplus_series(
-    linked_by_driver: Mapping[str, Sequence[LinkedTrip]],
-    ledgers_by_driver: Mapping[str, TimeLedger],
-    tz: str = DEFAULT_TIMEZONE,
+    trips: TripColumns, on_trip_ms: Mapping[str, Mapping[str, int]]
 ) -> tuple[SurplusPoint, ...]:
     """Monthly platform surplus per on-trip hour, with interior gaps interpolated.
 
     A month's direct value needs at least one share-valid linked trip; the
     denominator is the on-trip hours that month of the drivers contributing
-    those trips, summed in integer milliseconds so that it does not depend on
-    the order of the drivers. Months without a direct value between two valid
-    months are filled linearly and flagged; gaps at either edge stay missing.
+    those trips (``on_trip_ms[driver_id][month]``), summed in integer
+    milliseconds so that it does not depend on the order of the drivers.
+    Months without a direct value between two valid months are filled
+    linearly and flagged; gaps at either edge stay missing.
     """
     surplus: dict[str, int] = {}
     contributors: dict[str, set[str]] = {}
-    for driver_id, linked in linked_by_driver.items():
-        for lt in linked:
-            if lt.driver_share is None or lt.rider_fare is None:
-                continue
-            month = trip_anchor(lt.trip).month(tz)
-            surplus[month] = surplus.get(month, 0) + (
-                lt.rider_fare.pence - lt.driver_total.pence
-            )
-            contributors.setdefault(month, set()).add(driver_id)
+    for driver, month, fare, pay in zip(
+        trips.driver.tolist(),
+        trips.month.tolist(),
+        trips.fare_pence.tolist(),
+        trips.driver_pence.tolist(),
+    ):
+        label = month_label(month)
+        surplus[label] = surplus.get(label, 0) + (fare - pay)
+        contributors.setdefault(label, set()).add(trips.driver_ids[driver])
     if not surplus:
         return ()
 
@@ -269,12 +335,8 @@ def surplus_series(
     for month in months:
         if month not in surplus:
             continue
-        period = month_days(month)
-        on_trip_ms = sum(
-            ledgers_by_driver[driver_id].state_ms(period)[ActivityState.ON_TRIP]
-            for driver_id in contributors[month]
-        )
-        hours = on_trip_ms / MS_PER_HOUR
+        on_trip = sum(on_trip_ms[driver_id].get(month, 0) for driver_id in contributors[month])
+        hours = on_trip / MS_PER_HOUR
         if hours > 0.0:
             direct[month] = SurplusPoint(
                 month, (surplus[month] / 100.0) / hours, False, surplus[month], hours
@@ -321,27 +383,29 @@ class PerMinuteBin:
 
 
 def per_minute_fare_by_split(
-    linked: Iterable[LinkedTrip], bins: Sequence[float] = DEFAULT_SPLIT_BINS
+    trips: TripColumns, bins: Sequence[float] = DEFAULT_SPLIT_BINS
 ) -> tuple[PerMinuteBin, ...]:
     """Driver and platform pounds per on-trip minute, bucketed by driver share.
 
     Conservation is exact in pence: driver + platform = fare within every bin.
     The per-minute floats share one denominator, so they sum to the fare rate
-    up to float rounding only.
+    up to float rounding only. Minutes are summed in row order.
     """
     labels = bin_labels(bins)
     acc: dict[int, list] = {}
-    for lt in linked:
-        if lt.driver_share is None or lt.rider_fare is None:
-            continue
-        minutes = lt.trip.on_trip_minutes
+    for share, minutes, driver, fare in zip(
+        trips.share.tolist(),
+        trips.on_trip_minutes.tolist(),
+        trips.driver_pence.tolist(),
+        trips.fare_pence.tolist(),
+    ):
         if minutes <= 0.0:
             continue
-        slot = acc.setdefault(_bin_index(lt.driver_share, bins), [0, 0.0, 0, 0])
+        slot = acc.setdefault(_bin_index(share, bins), [0, 0.0, 0, 0])
         slot[0] += 1
         slot[1] += minutes
-        slot[2] += lt.driver_total.pence
-        slot[3] += lt.rider_fare.pence
+        slot[2] += driver
+        slot[3] += fare
     out = []
     for idx in sorted(acc):
         n, minutes, driver, fare = acc[idx]
@@ -388,19 +452,25 @@ def _window_months(window: tuple[str, str]) -> list[str]:
     return month_range(window[0], window[1])
 
 
+def completed_months(trips: Iterable[TripRecord], tz: str = DEFAULT_TIMEZONE) -> frozenset[str]:
+    """The local months that hold at least one completed trip, by trip anchor."""
+    return frozenset(
+        trip_anchor(t).month(tz) for t in trips if t.status is TripStatus.COMPLETED
+    )
+
+
 def cohort_pay_change(
     rows_by_driver: Mapping[str, Sequence[WeeklyPayRow]],
-    trips_by_driver: Mapping[str, Sequence[TripRecord]],
+    active_months_by_driver: Mapping[str, Iterable[str]],
     window_pre: tuple[str, str],
     window_post: tuple[str, str],
-    tz: str = DEFAULT_TIMEZONE,
 ) -> CohortSplit:
     """Split the always-active cohort by whether pay per hour fell.
 
     Qualification demands at least one completed trip in every calendar month
-    of both windows, plus positive tribunal hours in each window. A week
-    belongs to a window when its Monday falls inside the window's months.
-    Change of exactly zero lands in paid_same_or_more.
+    of both windows (``completed_months``), plus positive tribunal hours in
+    each window. A week belongs to a window when its Monday falls inside the
+    window's months. Change of exactly zero lands in paid_same_or_more.
     """
     pre_months = _window_months(window_pre)
     post_months = _window_months(window_post)
@@ -421,13 +491,8 @@ def cohort_pay_change(
     paid_less: list[str] = []
     paid_same_or_more: list[str] = []
 
-    for driver_id in sorted(trips_by_driver):
-        trips = trips_by_driver[driver_id]
-        active_months = {
-            trip_anchor(t).month(tz)
-            for t in trips
-            if t.status is TripStatus.COMPLETED
-        }
+    for driver_id in sorted(active_months_by_driver):
+        active_months = set(active_months_by_driver[driver_id])
         if not (pre_set <= active_months and post_set <= active_months):
             continue
         rows = rows_by_driver.get(driver_id, ())
@@ -479,11 +544,27 @@ def cohort_pay_change(
 # Acceptance rate
 
 
-def acceptance_rate(offers: Sequence[DispatchOffer]) -> float:
-    """The accepted share of a list of dispatch offers."""
-    if not offers:
+def offer_counts(
+    offers: Iterable[DispatchOffer], tz: str = DEFAULT_TIMEZONE
+) -> dict[str, tuple[int, int]]:
+    """(accepted, offered) dispatch counts per local month of the offer."""
+    counts: dict[str, list[int]] = {}
+    for o in offers:
+        slot = counts.setdefault(o.offered_ts.month(tz), [0, 0])
+        slot[0] += o.accepted
+        slot[1] += 1
+    return {month: (accepted, total) for month, (accepted, total) in counts.items()}
+
+
+def acceptance_rate(counts: Iterable[tuple[int, int]]) -> float:
+    """The accepted share of the offers that (accepted, offered) pairs count."""
+    accepted = offered = 0
+    for a, n in counts:
+        accepted += a
+        offered += n
+    if not offered:
         raise NoOffers("no dispatch offers")
-    return sum(1 for o in offers if o.accepted) / len(offers)
+    return accepted / offered
 
 
 # ---------------------------------------------------------------------------

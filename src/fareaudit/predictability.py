@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ _FLAGS = (
     "is_peak_evening",
     "is_night",
 )
+_PRODUCT_BASE = len(_BASE_NUMERIC + _FLAGS + _HOURS + _DOWS + _MONTHS)
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,18 @@ class FeatureSchema:
     products: tuple[str, ...]
     tz: str = DEFAULT_TIMEZONE
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         product_names = tuple(f"product_{p}" for p in self.products)
         return _BASE_NUMERIC + _FLAGS + _HOURS + _DOWS + _MONTHS + product_names
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def product_column(self) -> dict[str, int]:
+        return {p: _PRODUCT_BASE + i for i, p in enumerate(self.products)}
 
 
 def build_schema(linked: Sequence[LinkedTrip], tz: str = DEFAULT_TIMEZONE) -> FeatureSchema:
@@ -135,8 +141,9 @@ def featurize(linked: LinkedTrip, schema: FeatureSchema) -> tuple[np.ndarray, fl
     vec[base + hour] = 1.0
     vec[base + 24 + dow] = 1.0
     vec[base + 31 + (month - 1)] = 1.0
-    if trip.product in schema.products:
-        vec[base + 43 + schema.products.index(trip.product)] = 1.0
+    column = schema.product_column.get(trip.product)
+    if column is not None:
+        vec[column] = 1.0
 
     return vec, linked.driver_total.pence / 100.0
 
@@ -153,6 +160,69 @@ def feature_matrix(
     if not rows:
         return np.zeros((0, schema.dim)), np.zeros(0)
     return np.vstack(rows), np.asarray(targets)
+
+
+@dataclass(frozen=True)
+class FeatureBlocks:
+    """One driver's usable linked trips, featurized per anchor year.
+
+    ``years[year]`` is ``(X, y, product)`` in link order: X holds every
+    feature but the product one-hots, and ``product`` each row's index into
+    ``products``, or -1 for a trip without one.
+    """
+
+    products: tuple[str, ...]
+    years: Mapping[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def feature_blocks(linked: Sequence[LinkedTrip], tz: str = DEFAULT_TIMEZONE) -> FeatureBlocks:
+    """Featurize the completed trips that have every timestamp, year by year."""
+    usable = [
+        lt
+        for lt in linked
+        if lt.trip.status is TripStatus.COMPLETED
+        and lt.trip.pickup_ts is not None
+        and lt.trip.accept_ts is not None
+        and lt.trip.dropoff_ts is not None
+    ]
+    products = build_schema(usable, tz).products
+    code = {p: i for i, p in enumerate(products)}
+    by_year: dict[int, list[LinkedTrip]] = {}
+    for lt in usable:
+        by_year.setdefault(trip_anchor(lt.trip).year(tz), []).append(lt)
+    base = FeatureSchema((), tz)
+    years = {}
+    for year, group in sorted(by_year.items()):
+        X, y = feature_matrix(group, base)
+        product = np.array([code.get(lt.trip.product, -1) for lt in group], dtype=np.int32)
+        years[year] = (X, y, product)
+    return FeatureBlocks(products, years)
+
+
+def stack_blocks(
+    blocks: Sequence[FeatureBlocks],
+) -> tuple[FeatureSchema, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """Each year's full (X, y) over all drivers, stacked in the given order.
+
+    The product vocabulary is the sorted union of the drivers' own, which is
+    what ``build_schema`` gives over all their trips; every row's product
+    one-hot is filled in against it.
+    """
+    schema = FeatureSchema(tuple(sorted({p for b in blocks for p in b.products})))
+    parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for b in blocks:
+        column = np.array([schema.product_column[p] for p in b.products], dtype=np.intp)
+        for year, (X, y, product) in b.years.items():
+            full = np.zeros((len(y), schema.dim))
+            full[:, :_PRODUCT_BASE] = X
+            rows = np.flatnonzero(product >= 0)
+            full[rows, column[product[rows]]] = 1.0
+            parts.setdefault(year, []).append((full, y))
+    matrices = {
+        year: (np.vstack([X for X, _ in group]), np.concatenate([y for _, y in group]))
+        for year, group in sorted(parts.items())
+    }
+    return schema, matrices
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +341,11 @@ class YearMatrix:
 
 
 def year_matrix(
-    linked: Sequence[LinkedTrip],
-    mode: str = "single_year",
-    seed: int = 0,
-    tz: str = DEFAULT_TIMEZONE,
-    schema: FeatureSchema | None = None,
+    blocks: Sequence[FeatureBlocks], mode: str = "single_year", seed: int = 0
 ) -> YearMatrix:
     """R² of models trained on earlier years and tested on later ones.
 
+    Rows are the drivers' feature blocks stacked in the order given.
     single_year trains on the one year Y-n; cumulative trains on every year up
     to and including Y-n. Lag 0 uses a seeded 80/20 split within the test year
     (train years strictly before Y join the training side in cumulative mode).
@@ -286,25 +353,10 @@ def year_matrix(
     """
     if mode not in ("single_year", "cumulative"):
         raise AuditError(f"unknown mode {mode!r}")
-    usable = [
-        lt
-        for lt in linked
-        if lt.trip.status is TripStatus.COMPLETED
-        and lt.trip.pickup_ts is not None
-        and lt.trip.accept_ts is not None
-        and lt.trip.dropoff_ts is not None
-    ]
-    if schema is None:
-        schema = build_schema(usable, tz)
-
-    by_year: dict[int, list[LinkedTrip]] = {}
-    for lt in usable:
-        by_year.setdefault(trip_anchor(lt.trip).year(tz), []).append(lt)
-    years = sorted(by_year)
+    schema, matrices = stack_blocks(blocks)
+    years = sorted(matrices)
     if len(years) < 2:
         raise AuditError("need at least two calendar years of trips")
-
-    matrices = {year: feature_matrix(by_year[year], schema) for year in years}
 
     cells: dict[tuple[int, int], float | None] = {}
     counts: dict[tuple[int, int], tuple[int, int]] = {}
@@ -323,7 +375,7 @@ def year_matrix(
                 X_test, y_test = X[test_idx], y[test_idx]
             else:
                 source = year - lag
-                if source not in by_year:
+                if source not in matrices:
                     continue
                 if mode == "single_year":
                     train_parts = [matrices[source]]

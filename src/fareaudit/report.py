@@ -1,9 +1,10 @@
 """Audit orchestration: per-bundle processing and report assembly.
 
 ``process_bundle`` is a pure function of (directory, options) so bundles can
-be fanned out across processes; ``build_report`` folds the results back
-together in sorted driver order, which keeps the report byte-identical no
-matter how many workers ran.
+be fanned out across processes. It reduces each bundle in the worker to
+integer and float columns and per-month totals, so little crosses the process
+boundary; ``build_report`` folds the results back together in sorted driver
+order, which keeps the report byte-identical no matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -12,20 +13,24 @@ import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import charts
-from .ingest import IngestReport, NormalizedBundle, load_bundle, normalize
-from .linkage import DEFAULT_WINDOW_S, LinkResult, link
+from .ingest import IngestReport, load_bundle, normalize
+from .linkage import DEFAULT_WINDOW_S, link
 from .metrics import (
+    ERAS,
     MissingRpiMonth,
+    TripColumns,
     WeeklyPayRow,
     ZeroHours,
     acceptance_rate,
     adjust_inflation,
     cohort_pay_change,
     cohort_summary,
+    completed_months,
     distribution_compare,
+    offer_counts,
     pay_per_hour,
     per_minute_fare_by_split,
     surplus_series,
@@ -35,18 +40,21 @@ from .metrics import (
 )
 from .model import (
     DEFAULT_TIMEZONE,
+    ActivityState,
     AuditError,
+    DriverProfile,
     Era,
     EraBoundaries,
     RpiSeries,
-    era_of,
     month_days,
+    month_label,
     month_range,
-    trip_anchor,
 )
+from .predictability import FeatureBlocks, feature_blocks
 from .worktime import (
     HoursDefinition,
     TimeLedger,
+    UtilisationDaily,
     build_ledger,
     build_segments,
     hours_worked,
@@ -66,21 +74,36 @@ class AuditOptions:
     cohort_pre: tuple[str, str] | None = None
     cohort_post: tuple[str, str] | None = None
     charts: bool = False
+    features_only: bool = False  # predict: stop after linkage with feature blocks
 
     @property
     def boundaries(self) -> EraBoundaries:
         return EraBoundaries(self.opaque_start, self.dynamic_start, self.tz)
 
 
+class LedgerMonth(NamedTuple):
+    """One driver's time ledger over one local month, as the fleet pools it."""
+
+    pay_pence: int | None  # None when no payment falls in the month
+    tribunal_hours: float
+    on_trip_ms: int
+    utilisation: UtilisationDaily
+
+
 @dataclass(frozen=True)
 class DriverResult:
+    """One bundle reduced to what ``build_report`` reads; no record objects."""
+
     driver_id: str
     report: IngestReport
-    bundle: NormalizedBundle
-    links: LinkResult
-    ledger: TimeLedger
+    link_counts: tuple[int, int, int]  # linked, unmatched trips, unmatched payments
     orphan_trips: int
     rows: tuple[WeeklyPayRow, ...]
+    months: Mapping[str, LedgerMonth]
+    trips: TripColumns  # share-valid linked trips, in link order
+    offers: Mapping[str, tuple[int, int]]  # month -> (accepted, offered)
+    active_months: frozenset[str]  # months with a completed trip
+    profile: DriverProfile | None
 
 
 @dataclass(frozen=True)
@@ -89,8 +112,31 @@ class BundleFailure:
     reason: str
 
 
-def process_bundle(directory: str, options: AuditOptions) -> DriverResult | BundleFailure:
-    """Load, normalize, link and time-account one driver's bundle."""
+def _ledger_months(ledger: TimeLedger) -> dict[str, LedgerMonth]:
+    pay: dict[str, int] = {}
+    for day, amount in ledger.pay.items():
+        month = f"{day:%Y-%m}"
+        pay[month] = pay.get(month, 0) + amount.pence
+    out = {}
+    for month in sorted(pay.keys() | {f"{day:%Y-%m}" for day in ledger.time}):
+        period = month_days(month)
+        out[month] = LedgerMonth(
+            pay.get(month),
+            hours_worked(ledger, period, HoursDefinition.TRIBUNAL),
+            ledger.state_ms(period)[ActivityState.ON_TRIP],
+            utilisation_daily(ledger, month),
+        )
+    return out
+
+
+def process_bundle(
+    directory: str, options: AuditOptions
+) -> DriverResult | FeatureBlocks | BundleFailure:
+    """Load, normalize, link and time-account one driver's bundle.
+
+    With ``options.features_only`` the bundle stops after linkage and comes
+    back as its feature blocks for the predictability matrix.
+    """
     driver_id = Path(directory).name
     try:
         raw = load_bundle(directory)
@@ -98,15 +144,31 @@ def process_bundle(directory: str, options: AuditOptions) -> DriverResult | Bund
         links = link(
             bundle.trips, bundle.payments, options.link_window_s, options.boundaries
         )
+        if options.features_only:
+            return feature_blocks(links.linked, options.tz)
         timeline = build_segments(bundle.sessions, bundle.trips)
         ledger = build_ledger(timeline.segments, bundle.payments, options.tz)
         rows = weekly_rows(bundle.driver_id, ledger)
+        months = _ledger_months(ledger)
     except AuditError as exc:
         return BundleFailure(driver_id, str(exc))
     except (OSError, ValueError) as exc:
         return BundleFailure(driver_id, f"{type(exc).__name__}: {exc}")
     return DriverResult(
-        bundle.driver_id, report, bundle, links, ledger, len(timeline.orphan_trips), rows
+        driver_id=bundle.driver_id,
+        report=report,
+        link_counts=(
+            len(links.linked),
+            len(links.unmatched_trips),
+            len(links.unmatched_payments),
+        ),
+        orphan_trips=len(timeline.orphan_trips),
+        rows=rows,
+        months=months,
+        trips=TripColumns.from_linked(links.linked, options.boundaries),
+        offers=offer_counts(bundle.dispatches, options.tz),
+        active_months=completed_months(bundle.trips, options.tz),
+        profile=bundle.profile,
     )
 
 
@@ -165,17 +227,18 @@ def _weekly_pooled(rows: Sequence[WeeklyPayRow]) -> dict:
 
 def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict:
     """Nominal and inflation-adjusted pooled pay per tribunal hour by month."""
-    months = {f"{day:%Y-%m}" for res in results for day in res.ledger.pay}
+    months = {m for res in results for m, t in res.months.items() if t.pay_pence is not None}
     if not months:
         return {"error": "no payments"}
     nominal: dict[str, float] = {}
     for month in month_range(min(months), max(months)):
-        period = month_days(month)
         pence = 0
         hours = 0.0
         for res in results:
-            pence += sum(amount.pence for amount in res.ledger.day_pay(period))
-            hours += hours_worked(res.ledger, period, HoursDefinition.TRIBUNAL)
+            totals = res.months.get(month)
+            if totals is not None:
+                pence += totals.pay_pence or 0
+                hours += totals.tribunal_hours
         if hours > 0.0:
             nominal[month] = (pence / 100.0) / hours
     if not nominal:
@@ -188,17 +251,16 @@ def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict
     return {"base_month": base, "nominal": nominal, "real": real}
 
 
-def _take_rate_section(linked_all, tz: str) -> dict:
-    shares = [lt for lt in linked_all if lt.driver_share is not None]
-    if not shares:
+def _take_rate_section(trips: TripColumns) -> dict:
+    if not len(trips):
         return {"n_trips": 0}
-    hist = take_rate_histogram(shares)
+    hist = take_rate_histogram(trips)
     monthly: dict[str, list[float]] = {}
-    for lt in shares:
-        monthly.setdefault(trip_anchor(lt.trip).month(tz), []).append(lt.driver_share)
+    for month, share in zip(trips.month.tolist(), trips.share.tolist()):
+        monthly.setdefault(month_label(month), []).append(share)
 
     def stats_dict(group_by: str) -> dict:
-        s = take_rate_stats(shares, group_by)
+        s = take_rate_stats(trips, group_by)
         return {
             "mean": s.mean,
             "median": s.median,
@@ -214,26 +276,25 @@ def _take_rate_section(linked_all, tz: str) -> dict:
         "monthly_median_share": {
             m: statistics.median(sorted(v)) for m, v in sorted(monthly.items())
         },
-        "n_trips": len(shares),
+        "n_trips": len(trips),
     }
 
 
 def _utilisation_section(results: Sequence[DriverResult]) -> dict:
-    months = {f"{day:%Y-%m}" for res in results for day in res.ledger.time}
+    months = {m for res in results for m, t in res.months.items() if t.utilisation.active_days}
     out = {}
     for month in sorted(months):
         standby = en_route = on_trip = 0.0
         days = 0
         for res in results:
-            u = utilisation_daily(res.ledger, month)
-            if u.active_days == 0:
+            totals = res.months.get(month)
+            if totals is None or totals.utilisation.active_days == 0:
                 continue
+            u = totals.utilisation
             standby += u.standby_hours * u.active_days
             en_route += u.en_route_hours * u.active_days
             on_trip += u.on_trip_hours * u.active_days
             days += u.active_days
-        if days == 0:
-            continue
         out[month] = {
             "standby_hours": standby / days,
             "en_route_hours": en_route / days,
@@ -243,28 +304,25 @@ def _utilisation_section(results: Sequence[DriverResult]) -> dict:
     return out
 
 
-def _acceptance_section(results: Sequence[DriverResult], tz: str) -> dict:
-    offers = [o for res in results for o in res.bundle.dispatches]
-    if not offers:
+def _acceptance_section(results: Sequence[DriverResult]) -> dict:
+    by_month: dict[str, list[tuple[int, int]]] = {}
+    for res in results:
+        for month, counts in res.offers.items():
+            by_month.setdefault(month, []).append(counts)
+    if not by_month:
         return {"overall": None, "monthly": {}}
-    by_month: dict[str, list] = {}
-    for o in offers:
-        by_month.setdefault(o.offered_ts.month(tz), []).append(o)
+    every = [counts for group in by_month.values() for counts in group]
     monthly = {month: acceptance_rate(by_month[month]) for month in sorted(by_month)}
-    return {"overall": acceptance_rate(offers), "monthly": monthly, "n_offers": len(offers)}
+    return {
+        "overall": acceptance_rate(every),
+        "monthly": monthly,
+        "n_offers": sum(n for _, n in every),
+    }
 
 
-def _distribution_section(linked_all, boundaries: EraBoundaries) -> dict | None:
-    fixed: list[float] = []
-    dynamic: list[float] = []
-    for lt in linked_all:
-        if lt.driver_share is None:
-            continue
-        era = era_of(trip_anchor(lt.trip), boundaries)
-        if era is Era.FIXED_COMMISSION:
-            fixed.append(lt.driver_share)
-        elif era is Era.DYNAMIC_PRICING:
-            dynamic.append(lt.driver_share)
+def _distribution_section(trips: TripColumns) -> dict | None:
+    fixed = trips.share[trips.era == ERAS.index(Era.FIXED_COMMISSION)].tolist()
+    dynamic = trips.share[trips.era == ERAS.index(Era.DYNAMIC_PRICING)].tolist()
     if not fixed or not dynamic:
         return None
     cmp = distribution_compare(fixed, dynamic)
@@ -292,10 +350,9 @@ def build_report(
         (r for r in outcomes if isinstance(r, BundleFailure)), key=lambda r: r.driver_id
     )
     tz = options.tz
-    boundaries = options.boundaries
 
     all_rows = [row for res in results for row in res.rows]
-    linked_all = [lt for res in results for lt in res.links.linked]
+    trips = TripColumns.concat([res.trips for res in results])
     weeks = set(options.weeks) if options.weeks else None
 
     report: dict = {
@@ -313,11 +370,9 @@ def build_report(
         "bundles": {
             res.driver_id: {
                 "ingest": res.report.to_dict(),
-                "linkage": {
-                    "linked": len(res.links.linked),
-                    "unmatched_trips": len(res.links.unmatched_trips),
-                    "unmatched_payments": len(res.links.unmatched_payments),
-                },
+                "linkage": dict(
+                    zip(("linked", "unmatched_trips", "unmatched_payments"), res.link_counts)
+                ),
                 "orphan_trips": res.orphan_trips,
             }
             for res in results
@@ -345,10 +400,11 @@ def build_report(
     if rpi is not None:
         report["inflation"] = _monthly_real_rates(results, rpi)
 
-    report["take_rates"] = _take_rate_section(linked_all, tz)
+    report["take_rates"] = _take_rate_section(trips)
 
-    linked_by_driver = {res.driver_id: res.links.linked for res in results}
-    ledgers_by_driver = {res.driver_id: res.ledger for res in results}
+    on_trip_ms = {
+        res.driver_id: {m: t.on_trip_ms for m, t in res.months.items()} for res in results
+    }
     report["surplus"] = [
         {
             "month": p.month,
@@ -357,7 +413,7 @@ def build_report(
             "surplus_pence": p.surplus_pence,
             "on_trip_hours": p.on_trip_hours,
         }
-        for p in surplus_series(linked_by_driver, ledgers_by_driver, tz)
+        for p in surplus_series(trips, on_trip_ms)
     ]
 
     report["per_minute_by_split"] = [
@@ -371,19 +427,18 @@ def build_report(
             "driver_per_min": b.driver_per_min,
             "platform_per_min": b.platform_per_min,
         }
-        for b in per_minute_fare_by_split(linked_all)
+        for b in per_minute_fare_by_split(trips)
     ]
 
     report["utilisation"] = _utilisation_section(results)
-    report["acceptance"] = _acceptance_section(results, tz)
+    report["acceptance"] = _acceptance_section(results)
 
     if options.cohort_pre and options.cohort_post:
         split = cohort_pay_change(
             {res.driver_id: res.rows for res in results},
-            {res.driver_id: res.bundle.trips for res in results},
+            {res.driver_id: res.active_months for res in results},
             options.cohort_pre,
             options.cohort_post,
-            tz,
         )
         report["cohort"] = {
             "window_pre": list(split.window_pre),
@@ -403,11 +458,11 @@ def build_report(
             },
         }
 
-    distribution = _distribution_section(linked_all, boundaries)
+    distribution = _distribution_section(trips)
     if distribution is not None:
         report["share_distribution"] = distribution
 
-    profiles = [res.bundle.profile for res in results if res.bundle.profile is not None]
+    profiles = [res.profile for res in results if res.profile is not None]
     report["demographics"] = cohort_summary(profiles)
 
     era_totals: dict[str, int] = {}

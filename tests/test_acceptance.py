@@ -21,7 +21,9 @@ from fareaudit.cli import main
 from fareaudit.ingest import load_bundle, normalize, write_bundle
 from fareaudit.linkage import link
 from fareaudit.metrics import (
+    TripColumns,
     adjust_inflation,
+    completed_months,
     per_minute_fare_by_split,
     surplus_series,
     take_rate_histogram,
@@ -39,10 +41,11 @@ from fareaudit.model import (
     Timestamp,
     TripRecord,
     TripStatus,
+    month_days,
     month_range,
     week_days,
 )
-from fareaudit.predictability import fit_ols, r2, year_matrix
+from fareaudit.predictability import feature_blocks, fit_ols, r2, year_matrix
 from fareaudit.synthgen import (
     CohortPlan,
     FareRule,
@@ -174,7 +177,7 @@ def test_criterion_02_dynamic_share_recovery(dynamic_fleet):
         assert abs(statistics.fmean(shares) - truth["dynamic_share_mean"]) <= 0.005
         assert abs(statistics.median(shares) - truth["dynamic_share_median"]) <= 0.005
 
-        counts = take_rate_histogram(dynamic_fleet.linked)
+        counts = take_rate_histogram(TripColumns.from_linked(dynamic_fleet.linked))
         total = sum(counts.values())
         for label, prob in truth["analytic_bin_probs"].items():
             mass = counts.get(label, 0) / total
@@ -219,7 +222,11 @@ def test_criterion_03_working_time_dominance(fixed_fleet):
 
 def test_criterion_04_per_minute_split_pattern(dynamic_fleet):
     with criterion(4, "per-minute fare split pattern"):
-        bins = [b for b in per_minute_fare_by_split(dynamic_fleet.linked) if b.n_trips]
+        bins = [
+            b
+            for b in per_minute_fare_by_split(TripColumns.from_linked(dynamic_fleet.linked))
+            if b.n_trips
+        ]
         assert len(bins) >= 3
         # per_minute_fare_by_split returns ascending-share bins; walk them in
         # descending share order
@@ -250,8 +257,8 @@ def test_criterion_05_predictability_shift(tmp_path_factory):
         assert n_trips >= 100_000
 
         drivers = process_fleet(stat_root)
-        linked = [lt for d in drivers.values() for lt in d.links.linked]
-        matrix = year_matrix(linked, mode="single_year", seed=0)
+        blocks = [feature_blocks(d.links.linked) for d in drivers.values()]
+        matrix = year_matrix(blocks, mode="single_year", seed=0)
         assert set(matrix.test_years) == {2019, 2020, 2021}
         for cell, value in matrix.cells.items():
             assert value is not None and value >= 0.9, f"cell {cell}: {value}"
@@ -271,8 +278,8 @@ def test_criterion_05_predictability_shift(tmp_path_factory):
             switch_root,
         )
         drivers = process_fleet(switch_root)
-        linked = [lt for d in drivers.values() for lt in d.links.linked]
-        matrix = year_matrix(linked, mode="single_year", seed=0)
+        blocks = [feature_blocks(d.links.linked) for d in drivers.values()]
+        matrix = year_matrix(blocks, mode="single_year", seed=0)
         cross = {(2021, 1), (2021, 2)}  # trained pre-switch, tested post-switch
         for cell in cross:
             assert matrix.cells[cell] < 0.3, f"cell {cell}: {matrix.cells[cell]}"
@@ -318,7 +325,7 @@ def test_criterion_06_surplus_gap_handling():
             pay_at("2021-01-05T10:06:00Z", "12.00"),  # surplus 8 pounds/hour
             pay_at("2021-03-05T10:06:00Z", "8.00"),  # surplus 12 pounds/hour
         ]
-        linked = {"d1": link(trips, pays).linked}
+        linked = TripColumns.from_linked(link(trips, pays).linked)
         segments = build_segments(
             [
                 AppSession(
@@ -330,8 +337,12 @@ def test_criterion_06_surplus_gap_handling():
             ],
             trips,
         ).segments
-        ledgers = {"d1": build_ledger(segments, pays)}
-        series = {p.month: p for p in surplus_series(linked, ledgers)}
+        ledger = build_ledger(segments, pays)
+        on_trip = {
+            m: ledger.state_ms(month_days(m))[ActivityState.ON_TRIP]
+            for m in month_range("2021-01", "2021-03")
+        }
+        series = {p.month: p for p in surplus_series(linked, {"d1": on_trip})}
         feb = series["2021-02"]
         assert feb.interpolated
         assert abs(feb.value - 10.0) < 1e-9
@@ -411,7 +422,7 @@ def test_criterion_09_cohort_partition(tmp_path_factory):
         drivers = process_fleet(root)
         split = cohort_pay_change(
             {d: data.rows for d, data in drivers.items()},
-            {d: data.bundle.trips for d, data in drivers.items()},
+            {d: completed_months(data.bundle.trips) for d, data in drivers.items()},
             plan.window_pre,
             plan.window_post,
         )

@@ -47,3 +47,32 @@ def test_tracer_counts_read_real_results(bundle_dir):
             fn = getattr(importlib.import_module(f"fareaudit.{module_name}"), attr)
             got[attr] = counts(fn(*args[attr]))
     assert got == want
+
+
+def test_tracer_sees_the_worker_entry_of_audit_and_predict(bundle_dir, tmp_path_factory):
+    # the traced run measures per-bundle work and what a --jobs worker ships
+    # only through cli.process_bundle; a subcommand that went round it would
+    # leave both spans empty
+    tracer = load_tracer()
+    names = [(f"fareaudit.{m}", attr) for m, attr, _span, _counts in tracer.WRAPPED]
+    names.append(("fareaudit.cli", "process_bundle"))
+    saved = [(m, attr, getattr(importlib.import_module(m), attr)) for m, attr in names]
+    spans = tracer.Tracer()
+    tracer.install(spans)
+    out = tmp_path_factory.mktemp("traced")
+    recorded = {}
+    try:
+        cli = importlib.import_module("fareaudit.cli")
+        for command in ("audit", "predict"):
+            spans.spans.clear()
+            # predict exits 3 on one year of trips, after the bundle was processed
+            cli.main([command, str(bundle_dir.parent), "--out", str(out / command)])
+            recorded[command] = list(spans.spans)
+    finally:
+        for module, attr, fn in saved:
+            setattr(importlib.import_module(module), attr, fn)
+    for command, got in recorded.items():
+        assert any(s["name"] == "report.process_bundle" for s in got), command
+        shipped = [s for s in got if s["name"] == "report.result_pickle"]
+        assert shipped, command
+        assert all(s["counts"]["report.result_pickle_bytes"] > 0 for s in shipped), command

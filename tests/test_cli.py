@@ -4,6 +4,7 @@ import codecs
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 import fareaudit
 from fareaudit.anonymize import SALT_ENV_VAR
 from fareaudit.cli import _bundle_dirs, main
-from fareaudit.synthgen import CorruptionPlan, GenConfig, generate
+from fareaudit.report import AuditOptions, process_bundle
+from fareaudit.synthgen import CohortPlan, CorruptionPlan, GenConfig, generate
 from conftest import (
     PAYMENT_HEADER,
     TRIP_HEADER,
@@ -48,6 +50,22 @@ def bundles(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundles")
     generate(SMALL, root)
     return root
+
+
+# 2022-01 is fixed commission, 2022-02..2023-01 the opaque gap, 2023-02 on
+# dynamic pricing, so every report section has data
+THREE_ERAS = GenConfig(
+    seed=12,
+    n_drivers=3,
+    first_month="2022-01",
+    last_month="2023-03",
+    work_prob=0.3,
+    session_min_h=0.75,
+    session_max_h=1.25,
+    rpi_yoy=4.0,
+    cohort=CohortPlan(("2022-03", "2022-04"), ("2022-09", "2022-10"), cut_fraction=0.5),
+    corrupt=CorruptionPlan(duplicate_payments=2, inverted_trips=2, malformed_money=1),
+)
 
 
 # -- synth --
@@ -126,6 +144,52 @@ def test_audit_rerun_and_jobs_byte_identical(bundles, tmp_path):
     assert main(["audit", str(bundles), "--out", str(outs[2]), "--jobs", "2"]) == 0
     blobs = [(p / "audit_report.json").read_bytes() for p in outs]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_audit_jobs_byte_identical_on_three_eras(tmp_path):
+    generate(THREE_ERAS, tmp_path / "b")
+    flags = ["--charts", "--cohort-pre", "2022-03:2022-04", "--cohort-post", "2022-09:2022-10"]
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["audit", str(tmp_path / "b"), "--out", str(out), "--jobs", jobs, *flags]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1]
+    assert len([name for name in outs[0] if name.endswith(".svg")]) == 6
+    report = json.loads(outs[0]["audit_report.json"])
+    assert report["share_distribution"]["n_fixed_commission"] > 0
+    assert report["share_distribution"]["n_dynamic_pricing"] > 0
+    assert report["cohort"]["qualified"] and "base_month" in report["inflation"]
+    assert any(b["ingest"]["quarantine"] for b in report["bundles"].values())
+
+
+def test_worker_results_stay_reduced(bundles):
+    # the parent's whole bundle and link result pickled to about 450 bytes per
+    # linked trip; the reduced result is about 45, nearly all trip columns
+    directory = _bundle_dirs(str(bundles))[0]
+    audit = process_bundle(directory, AuditOptions())
+    linked = audit.link_counts[0]
+    assert linked > 500
+    assert not hasattr(audit, "bundle") and not hasattr(audit, "links")
+    assert len(pickle.dumps(audit)) < 64 * linked
+    # predict ships one float per feature but the product one-hots (62), the
+    # target and a product code: 508 bytes a row
+    features = process_bundle(directory, AuditOptions(features_only=True))
+    rows = sum(len(y) for _, y, _ in features.years.values())
+    assert rows > 500
+    assert not hasattr(features, "bundle") and not hasattr(features, "links")
+    assert len(pickle.dumps(features)) < 520 * rows
+
+
+def test_audit_failed_write_keeps_the_old_report(bundles, tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    assert main(["audit", str(bundles), "--out", str(out)]) == 0
+    before = (out / "audit_report.json").read_bytes()
+    monkeypatch.setattr("fareaudit.cli.dumps_report", lambda report: "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        main(["audit", str(bundles), "--out", str(out)])
+    assert (out / "audit_report.json").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["audit_report.json"]
 
 
 def test_audit_tight_window_loses_matches(bundles, tmp_path):

@@ -7,13 +7,16 @@ from fareaudit.metrics import (
     MissingRpiMonth,
     NoOffers,
     PerMinuteBin,
+    TripColumns,
     ZeroHours,
     acceptance_rate,
     adjust_inflation,
     bin_labels,
     cohort_pay_change,
     cohort_summary,
+    completed_months,
     distribution_compare,
+    offer_counts,
     pay_per_hour,
     per_minute_fare_by_split,
     silverman_bandwidth,
@@ -23,6 +26,7 @@ from fareaudit.metrics import (
     weekly_rows,
 )
 from fareaudit.model import (
+    ActivityState,
     AuditError,
     CurrencyMismatch,
     DriverProfile,
@@ -33,6 +37,8 @@ from fareaudit.model import (
     Timestamp,
     TripRecord,
     TripStatus,
+    month_days,
+    month_range,
 )
 from fareaudit.worktime import HoursDefinition, build_ledger, build_segments
 from conftest import at, instant, offer, payment, trip
@@ -195,7 +201,7 @@ def test_inflation_matches_index_ratio_oracle():
 
 
 def linked_with_shares(rows):
-    """rows: list of (driver, fare_pounds, pay_pounds) in the fixed era."""
+    """Columns of one linked trip per (driver, fare_pounds, pay_pounds) row, fixed era."""
     out = []
     for i, (driver, fare, pays) in enumerate(rows):
         t = trip(
@@ -204,7 +210,7 @@ def linked_with_shares(rows):
         )
         p = payment(ts_min=i * 120.0 + 26, amount=f"{pays:.2f}", driver=driver)
         out.extend(link([t], [p]).linked)
-    return out
+    return TripColumns.from_linked(out)
 
 
 def test_take_rate_stats_by_trip_and_driver():
@@ -244,12 +250,20 @@ def surplus_fixture():
     trips = [t_jan, t_mar]
     linked = link(trips, pays).linked
     segs = build_segments([covering_session(t) for t in trips], trips).segments
-    return {"d1": linked}, {"d1": build_ledger(segs, pays)}
+    return list(linked), {"d1": on_trip_by_month(build_ledger(segs, pays))}
+
+
+def on_trip_by_month(ledger):
+    """A driver's on-trip milliseconds in each month around the fixture's trips."""
+    return {
+        m: ledger.state_ms(month_days(m))[ActivityState.ON_TRIP]
+        for m in month_range("2020-12", "2021-04")
+    }
 
 
 def test_surplus_interior_gap_interpolated_and_flagged():
-    linked, ledgers = surplus_fixture()
-    series = surplus_series(linked, ledgers)
+    linked, on_trip = surplus_fixture()
+    series = surplus_series(TripColumns.from_linked(linked), on_trip)
     by_month = {p.month: p for p in series}
     assert by_month["2021-01"].value == pytest.approx(8.0)
     assert not by_month["2021-01"].interpolated
@@ -259,21 +273,22 @@ def test_surplus_interior_gap_interpolated_and_flagged():
 
 
 def test_surplus_edge_gap_is_missing_not_extrapolated():
-    linked, ledgers = surplus_fixture()
-    by_month = {p.month: p for p in surplus_series(linked, ledgers)}
+    linked, on_trip = surplus_fixture()
+    by_month = {p.month: p for p in surplus_series(TripColumns.from_linked(linked), on_trip)}
     for month in ("2020-12", "2021-04"):
         assert month not in by_month or by_month[month].value is None
 
 
 def test_surplus_denominator_only_contributing_drivers():
-    linked, ledgers = surplus_fixture()
+    linked, on_trip = surplus_fixture()
     # a second driver with on-trip time but no valid shares must not dilute
     t_other = trip_at("2021-01-07T09:00:00Z", on_min=120, fare=None, driver="d2")
     segs2 = build_segments([covering_session(t_other)], [t_other]).segments
     pays2 = [pay_at("2021-01-07T11:06:00Z", 0, "9.00", "d2")]
     linked2 = link([t_other], pays2).linked
     series = surplus_series(
-        {**linked, "d2": linked2}, {**ledgers, "d2": build_ledger(segs2, pays2)}
+        TripColumns.from_linked(linked + list(linked2)),
+        {**on_trip, "d2": on_trip_by_month(build_ledger(segs2, pays2))},
     )
     jan = next(p for p in series if p.month == "2021-01")
     assert jan.value == pytest.approx(8.0)
@@ -319,6 +334,10 @@ def driver_rows(driver: str, months: list[str], pounds_per_trip: float):
     return weekly_rows(driver, build_ledger(segs, pays)), trips
 
 
+def active_months(trips_by_driver):
+    return {d: completed_months(trips) for d, trips in trips_by_driver.items()}
+
+
 def test_cohort_partition_and_qualification():
     pre = ("2021-01", "2021-02")
     post = ("2021-04", "2021-05")
@@ -338,7 +357,7 @@ def test_cohort_partition_and_qualification():
     r, t = driver_rows("gap", ["2021-01", "2021-04", "2021-05"], 12.0)
     rows["gap"], trips["gap"] = tuple(r), tuple(t)
 
-    split = cohort_pay_change(rows, trips, pre, post)
+    split = cohort_pay_change(rows, active_months(trips), pre, post)
     assert set(split.qualified) == {"drop", "rise"}
     assert split.paid_less == ("drop",)
     assert split.paid_same_or_more == ("rise",)
@@ -351,7 +370,10 @@ def test_cohort_zero_change_counts_as_same_or_more():
     r1, t1 = driver_rows("flat", ["2021-01"], 10.0)
     r2, t2 = driver_rows("flat", ["2021-04"], 10.0)
     split = cohort_pay_change(
-        {"flat": tuple(r1) + tuple(r2)}, {"flat": tuple(t1) + tuple(t2)}, pre, post
+        {"flat": tuple(r1) + tuple(r2)},
+        active_months({"flat": tuple(t1) + tuple(t2)}),
+        pre,
+        post,
     )
     assert split.paid_same_or_more == ("flat",)
     assert split.pct_change["flat"] == pytest.approx(0.0)
@@ -379,10 +401,10 @@ def test_cohort_split_partition_enforced():
 
 def test_acceptance_rate_window():
     offers = [offer(float(m), m % 3 != 0) for m in range(30)]
-    assert acceptance_rate(offers) == pytest.approx(20 / 30)
-    assert acceptance_rate(offers[:1]) == 0.0
+    assert acceptance_rate(offer_counts(offers).values()) == pytest.approx(20 / 30)
+    assert acceptance_rate(offer_counts(offers[:1]).values()) == 0.0
     with pytest.raises(NoOffers):
-        acceptance_rate([])
+        acceptance_rate(offer_counts([]).values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from fareaudit.predictability import (
     DegenerateColumn,
     FeatureSchema,
     build_schema,
+    feature_blocks,
     feature_matrix,
     featurize,
     fit_ols,
     r2,
+    stack_blocks,
     year_matrix,
 )
 from conftest import instant, trip
@@ -185,7 +188,7 @@ def test_underdetermined_rejected():
 def test_year_matrix_requires_two_years():
     rng = np.random.default_rng(3)
     with pytest.raises(AuditError):
-        year_matrix(rand_linked(rng, 50, year=2021))
+        year_matrix([feature_blocks(rand_linked(rng, 50, year=2021))])
 
 
 def test_year_matrix_shape_and_seeding():
@@ -193,10 +196,11 @@ def test_year_matrix_shape_and_seeding():
     linked = rand_linked(rng, 300, 2020, coef=(1.0, 0.5, 0.2)) + rand_linked(
         rng, 300, 2021, coef=(1.0, 0.5, 0.2)
     )
-    m1 = year_matrix(linked, seed=7)
-    m2 = year_matrix(linked, seed=7)
+    blocks = [feature_blocks(linked)]
+    m1 = year_matrix(blocks, seed=7)
+    m2 = year_matrix(blocks, seed=7)
     assert m1.cells == m2.cells
-    m3 = year_matrix(linked, seed=8)
+    m3 = year_matrix(blocks, seed=8)
     assert m1.cells[(2021, 0)] != m3.cells[(2021, 0)]  # different test split
     assert m1.test_years == (2020, 2021)
     assert set(m1.cells) == {(2020, 0), (2021, 0), (2021, 1)}
@@ -212,8 +216,9 @@ def test_cumulative_mode_trains_on_more_rows():
         + rand_linked(rng, 250, 2020, coef=(1, 0.4, 0.1))
         + rand_linked(rng, 250, 2021, coef=(1, 0.4, 0.1))
     )
-    single = year_matrix(linked, mode="single_year", seed=0)
-    cumulative = year_matrix(linked, mode="cumulative", seed=0)
+    blocks = [feature_blocks(linked)]
+    single = year_matrix(blocks, mode="single_year", seed=0)
+    cumulative = year_matrix(blocks, mode="cumulative", seed=0)
     assert cumulative.counts[(2021, 1)][0] > single.counts[(2021, 1)][0]
     assert cumulative.counts[(2021, 0)][0] > single.counts[(2021, 0)][0]
 
@@ -223,8 +228,35 @@ def test_year_matrix_csv_layout():
     linked = rand_linked(rng, 200, 2020, coef=(1, 0.4, 0.1)) + rand_linked(
         rng, 200, 2021, coef=(1, 0.4, 0.1)
     )
-    out = year_matrix(linked).to_csv()
+    out = year_matrix([feature_blocks(linked)]).to_csv()
     lines = out.strip().split("\n")
     assert lines[0] == "test_year,Y,Y-1"
     assert lines[1].startswith("2020,")
     assert lines[2].startswith("2021,")
+
+
+def test_stacked_blocks_equal_the_fleet_feature_matrix():
+    # two drivers with different product sets, one trip without a product:
+    # the stacked blocks must carry the one-hot columns of the fleet schema
+    rng = np.random.default_rng(9)
+    first = rand_linked(rng, 40, 2020) + rand_linked(rng, 40, 2021)
+    second = rand_linked(rng, 40, 2020) + rand_linked(rng, 40, 2021)
+    first = [
+        replace(lt, trip=replace(lt.trip, product=("comfort", "standard")[i % 2]))
+        for i, lt in enumerate(first)
+    ]
+    second = [
+        replace(lt, trip=replace(lt.trip, driver_id="d2", product=("xl", "", "standard")[i % 3]))
+        for i, lt in enumerate(second)
+    ]
+    everyone = first + second
+    schema, matrices = stack_blocks([feature_blocks(first), feature_blocks(second)])
+    want_schema = build_schema(everyone)
+    assert schema.names == want_schema.names
+    assert sorted(matrices) == [2020, 2021]
+    for year, (X, y) in matrices.items():
+        want_X, want_y = feature_matrix(
+            [lt for lt in everyone if lt.trip.dropoff_ts.year() == year], want_schema
+        )
+        assert np.array_equal(X, want_X)
+        assert np.array_equal(y, want_y)
