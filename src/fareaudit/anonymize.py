@@ -13,7 +13,7 @@ import hmac
 import os
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ingest import NormalizedBundle
 from .model import AuditError
@@ -119,19 +119,3 @@ def load_salt(key_file: str | Path | None = None) -> bytes:
         )
     return salt
 
-
-def stripped_values(bundle: NormalizedBundle, policy: Sequence[str]) -> Iterable[str]:
-    """The source values a strip policy removes; used to verify none survive."""
-    for name in policy:
-        if name not in STRIPPABLE_FIELDS:
-            raise UnknownField(f"not a strippable field: {name!r}")
-    for name in policy:
-        if name == "memo":
-            for p in bundle.payments:
-                if p.memo:
-                    yield p.memo
-        else:
-            for t in bundle.trips:
-                value = getattr(t, name)
-                if value:
-                    yield value

@@ -18,8 +18,8 @@ import numpy as np
 
 from .linkage import LinkedTrip
 from .model import (
+    CALENDAR,
     DEFAULT_ERAS,
-    DEFAULT_TIMEZONE,
     MS_PER_HOUR,
     AuditError,
     DispatchOffer,
@@ -35,6 +35,7 @@ from .model import (
     iso_week_label,
     month_index,
     month_label,
+    month_of,
     month_range,
     sum_money,
     trip_anchor,
@@ -178,8 +179,8 @@ class TripColumns:
     """Share-valid linked trips as parallel numpy columns, one row per trip.
 
     Rows keep the order they were given in. ``driver`` indexes ``driver_ids``,
-    ``month`` is the ``month_index`` of the trip's anchor in the display
-    timezone, ``era`` indexes ``ERAS``, ``share`` is the driver share of the
+    ``month`` is the ``month_index`` of the local month of the trip's anchor,
+    ``era`` indexes ``ERAS``, ``share`` is the driver share of the
     rider fare, and the pence are the trip's earnings and its rider fare.
     """
 
@@ -200,9 +201,10 @@ class TripColumns:
         driver_ids = tuple(sorted({lt.trip.driver_id for lt in valid}))
         code = {d: i for i, d in enumerate(driver_ids)}
         anchors = [trip_anchor(lt.trip) for lt in valid]
+        days = [CALENDAR.day(a.epoch_ms)[0] for a in anchors]
         values = {
             "driver": [code[lt.trip.driver_id] for lt in valid],
-            "month": [month_index(a.month(boundaries.tz)) for a in anchors],
+            "month": [d.year * 12 + d.month - 1 for d in days],
             "era": [ERAS.index(era_of(a, boundaries)) for a in anchors],
             "share": [lt.driver_share for lt in valid],
             "driver_pence": [lt.driver_total.pence for lt in valid],
@@ -452,10 +454,12 @@ def _window_months(window: tuple[str, str]) -> list[str]:
     return month_range(window[0], window[1])
 
 
-def completed_months(trips: Iterable[TripRecord], tz: str = DEFAULT_TIMEZONE) -> frozenset[str]:
+def completed_months(trips: Iterable[TripRecord]) -> frozenset[str]:
     """The local months that hold at least one completed trip, by trip anchor."""
     return frozenset(
-        trip_anchor(t).month(tz) for t in trips if t.status is TripStatus.COMPLETED
+        month_of(CALENDAR.day(trip_anchor(t).epoch_ms)[0])
+        for t in trips
+        if t.status is TripStatus.COMPLETED
     )
 
 
@@ -481,8 +485,7 @@ def cohort_pay_change(
     pre_set, post_set = set(pre_months), set(post_months)
 
     def week_in(row: WeeklyPayRow, months: set[str]) -> bool:
-        monday = week_monday(row.iso_week)
-        return f"{monday.year:04d}-{monday.month:02d}" in months
+        return month_of(week_monday(row.iso_week)) in months
 
     qualified: list[str] = []
     pre_rate: dict[str, float] = {}
@@ -544,13 +547,11 @@ def cohort_pay_change(
 # Acceptance rate
 
 
-def offer_counts(
-    offers: Iterable[DispatchOffer], tz: str = DEFAULT_TIMEZONE
-) -> dict[str, tuple[int, int]]:
+def offer_counts(offers: Iterable[DispatchOffer]) -> dict[str, tuple[int, int]]:
     """(accepted, offered) dispatch counts per local month of the offer."""
     counts: dict[str, list[int]] = {}
     for o in offers:
-        slot = counts.setdefault(o.offered_ts.month(tz), [0, 0])
+        slot = counts.setdefault(month_of(CALENDAR.day(o.offered_ts.epoch_ms)[0]), [0, 0])
         slot[0] += o.accepted
         slot[1] += 1
     return {month: (accepted, total) for month, (accepted, total) in counts.items()}

@@ -9,9 +9,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 from zoneinfo import ZoneInfo
@@ -22,8 +23,10 @@ AGE_BANDS = ("20-29", "30-39", "40-49", "50+")
 GENDERS = ("M", "F", "other/unknown")
 
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
 _MS = dt.timedelta(milliseconds=1)
 
+MS_PER_DAY = 86_400_000
 MS_PER_HOUR = 3_600_000
 MS_PER_MINUTE = 60_000
 
@@ -42,11 +45,6 @@ class CurrencyMismatch(RecordError):
 
 class MoneyParseError(RecordError):
     pass
-
-
-@lru_cache(maxsize=8)
-def _zone(name: str) -> ZoneInfo:
-    return ZoneInfo(name)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +121,8 @@ def sum_money(amounts: Iterable[Money], currency: str = "GBP") -> Money:
 class Timestamp:
     """A UTC instant in epoch milliseconds.
 
-    Local derivations (day, week, month, hour) always go through an explicit
-    timezone so they are reproducible regardless of host configuration.
+    Its local day, week, month and hour come from a ``Calendar`` of an explicit
+    timezone, so they do not depend on the host's configuration.
     """
 
     epoch_ms: int
@@ -150,37 +148,77 @@ class Timestamp:
             parsed = parsed.replace(tzinfo=dt.timezone.utc)
         return cls.from_datetime(parsed), naive
 
-    def to_datetime(self, tz: str = "UTC") -> dt.datetime:
-        zone = dt.timezone.utc if tz == "UTC" else _zone(tz)
-        seconds, ms = divmod(self.epoch_ms, 1000)
-        return dt.datetime.fromtimestamp(seconds, zone) + ms * _MS
-
     def iso(self) -> str:
         """Canonical serialization: UTC with milliseconds and a Z suffix."""
-        d = self.to_datetime("UTC")
-        return d.strftime("%Y-%m-%dT%H:%M:%S.") + f"{d.microsecond // 1000:03d}Z"
-
-    def local_date(self, tz: str = DEFAULT_TIMEZONE) -> dt.date:
-        return self.to_datetime(tz).date()
-
-    def month(self, tz: str = DEFAULT_TIMEZONE) -> str:
-        d = self.to_datetime(tz)
-        return f"{d.year:04d}-{d.month:02d}"
-
-    def iso_week(self, tz: str = DEFAULT_TIMEZONE) -> str:
-        return iso_week_label(self.local_date(tz))
-
-    def year(self, tz: str = DEFAULT_TIMEZONE) -> int:
-        return self.to_datetime(tz).year
+        return (_EPOCH + self.epoch_ms * _MS).isoformat(timespec="milliseconds")[:-6] + "Z"
 
 
 # ---------------------------------------------------------------------------
-# Calendar helpers (months as "YYYY-MM" labels, weeks as "YYYY-Www")
+# Calendar: local dates of instants, months as "YYYY-MM", weeks as "YYYY-Www"
 
 
-def local_midnight(day: dt.date, tz: str = DEFAULT_TIMEZONE) -> Timestamp:
-    """The instant at which ``day`` begins in ``tz``; every window below starts at one."""
-    return Timestamp.from_datetime(dt.datetime(day.year, day.month, day.day, tzinfo=_zone(tz)))
+class Calendar:
+    """Local dates of UTC instants in one timezone.
+
+    The instant at which each local date begins is read from ``zoneinfo`` once
+    for every calendar year a lookup touches. After that ``day`` is a bisect,
+    and the month, ISO week, year and weekday of an instant follow from its
+    date. The tables only cache what zoneinfo answers, so one instance can be
+    shared by every caller.
+    """
+
+    def __init__(self, tz: str) -> None:
+        self.tz = tz
+        self._zone = ZoneInfo(tz)
+        self._years: dict[int, tuple[list[int], list[dt.date]]] = {}
+        self._last: tuple[dt.date, int, int] = (dt.date.min, 0, 0)  # the day looked up last
+
+    def _year(self, year: int) -> tuple[list[int], list[dt.date]]:
+        """Where each date of ``year`` begins, plus the next 1 January; and the dates."""
+        table = self._years.get(year)
+        if table is None:
+            first, stop = dt.date(year, 1, 1).toordinal(), dt.date(year + 1, 1, 1).toordinal()
+            dates = [dt.date.fromordinal(n) for n in range(first, stop + 1)]
+            starts = [
+                (dt.datetime(d.year, d.month, d.day, tzinfo=self._zone) - _EPOCH) // _MS
+                for d in dates
+            ]
+            table = self._years[year] = (starts, dates)
+        return table
+
+    def day(self, ms: int) -> tuple[dt.date, int, int]:
+        """The local date holding the instant ``ms``, and where it begins and stops."""
+        last = self._last
+        if last[1] <= ms < last[2]:
+            return last
+        year = dt.date.fromordinal(ms // MS_PER_DAY + _EPOCH_ORDINAL).year  # the UTC year
+        starts, dates = self._year(year)
+        if ms < starts[0]:
+            starts, dates = self._year(year - 1)
+        elif ms >= starts[-1]:
+            starts, dates = self._year(year + 1)
+        i = bisect_right(starts, ms) - 1
+        self._last = last = dates[i], starts[i], starts[i + 1]
+        return last
+
+    def hour(self, ms: int) -> int:
+        """The local wall-clock hour of the instant ``ms``."""
+        _, start, stop = self.day(ms)
+        if stop - start == MS_PER_DAY:
+            return (ms - start) // MS_PER_HOUR
+        return dt.datetime.fromtimestamp(ms // 1000, self._zone).hour  # a clock-change day
+
+    def midnight(self, day: dt.date) -> int:
+        """The instant at which the local date ``day`` begins; ``day`` inverts it."""
+        starts, dates = self._year(day.year)
+        return starts[day.toordinal() - dates[0].toordinal()]
+
+
+CALENDAR = Calendar(DEFAULT_TIMEZONE)  # dates every instant the audit reads
+
+
+def month_of(day: dt.date) -> str:
+    return f"{day.year:04d}-{day.month:02d}"
 
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -225,12 +263,6 @@ def month_days(label: str) -> tuple[dt.date, dt.date]:
     return dt.date(year, month, 1), dt.date(year + month // 12, month % 12 + 1, 1)
 
 
-def month_window(label: str, tz: str = DEFAULT_TIMEZONE) -> tuple[Timestamp, Timestamp]:
-    """Half-open [start, end) UTC window of a local calendar month."""
-    first, stop = month_days(label)
-    return local_midnight(first, tz), local_midnight(stop, tz)
-
-
 def iso_week_label(day: dt.date) -> str:
     year, week, _ = day.isocalendar()
     return f"{year:04d}-W{week:02d}"
@@ -252,12 +284,6 @@ def week_days(label: str) -> tuple[dt.date, dt.date]:
     """Half-open [Monday, next Monday) of an ISO week."""
     monday = week_monday(label)
     return monday, monday + dt.timedelta(days=7)
-
-
-def week_window(label: str, tz: str = DEFAULT_TIMEZONE) -> tuple[Timestamp, Timestamp]:
-    """Half-open [Monday 00:00, next Monday 00:00) UTC window of a local ISO week."""
-    monday, stop = week_days(label)
-    return local_midnight(monday, tz), local_midnight(stop, tz)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +312,15 @@ class EraBoundaries:
     dynamic_ms: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        opaque, _ = month_window(self.opaque_start, self.tz)
-        dynamic, _ = month_window(self.dynamic_start, self.tz)
+        calendar = CALENDAR if self.tz == CALENDAR.tz else Calendar(self.tz)
+        opaque = calendar.midnight(month_days(self.opaque_start)[0])
+        dynamic = calendar.midnight(month_days(self.dynamic_start)[0])
         if opaque >= dynamic:
             raise RecordError(
                 f"era boundaries out of order: {self.opaque_start} >= {self.dynamic_start}"
             )
-        object.__setattr__(self, "opaque_ms", opaque.epoch_ms)
-        object.__setattr__(self, "dynamic_ms", dynamic.epoch_ms)
+        object.__setattr__(self, "opaque_ms", opaque)
+        object.__setattr__(self, "dynamic_ms", dynamic)
 
 
 DEFAULT_ERAS = EraBoundaries()
@@ -427,6 +454,9 @@ class RpiSeries:
     def __post_init__(self) -> None:
         if not self.yoy_pct:
             raise RecordError("empty inflation series")
+        for month, pct in self.yoy_pct.items():
+            if not math.isfinite(pct) or pct <= -100.0:
+                raise RecordError(f"year-on-year change for {month} out of range: {pct!r}")
         indexes = sorted(month_index(m) for m in self.yoy_pct)
         if indexes != list(range(indexes[0], indexes[-1] + 1)):
             raise RecordError("inflation series has month gaps")

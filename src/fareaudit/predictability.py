@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linkage import LinkedTrip
-from .model import DEFAULT_TIMEZONE, AuditError, TripStatus, trip_anchor
+from .model import CALENDAR, AuditError, TripStatus, trip_anchor
 
 RIDGE_SCALE = 1e-8
 TRAIN_FRACTION = 0.8
@@ -75,7 +75,6 @@ class FeatureSchema:
     """Fixed feature layout for one experiment; includes the product vocabulary."""
 
     products: tuple[str, ...]
-    tz: str = DEFAULT_TIMEZONE
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -91,9 +90,9 @@ class FeatureSchema:
         return {p: _PRODUCT_BASE + i for i, p in enumerate(self.products)}
 
 
-def build_schema(linked: Sequence[LinkedTrip], tz: str = DEFAULT_TIMEZONE) -> FeatureSchema:
+def build_schema(linked: Sequence[LinkedTrip]) -> FeatureSchema:
     products = sorted({lt.trip.product for lt in linked if lt.trip.product})
-    return FeatureSchema(tuple(products), tz)
+    return FeatureSchema(tuple(products))
 
 
 def featurize(linked: LinkedTrip, schema: FeatureSchema) -> tuple[np.ndarray, float]:
@@ -112,8 +111,9 @@ def featurize(linked: LinkedTrip, schema: FeatureSchema) -> tuple[np.ndarray, fl
     dist = trip.distance_miles
     speed = dist / (on_trip / 60.0) if on_trip > 0 else 0.0
 
-    local = trip.pickup_ts.to_datetime(schema.tz)
-    hour, dow, month = local.hour, local.weekday(), local.month
+    pickup = trip.pickup_ts.epoch_ms
+    day = CALENDAR.day(pickup)[0]
+    hour, dow, month = CALENDAR.hour(pickup), day.weekday(), day.month
     weekend = 1.0 if dow >= 5 else 0.0
     peak_am = 1.0 if 7 <= hour < 10 else 0.0
     peak_pm = 1.0 if 16 <= hour < 19 else 0.0
@@ -175,7 +175,7 @@ class FeatureBlocks:
     years: Mapping[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def feature_blocks(linked: Sequence[LinkedTrip], tz: str = DEFAULT_TIMEZONE) -> FeatureBlocks:
+def feature_blocks(linked: Sequence[LinkedTrip]) -> FeatureBlocks:
     """Featurize the completed trips that have every timestamp, year by year."""
     usable = [
         lt
@@ -185,12 +185,12 @@ def feature_blocks(linked: Sequence[LinkedTrip], tz: str = DEFAULT_TIMEZONE) -> 
         and lt.trip.accept_ts is not None
         and lt.trip.dropoff_ts is not None
     ]
-    products = build_schema(usable, tz).products
+    products = build_schema(usable).products
     code = {p: i for i, p in enumerate(products)}
     by_year: dict[int, list[LinkedTrip]] = {}
     for lt in usable:
-        by_year.setdefault(trip_anchor(lt.trip).year(tz), []).append(lt)
-    base = FeatureSchema((), tz)
+        by_year.setdefault(CALENDAR.day(trip_anchor(lt.trip).epoch_ms)[0].year, []).append(lt)
+    base = FeatureSchema(())
     years = {}
     for year, group in sorted(by_year.items()):
         X, y = feature_matrix(group, base)

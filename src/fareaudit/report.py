@@ -39,7 +39,7 @@ from .metrics import (
     weekly_rows,
 )
 from .model import (
-    DEFAULT_TIMEZONE,
+    CALENDAR,
     ActivityState,
     AuditError,
     DriverProfile,
@@ -48,6 +48,7 @@ from .model import (
     RpiSeries,
     month_days,
     month_label,
+    month_of,
     month_range,
 )
 from .predictability import FeatureBlocks, feature_blocks
@@ -69,7 +70,6 @@ class AuditOptions:
     link_window_s: float = DEFAULT_WINDOW_S
     opaque_start: str = "2022-02"
     dynamic_start: str = "2023-02"
-    tz: str = DEFAULT_TIMEZONE
     weeks: tuple[str, ...] | None = None
     cohort_pre: tuple[str, str] | None = None
     cohort_post: tuple[str, str] | None = None
@@ -78,7 +78,7 @@ class AuditOptions:
 
     @property
     def boundaries(self) -> EraBoundaries:
-        return EraBoundaries(self.opaque_start, self.dynamic_start, self.tz)
+        return EraBoundaries(self.opaque_start, self.dynamic_start)
 
 
 class LedgerMonth(NamedTuple):
@@ -115,10 +115,10 @@ class BundleFailure:
 def _ledger_months(ledger: TimeLedger) -> dict[str, LedgerMonth]:
     pay: dict[str, int] = {}
     for day, amount in ledger.pay.items():
-        month = f"{day:%Y-%m}"
+        month = month_of(day)
         pay[month] = pay.get(month, 0) + amount.pence
     out = {}
-    for month in sorted(pay.keys() | {f"{day:%Y-%m}" for day in ledger.time}):
+    for month in sorted(pay.keys() | {month_of(day) for day in ledger.time}):
         period = month_days(month)
         out[month] = LedgerMonth(
             pay.get(month),
@@ -145,9 +145,9 @@ def process_bundle(
             bundle.trips, bundle.payments, options.link_window_s, options.boundaries
         )
         if options.features_only:
-            return feature_blocks(links.linked, options.tz)
+            return feature_blocks(links.linked)
         timeline = build_segments(bundle.sessions, bundle.trips)
-        ledger = build_ledger(timeline.segments, bundle.payments, options.tz)
+        ledger = build_ledger(timeline.segments, bundle.payments)
         rows = weekly_rows(bundle.driver_id, ledger)
         months = _ledger_months(ledger)
     except AuditError as exc:
@@ -166,8 +166,8 @@ def process_bundle(
         rows=rows,
         months=months,
         trips=TripColumns.from_linked(links.linked, options.boundaries),
-        offers=offer_counts(bundle.dispatches, options.tz),
-        active_months=completed_months(bundle.trips, options.tz),
+        offers=offer_counts(bundle.dispatches),
+        active_months=completed_months(bundle.trips),
         profile=bundle.profile,
     )
 
@@ -349,7 +349,6 @@ def build_report(
     failures = sorted(
         (r for r in outcomes if isinstance(r, BundleFailure)), key=lambda r: r.driver_id
     )
-    tz = options.tz
 
     all_rows = [row for res in results for row in res.rows]
     trips = TripColumns.concat([res.trips for res in results])
@@ -362,7 +361,7 @@ def build_report(
                 "opaque_start": options.opaque_start,
                 "dynamic_start": options.dynamic_start,
             },
-            "timezone": tz,
+            "timezone": CALENDAR.tz,
             "weeks_filter": sorted(weeks) if weeks else None,
             "cohort_pre": list(options.cohort_pre) if options.cohort_pre else None,
             "cohort_post": list(options.cohort_post) if options.cohort_post else None,

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
+from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -39,12 +40,13 @@ from .model import (
     TripRecord,
     TripStatus,
     era_of,
+    iso_week_label,
     month_add,
+    month_days,
     month_index,
+    month_of,
     month_range,
-    month_window,
     week_monday,
-    week_window,
 )
 
 MS = 1000
@@ -469,15 +471,23 @@ class _UniqueClock:
         return ms
 
 
-def _week_totals(intervals: Sequence[tuple[int, int]], tz: str) -> dict[str, int]:
+# the truth dates instants with zoneinfo itself, so it checks model.Calendar
+def _local_date(ms: int, zone: ZoneInfo) -> dt.date:
+    return dt.datetime.fromtimestamp(ms // 1000, zone).date()
+
+
+def _midnight(day: dt.date, zone: ZoneInfo) -> int:
+    return Timestamp.from_datetime(dt.datetime(day.year, day.month, day.day, tzinfo=zone)).epoch_ms
+
+
+def _week_totals(intervals: Sequence[tuple[int, int]], zone: ZoneInfo) -> dict[str, int]:
     """Milliseconds of the given intervals falling in each ISO week."""
     out: dict[str, int] = {}
     for start, end in intervals:
         cursor = start
         while cursor < end:
-            week = Timestamp(cursor).iso_week(tz)
-            _, w_end = week_window(week, tz)
-            piece = min(end, w_end.epoch_ms) - cursor
+            week = iso_week_label(_local_date(cursor, zone))
+            piece = min(end, _midnight(week_monday(week) + dt.timedelta(days=7), zone)) - cursor
             out[week] = out.get(week, 0) + piece
             cursor += piece
     return out
@@ -494,7 +504,7 @@ def _gen_driver(
     rng = np.random.default_rng([config.seed, index])
     clock = _UniqueClock()
     driver_id = f"driver{index:03d}"
-    tz = config.tz
+    zone = ZoneInfo(config.tz)
     boundaries = config.boundaries
     c = config.commission_fraction
     q = c.denominator
@@ -523,10 +533,9 @@ def _gen_driver(
         marker_n += 1
         return f"{config.marker_prefix}d{index}n{marker_n}"
 
-    start_ts, _ = month_window(config.first_month, tz)
-    _, end_ts = month_window(config.last_month, tz)
-    day = start_ts.local_date(tz)
-    last_day = Timestamp(end_ts.epoch_ms - 1).local_date(tz)
+    day = month_days(config.first_month)[0]
+    last_day = month_days(config.last_month)[1] - dt.timedelta(days=1)
+    start_ms = _midnight(day, zone)
     first_trip_ms: int | None = None
 
     while day <= last_day:
@@ -623,7 +632,8 @@ def _gen_driver(
             dropoff_ms = clock.claim(dropoff_ms)
             minutes = (dropoff_ms - pickup_ms) / 60_000.0
 
-            year = Timestamp(pickup_ms).year(tz)
+            year = _local_date(pickup_ms, zone).year
+            drop_month = month_of(_local_date(dropoff_ms, zone))
             if era is Era.DYNAMIC_PRICING:
                 fare_pence = max(int(round(config.dynamic_per_min_pence * minutes)), 100)
                 raw_share = (
@@ -654,7 +664,7 @@ def _gen_driver(
                 fare_out = Money(fare_pence)
 
             distance = max(round(distance, 2), 0.1)
-            if pay_factor != 1.0 and Timestamp(dropoff_ms).month(tz) in post_months:
+            if pay_factor != 1.0 and drop_month in post_months:
                 pay_pence = max(int(round(pay_pence * pay_factor)), 1)
 
             airport = rng.random() < config.airport_prob
@@ -682,7 +692,7 @@ def _gen_driver(
             )
             trips.append(trip)
             n_completed += 1
-            active_months.add(Timestamp(dropoff_ms).month(tz))
+            active_months.add(drop_month)
             if first_trip_ms is None:
                 first_trip_ms = request_ms
             en_iv.append((accept_ms, pickup_ms))
@@ -728,7 +738,7 @@ def _gen_driver(
 
     profile = DriverProfile(
         driver_id=driver_id,
-        first_trip_ts=Timestamp(first_trip_ms if first_trip_ms is not None else start_ts.epoch_ms),
+        first_trip_ts=Timestamp(first_trip_ms if first_trip_ms is not None else start_ms),
         gender=gender,
         age_band=age_band,
     )
@@ -744,11 +754,11 @@ def _gen_driver(
     # weekly truth: ledger pence and per-state hours from the native schedule
     pay_weeks: dict[str, int] = {}
     for p in payments:
-        week = p.ts.iso_week(tz)
+        week = iso_week_label(_local_date(p.ts.epoch_ms, zone))
         pay_weeks[week] = pay_weeks.get(week, 0) + p.amount.pence
-    sess_w = _week_totals(session_iv, tz)
-    en_w = _week_totals(en_iv, tz)
-    on_w = _week_totals(on_iv, tz)
+    sess_w = _week_totals(session_iv, zone)
+    en_w = _week_totals(en_iv, zone)
+    on_w = _week_totals(on_iv, zone)
     weekly: dict[str, dict] = {}
     for week in sorted(set(pay_weeks) | set(sess_w)):
         sess_ms = sess_w.get(week, 0)

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
-    DEFAULT_TIMEZONE,
+    CALENDAR,
     ActivityState,
     AppSession,
     MS_PER_HOUR,
     Money,
     PaymentEvent,
-    Timestamp,
     TripRecord,
     TripStatus,
-    local_midnight,
     month_days,
 )
 
@@ -201,37 +199,24 @@ class TimeLedger:
         return [self.pay[day] for day in _each_day(period) if day in self.pay]
 
 
-def build_ledger(
-    segments: Iterable[Segment],
-    payments: Iterable[PaymentEvent],
-    tz: str = DEFAULT_TIMEZONE,
-) -> TimeLedger:
+def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) -> TimeLedger:
     """Split every segment at local midnights and date every payment.
 
     Segments may come in any order; overlapping ones each count in full. Two
     currencies on one date raise.
     """
-    day, lo, hi = dt.date.min, 0, 0  # the last date looked up and its [lo, hi)
-
-    def locate(ms: int) -> None:
-        nonlocal day, lo, hi
-        if not lo <= ms < hi:
-            day = Timestamp(ms).local_date(tz)
-            lo = local_midnight(day, tz).epoch_ms
-            hi = local_midnight(day + _ONE_DAY, tz).epoch_ms
-
     time: dict[dt.date, list[int]] = {}
     for start, end, state in segments:
         slot = _SLOT[state]
         while start < end:
-            locate(start)
-            cut = min(end, hi)
+            day, _, stop = CALENDAR.day(start)
+            cut = min(end, stop)
             time.setdefault(day, [0] * len(_STATES))[slot] += cut - start
             start = cut
 
     pay: dict[dt.date, Money] = {}
     for p in payments:
-        locate(p.ts.epoch_ms)
+        day = CALENDAR.day(p.ts.epoch_ms)[0]
         pay[day] = pay.get(day, Money(0, p.amount.currency)) + p.amount
     return TimeLedger(time, pay)
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import datetime as dt
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import pytest
 
@@ -26,6 +28,20 @@ def instant(iso: str) -> Timestamp:
 
 
 BASE = instant("2021-03-02T09:00:00Z")  # fixed-commission era
+
+# The tests date instants with zoneinfo itself, independently of model.Calendar.
+LONDON = ZoneInfo("Europe/London")
+
+
+def london(ts: Timestamp) -> dt.datetime:
+    """The London wall-clock time of an instant, to the second."""
+    return dt.datetime.fromtimestamp(ts.epoch_ms // 1000, LONDON)
+
+
+def london_midnight(day: dt.date) -> int:
+    """The instant at which ``day`` begins in London."""
+    start = dt.datetime(day.year, day.month, day.day, tzinfo=LONDON)
+    return Timestamp.from_datetime(start).epoch_ms
 
 
 def at(minutes: float) -> Timestamp:

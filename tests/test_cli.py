@@ -240,6 +240,20 @@ def test_audit_bad_rpi_file_is_a_config_error(bundles, tmp_path, caplog):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-150"])
+def test_audit_rpi_value_out_of_range_is_a_config_error(bundles, tmp_path, caplog, value):
+    # 2021-03 lies between the fleet's months and the base month, so the
+    # inflation adjustment reads it
+    text = (bundles / "rpi.csv").read_text()
+    assert "\n2021-03,3\n" in text
+    rpi = tmp_path / "rpi.csv"
+    rpi.write_text(text.replace("\n2021-03,3\n", f"\n2021-03,{value}\n"))
+    rc = main(["audit", str(bundles), "--out", str(tmp_path / "o"), "--rpi", str(rpi)])
+    assert rc == 2
+    assert "bad rpi file" in caplog.text and "2021-03" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 def _worker_dies(directory, options):
     os._exit(1)
 

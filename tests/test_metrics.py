@@ -37,11 +37,12 @@ from fareaudit.model import (
     Timestamp,
     TripRecord,
     TripStatus,
+    iso_week_label,
     month_days,
     month_range,
 )
 from fareaudit.worktime import HoursDefinition, build_ledger, build_segments
-from conftest import at, instant, offer, payment, trip
+from conftest import at, instant, london, offer, payment, trip
 
 MIN = 60_000
 
@@ -89,7 +90,7 @@ def test_weekly_pay_sums_all_categories_signed():
         payment(ts_min=30.0, amount="-2.00", category=PaymentCategory.ADJUSTMENT),
     ]
     (row,) = weekly_rows("d1", build_ledger([], pays))
-    assert row.iso_week == pays[0].ts.iso_week()
+    assert row.iso_week == iso_week_label(london(pays[0].ts).date())
     assert row.net_pay.pence == 650
 
 

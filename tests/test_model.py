@@ -1,10 +1,16 @@
+import ast
 import datetime as dt
+import math
+from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fareaudit
 from fareaudit.model import (
     DEFAULT_ERAS,
+    Calendar,
     CurrencyMismatch,
     Era,
     EraBoundaries,
@@ -17,13 +23,14 @@ from fareaudit.model import (
     era_of,
     iso_week_label,
     month_add,
+    month_days,
     month_index,
+    month_of,
     month_range,
-    month_window,
     parse_iso_week,
     sum_money,
+    week_days,
     week_monday,
-    week_window,
 )
 from conftest import at, instant, trip
 
@@ -84,20 +91,47 @@ def test_timestamp_naive_interpreted_utc():
     assert naive == Timestamp.parse("2021-03-02T09:00:00Z")[0]
 
 
+def utc_ms(*fields: int) -> int:
+    return Timestamp.from_datetime(dt.datetime(*fields, tzinfo=dt.timezone.utc)).epoch_ms
+
+
+MS_YEAR_1 = utc_ms(1, 1, 1)
+MS_YEAR_1000 = utc_ms(1000, 1, 1)
+MS_LAST = utc_ms(9999, 12, 31, 23, 59, 59, 999_000)  # the last millisecond of 9999
+
+
+@given(st.integers(MS_YEAR_1, MS_LAST))
+@example(-1)
+@example(0)
+@example(MS_YEAR_1)
+@example(MS_LAST)
+def test_iso_round_trips_through_parse(ms):
+    ts = Timestamp(ms)
+    assert Timestamp.parse(ts.iso()) == (ts, False)
+
+
+@given(st.integers(MS_YEAR_1000, MS_LAST))
+@example(-1)
+def test_iso_matches_strftime_for_four_digit_years(ms):
+    d = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc) + dt.timedelta(milliseconds=ms)
+    want = d.strftime("%Y-%m-%dT%H:%M:%S.") + f"{d.microsecond // 1000:03d}Z"
+    assert Timestamp(ms).iso() == want
+
+
 def test_local_calendar_fields_respect_timezone():
     # 23:30 UTC on 30 June is 00:30 on 1 July in London (BST)
     ts = instant("2021-06-30T23:30:00Z")
-    assert ts.month("Europe/London") == "2021-07"
-    assert ts.month("UTC") == "2021-06"
+    assert month_of(Calendar("Europe/London").day(ts.epoch_ms)[0]) == "2021-07"
+    assert month_of(Calendar("UTC").day(ts.epoch_ms)[0]) == "2021-06"
 
 
 def test_month_helpers():
     assert month_index("2021-01") + 1 == month_index("2021-02")
     assert month_add("2021-11", 3) == "2022-02"
     assert month_range("2021-11", "2022-01") == ["2021-11", "2021-12", "2022-01"]
-    lo, hi = month_window("2021-03", "UTC")
-    assert lo.iso() == "2021-03-01T00:00:00.000Z"
-    assert hi.iso() == "2021-04-01T00:00:00.000Z"
+    lo, hi = (Calendar("UTC").midnight(day) for day in month_days("2021-03"))
+    assert Timestamp(lo).iso() == "2021-03-01T00:00:00.000Z"
+    assert Timestamp(hi).iso() == "2021-04-01T00:00:00.000Z"
 
 
 def test_iso_week_helpers():
@@ -105,14 +139,120 @@ def test_iso_week_helpers():
     assert iso_week_label(dt.date(2021, 1, 1)) == "2020-W53"
     assert week_monday("2020-W53") == dt.date(2020, 12, 28)
     assert parse_iso_week("2021-W07") == (2021, 7)
-    lo, hi = week_window("2021-W09", "UTC")
-    assert (hi.epoch_ms - lo.epoch_ms) == 7 * 24 * 3600 * 1000
+    lo, hi = (Calendar("UTC").midnight(day) for day in week_days("2021-W09"))
+    assert hi - lo == 7 * 24 * 3600 * 1000
 
 
 def test_week_window_dst_transition_is_not_168h():
     # clocks go forward 2021-03-28 in London; that week is an hour short
-    lo, hi = week_window("2021-W12", "Europe/London")
-    assert (hi.epoch_ms - lo.epoch_ms) == (7 * 24 - 1) * 3600 * 1000
+    lo, hi = (Calendar("Europe/London").midnight(day) for day in week_days("2021-W12"))
+    assert hi - lo == (7 * 24 - 1) * 3600 * 1000
+
+
+# The calendar against zoneinfo. Lord Howe shifts by 30 minutes, at 02:00.
+CALENDAR_ZONES = ("Europe/London", "America/New_York", "Australia/Lord_Howe")
+S_1990 = 631_152_000  # 1990-01-01T00:00:00Z
+S_2041 = 2_240_524_800  # 2041-01-01T00:00:00Z
+DAY_S = 86_400
+
+
+def offset_changes(tz: str) -> list[int]:
+    """Every instant (epoch seconds) from 1990 to 2040 at which ``tz`` changes offset."""
+    zone = ZoneInfo(tz)
+
+    def offset(s: int) -> dt.timedelta:
+        return dt.datetime.fromtimestamp(s, zone).utcoffset()
+
+    out = []
+    for day in range(S_1990, S_2041, DAY_S):  # at most one change a day
+        lo, hi = day, day + DAY_S
+        if offset(lo) != offset(hi):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if offset(mid) == offset(lo) else (lo, mid)
+            out.append(hi)
+    return out
+
+
+CHANGES = {tz: offset_changes(tz) for tz in CALENDAR_ZONES}
+CALENDARS = {tz: Calendar(tz) for tz in CALENDAR_ZONES}  # shared, as the pipeline's is
+
+
+def check_calendar(tz: str, ms: int) -> None:
+    zone = ZoneInfo(tz)
+
+    def local(instant_ms: int) -> dt.datetime:
+        return dt.datetime.fromtimestamp(instant_ms // 1000, zone)
+
+    calendar = CALENDARS[tz]
+    want = local(ms)
+    day, start, stop = calendar.day(ms)
+    assert day == want.date()
+    # [start, stop) is exactly the run of instants whose local date is day
+    assert start <= ms < stop
+    assert local(start).date() == day > local(start - 1).date()
+    assert local(stop - 1).date() == day < local(stop).date()
+    assert month_of(day) == f"{want.year:04d}-{want.month:02d}"
+    year, week, weekday = want.isocalendar()
+    assert iso_week_label(day) == f"{year:04d}-W{week:02d}"
+    assert (day.year, day.weekday() + 1) == (want.year, weekday)
+    assert calendar.hour(ms) == want.hour
+    assert calendar.midnight(day) == start
+
+
+def test_calendar_zones_change_offset_twice_a_year():
+    for tz, changes in CHANGES.items():
+        assert len(changes) == 2 * 51, tz
+
+
+@pytest.mark.parametrize("tz", CALENDAR_ZONES)
+def test_calendar_matches_zoneinfo_at_every_offset_change(tz):
+    for change_s in CHANGES[tz]:
+        for delta_ms in (-3_600_001, -1, 0, 1, 1_799_999, 3_600_000):
+            check_calendar(tz, change_s * 1000 + delta_ms)
+
+
+@pytest.mark.parametrize("tz", CALENDAR_ZONES)
+def test_calendar_matches_zoneinfo_across_new_year(tz):
+    # each year's dates are read in one piece, so step over the seams both ways
+    zone = ZoneInfo(tz)
+    for year in range(1990, 2042):
+        new_year = Timestamp.from_datetime(dt.datetime(year, 1, 1, tzinfo=zone)).epoch_ms
+        for ms in (new_year - 1, new_year, new_year - 1, new_year + 1):
+            check_calendar(tz, ms)
+
+
+@given(
+    st.sampled_from(CALENDAR_ZONES).flatmap(
+        lambda tz: st.tuples(
+            st.just(tz),
+            st.one_of(
+                st.sampled_from(CHANGES[tz]).flatmap(
+                    lambda s: st.integers(s * 1000 - 2 * DAY_S * 1000, s * 1000 + 2 * DAY_S * 1000)
+                ),
+                st.integers(S_1990 * 1000, S_2041 * 1000 - 1),
+            ),
+        )
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_calendar_matches_zoneinfo(zoned):
+    check_calendar(*zoned)
+
+
+def test_only_the_calendar_and_the_generator_import_zoneinfo():
+    importers = set()
+    for path in Path(fareaudit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "zoneinfo" for m in modules):
+                importers.add(path.name)
+    assert importers == {"model.py", "synthgen.py"}
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +307,8 @@ def test_era_of_matches_local_month_labels(pair, near, offset_ms):
     else:
         centre = instant(near).epoch_ms
     ts = Timestamp(centre + offset_ms)
-    label = month_index(ts.month(boundaries.tz))
+    local = dt.datetime.fromtimestamp(ts.epoch_ms // 1000, ZoneInfo(boundaries.tz))
+    label = local.year * 12 + local.month - 1
     if label < month_index(pair[0]):
         expected = Era.FIXED_COMMISSION
     elif label < month_index(pair[1]):
@@ -238,6 +379,12 @@ def test_rpi_requires_contiguous_months():
         RpiSeries({"2021-01": 1.0, "2021-03": 2.0})
     series = RpiSeries({"2021-02": 2.0, "2021-01": 1.0})
     assert list(series.yoy_pct) == ["2021-01", "2021-02"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -100.0, -150.0])
+def test_rpi_rejects_non_finite_or_total_deflation(bad):
+    with pytest.raises(RecordError):
+        RpiSeries({"2021-01": 1.0, "2021-02": bad})
 
 
 def test_rpi_from_csv(tmp_path):

@@ -18,7 +18,7 @@ from fareaudit.predictability import (
     stack_blocks,
     year_matrix,
 )
-from conftest import instant, trip
+from conftest import instant, london, trip
 
 MIN = 60_000
 
@@ -256,7 +256,7 @@ def test_stacked_blocks_equal_the_fleet_feature_matrix():
     assert sorted(matrices) == [2020, 2021]
     for year, (X, y) in matrices.items():
         want_X, want_y = feature_matrix(
-            [lt for lt in everyone if lt.trip.dropoff_ts.year() == year], want_schema
+            [lt for lt in everyone if london(lt.trip.dropoff_ts).year == year], want_schema
         )
         assert np.array_equal(X, want_X)
         assert np.array_equal(y, want_y)

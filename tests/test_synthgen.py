@@ -17,6 +17,7 @@ from fareaudit.synthgen import (
     generate,
     load_ground_truth,
 )
+from conftest import london
 
 
 def tree_digest(root: Path) -> str:
@@ -227,8 +228,8 @@ def test_switch_rule_changes_fixed_era_fares(tmp_path):
     truth = load_ground_truth(tmp_path)
     (driver_id,) = truth["drivers"]
     bundle, _ = normalize(load_bundle(tmp_path / driver_id))
-    pre = [t for t in bundle.trips if t.dropoff_ts and t.dropoff_ts.year() < 2021]
-    post = [t for t in bundle.trips if t.dropoff_ts and t.dropoff_ts.year() >= 2021]
+    pre = [t for t in bundle.trips if t.dropoff_ts and london(t.dropoff_ts).year < 2021]
+    post = [t for t in bundle.trips if t.dropoff_ts and london(t.dropoff_ts).year >= 2021]
     assert pre and post
 
     def rule_residual(trips, rule):

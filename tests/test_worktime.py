@@ -1,5 +1,4 @@
 import datetime as dt
-from zoneinfo import ZoneInfo
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,9 +11,7 @@ from fareaudit.model import (
     Timestamp,
     TripStatus,
     month_days,
-    month_window,
     week_days,
-    week_window,
 )
 from fareaudit.worktime import (
     HoursDefinition,
@@ -25,7 +22,7 @@ from fareaudit.worktime import (
     subtract_intervals,
     utilisation_daily,
 )
-from conftest import at, instant, segment, session, trip
+from conftest import at, instant, london, london_midnight, segment, session, trip
 
 MIN = 60_000
 DAY = dt.timedelta(days=1)
@@ -294,11 +291,6 @@ def clip_and_sum_hours(segments, lo_ms, hi_ms, definition):
     return total / 3_600_000
 
 
-def london_midnight(day: dt.date) -> int:
-    start = dt.datetime(day.year, day.month, day.day, tzinfo=ZoneInfo("Europe/London"))
-    return Timestamp.from_datetime(start).epoch_ms
-
-
 # Periods are runs of whole local dates, so the drawn windows are day offsets
 # from conftest's base date; segments cross midnights and the 2021-03-28
 # clock change (26 days after the base).
@@ -361,9 +353,9 @@ def test_weekly_rows_hours_match_clip_and_sum(raw):
     while monday < dt.date(2021, 5, 10):
         year, number, _ = monday.isocalendar()
         week = f"{year:04d}-W{number:02d}"
-        lo, hi = week_window(week)
-        tribunal = clip_and_sum_hours(segments, lo.epoch_ms, hi.epoch_ms, HoursDefinition.TRIBUNAL)
-        platform = clip_and_sum_hours(segments, lo.epoch_ms, hi.epoch_ms, HoursDefinition.PLATFORM)
+        lo, hi = (london_midnight(day) for day in week_days(week))
+        tribunal = clip_and_sum_hours(segments, lo, hi, HoursDefinition.TRIBUNAL)
+        platform = clip_and_sum_hours(segments, lo, hi, HoursDefinition.PLATFORM)
         if tribunal > 0:
             want[week] = (tribunal, platform)
         monday += dt.timedelta(days=7)
@@ -427,33 +419,32 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
 
     def want_ms(state, lo, hi):
         return sum(
-            max(0, min(end, hi.epoch_ms) - max(start, lo.epoch_ms))
+            max(0, min(end, hi) - max(start, lo))
             for start, end, seg_state in segments
             if seg_state is state
         )
 
     def want_pence(lo, hi):
-        return sum(
-            p.amount.pence for p in payments if lo.epoch_ms <= p.ts.epoch_ms < hi.epoch_ms
-        )
+        return sum(p.amount.pence for p in payments if lo <= p.ts.epoch_ms < hi)
 
-    for label, period, (lo, hi) in [
-        (week, week_days(week), week_window(week)) for week in LEDGER_WEEKS
-    ] + [(month, month_days(month), month_window(month)) for month in LEDGER_MONTHS]:
+    for label, period in [(week, week_days(week)) for week in LEDGER_WEEKS] + [
+        (month, month_days(month)) for month in LEDGER_MONTHS
+    ]:
+        lo, hi = (london_midnight(day) for day in period)
         got = ledger.state_ms(period)
         for state in ActivityState:
             assert got[state] == want_ms(state, lo, hi), (label, state)
         assert sum(m.pence for m in ledger.day_pay(period)) == want_pence(lo, hi), label
 
     for month in LEDGER_MONTHS:
-        lo, hi = month_window(month)
+        lo, hi = (london_midnight(day) for day in month_days(month))
         active = set()
         for start, end, _state in segments:
-            s = max(start, lo.epoch_ms)
-            e = min(end, hi.epoch_ms)
+            s = max(start, lo)
+            e = min(end, hi)
             if e > s:
-                day = Timestamp(s).local_date()
-                while day <= Timestamp(e - 1).local_date():
+                day = london(Timestamp(s)).date()
+                while day <= london(Timestamp(e - 1)).date():
                     active.add(day)
                     day += DAY
         assert utilisation_daily(ledger, month).active_days == len(active), month
