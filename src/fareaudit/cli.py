@@ -99,7 +99,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
             weeks=tuple(args.weeks) if args.weeks else None,
             cohort_pre=args.cohort_pre,
             cohort_post=args.cohort_post,
-            charts=args.charts,
         )
         options.boundaries  # validates ordering early
     except AuditError as exc:

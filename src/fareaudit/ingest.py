@@ -4,6 +4,8 @@ A bundle is one directory per driver holding ``trips.csv``, ``payments.csv``,
 ``dispatches.csv``, ``sessions.csv`` and ``profile.csv`` (UTF-8, header row
 required; only trips and payments are mandatory). Column headers are resolved
 through a ColumnMap so hand-mapped real exports can reuse the same loader.
+Amounts are pounds with at most two decimals, read into integer pence; a
+payment row in a currency other than GBP is quarantined.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .model import (
     DispatchOffer,
     DriverProfile,
     EraBoundaries,
-    Money,
     PaymentCategory,
     PaymentEvent,
     RecordError,
@@ -29,6 +30,8 @@ from .model import (
     TripRecord,
     TripStatus,
     era_of,
+    format_pence,
+    parse_pence,
     trip_anchor,
 )
 
@@ -40,6 +43,7 @@ TABLE_FILES = {
     "profile": "profile.csv",
 }
 REQUIRED_TABLES = ("trips", "payments")
+CURRENCY = "GBP"  # of every amount; a payment row in any other is quarantined
 
 # fields that may be absent as whole columns; they then take their defaults
 OPTIONAL_FIELDS = {
@@ -304,9 +308,7 @@ def _parse_trip(row: Mapping[str, str], driver_id: str, ctx: _RowContext) -> Tri
         dropoff_ts=ctx.opt_ts(row["dropoff_ts"]),
         distance_miles=float(row["distance_miles"]) if row["distance_miles"] else 0.0,
         status=TripStatus(row["status"]),
-        original_fare=Money.parse(row["original_fare"], row.get("currency") or "GBP")
-        if row["original_fare"]
-        else None,
+        original_fare=parse_pence(row["original_fare"]) if row["original_fare"] else None,
         origin_tag=row["origin_tag"],
         dest_tag=row["dest_tag"],
         product=row["product"],
@@ -314,11 +316,13 @@ def _parse_trip(row: Mapping[str, str], driver_id: str, ctx: _RowContext) -> Tri
 
 
 def _parse_payment(row: Mapping[str, str], driver_id: str, ctx: _RowContext) -> PaymentEvent:
+    if row["currency"] not in ("", CURRENCY):
+        raise RecordError(f"currency {row['currency']!r} is not {CURRENCY}")
     return PaymentEvent(
         driver_id=driver_id,
         ts=ctx.ts(row["ts"]),
         category=PaymentCategory(row["category"]),
-        amount=Money.parse(row["amount"], row.get("currency") or "GBP"),
+        amount=parse_pence(row["amount"]),
         memo=row["memo"] or None,
     )
 
@@ -442,7 +446,7 @@ def _trip_key(t: TripRecord) -> tuple:
         t.dropoff_ts or t.request_ts,
         t.status.value,
         t.distance_miles,
-        t.original_fare.pence if t.original_fare else -1,
+        t.original_fare if t.original_fare is not None else -1,
         t.origin_tag,
         t.dest_tag,
         t.product,
@@ -450,7 +454,7 @@ def _trip_key(t: TripRecord) -> tuple:
 
 
 def _payment_key(p: PaymentEvent) -> tuple:
-    return (p.ts, p.category.value, p.amount.pence, p.amount.currency, p.memo or "")
+    return (p.ts, p.category.value, p.amount, p.memo or "")
 
 
 def _dispatch_key(d: DispatchOffer) -> tuple:
@@ -477,7 +481,7 @@ def trip_row(t: TripRecord) -> dict[str, str]:
         "dropoff_ts": _fmt_ts(t.dropoff_ts),
         "distance_miles": repr(t.distance_miles),
         "status": t.status.value,
-        "original_fare": str(t.original_fare) if t.original_fare else "",
+        "original_fare": "" if t.original_fare is None else format_pence(t.original_fare),
         "origin_tag": t.origin_tag,
         "dest_tag": t.dest_tag,
         "product": t.product,
@@ -488,8 +492,8 @@ def payment_row(p: PaymentEvent) -> dict[str, str]:
     return {
         "ts": _fmt_ts(p.ts),
         "category": p.category.value,
-        "amount": str(p.amount),
-        "currency": p.amount.currency,
+        "amount": format_pence(p.amount),
+        "currency": CURRENCY,
         "memo": p.memo or "",
     }
 

@@ -16,12 +16,10 @@ from .model import (
     AuditError,
     Era,
     EraBoundaries,
-    Money,
     PaymentCategory,
     PaymentEvent,
     TripRecord,
     era_of,
-    sum_money,
     trip_anchor,
 )
 
@@ -38,8 +36,8 @@ class LinkedTrip:
 
     trip: TripRecord
     earnings: tuple[PaymentEvent, ...]
-    driver_total: Money
-    rider_fare: Money | None
+    driver_total: int  # pence
+    rider_fare: int | None  # pence
     driver_share: float | None
     platform_share: float | None
 
@@ -56,23 +54,23 @@ class LinkResult:
     unmatched_payments: tuple[PaymentEvent, ...]
 
 
-def split_fraction(driver_total: Money, rider_fare: Money) -> tuple[float, float]:
+def split_fraction(driver_total: int, rider_fare: int) -> tuple[float, float]:
     """Driver and platform shares of the rider fare.
 
     The driver share can exceed 1 (platform share negative) when the payout
     tops the fare.
     """
-    if rider_fare.pence == 0:
+    if rider_fare == 0:
         raise ZeroFare("rider fare is zero")
-    driver = driver_total.pence / rider_fare.pence
+    driver = driver_total / rider_fare
     return driver, 1.0 - driver
 
 
 def _try_split(
-    trip: TripRecord, total: Money, boundaries: EraBoundaries
+    trip: TripRecord, total: int, boundaries: EraBoundaries
 ) -> tuple[float | None, float | None]:
     fare = trip.original_fare
-    if fare is None or fare.pence <= 0:
+    if fare is None or fare <= 0:
         return None, None
     if era_of(trip_anchor(trip), boundaries) is Era.OPAQUE_GAP:
         return None, None
@@ -105,7 +103,7 @@ def link(
     )
     earnings = sorted(
         (p for p in payments if p.category is PaymentCategory.TRIP_EARNINGS),
-        key=lambda p: (p.ts.epoch_ms, p.amount.pence, p.amount.currency, p.memo or ""),
+        key=lambda p: (p.ts.epoch_ms, p.amount, p.memo or ""),
     )
 
     drop_ms = [t.dropoff_ts.epoch_ms for t in candidates]
@@ -126,7 +124,7 @@ def link(
         if not events:
             unmatched_trips.append(trip)
             continue
-        total = sum_money(e.amount for e in events)
+        total = sum(e.amount for e in events)
         d_share, p_share = _try_split(trip, total, boundaries)
         linked.append(
             LinkedTrip(
@@ -144,7 +142,7 @@ def link(
 def _trip_fingerprint(t: TripRecord) -> tuple:
     return (
         t.distance_miles,
-        t.original_fare.pence if t.original_fare else -1,
+        t.original_fare if t.original_fare is not None else -1,
         t.origin_tag,
         t.dest_tag,
         t.product,

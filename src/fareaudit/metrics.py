@@ -26,7 +26,6 @@ from .model import (
     DriverProfile,
     Era,
     EraBoundaries,
-    Money,
     RecordError,
     RpiSeries,
     TripRecord,
@@ -37,7 +36,6 @@ from .model import (
     month_label,
     month_of,
     month_range,
-    sum_money,
     trip_anchor,
     week_days,
     week_monday,
@@ -67,7 +65,7 @@ class NoOffers(AuditError):
 class WeeklyPayRow:
     driver_id: str
     iso_week: str
-    net_pay: Money
+    net_pay: int  # pence
     hours_tribunal: float
     hours_platform: float
 
@@ -88,9 +86,8 @@ def weekly_rows(driver_id: str, ledger: TimeLedger) -> tuple[WeeklyPayRow, ...]:
         period = week_days(week)
         tribunal = hours_worked(ledger, period, HoursDefinition.TRIBUNAL)
         platform = hours_worked(ledger, period, HoursDefinition.PLATFORM)
-        amounts = ledger.day_pay(period)
-        net = sum_money(amounts, amounts[0].currency) if amounts else Money(0)
-        if net.pence == 0 and tribunal == 0.0:
+        net = sum(ledger.day_pay(period))
+        if net == 0 and tribunal == 0.0:
             continue
         rows.append(WeeklyPayRow(driver_id, week, net, tribunal, platform))
     return tuple(rows)
@@ -107,7 +104,7 @@ def pay_per_hour(
     for row in rows:
         if weeks is not None and row.iso_week not in weeks:
             continue
-        pence += row.net_pay.pence
+        pence += row.net_pay
         hours += (
             row.hours_tribunal
             if definition is HoursDefinition.TRIBUNAL
@@ -207,8 +204,8 @@ class TripColumns:
             "month": [d.year * 12 + d.month - 1 for d in days],
             "era": [ERAS.index(era_of(a, boundaries)) for a in anchors],
             "share": [lt.driver_share for lt in valid],
-            "driver_pence": [lt.driver_total.pence for lt in valid],
-            "fare_pence": [lt.rider_fare.pence for lt in valid],
+            "driver_pence": [lt.driver_total for lt in valid],
+            "fare_pence": [lt.rider_fare for lt in valid],
             "on_trip_minutes": [lt.trip.on_trip_minutes for lt in valid],
         }
         return cls(driver_ids, **{k: np.array(v, _DTYPES[k]) for k, v in values.items()})

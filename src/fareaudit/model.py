@@ -1,4 +1,4 @@
-"""Core domain types shared by the whole toolkit: money, timestamps, eras, records.
+"""Core domain types shared by the whole toolkit: pence, timestamps, eras, records.
 
 Everything here is immutable after construction and safe to share across
 parallel workers.
@@ -14,7 +14,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 from zoneinfo import ZoneInfo
 
 DEFAULT_TIMEZONE = "Europe/London"
@@ -39,78 +39,36 @@ class RecordError(AuditError, ValueError):
     """A record or value violates its own invariants."""
 
 
-class CurrencyMismatch(RecordError):
-    pass
-
-
 class MoneyParseError(RecordError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# Money
+# Amounts: every amount is an int of pence, in the audit's one currency, GBP
 
 
 _MONEY_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d{1,2}))?$")
 
 
-@dataclass(frozen=True, slots=True)
-class Money:
-    """An exact signed amount in integer minor units (pence)."""
+def parse_pence(text: str) -> int:
+    """Parse a decimal pounds string ("12.34") exactly into pence.
 
-    pence: int
-    currency: str = "GBP"
-
-    @classmethod
-    def parse(cls, text: str, currency: str = "GBP") -> "Money":
-        """Parse a decimal major-unit string ("12.34") exactly.
-
-        At most two fraction digits are accepted; anything else is rejected so
-        that sums stay bit-reproducible.
-        """
-        m = _MONEY_RE.match(text.strip())
-        if m is None:
-            raise MoneyParseError(f"not a money amount: {text!r}")
-        sign, whole, frac = m.groups()
-        pence = int(whole) * 100 + int((frac or "").ljust(2, "0"))
-        if sign == "-":
-            pence = -pence
-        return cls(pence, currency)
-
-    def _check(self, other: "Money") -> None:
-        if self.currency != other.currency:
-            raise CurrencyMismatch(f"{self.currency} vs {other.currency}")
-
-    def __add__(self, other: "Money") -> "Money":
-        self._check(other)
-        return Money(self.pence + other.pence, self.currency)
-
-    def __sub__(self, other: "Money") -> "Money":
-        self._check(other)
-        return Money(self.pence - other.pence, self.currency)
-
-    def __neg__(self) -> "Money":
-        return Money(-self.pence, self.currency)
-
-    def __lt__(self, other: "Money") -> bool:
-        self._check(other)
-        return self.pence < other.pence
-
-    def __le__(self, other: "Money") -> bool:
-        self._check(other)
-        return self.pence <= other.pence
-
-    def __str__(self) -> str:
-        sign = "-" if self.pence < 0 else ""
-        whole, frac = divmod(abs(self.pence), 100)
-        return f"{sign}{whole}.{frac:02d}"
+    At most two fraction digits are accepted; anything else is rejected so
+    that sums stay bit-reproducible.
+    """
+    m = _MONEY_RE.match(text.strip())
+    if m is None:
+        raise MoneyParseError(f"not a money amount: {text!r}")
+    sign, whole, frac = m.groups()
+    pence = int(whole) * 100 + int((frac or "").ljust(2, "0"))
+    return -pence if sign == "-" else pence
 
 
-def sum_money(amounts: Iterable[Money], currency: str = "GBP") -> Money:
-    total = Money(0, currency)
-    for a in amounts:
-        total = total + a
-    return total
+def format_pence(pence: int) -> str:
+    """Pounds text of an amount in pence, the form ``parse_pence`` reads back."""
+    sign = "-" if pence < 0 else ""
+    whole, frac = divmod(abs(pence), 100)
+    return f"{sign}{whole}.{frac:02d}"
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +330,7 @@ class TripRecord:
     dropoff_ts: Timestamp | None
     distance_miles: float
     status: TripStatus
-    original_fare: Money | None = None
+    original_fare: int | None = None  # pence
     origin_tag: str = ""
     dest_tag: str = ""
     product: str = ""
@@ -407,7 +365,7 @@ class PaymentEvent:
     driver_id: str
     ts: Timestamp
     category: PaymentCategory
-    amount: Money
+    amount: int  # pence
     memo: str | None = None
 
 

@@ -145,7 +145,7 @@ def featurize(linked: LinkedTrip, schema: FeatureSchema) -> tuple[np.ndarray, fl
     if column is not None:
         vec[column] = 1.0
 
-    return vec, linked.driver_total.pence / 100.0
+    return vec, linked.driver_total / 100.0
 
 
 def feature_matrix(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -73,7 +73,6 @@ class AuditOptions:
     weeks: tuple[str, ...] | None = None
     cohort_pre: tuple[str, str] | None = None
     cohort_post: tuple[str, str] | None = None
-    charts: bool = False
     features_only: bool = False  # predict: stop after linkage with feature blocks
 
     @property
@@ -116,7 +115,7 @@ def _ledger_months(ledger: TimeLedger) -> dict[str, LedgerMonth]:
     pay: dict[str, int] = {}
     for day, amount in ledger.pay.items():
         month = month_of(day)
-        pay[month] = pay.get(month, 0) + amount.pence
+        pay[month] = pay.get(month, 0) + amount
     out = {}
     for month in sorted(pay.keys() | {month_of(day) for day in ledger.time}):
         period = month_days(month)
@@ -215,7 +214,7 @@ def _weekly_pooled(rows: Sequence[WeeklyPayRow]) -> dict:
     for week in sorted(by_week):
         group = by_week[week]
         out[week] = {
-            "net_pay_pounds": sum(r.net_pay.pence for r in group) / 100.0,
+            "net_pay_pounds": sum(r.net_pay for r in group) / 100.0,
             "hours_tribunal": sum(r.hours_tribunal for r in group),
             "hours_platform": sum(r.hours_platform for r in group),
             "rate_tribunal": _pooled_rate(group, HoursDefinition.TRIBUNAL, None),
@@ -259,19 +258,9 @@ def _take_rate_section(trips: TripColumns) -> dict:
     for month, share in zip(trips.month.tolist(), trips.share.tolist()):
         monthly.setdefault(month_label(month), []).append(share)
 
-    def stats_dict(group_by: str) -> dict:
-        s = take_rate_stats(trips, group_by)
-        return {
-            "mean": s.mean,
-            "median": s.median,
-            "drivers_at_or_above_075": s.drivers_at_or_above_075,
-            "n_trips": s.n_trips,
-            "n_drivers": s.n_drivers,
-        }
-
     return {
-        "by_trip": stats_dict("trip"),
-        "by_driver": stats_dict("driver"),
+        "by_trip": asdict(take_rate_stats(trips, "trip")),
+        "by_driver": asdict(take_rate_stats(trips, "driver")),
         "histogram": hist,
         "monthly_median_share": {
             m: statistics.median(sorted(v)) for m, v in sorted(monthly.items())
@@ -385,7 +374,7 @@ def build_report(
             {
                 "driver_id": row.driver_id,
                 "iso_week": row.iso_week,
-                "net_pay_pounds": row.net_pay.pence / 100.0,
+                "net_pay_pounds": row.net_pay / 100.0,
                 "hours_tribunal": row.hours_tribunal,
                 "hours_platform": row.hours_platform,
             }
@@ -404,30 +393,8 @@ def build_report(
     on_trip_ms = {
         res.driver_id: {m: t.on_trip_ms for m, t in res.months.items()} for res in results
     }
-    report["surplus"] = [
-        {
-            "month": p.month,
-            "value": p.value,
-            "interpolated": p.interpolated,
-            "surplus_pence": p.surplus_pence,
-            "on_trip_hours": p.on_trip_hours,
-        }
-        for p in surplus_series(trips, on_trip_ms)
-    ]
-
-    report["per_minute_by_split"] = [
-        {
-            "label": b.label,
-            "n_trips": b.n_trips,
-            "on_trip_minutes": b.on_trip_minutes,
-            "driver_pence": b.driver_pence,
-            "platform_pence": b.platform_pence,
-            "fare_pence": b.fare_pence,
-            "driver_per_min": b.driver_per_min,
-            "platform_per_min": b.platform_per_min,
-        }
-        for b in per_minute_fare_by_split(trips)
-    ]
+    report["surplus"] = [asdict(p) for p in surplus_series(trips, on_trip_ms)]
+    report["per_minute_by_split"] = [asdict(b) for b in per_minute_fare_by_split(trips)]
 
     report["utilisation"] = _utilisation_section(results)
     report["acceptance"] = _acceptance_section(results)

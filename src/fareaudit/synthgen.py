@@ -5,7 +5,7 @@ directories plus a ground_truth.json recording everything the generator knows
 (trip-payment pairings, segment schedules, realized shares, cohort groups,
 injected corruptions), so pipeline recovery can be asserted exactly.
 
-Money is constructed so that audits land on exact values: fixed-era fares are
+Amounts are constructed so that audits land on exact values: fixed-era fares are
 quantized to multiples of the commission denominator, making pay/fare equal
 1 - c in float division with no tolerance needed.
 """
@@ -33,13 +33,13 @@ from .model import (
     DriverProfile,
     Era,
     EraBoundaries,
-    Money,
     PaymentCategory,
     PaymentEvent,
     Timestamp,
     TripRecord,
     TripStatus,
     era_of,
+    format_pence,
     iso_week_label,
     month_add,
     month_days,
@@ -75,13 +75,6 @@ class FareRule:
             + self.per_mile_pence * distance_miles
             + self.per_min_pence * minutes
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "base_pence": self.base_pence,
-            "per_mile_pence": self.per_mile_pence,
-            "per_min_pence": self.per_min_pence,
-        }
 
 
 @dataclass(frozen=True)
@@ -323,24 +316,12 @@ class DriverTruth:
 class GroundTruth:
     config: dict
     fixed_share: float
-    drivers: dict  # driver_id -> DriverTruth-as-dict
+    drivers: dict[str, DriverTruth]
     dynamic_share_mean: float | None
     dynamic_share_median: float | None
     dynamic_share_n: int
     analytic_bin_probs: dict
     cohort: dict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "fixed_share": self.fixed_share,
-            "drivers": self.drivers,
-            "dynamic_share_mean": self.dynamic_share_mean,
-            "dynamic_share_median": self.dynamic_share_median,
-            "dynamic_share_n": self.dynamic_share_n,
-            "analytic_bin_probs": self.analytic_bin_probs,
-            "cohort": self.cohort,
-        }
 
 
 def load_ground_truth(root: str | Path) -> dict:
@@ -642,7 +623,7 @@ def _gen_driver(
                 )
                 share_true = min(max(raw_share, config.share.lo), config.share.hi)
                 pay_pence = max(int(round(share_true * fare_pence)), 1)
-                fare_out: Money | None = Money(fare_pence)
+                fare_out: int | None = fare_pence
                 distance = config.speed_mph * (minutes / 60.0) * (
                     1.0 + rng.standard_normal() * config.distance_noise_sd
                 )
@@ -661,7 +642,7 @@ def _gen_driver(
                         int(round(pay_pence * (1.0 + rng.standard_normal() * config.pay_noise_sd))),
                         1,
                     )
-                fare_out = Money(fare_pence)
+                fare_out = fare_pence
 
             distance = max(round(distance, 2), 0.1)
             if pay_factor != 1.0 and drop_month in post_months:
@@ -675,7 +656,7 @@ def _gen_driver(
 
             # opaque-gap exports show a driver-side figure in the fare column
             if era is Era.OPAQUE_GAP:
-                fare_out = Money(pay_pence)
+                fare_out = pay_pence
 
             trip = TripRecord(
                 driver_id=driver_id,
@@ -706,13 +687,13 @@ def _gen_driver(
                 driver_id=driver_id,
                 ts=Timestamp(pay_ms),
                 category=PaymentCategory.TRIP_EARNINGS,
-                amount=Money(pay_pence),
+                amount=pay_pence,
                 memo=f"payout#{marker()}",
             )
             payments.append(payment)
 
             request_iso = Timestamp(request_ms).iso()
-            pairs.append([request_iso, Timestamp(pay_ms).iso(), str(Money(pay_pence))])
+            pairs.append([request_iso, Timestamp(pay_ms).iso(), format_pence(pay_pence)])
             if era is not Era.OPAQUE_GAP:
                 realized = pay_pence / fare_pence
                 shares[request_iso] = realized
@@ -721,7 +702,7 @@ def _gen_driver(
 
             if rng.random() < config.tip_prob:
                 tip_ms = clock.claim(dropoff_ms + int((600 + rng.random() * 3000)) * MS)
-                tip = Money(int(rng.integers(50, config.tip_max_pence + 1)))
+                tip = int(rng.integers(50, config.tip_max_pence + 1))
                 payments.append(
                     PaymentEvent(
                         driver_id=driver_id,
@@ -755,7 +736,7 @@ def _gen_driver(
     pay_weeks: dict[str, int] = {}
     for p in payments:
         week = iso_week_label(_local_date(p.ts.epoch_ms, zone))
-        pay_weeks[week] = pay_weeks.get(week, 0) + p.amount.pence
+        pay_weeks[week] = pay_weeks.get(week, 0) + p.amount
     sess_w = _week_totals(session_iv, zone)
     en_w = _week_totals(en_iv, zone)
     on_w = _week_totals(on_iv, zone)
@@ -982,24 +963,7 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
     truth = GroundTruth(
         config=_config_dict(config),
         fixed_share=config.fixed_share_float,
-        drivers={
-            t.driver_id: {
-                "pairs": t.pairs,
-                "shares": t.shares,
-                "weekly": t.weekly,
-                "active_months": t.active_months,
-                "offers_total": t.offers_total,
-                "offers_accepted": t.offers_accepted,
-                "profile": t.profile,
-                "n_trip_rows": t.n_trip_rows,
-                "n_payment_rows": t.n_payment_rows,
-                "n_completed": t.n_completed,
-                "n_cancelled": t.n_cancelled,
-                "pay_factor": t.pay_factor,
-                "corruptions": t.corruptions,
-            }
-            for t in truths
-        },
+        drivers={t.driver_id: t for t in truths},
         dynamic_share_mean=mean,
         dynamic_share_median=median,
         dynamic_share_n=n_dyn,
@@ -1007,7 +971,9 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
         cohort=_cohort_truth(config, truths),
     )
     with open(out_root / "ground_truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth.to_dict(), fh, sort_keys=True, indent=1)
+        # a driver's truth is filed under its id, so the id is not repeated inside
+        payload = asdict(truth, dict_factory=lambda kv: {k: v for k, v in kv if k != "driver_id"})
+        json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return truth
 
@@ -1022,22 +988,12 @@ def _config_dict(config: GenConfig) -> dict:
         "opaque_start": config.opaque_start,
         "dynamic_start": config.dynamic_start,
         "commission": config.commission,
-        "fixed_rule": config.fixed_rule.to_dict(),
+        "fixed_rule": asdict(config.fixed_rule),
         "switch_year": config.switch_year,
         "dynamic_per_min_pence": config.dynamic_per_min_pence,
-        "share": {
-            "intercept": config.share.intercept,
-            "per_pound": config.share.per_pound,
-            "noise_sd": config.share.noise_sd,
-            "lo": config.share.lo,
-            "hi": config.share.hi,
-        },
+        "share": asdict(config.share),
         "jitter_sd_s": config.jitter_sd_s,
         "acceptance_rate": config.acceptance_rate,
         "marker_prefix": config.marker_prefix,
-        "n_corrupt": {
-            "duplicate_payments": config.corrupt.duplicate_payments,
-            "inverted_trips": config.corrupt.inverted_trips,
-            "malformed_money": config.corrupt.malformed_money,
-        },
+        "n_corrupt": asdict(config.corrupt),
     }

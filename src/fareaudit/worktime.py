@@ -18,7 +18,6 @@ from .model import (
     ActivityState,
     AppSession,
     MS_PER_HOUR,
-    Money,
     PaymentEvent,
     TripRecord,
     TripStatus,
@@ -185,7 +184,7 @@ class TimeLedger:
     """
 
     time: Mapping[dt.date, Sequence[int]]  # milliseconds per state, in _STATES order
-    pay: Mapping[dt.date, Money]
+    pay: Mapping[dt.date, int]  # pence
 
     def state_ms(self, period: Period) -> dict[ActivityState, int]:
         totals = [0] * len(_STATES)
@@ -194,7 +193,7 @@ class TimeLedger:
                 totals[i] += ms
         return dict(zip(_STATES, totals))
 
-    def day_pay(self, period: Period) -> list[Money]:
+    def day_pay(self, period: Period) -> list[int]:
         """Each date's pay in the period, in date order."""
         return [self.pay[day] for day in _each_day(period) if day in self.pay]
 
@@ -202,8 +201,7 @@ class TimeLedger:
 def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) -> TimeLedger:
     """Split every segment at local midnights and date every payment.
 
-    Segments may come in any order; overlapping ones each count in full. Two
-    currencies on one date raise.
+    Segments may come in any order; overlapping ones each count in full.
     """
     time: dict[dt.date, list[int]] = {}
     for start, end, state in segments:
@@ -214,10 +212,10 @@ def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) 
             time.setdefault(day, [0] * len(_STATES))[slot] += cut - start
             start = cut
 
-    pay: dict[dt.date, Money] = {}
+    pay: dict[dt.date, int] = {}
     for p in payments:
         day = CALENDAR.day(p.ts.epoch_ms)[0]
-        pay[day] = pay.get(day, Money(0, p.amount.currency)) + p.amount
+        pay[day] = pay.get(day, 0) + p.amount
     return TimeLedger(time, pay)
 
 

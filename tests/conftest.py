@@ -13,12 +13,12 @@ from fareaudit.model import (
     ActivityState,
     AppSession,
     DispatchOffer,
-    Money,
     PaymentCategory,
     PaymentEvent,
     Timestamp,
     TripRecord,
     TripStatus,
+    parse_pence,
 )
 
 
@@ -68,7 +68,7 @@ def trip(
         dropoff_ts=None if dropoff is None else at(dropoff),
         distance_miles=distance,
         status=status,
-        original_fare=None if fare is None else Money.parse(fare),
+        original_fare=None if fare is None else parse_pence(fare),
         **kw,
     )
 
@@ -80,7 +80,7 @@ def payment(
     driver: str = "d1",
     memo: str | None = None,
 ) -> PaymentEvent:
-    return PaymentEvent(driver, at(ts_min), category, Money.parse(amount), memo)
+    return PaymentEvent(driver, at(ts_min), category, parse_pence(amount), memo)
 
 
 def session(start: float, end: float, driver: str = "d1") -> AppSession:

@@ -34,15 +34,16 @@ from fareaudit.model import (
     MS_PER_HOUR,
     ActivityState,
     AppSession,
-    Money,
     PaymentCategory,
     PaymentEvent,
     RpiSeries,
     Timestamp,
     TripRecord,
     TripStatus,
+    format_pence,
     month_days,
     month_range,
+    parse_pence,
     week_days,
 )
 from fareaudit.predictability import feature_blocks, fit_ols, r2, year_matrix
@@ -151,7 +152,7 @@ def test_criterion_01_fixed_era_round_trip(fixed_fleet):
                 for pair in fixed_fleet.truth["drivers"][driver_id]["pairs"]
             }
             got = {
-                (lt.trip.request_ts.iso(), p.ts.iso(), str(p.amount))
+                (lt.trip.request_ts.iso(), p.ts.iso(), format_pence(p.amount))
                 for lt in data.links.linked
                 for p in lt.earnings
             }
@@ -194,13 +195,13 @@ def test_criterion_03_working_time_dominance(fixed_fleet):
         for driver_id, data in fixed_fleet.drivers.items():
             for row in data.rows:
                 assert row.hours_platform <= row.hours_tribunal
-                if row.net_pay.pence >= 0 and row.hours_tribunal > 0.0:
-                    rate_t = row.net_pay.pence / row.hours_tribunal
+                if row.net_pay >= 0 and row.hours_tribunal > 0.0:
+                    rate_t = row.net_pay / row.hours_tribunal
                     rate_p = (
-                        row.net_pay.pence / row.hours_platform
+                        row.net_pay / row.hours_platform
                         if row.hours_platform > 0.0
                         else math.inf
-                        if row.net_pay.pence > 0
+                        if row.net_pay > 0
                         else 0.0
                     )
                     assert rate_p >= rate_t or math.isclose(rate_p, rate_t)
@@ -302,7 +303,7 @@ def trip_at(iso: str, on_min: int, fare: str, driver: str = "d1") -> TripRecord:
         dropoff_ts=Timestamp(t0.epoch_ms + (5 + on_min) * MIN),
         distance_miles=5.0,
         status=TripStatus.COMPLETED,
-        original_fare=Money.parse(fare),
+        original_fare=parse_pence(fare),
     )
 
 
@@ -311,7 +312,7 @@ def pay_at(iso: str, amount: str, driver: str = "d1") -> PaymentEvent:
         driver,
         instant(iso),
         PaymentCategory.TRIP_EARNINGS,
-        Money.parse(amount),
+        parse_pence(amount),
     )
 
 

@@ -1,11 +1,13 @@
 """End-to-end command line checks: exit codes, outputs, determinism."""
 
 import codecs
+import csv
 import hashlib
 import json
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -327,6 +329,31 @@ def test_audit_acceptance_by_local_month(tmp_path):
     assert acceptance["monthly"] == {"2021-06": 1.0, "2021-07": 0.0}
     assert acceptance["overall"] == 0.5
     assert acceptance["n_offers"] == 2
+
+
+@pytest.mark.parametrize("category", ["tip", "trip_earnings"])
+def test_audit_quarantines_a_euro_payment(bundles, tmp_path, category):
+    # a tip lands in a week of its own; trip earnings at a trip's dropoff
+    shutil.copytree(bundles, tmp_path / "b")
+    driver = tmp_path / "b" / "driver000"
+    when = "2021-06-07T12:00:00Z"
+    if category == "trip_earnings":
+        with open(driver / "trips.csv", newline="") as fh:
+            when = next(row["dropoff_ts"] for row in csv.DictReader(fh) if row["dropoff_ts"])
+    with open(driver / "payments.csv", "a", encoding="utf-8") as fh:
+        fh.write(f"{when},{category},50.00,EUR,\n")
+    reports = []
+    for root in (bundles, tmp_path / "b"):
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["audit", str(root), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "audit_report.json").read_text()))
+    pounds, euros = reports
+    before, after = (r["bundles"]["driver000"]["ingest"]["quarantine"] for r in reports)
+    assert len(after) == len(before) + 1
+    assert [q["reason"] for q in after if q not in before] == ["currency 'EUR' is not GBP"]
+    assert euros["failures"] == []
+    del pounds["bundles"], euros["bundles"]
+    assert euros == pounds  # weekly rows, pooled rates and every other section
 
 
 # Eight drivers whose February on-trip hours sum to a value on a rounding tie

@@ -1,8 +1,12 @@
+import ast
 import codecs
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import fareaudit
 from fareaudit.ingest import (
     ColumnMap,
     MalformedTable,
@@ -30,7 +34,7 @@ def test_load_and_normalize_minimal_bundle(bundle_dir):
     assert len(bundle.trips) == 1
     assert len(bundle.payments) == 1
     assert bundle.trips[0].status is TripStatus.COMPLETED
-    assert bundle.payments[0].amount.pence == 750
+    assert bundle.payments[0].amount == 750
     assert report.tables["trips"].rows_ok == 1
 
 
@@ -76,7 +80,7 @@ def test_column_aliases_resolve(tmp_path):
     write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
     bundle, _ = normalize(load_bundle(d))
     assert bundle.trips[0].distance_miles == 4.0
-    assert bundle.trips[0].original_fare.pence == 1000
+    assert bundle.trips[0].original_fare == 1000
 
 
 def test_column_map_override(tmp_path):
@@ -166,11 +170,39 @@ def test_bad_money_quarantined(tmp_path):
     write_table(d, "trips", TRIP_HEADER, [trip_csv_row()])
     write_table(
         d, "payments", PAYMENT_HEADER,
-        [payment_csv_row(), payment_csv_row(ts="2021-03-02T09:25:00Z", amount="12.3456")],
+        [
+            payment_csv_row(),
+            payment_csv_row(ts="2021-03-02T09:25:00Z", amount="12.3456"),
+            payment_csv_row(ts="2021-03-02T09:26:00Z", currency="EUR"),
+            payment_csv_row(ts="2021-03-02T09:27:00Z", currency=""),  # blank reads as GBP
+        ],
     )
     bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
-    assert report.tables["payments"].rows_quarantined == 1
-    assert len(bundle.payments) == 1
+    assert report.tables["payments"].rows_quarantined == 2
+    assert [(q.row_number, q.reason) for q in report.quarantine] == [
+        (3, "not a money amount: '12.3456'"),
+        (4, "currency 'EUR' is not GBP"),
+    ]
+    assert [p.amount for p in bundle.payments] == [750, 750]
+    with pytest.raises(MalformedTable):  # both count toward the malformed threshold
+        normalize(load_bundle(d))
+
+
+def test_only_ingest_reads_a_currency():
+    """GBP is checked once, at ingest; past it every amount is plain pence."""
+    readers = set()
+    for path in Path(fareaudit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found = re.fullmatch(r"currency\w*", node.value) is not None
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.arg, ast.keyword)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or node.arg
+                found = "currency" in (name or "").lower()
+            else:
+                continue
+            if found:
+                readers.add(path.name)
+    assert readers == {"ingest.py"}
 
 
 def test_rows_sorted_canonically(tmp_path):
@@ -241,14 +273,20 @@ def test_trip_straddling_an_era_boundary_takes_its_dropoff_era(tmp_path):
 
 
 def test_write_bundle_roundtrip_is_fixed_point(tmp_path, bundle_dir):
-    bundle, _ = normalize(load_bundle(bundle_dir))
-    out1 = tmp_path / "a" / bundle.driver_id
-    write_bundle(bundle, out1)
-    again, report = normalize(load_bundle(out1))
-    assert again == bundle
-    assert report.tables["trips"].rows_quarantined == 0
-    out2 = tmp_path / "b" / bundle.driver_id
-    write_bundle(again, out2)
-    for name in ("trips.csv", "payments.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # a zero fare and a zero payment are amounts, not blanks, on the way back
+    zeros = tmp_path / "driverZ"
+    write_table(zeros, "trips", TRIP_HEADER, [trip_csv_row(original_fare="0.00")])
+    write_table(zeros, "payments", PAYMENT_HEADER, [payment_csv_row(amount="0.00")])
+    for source, fare, amount in ((bundle_dir, 1000, 750), (zeros, 0, 0)):
+        bundle, _ = normalize(load_bundle(source))
+        assert (bundle.trips[0].original_fare, bundle.payments[0].amount) == (fare, amount)
+        out1 = tmp_path / "a" / bundle.driver_id
+        write_bundle(bundle, out1)
+        again, report = normalize(load_bundle(out1))
+        assert again == bundle
+        assert report.tables["trips"].rows_quarantined == 0
+        out2 = tmp_path / "b" / bundle.driver_id
+        write_bundle(again, out2)
+        for name in ("trips.csv", "payments.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

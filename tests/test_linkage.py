@@ -8,7 +8,6 @@ from fareaudit.linkage import (
 )
 from fareaudit.model import (
     AuditError,
-    Money,
     PaymentCategory,
     TripStatus,
 )
@@ -20,7 +19,7 @@ def test_basic_pairing_within_window():
     p = payment(ts_min=21.0)
     result = link([t], [p])
     assert len(result.linked) == 1
-    assert result.linked[0].driver_total.pence == 750
+    assert result.linked[0].driver_total == 750
     assert not result.unmatched_trips and not result.unmatched_payments
 
 
@@ -55,7 +54,7 @@ def test_multiple_payments_one_trip():
     parts = [payment(ts_min=21.0, amount="5.00"), payment(ts_min=22.0, amount="2.50")]
     result = link([t], parts)
     assert len(result.linked) == 1
-    assert result.linked[0].driver_total.pence == 750
+    assert result.linked[0].driver_total == 750
 
 
 def test_non_earnings_categories_ignored():
@@ -85,7 +84,7 @@ def test_share_computed_fixed_era():
     lt = result.linked[0]
     assert lt.driver_share == 0.75
     assert lt.platform_share == 0.25
-    assert lt.rider_fare.pence == 1000
+    assert lt.rider_fare == 1000
 
 
 def test_share_none_in_opaque_gap():
@@ -101,21 +100,23 @@ def test_share_none_in_opaque_gap():
     result = link([opaque_trip], [p])
     lt = result.linked[0]
     assert lt.driver_share is None and lt.platform_share is None
-    assert lt.driver_total.pence == 750  # pay still counted
+    assert lt.driver_total == 750  # pay still counted
 
 
 def test_share_none_when_fare_missing():
     result = link([trip(fare=None)], [payment()])
     assert result.linked[0].driver_share is None
+    (zero,) = link([trip(fare="0.00")], [payment()]).linked
+    assert zero.rider_fare == 0 and zero.driver_share is None
 
 
 def test_split_fraction_zero_fare_rejected():
     with pytest.raises(ZeroFare):
-        split_fraction(Money(100), Money(0))
+        split_fraction(100, 0)
 
 
 def test_negative_platform_share_allowed():
-    d, p = split_fraction(Money(1100), Money(1000))
+    d, p = split_fraction(1100, 1000)
     assert d == 1.1
     assert p == pytest.approx(-0.1)
 
@@ -124,7 +125,7 @@ def test_negative_platform_share_allowed():
 def test_share_complement_sums_to_one(fare_pence, pay_pence):
     # platform share is defined as 1 - driver share; for any pay up to 1.5x
     # fare the float complement is exact, so the two must sum to exactly 1.0
-    d, p = split_fraction(Money(pay_pence), Money(fare_pence))
+    d, p = split_fraction(pay_pence, fare_pence)
     assert d + p == 1.0
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fareaudit.linkage import LinkedTrip
-from fareaudit.model import AuditError, Money, Timestamp, TripRecord, TripStatus
+from fareaudit.model import AuditError, Timestamp, TripRecord, TripStatus
 from fareaudit.predictability import (
     DegenerateColumn,
     FeatureSchema,
@@ -50,7 +50,7 @@ def make_linked(
     return LinkedTrip(
         trip=t,
         earnings=(),
-        driver_total=Money(round(pay * 100)),
+        driver_total=round(pay * 100),
         rider_fare=None,
         driver_share=None,
         platform_share=None,
@@ -92,7 +92,7 @@ def test_featurize_known_values():
 def test_featurize_rejects_incomplete():
     bad = LinkedTrip(
         trip=trip(pickup=None, dropoff=None, status=TripStatus.RIDER_CANCELLED),
-        earnings=(), driver_total=Money(100), rider_fare=None,
+        earnings=(), driver_total=100, rider_fare=None,
         driver_share=None, platform_share=None,
     )
     from fareaudit.predictability import IncompleteTrip

@@ -238,7 +238,7 @@ def test_switch_rule_changes_fixed_era_fares(tmp_path):
             if t.status is not TripStatus.COMPLETED or t.original_fare is None:
                 continue
             raw = rule.fare_pence(t.distance_miles, t.on_trip_minutes)
-            err = max(err, abs(t.original_fare.pence - raw))
+            err = max(err, abs(t.original_fare - raw))
         return err
 
     # quantization to the commission denominator shifts fares by < 4 pence

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from fareaudit.metrics import weekly_rows
 from fareaudit.model import (
     ActivityState,
-    Money,
     PaymentCategory,
     PaymentEvent,
     Timestamp,
@@ -411,7 +410,7 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
     ]
     payments = [
         PaymentEvent(
-            "d1", Timestamp(anchor.epoch_ms + s * MIN), PaymentCategory.TIP, Money(pence)
+            "d1", Timestamp(anchor.epoch_ms + s * MIN), PaymentCategory.TIP, pence
         )
         for anchor, s, pence in raw_payments
     ]
@@ -425,7 +424,7 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
         )
 
     def want_pence(lo, hi):
-        return sum(p.amount.pence for p in payments if lo <= p.ts.epoch_ms < hi)
+        return sum(p.amount for p in payments if lo <= p.ts.epoch_ms < hi)
 
     for label, period in [(week, week_days(week)) for week in LEDGER_WEEKS] + [
         (month, month_days(month)) for month in LEDGER_MONTHS
@@ -434,7 +433,7 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
         got = ledger.state_ms(period)
         for state in ActivityState:
             assert got[state] == want_ms(state, lo, hi), (label, state)
-        assert sum(m.pence for m in ledger.day_pay(period)) == want_pence(lo, hi), label
+        assert sum(ledger.day_pay(period)) == want_pence(lo, hi), label
 
     for month in LEDGER_MONTHS:
         lo, hi = (london_midnight(day) for day in month_days(month))
