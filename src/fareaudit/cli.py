@@ -201,7 +201,7 @@ def cmd_anon(args: argparse.Namespace) -> int:
     for directory in dirs:
         try:
             raw = load_bundle(directory)
-            bundle, _report = normalize(raw)
+            bundle, report = normalize(raw)
             clean = anonymize(bundle, salt, policy)
         except (MissingTable, MalformedTable) as exc:
             log.warning("bundle %s skipped: %s", Path(directory).name, exc)
@@ -209,6 +209,11 @@ def cmd_anon(args: argparse.Namespace) -> int:
         except AuditError as exc:
             log.error("%s", exc)
             return EXIT_CONFIG
+        left_out = (
+            f"{table} {t.rows_quarantined} quarantined, {t.rows_deduped} deduplicated"
+            for table, t in sorted(report.tables.items())
+        )
+        log.info("bundle %s rows left out: %s", Path(directory).name, "; ".join(left_out))
         write_bundle(clean, out / clean.driver_id)
         written += 1
     if written == 0:

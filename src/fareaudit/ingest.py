@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,11 +27,12 @@ from .model import (
     PaymentCategory,
     PaymentEvent,
     RecordError,
-    Timestamp,
     TripRecord,
     TripStatus,
     era_of,
+    format_instant,
     format_pence,
+    parse_instant,
     parse_pence,
     trip_anchor,
 )
@@ -156,12 +158,15 @@ class ColumnMap:
         return out
 
 
+Row = tuple[str, ...]  # a table's stripped source text in TABLE_FIELDS order
+
+
 @dataclass(frozen=True, slots=True)
 class RawBundle:
-    """Parsed but untyped bundle: rows are canonical-field -> source text."""
+    """Parsed but untyped bundle: each table's rows as ``Row`` tuples."""
 
     driver_id: str
-    tables: Mapping[str, tuple[Mapping[str, str], ...]]
+    tables: Mapping[str, tuple[Row, ...]]
     skipped_files: tuple[str, ...] = ()
 
 
@@ -247,7 +252,7 @@ def load_bundle(directory: str | Path, column_map: ColumnMap | None = None) -> R
     column_map = column_map or ColumnMap.default()
 
     file_for_table = {v: k for k, v in TABLE_FILES.items()}
-    tables: dict[str, tuple[Mapping[str, str], ...]] = {}
+    tables: dict[str, tuple[Row, ...]] = {}
     skipped: list[str] = []
     for entry in sorted(directory.iterdir()):
         if not entry.is_file():
@@ -264,20 +269,32 @@ def load_bundle(directory: str | Path, column_map: ColumnMap | None = None) -> R
     return RawBundle(directory.name, tables, tuple(skipped))
 
 
-def _read_table(path: Path, table: str, column_map: ColumnMap) -> tuple[Mapping[str, str], ...]:
+def _read_table(path: Path, table: str, column_map: ColumnMap) -> tuple[Row, ...]:
+    """The rows of one file, as ``csv.DictReader`` would read them.
+
+    Blank lines are skipped, a short row reads "" past its end, extra cells
+    are ignored, and of two columns with the same header the last is read.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise MalformedTable(f"{path.name}: empty file, header row required")
-        resolution = column_map.resolve(table, reader.fieldnames)
+        resolution = column_map.resolve(table, header)
+        width = len(header)
+        column = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
+        # an absent field reads the cell one past the header, which is always ""
+        pick = itemgetter(
+            *(width if resolution[f] is None else column[resolution[f]] for f in TABLE_FIELDS[table])
+        )
         rows = []
-        for raw in reader:
-            rows.append(
-                {
-                    name: (raw.get(src) or "").strip() if src is not None else ""
-                    for name, src in resolution.items()
-                }
-            )
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                row = (row + [""] * width)[:width]
+            row.append("")
+            rows.append(tuple(map(str.strip, pick(row))))
     return tuple(rows)
 
 
@@ -289,41 +306,39 @@ def _read_table(path: Path, table: str, column_map: ColumnMap) -> tuple[Mapping[
 class _RowContext:
     naive_count: int = 0
 
-    def ts(self, text: str) -> Timestamp:
-        value, naive = Timestamp.parse(text)
+    def ts(self, text: str) -> int:
+        ms, naive = parse_instant(text)
         if naive:
             self.naive_count += 1
-        return value
+        return ms
 
-    def opt_ts(self, text: str) -> Timestamp | None:
+    def opt_ts(self, text: str) -> int | None:
         return self.ts(text) if text else None
 
 
-def _parse_trip(row: Mapping[str, str], driver_id: str, ctx: _RowContext) -> TripRecord:
+def _parse_trip(row: Row, driver_id: str, ctx: _RowContext) -> TripRecord:
+    request, accept, pickup, dropoff, distance, status, fare, origin, dest, product = row
     return TripRecord(
-        driver_id=driver_id,
-        request_ts=ctx.ts(row["request_ts"]),
-        accept_ts=ctx.opt_ts(row["accept_ts"]),
-        pickup_ts=ctx.opt_ts(row["pickup_ts"]),
-        dropoff_ts=ctx.opt_ts(row["dropoff_ts"]),
-        distance_miles=float(row["distance_miles"]) if row["distance_miles"] else 0.0,
-        status=TripStatus(row["status"]),
-        original_fare=parse_pence(row["original_fare"]) if row["original_fare"] else None,
-        origin_tag=row["origin_tag"],
-        dest_tag=row["dest_tag"],
-        product=row["product"],
+        driver_id,
+        ctx.ts(request),
+        ctx.opt_ts(accept),
+        ctx.opt_ts(pickup),
+        ctx.opt_ts(dropoff),
+        float(distance) if distance else 0.0,
+        TripStatus(status),
+        parse_pence(fare) if fare else None,
+        origin,
+        dest,
+        product,
     )
 
 
-def _parse_payment(row: Mapping[str, str], driver_id: str, ctx: _RowContext) -> PaymentEvent:
-    if row["currency"] not in ("", CURRENCY):
-        raise RecordError(f"currency {row['currency']!r} is not {CURRENCY}")
+def _parse_payment(row: Row, driver_id: str, ctx: _RowContext) -> PaymentEvent:
+    ts, category, amount, currency, memo = row
+    if currency not in ("", CURRENCY):
+        raise RecordError(f"currency {currency!r} is not {CURRENCY}")
     return PaymentEvent(
-        driver_id=driver_id,
-        ts=ctx.ts(row["ts"]),
-        category=PaymentCategory(row["category"]),
-        amount=parse_pence(row["amount"]),
-        memo=row["memo"] or None,
+        driver_id, ctx.ts(ts), PaymentCategory(category), parse_pence(amount), memo or None
     )
 
 
@@ -336,21 +351,19 @@ def _parse_bool(text: str) -> bool:
     raise RecordError(f"not a boolean: {text!r}")
 
 
-def _parse_dispatch(row: Mapping[str, str], driver_id: str, ctx: _RowContext) -> DispatchOffer:
-    return DispatchOffer(driver_id, ctx.ts(row["offered_ts"]), _parse_bool(row["accepted"]))
+def _parse_dispatch(row: Row, driver_id: str, ctx: _RowContext) -> DispatchOffer:
+    offered, accepted = row
+    return DispatchOffer(driver_id, ctx.ts(offered), _parse_bool(accepted))
 
 
-def _parse_session(row: Mapping[str, str], driver_id: str, ctx: _RowContext) -> AppSession:
-    return AppSession(driver_id, ctx.ts(row["login_ts"]), ctx.ts(row["logout_ts"]))
+def _parse_session(row: Row, driver_id: str, ctx: _RowContext) -> AppSession:
+    login, logout = row
+    return AppSession(driver_id, ctx.ts(login), ctx.ts(logout))
 
 
-def _parse_profile(row: Mapping[str, str], driver_id: str, ctx: _RowContext) -> DriverProfile:
-    return DriverProfile(
-        driver_id=driver_id,
-        first_trip_ts=ctx.ts(row["first_trip_ts"]),
-        gender=row["gender"] or None,
-        age_band=row["age_band"] or None,
-    )
+def _parse_profile(row: Row, driver_id: str, ctx: _RowContext) -> DriverProfile:
+    first_trip, gender, age_band = row
+    return DriverProfile(driver_id, ctx.ts(first_trip), gender or None, age_band or None)
 
 
 _PARSERS = {
@@ -379,21 +392,21 @@ def normalize(
 
     for table, rows in sorted(raw.tables.items()):
         parser = _PARSERS[table]
-        seen: set[tuple] = set()
+        seen: set[Row] = set()
         ok: list = []
         deduped = 0
         bad = 0
         for number, row in enumerate(rows, start=2):  # row 1 is the header
-            key = tuple(row[f] for f in TABLE_FIELDS[table])
-            if key in seen:
+            if row in seen:
                 deduped += 1
                 continue
-            seen.add(key)
+            seen.add(row)
             try:
                 ok.append(parser(row, raw.driver_id, ctx))
             except (RecordError, ValueError) as exc:
                 bad += 1
-                quarantine.append(QuarantinedRow(table, number, _reason(exc), row))
+                fields = dict(zip(TABLE_FIELDS[table], row))
+                quarantine.append(QuarantinedRow(table, number, _reason(exc), fields))
         typed[table] = ok
         table_reports[table] = TableReport(len(rows), len(ok), deduped, bad)
         if rows and bad / len(rows) > malformed_threshold:
@@ -443,7 +456,7 @@ def _reason(exc: Exception) -> str:
 def _trip_key(t: TripRecord) -> tuple:
     return (
         t.request_ts,
-        t.dropoff_ts or t.request_ts,
+        trip_anchor(t),
         t.status.value,
         t.distance_miles,
         t.original_fare if t.original_fare is not None else -1,
@@ -469,8 +482,8 @@ def _session_key(s: AppSession) -> tuple:
 # Writing (canonical serialization; also used by the anonymizer and generator)
 
 
-def _fmt_ts(ts: Timestamp | None) -> str:
-    return ts.iso() if ts is not None else ""
+def _fmt_ts(ms: int | None) -> str:
+    return "" if ms is None else format_instant(ms)
 
 
 def trip_row(t: TripRecord) -> dict[str, str]:

@@ -99,19 +99,19 @@ def link(
     # canonical orderings make the result independent of input row order
     candidates = sorted(
         (t for t in trips if t.dropoff_ts is not None),
-        key=lambda t: (t.dropoff_ts.epoch_ms, t.request_ts.epoch_ms, _trip_fingerprint(t)),
+        key=lambda t: (t.dropoff_ts, t.request_ts, _trip_fingerprint(t)),
     )
     earnings = sorted(
         (p for p in payments if p.category is PaymentCategory.TRIP_EARNINGS),
-        key=lambda p: (p.ts.epoch_ms, p.amount, p.memo or ""),
+        key=lambda p: (p.ts, p.amount, p.memo or ""),
     )
 
-    drop_ms = [t.dropoff_ts.epoch_ms for t in candidates]
+    drop_ms = [t.dropoff_ts for t in candidates]
     matched: dict[int, list[PaymentEvent]] = {}
     unmatched_payments: list[PaymentEvent] = []
 
     for payment in earnings:
-        idx = _nearest_dropoff(drop_ms, payment.ts.epoch_ms, window_ms)
+        idx = _nearest_dropoff(drop_ms, payment.ts, window_ms)
         if idx is None:
             unmatched_payments.append(payment)
         else:

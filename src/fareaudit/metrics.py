@@ -198,7 +198,7 @@ class TripColumns:
         driver_ids = tuple(sorted({lt.trip.driver_id for lt in valid}))
         code = {d: i for i, d in enumerate(driver_ids)}
         anchors = [trip_anchor(lt.trip) for lt in valid]
-        days = [CALENDAR.day(a.epoch_ms)[0] for a in anchors]
+        days = [CALENDAR.day(a)[0] for a in anchors]
         values = {
             "driver": [code[lt.trip.driver_id] for lt in valid],
             "month": [d.year * 12 + d.month - 1 for d in days],
@@ -454,7 +454,7 @@ def _window_months(window: tuple[str, str]) -> list[str]:
 def completed_months(trips: Iterable[TripRecord]) -> frozenset[str]:
     """The local months that hold at least one completed trip, by trip anchor."""
     return frozenset(
-        month_of(CALENDAR.day(trip_anchor(t).epoch_ms)[0])
+        month_of(CALENDAR.day(trip_anchor(t))[0])
         for t in trips
         if t.status is TripStatus.COMPLETED
     )
@@ -548,7 +548,7 @@ def offer_counts(offers: Iterable[DispatchOffer]) -> dict[str, tuple[int, int]]:
     """(accepted, offered) dispatch counts per local month of the offer."""
     counts: dict[str, list[int]] = {}
     for o in offers:
-        slot = counts.setdefault(month_of(CALENDAR.day(o.offered_ts.epoch_ms)[0]), [0, 0])
+        slot = counts.setdefault(month_of(CALENDAR.day(o.offered_ts)[0]), [0, 0])
         slot[0] += o.accepted
         slot[1] += 1
     return {month: (accepted, total) for month, (accepted, total) in counts.items()}

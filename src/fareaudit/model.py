@@ -1,4 +1,4 @@
-"""Core domain types shared by the whole toolkit: pence, timestamps, eras, records.
+"""Core domain types shared by the whole toolkit: pence, instants, eras, records.
 
 Everything here is immutable after construction and safe to share across
 parallel workers.
@@ -72,43 +72,27 @@ def format_pence(pence: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Timestamps
+# Instants: every instant is an int of UTC epoch milliseconds
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Timestamp:
-    """A UTC instant in epoch milliseconds.
+def parse_instant(text: str) -> tuple[int, bool]:
+    """Epoch ms of an ISO-8601 text, and whether it was naive; naive text is read as UTC."""
+    raw = text.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    try:
+        parsed = dt.datetime.fromisoformat(raw)
+    except ValueError as exc:
+        raise RecordError(f"unparseable timestamp: {text!r}") from exc
+    naive = parsed.tzinfo is None
+    since = (parsed.replace(tzinfo=dt.timezone.utc) if naive else parsed) - _EPOCH
+    # the floor of its microseconds over 1000, without dividing two timedeltas
+    return (since.days * 86_400 + since.seconds) * 1000 + since.microseconds // 1000, naive
 
-    Its local day, week, month and hour come from a ``Calendar`` of an explicit
-    timezone, so they do not depend on the host's configuration.
-    """
 
-    epoch_ms: int
-
-    @classmethod
-    def from_datetime(cls, value: dt.datetime) -> "Timestamp":
-        if value.tzinfo is None:
-            raise RecordError("naive datetime; attach a timezone first")
-        return cls((value - _EPOCH) // _MS)
-
-    @classmethod
-    def parse(cls, text: str) -> tuple["Timestamp", bool]:
-        """Parse ISO-8601; returns (value, was_naive). Naive inputs are read as UTC."""
-        raw = text.strip()
-        if raw.endswith(("Z", "z")):
-            raw = raw[:-1] + "+00:00"
-        try:
-            parsed = dt.datetime.fromisoformat(raw)
-        except ValueError as exc:
-            raise RecordError(f"unparseable timestamp: {text!r}") from exc
-        naive = parsed.tzinfo is None
-        if naive:
-            parsed = parsed.replace(tzinfo=dt.timezone.utc)
-        return cls.from_datetime(parsed), naive
-
-    def iso(self) -> str:
-        """Canonical serialization: UTC with milliseconds and a Z suffix."""
-        return (_EPOCH + self.epoch_ms * _MS).isoformat(timespec="milliseconds")[:-6] + "Z"
+def format_instant(ms: int) -> str:
+    """Canonical text of an instant: UTC with milliseconds and a Z suffix."""
+    return (_EPOCH + ms * _MS).isoformat(timespec="milliseconds")[:-6] + "Z"
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +268,11 @@ class EraBoundaries:
 DEFAULT_ERAS = EraBoundaries()
 
 
-def era_of(ts: Timestamp, boundaries: EraBoundaries = DEFAULT_ERAS) -> Era:
+def era_of(ms: int, boundaries: EraBoundaries = DEFAULT_ERAS) -> Era:
     """Map an instant to the era containing its local month."""
-    if ts.epoch_ms < boundaries.opaque_ms:
+    if ms < boundaries.opaque_ms:
         return Era.FIXED_COMMISSION
-    if ts.epoch_ms < boundaries.dynamic_ms:
+    if ms < boundaries.dynamic_ms:
         return Era.OPAQUE_GAP
     return Era.DYNAMIC_PRICING
 
@@ -324,10 +308,10 @@ class TripRecord:
     """One completed or cancelled trip."""
 
     driver_id: str
-    request_ts: Timestamp
-    accept_ts: Timestamp | None
-    pickup_ts: Timestamp | None
-    dropoff_ts: Timestamp | None
+    request_ts: int  # epoch ms, as every *_ts field
+    accept_ts: int | None
+    pickup_ts: int | None
+    dropoff_ts: int | None
     distance_miles: float
     status: TripStatus
     original_fare: int | None = None  # pence
@@ -340,22 +324,21 @@ class TripRecord:
             raise RecordError("negative distance")
         chain = [self.request_ts, self.accept_ts, self.pickup_ts, self.dropoff_ts]
         present = [t for t in chain if t is not None]
-        for earlier, later in zip(present, present[1:]):
-            if earlier > later:
-                raise RecordError("inverted timestamps")
-        if self.status is TripStatus.COMPLETED and None in chain:
+        if present != sorted(present):
+            raise RecordError("inverted timestamps")
+        if self.status is TripStatus.COMPLETED and len(present) < len(chain):
             raise RecordError("completed trip missing timestamps")
 
     @property
     def on_trip_minutes(self) -> float:
         if self.pickup_ts is None or self.dropoff_ts is None:
             return 0.0
-        return (self.dropoff_ts.epoch_ms - self.pickup_ts.epoch_ms) / MS_PER_MINUTE
+        return (self.dropoff_ts - self.pickup_ts) / MS_PER_MINUTE
 
 
-def trip_anchor(trip: TripRecord) -> Timestamp:
+def trip_anchor(trip: TripRecord) -> int:
     """The instant that dates a trip: its dropoff, else its request."""
-    return trip.dropoff_ts or trip.request_ts
+    return trip.request_ts if trip.dropoff_ts is None else trip.dropoff_ts
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,7 +346,7 @@ class PaymentEvent:
     """One signed money movement on a driver's ledger."""
 
     driver_id: str
-    ts: Timestamp
+    ts: int
     category: PaymentCategory
     amount: int  # pence
     memo: str | None = None
@@ -372,14 +355,14 @@ class PaymentEvent:
 @dataclass(frozen=True, slots=True)
 class DispatchOffer:
     driver_id: str
-    offered_ts: Timestamp
+    offered_ts: int
     accepted: bool
 
 
 @dataclass(frozen=True, slots=True)
 class DriverProfile:
     driver_id: str
-    first_trip_ts: Timestamp
+    first_trip_ts: int
     gender: str | None = None
     age_band: str | None = None
 
@@ -395,8 +378,8 @@ class AppSession:
     """One logged-in interval; the envelope from which standby is derived."""
 
     driver_id: str
-    login_ts: Timestamp
-    logout_ts: Timestamp
+    login_ts: int
+    logout_ts: int
 
     def __post_init__(self) -> None:
         if self.login_ts >= self.logout_ts:

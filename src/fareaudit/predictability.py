@@ -67,7 +67,10 @@ _FLAGS = (
     "is_peak_evening",
     "is_night",
 )
-_PRODUCT_BASE = len(_BASE_NUMERIC + _FLAGS + _HOURS + _DOWS + _MONTHS)
+_NUMERIC = len(_BASE_NUMERIC + _FLAGS)
+# where the hour, weekday and month one-hot groups begin in a schema's row
+_CODE_BASES = np.array([_NUMERIC, _NUMERIC + len(_HOURS), _NUMERIC + len(_HOURS + _DOWS)])
+_PRODUCT_BASE = _NUMERIC + len(_HOURS + _DOWS + _MONTHS)
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,12 @@ def build_schema(linked: Sequence[LinkedTrip]) -> FeatureSchema:
     return FeatureSchema(tuple(products))
 
 
-def featurize(linked: LinkedTrip, schema: FeatureSchema) -> tuple[np.ndarray, float]:
-    """(feature vector, target pounds) for one completed linked trip."""
+def featurize(linked: LinkedTrip) -> tuple[tuple[float, ...], tuple[int, int, int], float]:
+    """One completed linked trip's numeric and flag features, codes and target pounds.
+
+    The codes are the local hour, weekday and month - 1 of the pickup: each
+    indexes its one-hot group of the schema, which ``stack_blocks`` fills in.
+    """
     trip = linked.trip
     if trip.status is not TripStatus.COMPLETED or None in (
         trip.accept_ts,
@@ -105,13 +112,13 @@ def featurize(linked: LinkedTrip, schema: FeatureSchema) -> tuple[np.ndarray, fl
     ):
         raise IncompleteTrip("featurization needs a completed trip with all timestamps")
 
-    on_trip = (trip.dropoff_ts.epoch_ms - trip.pickup_ts.epoch_ms) / 60_000.0
-    en_route = (trip.pickup_ts.epoch_ms - trip.accept_ts.epoch_ms) / 60_000.0
-    wait = (trip.accept_ts.epoch_ms - trip.request_ts.epoch_ms) / 60_000.0
+    on_trip = (trip.dropoff_ts - trip.pickup_ts) / 60_000.0
+    en_route = (trip.pickup_ts - trip.accept_ts) / 60_000.0
+    wait = (trip.accept_ts - trip.request_ts) / 60_000.0
     dist = trip.distance_miles
     speed = dist / (on_trip / 60.0) if on_trip > 0 else 0.0
 
-    pickup = trip.pickup_ts.epoch_ms
+    pickup = trip.pickup_ts
     day = CALENDAR.day(pickup)[0]
     hour, dow, month = CALENDAR.hour(pickup), day.weekday(), day.month
     weekend = 1.0 if dow >= 5 else 0.0
@@ -121,8 +128,7 @@ def featurize(linked: LinkedTrip, schema: FeatureSchema) -> tuple[np.ndarray, fl
     air_o = 1.0 if AIRPORT_MARKER in trip.origin_tag.lower() else 0.0
     air_d = 1.0 if AIRPORT_MARKER in trip.dest_tag.lower() else 0.0
 
-    vec = np.zeros(schema.dim)
-    vec[0:12] = (
+    numeric = (
         on_trip,
         en_route,
         dist,
@@ -136,39 +142,28 @@ def featurize(linked: LinkedTrip, schema: FeatureSchema) -> tuple[np.ndarray, fl
         dist * weekend,
         on_trip * (peak_am + peak_pm),
     )
-    vec[12:19] = (air_o, air_d, max(air_o, air_d), weekend, peak_am, peak_pm, night)
-    base = 19
-    vec[base + hour] = 1.0
-    vec[base + 24 + dow] = 1.0
-    vec[base + 31 + (month - 1)] = 1.0
-    column = schema.product_column.get(trip.product)
-    if column is not None:
-        vec[column] = 1.0
-
-    return vec, linked.driver_total / 100.0
+    flags = (air_o, air_d, max(air_o, air_d), weekend, peak_am, peak_pm, night)
+    return numeric + flags, (hour, dow, month - 1), linked.driver_total / 100.0
 
 
-def feature_matrix(
-    linked: Sequence[LinkedTrip], schema: FeatureSchema
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    targets = []
-    for lt in linked:
-        vec, y = featurize(lt, schema)
-        rows.append(vec)
-        targets.append(y)
-    if not rows:
-        return np.zeros((0, schema.dim)), np.zeros(0)
-    return np.vstack(rows), np.asarray(targets)
+def feature_matrix(linked: Sequence[LinkedTrip]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, y, codes) of the trips in order: ``featurize``'s values, targets and codes."""
+    featured = [featurize(lt) for lt in linked]
+    n = len(featured)
+    return (
+        np.array([values for values, _, _ in featured], dtype=float).reshape(n, _NUMERIC),
+        np.array([y for _, _, y in featured], dtype=float),
+        np.array([codes for _, codes, _ in featured], dtype=np.int32).reshape(n, len(_CODE_BASES)),
+    )
 
 
 @dataclass(frozen=True)
 class FeatureBlocks:
     """One driver's usable linked trips, featurized per anchor year.
 
-    ``years[year]`` is ``(X, y, product)`` in link order: X holds every
-    feature but the product one-hots, and ``product`` each row's index into
-    ``products``, or -1 for a trip without one.
+    ``years[year]`` is ``(X, y, codes)`` in link order: X holds the numeric
+    and flag features, and each row of ``codes`` the trip's hour, weekday and
+    month codes and its index into ``products``, or -1 for a trip without one.
     """
 
     products: tuple[str, ...]
@@ -181,21 +176,18 @@ def feature_blocks(linked: Sequence[LinkedTrip]) -> FeatureBlocks:
         lt
         for lt in linked
         if lt.trip.status is TripStatus.COMPLETED
-        and lt.trip.pickup_ts is not None
-        and lt.trip.accept_ts is not None
-        and lt.trip.dropoff_ts is not None
+        and None not in (lt.trip.accept_ts, lt.trip.pickup_ts, lt.trip.dropoff_ts)
     ]
     products = build_schema(usable).products
     code = {p: i for i, p in enumerate(products)}
     by_year: dict[int, list[LinkedTrip]] = {}
     for lt in usable:
-        by_year.setdefault(CALENDAR.day(trip_anchor(lt.trip).epoch_ms)[0].year, []).append(lt)
-    base = FeatureSchema(())
+        by_year.setdefault(CALENDAR.day(trip_anchor(lt.trip))[0].year, []).append(lt)
     years = {}
     for year, group in sorted(by_year.items()):
-        X, y = feature_matrix(group, base)
+        X, y, codes = feature_matrix(group)
         product = np.array([code.get(lt.trip.product, -1) for lt in group], dtype=np.int32)
-        years[year] = (X, y, product)
+        years[year] = (X, y, np.column_stack((codes, product)))
     return FeatureBlocks(products, years)
 
 
@@ -205,18 +197,21 @@ def stack_blocks(
     """Each year's full (X, y) over all drivers, stacked in the given order.
 
     The product vocabulary is the sorted union of the drivers' own, which is
-    what ``build_schema`` gives over all their trips; every row's product
-    one-hot is filled in against it.
+    what ``build_schema`` gives over all their trips; every row's hour,
+    weekday, month and product one-hots are filled in against it.
     """
     schema = FeatureSchema(tuple(sorted({p for b in blocks for p in b.products})))
     parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for b in blocks:
         column = np.array([schema.product_column[p] for p in b.products], dtype=np.intp)
-        for year, (X, y, product) in b.years.items():
+        for year, (X, y, codes) in b.years.items():
             full = np.zeros((len(y), schema.dim))
-            full[:, :_PRODUCT_BASE] = X
-            rows = np.flatnonzero(product >= 0)
-            full[rows, column[product[rows]]] = 1.0
+            full[:, :_NUMERIC] = X
+            rows = np.arange(len(y))
+            full[rows[:, None], _CODE_BASES + codes[:, : len(_CODE_BASES)]] = 1.0
+            product = codes[:, len(_CODE_BASES)]
+            has = np.flatnonzero(product >= 0)
+            full[has, column[product[has]]] = 1.0
             parts.setdefault(year, []).append((full, y))
     matrices = {
         year: (np.vstack([X for X, _ in group]), np.concatenate([y for _, y in group]))

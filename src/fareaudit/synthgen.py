@@ -35,10 +35,10 @@ from .model import (
     EraBoundaries,
     PaymentCategory,
     PaymentEvent,
-    Timestamp,
     TripRecord,
     TripStatus,
     era_of,
+    format_instant,
     format_pence,
     iso_week_label,
     month_add,
@@ -457,8 +457,8 @@ def _local_date(ms: int, zone: ZoneInfo) -> dt.date:
     return dt.datetime.fromtimestamp(ms // 1000, zone).date()
 
 
-def _midnight(day: dt.date, zone: ZoneInfo) -> int:
-    return Timestamp.from_datetime(dt.datetime(day.year, day.month, day.day, tzinfo=zone)).epoch_ms
+def _midnight(day: dt.date, zone: dt.tzinfo) -> int:
+    return int(dt.datetime(day.year, day.month, day.day, tzinfo=zone).timestamp()) * MS
 
 
 def _week_totals(intervals: Sequence[tuple[int, int]], zone: ZoneInfo) -> dict[str, int]:
@@ -525,19 +525,17 @@ def _gen_driver(
             day += dt.timedelta(days=1)
             continue
 
-        midnight = Timestamp.from_datetime(
-            dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc)
-        ).epoch_ms
+        midnight = _midnight(day, dt.timezone.utc)
         start_offset_s = int(7 * 3600 + rng.random() * 6 * 3600)
         session_start = clock.claim(midnight + start_offset_s * MS)
         session_hours = config.session_min_h + rng.random() * (
             config.session_max_h - config.session_min_h
         )
         session_end = clock.claim(session_start + int(session_hours * 3600) * MS)
-        sessions.append(AppSession(driver_id, Timestamp(session_start), Timestamp(session_end)))
+        sessions.append(AppSession(driver_id, session_start, session_end))
         session_iv.append((session_start, session_end))
 
-        era_here = era_of(Timestamp(session_start), boundaries)
+        era_here = era_of(session_start, boundaries)
         standby_scale = (
             config.standby_inflation_post if era_here is Era.DYNAMIC_PRICING else 1.0
         )
@@ -556,7 +554,7 @@ def _gen_driver(
             for _ in range(n_reject):
                 pos = cursor + int(rng.random() * max(request_ms - cursor - MS, MS))
                 offers.append(
-                    DispatchOffer(driver_id, Timestamp(clock.claim(pos)), False)
+                    DispatchOffer(driver_id, clock.claim(pos), False)
                 )
 
             en_route_s = config.en_route_min_s + rng.random() * (
@@ -564,7 +562,7 @@ def _gen_driver(
             )
             pickup_ms = accept_ms + int(en_route_s) * MS
 
-            era = era_of(Timestamp(pickup_ms), boundaries)
+            era = era_of(pickup_ms, boundaries)
             if era is Era.DYNAMIC_PRICING:
                 duration_s = _trunc_lognormal(rng, config.duration_dynamic)
             else:
@@ -575,14 +573,14 @@ def _gen_driver(
                 break
 
             # trips straddling an era boundary are skipped (time stays standby)
-            drop_era = era_of(Timestamp(dropoff_ms), boundaries)
+            drop_era = era_of(dropoff_ms, boundaries)
             if drop_era is not era:
                 cursor = dropoff_ms
                 continue
 
             request_ms = clock.claim(request_ms)
             accept_ms = clock.claim(accept_ms)
-            offers.append(DispatchOffer(driver_id, Timestamp(request_ms), True))
+            offers.append(DispatchOffer(driver_id, request_ms, True))
 
             if rng.random() < config.cancel_prob:
                 status = (
@@ -593,8 +591,8 @@ def _gen_driver(
                 trips.append(
                     TripRecord(
                         driver_id=driver_id,
-                        request_ts=Timestamp(request_ms),
-                        accept_ts=Timestamp(accept_ms),
+                        request_ts=request_ms,
+                        accept_ts=accept_ms,
                         pickup_ts=None,
                         dropoff_ts=None,
                         distance_miles=0.0,
@@ -660,10 +658,10 @@ def _gen_driver(
 
             trip = TripRecord(
                 driver_id=driver_id,
-                request_ts=Timestamp(request_ms),
-                accept_ts=Timestamp(accept_ms),
-                pickup_ts=Timestamp(pickup_ms),
-                dropoff_ts=Timestamp(dropoff_ms),
+                request_ts=request_ms,
+                accept_ts=accept_ms,
+                pickup_ts=pickup_ms,
+                dropoff_ts=dropoff_ms,
                 distance_miles=distance,
                 status=TripStatus.COMPLETED,
                 original_fare=fare_out,
@@ -685,15 +683,15 @@ def _gen_driver(
             pay_ms = clock.claim(dropoff_ms + int(round(jitter_s * MS)))
             payment = PaymentEvent(
                 driver_id=driver_id,
-                ts=Timestamp(pay_ms),
+                ts=pay_ms,
                 category=PaymentCategory.TRIP_EARNINGS,
                 amount=pay_pence,
                 memo=f"payout#{marker()}",
             )
             payments.append(payment)
 
-            request_iso = Timestamp(request_ms).iso()
-            pairs.append([request_iso, Timestamp(pay_ms).iso(), format_pence(pay_pence)])
+            request_iso = format_instant(request_ms)
+            pairs.append([request_iso, format_instant(pay_ms), format_pence(pay_pence)])
             if era is not Era.OPAQUE_GAP:
                 realized = pay_pence / fare_pence
                 shares[request_iso] = realized
@@ -706,7 +704,7 @@ def _gen_driver(
                 payments.append(
                     PaymentEvent(
                         driver_id=driver_id,
-                        ts=Timestamp(tip_ms),
+                        ts=tip_ms,
                         category=PaymentCategory.TIP,
                         amount=tip,
                         memo=f"tip#{marker()}",
@@ -719,7 +717,7 @@ def _gen_driver(
 
     profile = DriverProfile(
         driver_id=driver_id,
-        first_trip_ts=Timestamp(first_trip_ms if first_trip_ms is not None else start_ms),
+        first_trip_ts=first_trip_ms if first_trip_ms is not None else start_ms,
         gender=gender,
         age_band=age_band,
     )
@@ -735,7 +733,7 @@ def _gen_driver(
     # weekly truth: ledger pence and per-state hours from the native schedule
     pay_weeks: dict[str, int] = {}
     for p in payments:
-        week = iso_week_label(_local_date(p.ts.epoch_ms, zone))
+        week = iso_week_label(_local_date(p.ts, zone))
         pay_weeks[week] = pay_weeks.get(week, 0) + p.amount
     sess_w = _week_totals(session_iv, zone)
     en_w = _week_totals(en_iv, zone)

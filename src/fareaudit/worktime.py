@@ -99,16 +99,16 @@ def subtract_intervals(base: Sequence[Interval], holes: Sequence[Interval]) -> l
 def _trip_intervals(trip: TripRecord) -> tuple[Interval | None, Interval | None]:
     """(en_route, on_trip) intervals for one trip, either possibly None."""
     if trip.status is TripStatus.COMPLETED:
-        en = (trip.accept_ts.epoch_ms, trip.pickup_ts.epoch_ms)
-        on = (trip.pickup_ts.epoch_ms, trip.dropoff_ts.epoch_ms)
+        en = (trip.accept_ts, trip.pickup_ts)
+        on = (trip.pickup_ts, trip.dropoff_ts)
         return (en if en[1] > en[0] else None), (on if on[1] > on[0] else None)
     # cancelled: time from accept to the last known event counts as en route
     if trip.accept_ts is None:
         return None, None
-    last = trip.dropoff_ts or trip.pickup_ts
-    if last is None or last.epoch_ms <= trip.accept_ts.epoch_ms:
+    last = trip.pickup_ts if trip.dropoff_ts is None else trip.dropoff_ts
+    if last is None or last <= trip.accept_ts:
         return None, None
-    return (trip.accept_ts.epoch_ms, last.epoch_ms), None
+    return (trip.accept_ts, last), None
 
 
 def build_segments(sessions: Sequence[AppSession], trips: Sequence[TripRecord]) -> Timeline:
@@ -119,7 +119,7 @@ def build_segments(sessions: Sequence[AppSession], trips: Sequence[TripRecord]) 
     still emitted (pay-bearing time is never dropped) and the trip is flagged
     as an orphan.
     """
-    envelopes = merge_intervals((s.login_ts.epoch_ms, s.logout_ts.epoch_ms) for s in sessions)
+    envelopes = merge_intervals((s.login_ts, s.logout_ts) for s in sessions)
     envelope_starts = [start for start, _ in envelopes]
 
     en_route_raw: list[Interval] = []
@@ -214,7 +214,7 @@ def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) 
 
     pay: dict[dt.date, int] = {}
     for p in payments:
-        day = CALENDAR.day(p.ts.epoch_ms)[0]
+        day = CALENDAR.day(p.ts)[0]
         pay[day] = pay.get(day, 0) + p.amount
     return TimeLedger(time, pay)
 

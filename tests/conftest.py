@@ -15,16 +15,16 @@ from fareaudit.model import (
     DispatchOffer,
     PaymentCategory,
     PaymentEvent,
-    Timestamp,
     TripRecord,
     TripStatus,
+    parse_instant,
     parse_pence,
 )
 
 
-def instant(iso: str) -> Timestamp:
-    """The instant an ISO-8601 string names; naive strings are read as UTC."""
-    return Timestamp.parse(iso)[0]
+def instant(iso: str) -> int:
+    """The epoch ms an ISO-8601 string names; naive strings are read as UTC."""
+    return parse_instant(iso)[0]
 
 
 BASE = instant("2021-03-02T09:00:00Z")  # fixed-commission era
@@ -33,20 +33,20 @@ BASE = instant("2021-03-02T09:00:00Z")  # fixed-commission era
 LONDON = ZoneInfo("Europe/London")
 
 
-def london(ts: Timestamp) -> dt.datetime:
+def london(ms: int) -> dt.datetime:
     """The London wall-clock time of an instant, to the second."""
-    return dt.datetime.fromtimestamp(ts.epoch_ms // 1000, LONDON)
+    return dt.datetime.fromtimestamp(ms // 1000, LONDON)
 
 
 def london_midnight(day: dt.date) -> int:
     """The instant at which ``day`` begins in London."""
     start = dt.datetime(day.year, day.month, day.day, tzinfo=LONDON)
-    return Timestamp.from_datetime(start).epoch_ms
+    return int(start.timestamp()) * 1000
 
 
-def at(minutes: float) -> Timestamp:
-    """Timestamp ``minutes`` after the base instant."""
-    return Timestamp(BASE.epoch_ms + round(minutes * 60_000))
+def at(minutes: float) -> int:
+    """The instant ``minutes`` after the base instant."""
+    return BASE + round(minutes * 60_000)
 
 
 def trip(
@@ -93,7 +93,7 @@ def offer(ts_min: float, accepted: bool, driver: str = "d1") -> DispatchOffer:
 
 def segment(start: float, end: float, state: ActivityState) -> tuple[int, int, ActivityState]:
     """A timeline triple from ``start`` to ``end`` minutes after the base instant."""
-    return at(start).epoch_ms, at(end).epoch_ms, state
+    return at(start), at(end), state
 
 
 TRIP_HEADER = [

@@ -37,9 +37,9 @@ from fareaudit.model import (
     PaymentCategory,
     PaymentEvent,
     RpiSeries,
-    Timestamp,
     TripRecord,
     TripStatus,
+    format_instant,
     format_pence,
     month_days,
     month_range,
@@ -152,7 +152,7 @@ def test_criterion_01_fixed_era_round_trip(fixed_fleet):
                 for pair in fixed_fleet.truth["drivers"][driver_id]["pairs"]
             }
             got = {
-                (lt.trip.request_ts.iso(), p.ts.iso(), format_pence(p.amount))
+                (format_instant(lt.trip.request_ts), format_instant(p.ts), format_pence(p.amount))
                 for lt in data.links.linked
                 for p in lt.earnings
             }
@@ -298,9 +298,9 @@ def trip_at(iso: str, on_min: int, fare: str, driver: str = "d1") -> TripRecord:
     return TripRecord(
         driver_id=driver,
         request_ts=t0,
-        accept_ts=Timestamp(t0.epoch_ms + 1 * MIN),
-        pickup_ts=Timestamp(t0.epoch_ms + 5 * MIN),
-        dropoff_ts=Timestamp(t0.epoch_ms + (5 + on_min) * MIN),
+        accept_ts=t0 + 1 * MIN,
+        pickup_ts=t0 + 5 * MIN,
+        dropoff_ts=t0 + (5 + on_min) * MIN,
         distance_miles=5.0,
         status=TripStatus.COMPLETED,
         original_fare=parse_pence(fare),
@@ -331,8 +331,8 @@ def test_criterion_06_surplus_gap_handling():
             [
                 AppSession(
                     "d1",
-                    Timestamp(t.request_ts.epoch_ms - 10 * MIN),
-                    Timestamp(t.dropoff_ts.epoch_ms + 10 * MIN),
+                    t.request_ts - 10 * MIN,
+                    t.dropoff_ts + 10 * MIN,
                 )
                 for t in trips
             ],

@@ -4,6 +4,7 @@ import codecs
 import csv
 import hashlib
 import json
+import logging
 import os
 import pickle
 import re
@@ -174,13 +175,14 @@ def test_worker_results_stay_reduced(bundles):
     assert linked > 500
     assert not hasattr(audit, "bundle") and not hasattr(audit, "links")
     assert len(pickle.dumps(audit)) < 64 * linked
-    # predict ships one float per feature but the product one-hots (62), the
-    # target and a product code: 508 bytes a row
+    # predict ships the 19 numeric and flag features and the target as floats,
+    # and the hour, weekday, month and product as four int32 codes: 176 bytes
+    # a row, where the parent's 62 float columns took 508
     features = process_bundle(directory, AuditOptions(features_only=True))
     rows = sum(len(y) for _, y, _ in features.years.values())
     assert rows > 500
     assert not hasattr(features, "bundle") and not hasattr(features, "links")
-    assert len(pickle.dumps(features)) < 520 * rows
+    assert len(pickle.dumps(features)) < 200 * rows
 
 
 def test_audit_failed_write_keeps_the_old_report(bundles, tmp_path, monkeypatch):
@@ -433,6 +435,33 @@ def test_anon_output_is_clean(bundles, tmp_path, monkeypatch):
         assert SMALL.marker_prefix not in text
         for driver_id in original_ids:
             assert driver_id not in text
+
+
+def test_anon_logs_rows_left_out(bundles, tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv(SALT_ENV_VAR, "0123456789abcdef0123")
+    shutil.copytree(bundles, tmp_path / "b")
+    payments = tmp_path / "b" / "driver000" / "payments.csv"
+    lines = payments.read_text(encoding="utf-8").splitlines()
+    lines += [lines[1], "2021-06-07T12:00:00Z,tip,50.00,EUR,"]
+    payments.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def left_out(root):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fareaudit"):
+            assert main(["anon", str(root), "--out", str(tmp_path / root.name / "o")]) == 0
+        return [r.getMessage() for r in caplog.records if "rows left out" in r.getMessage()]
+
+    before, after = left_out(bundles), left_out(tmp_path / "b")
+    # the fleet's own corruption already quarantines a payment and a trip and
+    # dedupes a payment; the EUR tip and the repeated row add one each
+    template = (
+        "bundle driver000 rows left out: dispatches 0 quarantined, 0 deduplicated; "
+        "payments {n} quarantined, {n} deduplicated; profile 0 quarantined, 0 deduplicated; "
+        "sessions 0 quarantined, 0 deduplicated; trips 1 quarantined, 0 deduplicated"
+    )
+    assert before[0] == template.format(n=1)
+    assert after[0] == template.format(n=2)
+    assert len(after) == 2 and after[1] == before[1]
 
 
 def test_anon_unknown_strip_field(bundles, tmp_path, monkeypatch):

@@ -89,7 +89,7 @@ def test_share_computed_fixed_era():
 
 def test_share_none_in_opaque_gap():
     t = trip(fare="10.00")
-    shifted = instant("2022-06-01T09:00:00Z").epoch_ms - at(0.0).epoch_ms
+    shifted = instant("2022-06-01T09:00:00Z") - at(0.0)
     opaque_trip = trip(
         req=shifted / 60000.0,
         accept=shifted / 60000.0 + 1,

@@ -32,7 +32,6 @@ from fareaudit.model import (
     PaymentCategory,
     PaymentEvent,
     RpiSeries,
-    Timestamp,
     TripRecord,
     TripStatus,
     iso_week_label,
@@ -51,9 +50,9 @@ def trip_at(iso: str, on_min: int = 60, fare: str | None = "20.00", driver="d1")
     return TripRecord(
         driver_id=driver,
         request_ts=t0,
-        accept_ts=Timestamp(t0.epoch_ms + 1 * MIN),
-        pickup_ts=Timestamp(t0.epoch_ms + 5 * MIN),
-        dropoff_ts=Timestamp(t0.epoch_ms + (5 + on_min) * MIN),
+        accept_ts=t0 + 1 * MIN,
+        pickup_ts=t0 + 5 * MIN,
+        dropoff_ts=t0 + (5 + on_min) * MIN,
         distance_miles=5.0,
         status=TripStatus.COMPLETED,
         original_fare=parse_pence(fare) if fare else None,
@@ -63,7 +62,7 @@ def trip_at(iso: str, on_min: int = 60, fare: str | None = "20.00", driver="d1")
 def pay_at(iso: str, offset_min: float, amount: str, driver="d1"):
     t0 = instant(iso)
     return PaymentEvent(
-        driver, Timestamp(t0.epoch_ms + round(offset_min * MIN)),
+        driver, t0 + round(offset_min * MIN),
         PaymentCategory.TRIP_EARNINGS, parse_pence(amount),
     )
 
@@ -73,8 +72,8 @@ def covering_session(t: TripRecord):
 
     return AppSession(
         t.driver_id,
-        Timestamp(t.request_ts.epoch_ms - 10 * MIN),
-        Timestamp((t.dropoff_ts or t.request_ts).epoch_ms + 10 * MIN),
+        t.request_ts - 10 * MIN,
+        (t.dropoff_ts or t.request_ts) + 10 * MIN,
     )
 
 

@@ -17,9 +17,9 @@ from fareaudit.model import (
     MoneyParseError,
     RecordError,
     RpiSeries,
-    Timestamp,
     TripStatus,
     era_of,
+    format_instant,
     format_pence,
     iso_week_label,
     month_add,
@@ -27,6 +27,7 @@ from fareaudit.model import (
     month_index,
     month_of,
     month_range,
+    parse_instant,
     parse_iso_week,
     parse_pence,
     week_days,
@@ -62,29 +63,33 @@ def test_money_parse_str_roundtrip(p, q):
 
 
 # ---------------------------------------------------------------------------
-# Timestamps and calendar
+# Instants and calendar
 
 
 def test_timestamp_iso_parse_variants():
-    z, z_naive = Timestamp.parse("2021-03-02T09:00:00Z")
-    offset, offset_naive = Timestamp.parse("2021-03-02T10:00:00+01:00")
-    assert z.epoch_ms == offset.epoch_ms
+    z, z_naive = parse_instant("2021-03-02T09:00:00Z")
+    offset, offset_naive = parse_instant("2021-03-02T10:00:00+01:00")
+    assert z == offset
     assert not z_naive and not offset_naive
-    frac, frac_naive = Timestamp.parse("2021-03-02T09:00:00.250Z")
-    assert frac.epoch_ms - z.epoch_ms == 250
+    frac, frac_naive = parse_instant("2021-03-02T09:00:00.250Z")
+    assert frac - z == 250
     assert not frac_naive
-    assert frac.iso() == "2021-03-02T09:00:00.250Z"
-    assert Timestamp.parse(frac.iso()) == (frac, False)
+    assert format_instant(frac) == "2021-03-02T09:00:00.250Z"
+    assert parse_instant(format_instant(frac)) == (frac, False)
 
 
 def test_timestamp_naive_interpreted_utc():
-    naive, was_naive = Timestamp.parse("2021-03-02T09:00:00")
+    naive, was_naive = parse_instant("2021-03-02T09:00:00")
     assert was_naive
-    assert naive == Timestamp.parse("2021-03-02T09:00:00Z")[0]
+    assert naive == parse_instant("2021-03-02T09:00:00Z")[0]
+
+
+def epoch_ms(moment: dt.datetime) -> int:
+    return (moment - dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)) // dt.timedelta(milliseconds=1)
 
 
 def utc_ms(*fields: int) -> int:
-    return Timestamp.from_datetime(dt.datetime(*fields, tzinfo=dt.timezone.utc)).epoch_ms
+    return epoch_ms(dt.datetime(*fields, tzinfo=dt.timezone.utc))
 
 
 MS_YEAR_1 = utc_ms(1, 1, 1)
@@ -98,8 +103,7 @@ MS_LAST = utc_ms(9999, 12, 31, 23, 59, 59, 999_000)  # the last millisecond of 9
 @example(MS_YEAR_1)
 @example(MS_LAST)
 def test_iso_round_trips_through_parse(ms):
-    ts = Timestamp(ms)
-    assert Timestamp.parse(ts.iso()) == (ts, False)
+    assert parse_instant(format_instant(ms)) == (ms, False)
 
 
 @given(st.integers(MS_YEAR_1000, MS_LAST))
@@ -107,14 +111,14 @@ def test_iso_round_trips_through_parse(ms):
 def test_iso_matches_strftime_for_four_digit_years(ms):
     d = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc) + dt.timedelta(milliseconds=ms)
     want = d.strftime("%Y-%m-%dT%H:%M:%S.") + f"{d.microsecond // 1000:03d}Z"
-    assert Timestamp(ms).iso() == want
+    assert format_instant(ms) == want
 
 
 def test_local_calendar_fields_respect_timezone():
     # 23:30 UTC on 30 June is 00:30 on 1 July in London (BST)
     ts = instant("2021-06-30T23:30:00Z")
-    assert month_of(Calendar("Europe/London").day(ts.epoch_ms)[0]) == "2021-07"
-    assert month_of(Calendar("UTC").day(ts.epoch_ms)[0]) == "2021-06"
+    assert month_of(Calendar("Europe/London").day(ts)[0]) == "2021-07"
+    assert month_of(Calendar("UTC").day(ts)[0]) == "2021-06"
 
 
 def test_month_helpers():
@@ -122,8 +126,8 @@ def test_month_helpers():
     assert month_add("2021-11", 3) == "2022-02"
     assert month_range("2021-11", "2022-01") == ["2021-11", "2021-12", "2022-01"]
     lo, hi = (Calendar("UTC").midnight(day) for day in month_days("2021-03"))
-    assert Timestamp(lo).iso() == "2021-03-01T00:00:00.000Z"
-    assert Timestamp(hi).iso() == "2021-04-01T00:00:00.000Z"
+    assert format_instant(lo) == "2021-03-01T00:00:00.000Z"
+    assert format_instant(hi) == "2021-04-01T00:00:00.000Z"
 
 
 def test_iso_week_helpers():
@@ -209,7 +213,7 @@ def test_calendar_matches_zoneinfo_across_new_year(tz):
     # each year's dates are read in one piece, so step over the seams both ways
     zone = ZoneInfo(tz)
     for year in range(1990, 2042):
-        new_year = Timestamp.from_datetime(dt.datetime(year, 1, 1, tzinfo=zone)).epoch_ms
+        new_year = epoch_ms(dt.datetime(year, 1, 1, tzinfo=zone))
         for ms in (new_year - 1, new_year, new_year - 1, new_year + 1):
             check_calendar(tz, ms)
 
@@ -277,7 +281,7 @@ TWO_DAYS_MS = 2 * 24 * 3_600_000
 
 def utc_month_start_ms(label: str) -> int:
     year, month = (int(part) for part in label.split("-"))
-    return Timestamp.from_datetime(dt.datetime(year, month, 1, tzinfo=dt.timezone.utc)).epoch_ms
+    return utc_ms(year, month, 1)
 
 
 @given(
@@ -297,9 +301,9 @@ def test_era_of_matches_local_month_labels(pair, near, offset_ms):
     elif near == "dynamic":
         centre = utc_month_start_ms(pair[1])
     else:
-        centre = instant(near).epoch_ms
-    ts = Timestamp(centre + offset_ms)
-    local = dt.datetime.fromtimestamp(ts.epoch_ms // 1000, ZoneInfo(boundaries.tz))
+        centre = instant(near)
+    ts = centre + offset_ms
+    local = dt.datetime.fromtimestamp(ts // 1000, ZoneInfo(boundaries.tz))
     label = local.year * 12 + local.month - 1
     if label < month_index(pair[0]):
         expected = Era.FIXED_COMMISSION

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from fareaudit.linkage import LinkedTrip
-from fareaudit.model import AuditError, Timestamp, TripRecord, TripStatus
+from fareaudit.model import AuditError, TripRecord, TripStatus
 from fareaudit.predictability import (
     DegenerateColumn,
     FeatureSchema,
     build_schema,
     feature_blocks,
-    feature_matrix,
     featurize,
     fit_ols,
     r2,
@@ -37,9 +36,9 @@ def make_linked(
     t = TripRecord(
         driver_id="d1",
         request_ts=t0,
-        accept_ts=Timestamp(t0.epoch_ms + round(wait_min * MIN)),
-        pickup_ts=Timestamp(t0.epoch_ms + round((wait_min + en_min) * MIN)),
-        dropoff_ts=Timestamp(t0.epoch_ms + round((wait_min + en_min + on_min) * MIN)),
+        accept_ts=t0 + round(wait_min * MIN),
+        pickup_ts=t0 + round((wait_min + en_min) * MIN),
+        dropoff_ts=t0 + round((wait_min + en_min + on_min) * MIN),
         distance_miles=dist,
         status=TripStatus.COMPLETED,
         original_fare=None,
@@ -70,11 +69,15 @@ def test_featurize_known_values():
         on_min=20.0, en_min=4.0, wait_min=1.0, dist=5.0, pay=15.0,
         origin="heathrow-airport",
     )
-    schema = build_schema([lt])
-    vec, y = featurize(lt, schema)
+    values, codes, y = featurize(lt)
     assert y == 15.0
-    names = schema.names
-    v = dict(zip(names, vec))
+    assert codes == (9, 5, 6)  # hour, weekday (Monday 0), month - 1
+    schema, matrices = stack_blocks([feature_blocks([lt])])
+    (vec,), (target,) = matrices[2021]
+    assert target == y
+    v = dict(zip(schema.names, vec))
+    assert tuple(vec[: len(values)]) == values
+    assert vec[len(values):].sum() == 4.0  # the hour, weekday, month and product one-hots
     assert v["on_trip_minutes"] == pytest.approx(20.0)
     assert v["en_route_minutes"] == pytest.approx(4.0)
     assert v["wait_minutes"] == pytest.approx(1.0)
@@ -98,7 +101,7 @@ def test_featurize_rejects_incomplete():
     from fareaudit.predictability import IncompleteTrip
 
     with pytest.raises(IncompleteTrip):
-        featurize(bad, build_schema([]))
+        featurize(bad)
 
 
 def rand_linked(rng, n, year=2021, coef=None):
@@ -138,8 +141,8 @@ def test_ols_predicts_through_collinear_schema():
     # individual coefficients are not identifiable there; predictions are
     rng = np.random.default_rng(0)
     linked = rand_linked(rng, 400, coef=(2.5, 0.3, 0.8))
-    schema = build_schema(linked)
-    X, y = feature_matrix(linked, schema)
+    schema, matrices = stack_blocks([feature_blocks(linked)])
+    X, y = matrices[2021]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateColumn)
         model = fit_ols(X, y, schema.names)
@@ -255,8 +258,21 @@ def test_stacked_blocks_equal_the_fleet_feature_matrix():
     assert schema.names == want_schema.names
     assert sorted(matrices) == [2020, 2021]
     for year, (X, y) in matrices.items():
-        want_X, want_y = feature_matrix(
-            [lt for lt in everyone if london(lt.trip.dropoff_ts).year == year], want_schema
-        )
-        assert np.array_equal(X, want_X)
-        assert np.array_equal(y, want_y)
+        group = [lt for lt in everyone if london(lt.trip.dropoff_ts).year == year]
+        want = [full_row(lt, want_schema) for lt in group]
+        assert np.array_equal(X, np.array([row for row, _ in want]))
+        assert np.array_equal(y, np.array([target for _, target in want]))
+
+
+def full_row(lt: LinkedTrip, schema: FeatureSchema) -> tuple[list[float], float]:
+    """One trip's schema row, its one-hots set by column name."""
+    values, (hour, dow, month), y = featurize(lt)
+    row = dict.fromkeys(schema.names, 0.0)
+    row.update(zip(schema.names, values))
+    row[f"hour_{hour:02d}"] = 1.0
+    row[("dow_mon", "dow_tue", "dow_wed", "dow_thu", "dow_fri", "dow_sat", "dow_sun")[dow]] = 1.0
+    row[f"month_{month + 1:02d}"] = 1.0
+    if lt.trip.product:
+        row[f"product_{lt.trip.product}"] = 1.0
+    return list(row.values()), y
+

@@ -7,7 +7,6 @@ from fareaudit.model import (
     ActivityState,
     PaymentCategory,
     PaymentEvent,
-    Timestamp,
     TripStatus,
     month_days,
     week_days,
@@ -94,7 +93,7 @@ def test_orphan_trip_time_still_emitted():
     tl = build_segments(sessions, trips)
     assert tl.orphan_trips == (trips[0],)
     on = [start for start, _end, state in tl.segments if state is ActivityState.ON_TRIP]
-    assert on == [at(33.0).epoch_ms]
+    assert on == [at(33.0)]
 
 
 def test_trip_partly_inside_session_is_orphan():
@@ -185,7 +184,7 @@ def test_segments_match_minute_oracle(sess_raw, trips_raw):
             want[m] = ActivityState.STANDBY
 
     got = {}
-    base = at(0.0).epoch_ms
+    base = at(0.0)
     for start, end, state in build_segments(sessions, trips).segments:
         assert start < end, "empty or inverted segment"
         assert (start - base) % MIN == 0 and (end - base) % MIN == 0
@@ -344,7 +343,7 @@ WEEKS_BASE = instant("2021-03-15T00:00:00Z")  # Monday of 2021-W11
 @settings(max_examples=100, deadline=None)
 def test_weekly_rows_hours_match_clip_and_sum(raw):
     segments = [
-        (WEEKS_BASE.epoch_ms + s * MIN, WEEKS_BASE.epoch_ms + (s + d) * MIN, state)
+        (WEEKS_BASE + s * MIN, WEEKS_BASE + (s + d) * MIN, state)
         for s, d, state in raw
     ]
     want = {}
@@ -405,12 +404,12 @@ LEDGER_MONTHS = ("2021-02", "2021-03", "2021-04", "2021-10", "2021-11")
 @settings(max_examples=150, deadline=None)
 def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_payments):
     segments = [
-        (anchor.epoch_ms + s * MIN, anchor.epoch_ms + (s + d) * MIN, state)
+        (anchor + s * MIN, anchor + (s + d) * MIN, state)
         for anchor, s, d, state in raw_segments
     ]
     payments = [
         PaymentEvent(
-            "d1", Timestamp(anchor.epoch_ms + s * MIN), PaymentCategory.TIP, pence
+            "d1", anchor + s * MIN, PaymentCategory.TIP, pence
         )
         for anchor, s, pence in raw_payments
     ]
@@ -424,7 +423,7 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
         )
 
     def want_pence(lo, hi):
-        return sum(p.amount for p in payments if lo <= p.ts.epoch_ms < hi)
+        return sum(p.amount for p in payments if lo <= p.ts < hi)
 
     for label, period in [(week, week_days(week)) for week in LEDGER_WEEKS] + [
         (month, month_days(month)) for month in LEDGER_MONTHS
@@ -442,8 +441,8 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
             s = max(start, lo)
             e = min(end, hi)
             if e > s:
-                day = london(Timestamp(s)).date()
-                while day <= london(Timestamp(e - 1)).date():
+                day = london(s).date()
+                while day <= london(e - 1).date():
                     active.add(day)
                     day += DAY
         assert utilisation_daily(ledger, month).active_days == len(active), month
@@ -451,8 +450,8 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
 
 def test_segment_spanning_a_whole_month_counts_in_it():
     whole_february = (
-        instant("2021-01-31T12:00:00Z").epoch_ms,
-        instant("2021-03-01T12:00:00Z").epoch_ms,
+        instant("2021-01-31T12:00:00Z"),
+        instant("2021-03-01T12:00:00Z"),
         ActivityState.STANDBY,
     )
     u = utilisation_daily(build_ledger([whole_february], []), "2021-02")
