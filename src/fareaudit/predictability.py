@@ -201,22 +201,25 @@ def stack_blocks(
     weekday, month and product one-hots are filled in against it.
     """
     schema = FeatureSchema(tuple(sorted({p for b in blocks for p in b.products})))
-    parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    sizes: dict[int, int] = {}
+    for b in blocks:
+        for year, (_, y, _) in b.years.items():
+            sizes[year] = sizes.get(year, 0) + len(y)
+    matrices = {year: (np.zeros((n, schema.dim)), np.empty(n)) for year, n in sorted(sizes.items())}
+    filled = dict.fromkeys(sizes, 0)
     for b in blocks:
         column = np.array([schema.product_column[p] for p in b.products], dtype=np.intp)
         for year, (X, y, codes) in b.years.items():
-            full = np.zeros((len(y), schema.dim))
+            lo = filled[year]
+            filled[year] = hi = lo + len(y)
+            full = matrices[year][0][lo:hi]  # a view: the fills below land in the year's matrix
             full[:, :_NUMERIC] = X
             rows = np.arange(len(y))
             full[rows[:, None], _CODE_BASES + codes[:, : len(_CODE_BASES)]] = 1.0
             product = codes[:, len(_CODE_BASES)]
             has = np.flatnonzero(product >= 0)
             full[has, column[product[has]]] = 1.0
-            parts.setdefault(year, []).append((full, y))
-    matrices = {
-        year: (np.vstack([X for X, _ in group]), np.concatenate([y for _, y in group]))
-        for year, group in sorted(parts.items())
-    }
+            matrices[year][1][lo:hi] = y
     return schema, matrices
 
 
@@ -261,7 +264,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray, feature_names: Sequence[str] | None = 
     if not keep.all():
         names = tuple(feature_names[i] for i in np.flatnonzero(~keep))
         warnings.warn(f"dropping zero-variance features: {', '.join(names)}", DegenerateColumn)
-    Xs = (X[:, keep] - mean[keep]) / std[keep]
+    Xs = X[:, keep]  # boolean indexing copies, so X itself is never changed
+    Xs -= mean[keep]
+    Xs /= std[keep]
     y_mean = float(y.mean())
 
     gram = Xs.T @ Xs
@@ -367,7 +372,7 @@ def year_matrix(
                 if mode == "cumulative":
                     train_parts = [matrices[p] for p in years if p < year]
                 train_parts.append((X[train_idx], y[train_idx]))
-                X_test, y_test = X[test_idx], y[test_idx]
+                y_test = y[test_idx]
             else:
                 source = year - lag
                 if source not in matrices:
@@ -376,10 +381,13 @@ def year_matrix(
                     train_parts = [matrices[source]]
                 else:
                     train_parts = [matrices[p] for p in years if p <= source]
-                X_test, y_test = matrices[year]
+                y_test = matrices[year][1]
 
-            X_train = np.vstack([p[0] for p in train_parts])
-            y_train = np.concatenate([p[1] for p in train_parts])
+            if len(train_parts) == 1:
+                X_train, y_train = train_parts[0]
+            else:
+                X_train = np.vstack([p[0] for p in train_parts])
+                y_train = np.concatenate([p[1] for p in train_parts])
             counts[(year, lag)] = (len(y_train), len(y_test))
             if len(y_train) <= schema.dim or len(y_test) < 2:
                 cells[(year, lag)] = None
@@ -387,6 +395,8 @@ def year_matrix(
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateColumn)
                 model = fit_ols(X_train, y_train, schema.names)
+            # the test rows are copied only now, once the fit's copies are gone
+            X_test = matrices[year][0][test_idx] if lag == 0 else matrices[year][0]
             try:
                 cells[(year, lag)] = r2(model, X_test, y_test)
             except ZeroVarianceTarget:

@@ -777,6 +777,8 @@ def _inject_corruption(
     directory: Path, rng: np.random.Generator, plan: dict[str, int]
 ) -> dict:
     applied = {"duplicate_payments": 0, "inverted_trips": 0, "malformed_money": 0}
+    if not any(plan.values()):
+        return applied
 
     pay_path = directory / "payments.csv"
     lines = pay_path.read_text(encoding="utf-8").splitlines()
@@ -969,9 +971,13 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
         cohort=_cohort_truth(config, truths),
     )
     with open(out_root / "ground_truth.json", "w", encoding="utf-8") as fh:
-        # a driver's truth is filed under its id, so the id is not repeated inside
-        payload = asdict(truth, dict_factory=lambda kv: {k: v for k, v in kv if k != "driver_id"})
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        # a driver's truth is filed under its id, so the id is not repeated
+        # inside; vars() shares the truth's lists and dicts instead of copying
+        drivers = {
+            name: {k: v for k, v in vars(t).items() if k != "driver_id"}
+            for name, t in truth.drivers.items()
+        }
+        json.dump({**vars(truth), "drivers": drivers}, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return truth
 

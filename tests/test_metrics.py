@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from fareaudit.linkage import link
 from fareaudit.metrics import (
+    KDE_BLOCK_ROWS,
     CohortSplit,
     MissingRpiMonth,
     NoOffers,
@@ -425,6 +428,23 @@ def test_kde_integrates_to_one():
     # the modes sit near the sample means
     assert abs(grid[int(np.argmax(cmp.density_a))] - 0.6) < 0.05
     assert abs(grid[int(np.argmax(cmp.density_b))] - 0.8) < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000])
+def test_kde_keeps_the_bytes_of_the_one_matrix_formula(n):
+    # 513 grid points span more than one block of grid rows and end mid-block
+    assert 513 > KDE_BLOCK_ROWS and 513 % KDE_BLOCK_ROWS
+    rng = np.random.default_rng(n)
+    a = rng.normal(0.7, 0.1, n).tolist()
+    b = rng.gamma(4.0, 0.2, n).tolist()
+    cmp = distribution_compare(a, b, grid_points=513)
+    grid = np.asarray(cmp.grid)
+    samples = ((a, cmp.bandwidth_a, cmp.density_a), (b, cmp.bandwidth_b, cmp.density_b))
+    for values, h, density in samples:
+        x = np.asarray(values, dtype=float)
+        z = (grid[:, None] - x[None, :]) / h
+        want = np.exp(-0.5 * z * z).sum(axis=1) / (len(x) * h * math.sqrt(2.0 * math.pi))
+        assert np.asarray(density).tobytes() == want.tobytes()
 
 
 def test_distribution_compare_requires_data():

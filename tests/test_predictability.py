@@ -276,3 +276,82 @@ def full_row(lt: LinkedTrip, schema: FeatureSchema) -> tuple[list[float], float]
         row[f"product_{lt.trip.product}"] = 1.0
     return list(row.values()), y
 
+
+@pytest.mark.parametrize("mode", ["single_year", "cumulative"])
+def test_year_matrix_matches_the_copying_reference(mode):
+    # three drivers with different product sets over three years; the
+    # reference stacks per-block arrays with np.vstack, copies every training
+    # set and standardizes out of place, and every R² must keep its bits
+    rng = np.random.default_rng(11)
+    products = (("comfort", "standard", "comfort"), ("xl", "", "standard"), ("standard",) * 3)
+    fleet = []
+    for d, choices in enumerate(products):
+        linked = [lt for year in (2019, 2020, 2021) for lt in rand_linked(rng, 120, year)]
+        fleet.append(
+            [
+                replace(lt, trip=replace(lt.trip, driver_id=f"d{d}", product=choices[i % 3]))
+                for i, lt in enumerate(linked)
+            ]
+        )
+    blocks = [feature_blocks(linked) for linked in fleet]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateColumn)
+        got = year_matrix(blocks, mode=mode, seed=3)
+    cells, counts = copying_year_matrix(blocks, mode, seed=3)
+    assert got.counts == counts
+    assert got.cells.keys() == cells.keys()
+    for key, value in cells.items():
+        assert np.float64(got.cells[key]).tobytes() == np.float64(value).tobytes(), key
+
+
+def copying_year_matrix(blocks, mode, seed):
+    """year_matrix's cells and counts, computed with a copy at every step."""
+    schema = FeatureSchema(tuple(sorted({p for b in blocks for p in b.products})))
+    parts = {}
+    for b in blocks:
+        for year, (X, y, codes) in b.years.items():
+            full = np.zeros((len(y), schema.dim))
+            base = X.shape[1]
+            full[:, :base] = X
+            for row, (hour, dow, month, product) in enumerate(codes):
+                full[row, [base + hour, base + 24 + dow, base + 31 + month]] = 1.0
+                if product >= 0:
+                    full[row, schema.product_column[b.products[product]]] = 1.0
+            parts.setdefault(year, []).append((full, y))
+    matrices = {
+        year: (np.vstack([X for X, _ in group]), np.concatenate([y for _, y in group]))
+        for year, group in sorted(parts.items())
+    }
+    years = sorted(matrices)
+    cells, counts = {}, {}
+    for year in years:
+        for lag in range(year - years[0] + 1):
+            if lag == 0:
+                X, y = matrices[year]
+                perm = np.random.default_rng([seed, year]).permutation(len(y))
+                cut = int(len(y) * 0.8)
+                train = [matrices[p] for p in years if p < year] if mode == "cumulative" else []
+                train.append((X[perm[:cut]], y[perm[:cut]]))
+                X_test, y_test = X[perm[cut:]], y[perm[cut:]]
+            else:
+                last = year - lag
+                cumulative = mode == "cumulative"
+                train = [matrices[p] for p in years if p == last or (cumulative and p < last)]
+                X_test, y_test = matrices[year]
+            X_train = np.vstack([X for X, _ in train])
+            y_train = np.concatenate([y for _, y in train])
+            counts[(year, lag)] = (len(y_train), len(y_test))
+            mean, std = X_train.mean(axis=0), X_train.std(axis=0)
+            keep = std > 0.0
+            Xs = (X_train[:, keep] - mean[keep]) / std[keep]
+            gram = Xs.T @ Xs
+            k = gram.shape[0]
+            eps = 1e-8 * float(np.trace(gram)) / k
+            y_mean = float(y_train.mean())
+            beta = np.linalg.solve(gram + eps * np.eye(k), Xs.T @ (y_train - y_mean))
+            coefficients = np.zeros(schema.dim)
+            coefficients[keep] = beta / std[keep]
+            pred = X_test @ coefficients + (y_mean - float(coefficients @ mean))
+            ss_tot = float(((y_test - y_test.mean()) ** 2).sum())
+            cells[(year, lag)] = 1.0 - float(((y_test - pred) ** 2).sum()) / ss_tot
+    return cells, counts
