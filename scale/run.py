@@ -1,11 +1,11 @@
 """Paper-scale run: synth, audit and predict at five fractions of one fleet.
 
-    python3 scale/run.py --work .scale_work [--fractions 16,8,4,2,1]
+    python3 scale/run.py --work .scale_work
 
 The program runs from ``src/`` of the checkout that holds this script. For
-each fraction 1/k the generator config ``scale/paper.json`` is run with its
-``n_drivers`` divided by k (the first drivers of the full fleet: each driver's trips come from its
-own seeded stream), and then:
+each fraction 1/k in FRACTIONS the generator config ``scale/paper.json`` is
+run with its ``n_drivers`` divided by k (the first drivers of the full fleet:
+each driver's trips come from its own seeded stream), and then:
 
 * ``synth`` once, traced: ``bench/tracer.py`` run as a script;
 * ``audit --jobs 2 --charts`` and ``predict --jobs 2``, untraced: wall time
@@ -19,8 +19,8 @@ lives under ``--work`` and is deleted after its fraction is measured.
 
 Standard output gets one JSON line for the base RSS (an interpreter that has
 imported the package), one per fraction, and a last one with each command's
-growth from the smallest fraction to the largest, divided by the growth in
-trip rows: 1.0 is linear. The RSS growth is taken above the base.
+growth from 1/16 of the fleet to all of it, divided by the growth in trip
+rows: 1.0 is linear. The RSS growth is taken above the base.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "scale" / "paper.json"
+FRACTIONS = (16, 8, 4, 2, 1)
 sys.path.insert(0, str(ROOT / "bench"))
 import tracer  # noqa: E402  (bench/tracer.py: span aggregation)
 
@@ -110,7 +111,6 @@ def growth(base_mb: float, first: dict, last: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", required=True, help="directory for fleets and outputs")
-    parser.add_argument("--fractions", default="16,8,4,2,1", help="denominators k of 1/k")
     args = parser.parse_args(argv)
 
     config = json.loads(CONFIG.read_text(encoding="utf-8"))
@@ -119,11 +119,10 @@ def main(argv: list[str] | None = None) -> int:
     base = run(["--help"])["peak_rss_mb"]
     print(json.dumps({"base_rss_mb": base}), flush=True)
     results = []
-    for k in (int(x) for x in args.fractions.split(",")):
+    for k in FRACTIONS:
         results.append(measure(config, k, work))
         print(json.dumps(results[-1]), flush=True)
-    if len(results) > 1:
-        print(json.dumps({"growth": growth(base, results[0], results[-1])}), flush=True)
+    print(json.dumps({"growth": growth(base, results[0], results[-1])}), flush=True)
     return 0
 
 

@@ -43,7 +43,7 @@ from .model import (
 from .worktime import HoursDefinition, TimeLedger, hours_worked
 
 DEFAULT_SPLIT_BINS = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.5)
-KDE_BLOCK_ROWS = 16
+KDE_BLOCK_ELEMENTS = 1 << 14
 
 
 class ZeroHours(AuditError):
@@ -603,16 +603,18 @@ def silverman_bandwidth(values: Sequence[float]) -> float:
 def _kde(values: Sequence[float], grid: np.ndarray, h: float) -> np.ndarray:
     """Gaussian kernel density of ``values`` at each grid point.
 
-    The grid is taken KDE_BLOCK_ROWS points at a time, so the temporaries are
-    KDE_BLOCK_ROWS x n rather than len(grid) x n. Each point's kernel sum is
-    still taken over its own row, so the densities have the same bytes as
-    with one matrix.
+    The grid is taken a block of rows at a time, each block about
+    KDE_BLOCK_ELEMENTS kernel evaluations (at least one row), so the
+    temporaries stay cache-sized rather than len(grid) x n. Each point's
+    kernel sum is still taken over its own row, so the densities have the same
+    bytes as with one matrix.
     """
     x = np.asarray(values, dtype=float)
+    rows = max(1, KDE_BLOCK_ELEMENTS // len(x))
     sums = np.empty(len(grid))
-    for lo in range(0, len(grid), KDE_BLOCK_ROWS):
-        z = (grid[lo : lo + KDE_BLOCK_ROWS, None] - x[None, :]) / h
-        sums[lo : lo + KDE_BLOCK_ROWS] = np.exp(-0.5 * z * z).sum(axis=1)
+    for lo in range(0, len(grid), rows):
+        z = (grid[lo : lo + rows, None] - x[None, :]) / h
+        sums[lo : lo + rows] = np.exp(-0.5 * z * z).sum(axis=1)
     return sums / (len(x) * h * math.sqrt(2.0 * math.pi))
 
 

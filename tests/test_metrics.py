@@ -5,7 +5,7 @@ import pytest
 
 from fareaudit.linkage import link
 from fareaudit.metrics import (
-    KDE_BLOCK_ROWS,
+    KDE_BLOCK_ELEMENTS,
     CohortSplit,
     MissingRpiMonth,
     NoOffers,
@@ -432,12 +432,14 @@ def test_kde_integrates_to_one():
 
 @pytest.mark.parametrize("n", [1, 7, 5000])
 def test_kde_keeps_the_bytes_of_the_one_matrix_formula(n):
-    # 513 grid points span more than one block of grid rows and end mid-block
-    assert 513 > KDE_BLOCK_ROWS and 513 % KDE_BLOCK_ROWS
+    # about 513 grid points, at least two whole blocks of grid rows and one
+    # point into the next
+    rows = max(1, KDE_BLOCK_ELEMENTS // n)
+    grid_points = rows * max(2, 512 // rows) + 1
     rng = np.random.default_rng(n)
     a = rng.normal(0.7, 0.1, n).tolist()
     b = rng.gamma(4.0, 0.2, n).tolist()
-    cmp = distribution_compare(a, b, grid_points=513)
+    cmp = distribution_compare(a, b, grid_points=grid_points)
     grid = np.asarray(cmp.grid)
     samples = ((a, cmp.bandwidth_a, cmp.density_a), (b, cmp.bandwidth_b, cmp.density_b))
     for values, h, density in samples:
