@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -54,6 +55,27 @@ def _month_pair(text: str) -> tuple[str, str]:
     if not sep:
         raise argparse.ArgumentTypeError("expected YYYY-MM:YYYY-MM")
     return lo, hi
+
+
+def _window_seconds(text: str) -> float:
+    """A linkage window: positive, and finite once counted in milliseconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value * 1000)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return value
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -244,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rpi", default=None, help="inflation CSV (default: <root>/rpi.csv)")
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
     p.add_argument(
-        "--link-window-seconds", type=float, default=DEFAULT_WINDOW_S, metavar="S"
+        "--link-window-seconds", type=_window_seconds, default=DEFAULT_WINDOW_S, metavar="S"
     )
     p.add_argument(
         "--era-boundaries",
@@ -262,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cohort-pre", type=_month_pair, default=None, metavar="A:B")
     p.add_argument("--cohort-post", type=_month_pair, default=None, metavar="A:B")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_worker_count, default=1)
     p.add_argument("--charts", action="store_true", help="also emit SVG charts")
     p.set_defaults(func=cmd_audit)
 
@@ -272,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.add_argument(
-        "--link-window-seconds", type=float, default=DEFAULT_WINDOW_S, metavar="S"
+        "--link-window-seconds", type=_window_seconds, default=DEFAULT_WINDOW_S, metavar="S"
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_worker_count, default=1)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("anon", help="write pseudonymized, stripped bundle copies")

@@ -2,8 +2,8 @@
 
 A bundle is one directory per driver holding ``trips.csv``, ``payments.csv``,
 ``dispatches.csv``, ``sessions.csv`` and ``profile.csv`` (UTF-8, header row
-required; only trips and payments are mandatory). Column headers are resolved
-through a ColumnMap so hand-mapped real exports can reuse the same loader.
+required; only trips and payments are mandatory). Each column header is
+resolved through a built-in table of aliases seen in real exports.
 Amounts are pounds with at most two decimals, read into integer pence; a
 payment row in a currency other than GBP is quarantined.
 """
@@ -11,7 +11,6 @@ payment row in a currency other than GBP is quarantined.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -112,50 +111,21 @@ class MalformedTable(AuditError):
     """A table cannot be used: unresolvable columns or too many bad rows."""
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnMap:
-    """Per-table mapping from canonical field name to candidate source headers.
+def _resolve_columns(table: str, headers: Sequence[str]) -> dict[str, str | None]:
+    """Map each of the table's canonical fields to its header, None if absent.
 
-    Candidates are tried in order; the first header present in the file wins.
+    A field's aliases are tried in order; the first header present in the file
+    wins.
     """
-
-    tables: Mapping[str, Mapping[str, tuple[str, ...]]]
-
-    @classmethod
-    def default(cls) -> "ColumnMap":
-        tables = {
-            table: {name: _DEFAULT_ALIASES[name] for name in fields}
-            for table, fields in TABLE_FIELDS.items()
-        }
-        return cls(tables)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ColumnMap":
-        """Load overrides from JSON: {table: {field: [headers...]}} merged over defaults."""
-        with open(path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        base = {t: dict(f) for t, f in cls.default().tables.items()}
-        for table, fields in overrides.items():
-            if table not in base:
-                raise MalformedTable(f"unknown table in column map: {table!r}")
-            for name, candidates in fields.items():
-                if name not in base[table]:
-                    raise MalformedTable(f"unknown field in column map: {table}.{name}")
-                if isinstance(candidates, str):
-                    candidates = [candidates]
-                base[table][name] = tuple(candidates)
-        return cls(base)
-
-    def resolve(self, table: str, headers: Sequence[str]) -> dict[str, str | None]:
-        """Map each canonical field to the actual header, None if absent."""
-        out: dict[str, str | None] = {}
-        have = set(headers)
-        for name, candidates in self.tables[table].items():
-            out[name] = next((c for c in candidates if c in have), None)
-        for name, actual in out.items():
-            if actual is None and name not in OPTIONAL_FIELDS[table]:
-                raise MalformedTable(f"table {table!r}: no column for required field {name!r}")
-        return out
+    have = set(headers)
+    out = {
+        name: next((c for c in _DEFAULT_ALIASES[name] if c in have), None)
+        for name in TABLE_FIELDS[table]
+    }
+    for name, actual in out.items():
+        if actual is None and name not in OPTIONAL_FIELDS[table]:
+            raise MalformedTable(f"table {table!r}: no column for required field {name!r}")
+    return out
 
 
 Row = tuple[str, ...]  # a table's stripped source text in TABLE_FIELDS order
@@ -240,7 +210,7 @@ class IngestReport:
 # Loading
 
 
-def load_bundle(directory: str | Path, column_map: ColumnMap | None = None) -> RawBundle:
+def load_bundle(directory: str | Path) -> RawBundle:
     """Read one driver directory into a RawBundle.
 
     The driver id is the directory name. Unrecognized files are skipped and
@@ -249,7 +219,6 @@ def load_bundle(directory: str | Path, column_map: ColumnMap | None = None) -> R
     directory = Path(directory)
     if not directory.is_dir():
         raise MissingTable(f"bundle directory not found: {directory}")
-    column_map = column_map or ColumnMap.default()
 
     file_for_table = {v: k for k, v in TABLE_FILES.items()}
     tables: dict[str, tuple[Row, ...]] = {}
@@ -261,7 +230,7 @@ def load_bundle(directory: str | Path, column_map: ColumnMap | None = None) -> R
         if table is None:
             skipped.append(entry.name)
             continue
-        tables[table] = _read_table(entry, table, column_map)
+        tables[table] = _read_table(entry, table)
 
     missing = [t for t in REQUIRED_TABLES if t not in tables]
     if missing:
@@ -269,7 +238,7 @@ def load_bundle(directory: str | Path, column_map: ColumnMap | None = None) -> R
     return RawBundle(directory.name, tables, tuple(skipped))
 
 
-def _read_table(path: Path, table: str, column_map: ColumnMap) -> tuple[Row, ...]:
+def _read_table(path: Path, table: str) -> tuple[Row, ...]:
     """The rows of one file, as ``csv.DictReader`` would read them.
 
     Blank lines are skipped, a short row reads "" past its end, extra cells
@@ -280,7 +249,7 @@ def _read_table(path: Path, table: str, column_map: ColumnMap) -> tuple[Row, ...
         header = next(reader, None)
         if header is None:
             raise MalformedTable(f"{path.name}: empty file, header row required")
-        resolution = column_map.resolve(table, header)
+        resolution = _resolve_columns(table, header)
         width = len(header)
         column = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
         # an absent field reads the cell one past the header, which is always ""

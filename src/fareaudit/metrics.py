@@ -31,13 +31,11 @@ from .model import (
     TripRecord,
     TripStatus,
     era_of,
-    iso_week_label,
     month_index,
     month_label,
     month_of,
     month_range,
     trip_anchor,
-    week_days,
     week_monday,
 )
 from .worktime import HoursDefinition, TimeLedger, hours_worked
@@ -76,18 +74,16 @@ class WeeklyPayRow:
 
 
 def weekly_rows(driver_id: str, ledger: TimeLedger) -> tuple[WeeklyPayRow, ...]:
-    """One row per ISO week with any pay or any working time.
+    """One row per ISO week with any pay or any working time, in week order.
 
     Pay is the signed sum of every payment category (the week's cash position),
     unlike take-rate inputs which use trip earnings only.
     """
-    weeks = {iso_week_label(day) for day in {*ledger.time, *ledger.pay}}
     rows: list[WeeklyPayRow] = []
-    for week in sorted(weeks, key=week_monday):
-        period = week_days(week)
-        tribunal = hours_worked(ledger, period, HoursDefinition.TRIBUNAL)
-        platform = hours_worked(ledger, period, HoursDefinition.PLATFORM)
-        net = sum(ledger.day_pay(period))
+    for week, totals in ledger.weeks.items():
+        tribunal = hours_worked(totals, HoursDefinition.TRIBUNAL)
+        platform = hours_worked(totals, HoursDefinition.PLATFORM)
+        net = totals.pay or 0
         if net == 0 and tribunal == 0.0:
             continue
         rows.append(WeeklyPayRow(driver_id, week, net, tribunal, platform))

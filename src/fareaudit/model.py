@@ -222,12 +222,6 @@ def week_monday(label: str) -> dt.date:
     return dt.date.fromisocalendar(year, week, 1)
 
 
-def week_days(label: str) -> tuple[dt.date, dt.date]:
-    """Half-open [Monday, next Monday) of an ISO week."""
-    monday = week_monday(label)
-    return monday, monday + dt.timedelta(days=7)
-
-
 # ---------------------------------------------------------------------------
 # Eras
 

@@ -13,7 +13,7 @@ import json
 import statistics
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from . import charts
 from .ingest import IngestReport, load_bundle, normalize
@@ -40,22 +40,18 @@ from .metrics import (
 )
 from .model import (
     CALENDAR,
-    ActivityState,
     AuditError,
     DriverProfile,
     Era,
     EraBoundaries,
     RpiSeries,
-    month_days,
     month_label,
-    month_of,
     month_range,
 )
 from .predictability import FeatureBlocks, feature_blocks
 from .worktime import (
+    Bucket,
     HoursDefinition,
-    TimeLedger,
-    UtilisationDaily,
     build_ledger,
     build_segments,
     hours_worked,
@@ -80,15 +76,6 @@ class AuditOptions:
         return EraBoundaries(self.opaque_start, self.dynamic_start)
 
 
-class LedgerMonth(NamedTuple):
-    """One driver's time ledger over one local month, as the fleet pools it."""
-
-    pay_pence: int | None  # None when no payment falls in the month
-    tribunal_hours: float
-    on_trip_ms: int
-    utilisation: UtilisationDaily
-
-
 @dataclass(frozen=True)
 class DriverResult:
     """One bundle reduced to what ``build_report`` reads; no record objects."""
@@ -98,7 +85,7 @@ class DriverResult:
     link_counts: tuple[int, int, int]  # linked, unmatched trips, unmatched payments
     orphan_trips: int
     rows: tuple[WeeklyPayRow, ...]
-    months: Mapping[str, LedgerMonth]
+    months: Mapping[str, Bucket]  # the ledger's local-month buckets
     trips: TripColumns  # share-valid linked trips, in link order
     offers: Mapping[str, tuple[int, int]]  # month -> (accepted, offered)
     active_months: frozenset[str]  # months with a completed trip
@@ -109,23 +96,6 @@ class DriverResult:
 class BundleFailure:
     driver_id: str
     reason: str
-
-
-def _ledger_months(ledger: TimeLedger) -> dict[str, LedgerMonth]:
-    pay: dict[str, int] = {}
-    for day, amount in ledger.pay.items():
-        month = month_of(day)
-        pay[month] = pay.get(month, 0) + amount
-    out = {}
-    for month in sorted(pay.keys() | {month_of(day) for day in ledger.time}):
-        period = month_days(month)
-        out[month] = LedgerMonth(
-            pay.get(month),
-            hours_worked(ledger, period, HoursDefinition.TRIBUNAL),
-            ledger.state_ms(period)[ActivityState.ON_TRIP],
-            utilisation_daily(ledger, month),
-        )
-    return out
 
 
 def process_bundle(
@@ -148,7 +118,6 @@ def process_bundle(
         timeline = build_segments(bundle.sessions, bundle.trips)
         ledger = build_ledger(timeline.segments, bundle.payments)
         rows = weekly_rows(bundle.driver_id, ledger)
-        months = _ledger_months(ledger)
     except AuditError as exc:
         return BundleFailure(driver_id, str(exc))
     except (OSError, ValueError) as exc:
@@ -163,7 +132,7 @@ def process_bundle(
         ),
         orphan_trips=len(timeline.orphan_trips),
         rows=rows,
-        months=months,
+        months=ledger.months,
         trips=TripColumns.from_linked(links.linked, options.boundaries),
         offers=offer_counts(bundle.dispatches),
         active_months=completed_months(bundle.trips),
@@ -226,7 +195,7 @@ def _weekly_pooled(rows: Sequence[WeeklyPayRow]) -> dict:
 
 def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict:
     """Nominal and inflation-adjusted pooled pay per tribunal hour by month."""
-    months = {m for res in results for m, t in res.months.items() if t.pay_pence is not None}
+    months = {m for res in results for m, t in res.months.items() if t.pay is not None}
     if not months:
         return {"error": "no payments"}
     nominal: dict[str, float] = {}
@@ -236,8 +205,8 @@ def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict
         for res in results:
             totals = res.months.get(month)
             if totals is not None:
-                pence += totals.pay_pence or 0
-                hours += totals.tribunal_hours
+                pence += totals.pay or 0
+                hours += hours_worked(totals, HoursDefinition.TRIBUNAL)
         if hours > 0.0:
             nominal[month] = (pence / 100.0) / hours
     if not nominal:
@@ -270,16 +239,16 @@ def _take_rate_section(trips: TripColumns) -> dict:
 
 
 def _utilisation_section(results: Sequence[DriverResult]) -> dict:
-    months = {m for res in results for m, t in res.months.items() if t.utilisation.active_days}
+    months = {m for res in results for m, t in res.months.items() if t.active_days}
     out = {}
     for month in sorted(months):
         standby = en_route = on_trip = 0.0
         days = 0
         for res in results:
             totals = res.months.get(month)
-            if totals is None or totals.utilisation.active_days == 0:
+            if totals is None or totals.active_days == 0:
                 continue
-            u = totals.utilisation
+            u = utilisation_daily(totals)
             standby += u.standby_hours * u.active_days
             en_route += u.en_route_hours * u.active_days
             on_trip += u.on_trip_hours * u.active_days

@@ -324,11 +324,6 @@ class GroundTruth:
     cohort: dict | None
 
 
-def load_ground_truth(root: str | Path) -> dict:
-    with open(Path(root) / "ground_truth.json", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # Analytic histogram oracle (quadrature over the configured distributions)
 

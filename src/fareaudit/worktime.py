@@ -11,7 +11,7 @@ import datetime as dt
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     CALENDAR,
@@ -21,7 +21,8 @@ from .model import (
     PaymentEvent,
     TripRecord,
     TripStatus,
-    month_days,
+    iso_week_label,
+    month_of,
 )
 
 Interval = tuple[int, int]  # [start_ms, end_ms)
@@ -30,14 +31,6 @@ Interval = tuple[int, int]  # [start_ms, end_ms)
 class HoursDefinition(enum.Enum):
     TRIBUNAL = "tribunal"  # standby + en_route + on_trip
     PLATFORM = "platform"  # en_route + on_trip only
-
-
-_STATES_FOR = {
-    HoursDefinition.TRIBUNAL: frozenset(
-        {ActivityState.STANDBY, ActivityState.EN_ROUTE, ActivityState.ON_TRIP}
-    ),
-    HoursDefinition.PLATFORM: frozenset({ActivityState.EN_ROUTE, ActivityState.ON_TRIP}),
-}
 
 
 Segment = tuple[int, int, ActivityState]  # [start_ms, end_ms) in one working state
@@ -160,46 +153,36 @@ def build_segments(sessions: Sequence[AppSession], trips: Sequence[TripRecord]) 
 # ---------------------------------------------------------------------------
 # Time ledger
 
-Period = tuple[dt.date, dt.date]  # local dates [first, stop)
-
-_STATES = tuple(ActivityState)
-_SLOT = {state: i for i, state in enumerate(_STATES)}
-
-_ONE_DAY = dt.timedelta(days=1)
+_SLOT = {ActivityState.STANDBY: 0, ActivityState.EN_ROUTE: 1, ActivityState.ON_TRIP: 2}
 
 
-def _each_day(period: Period) -> Iterator[dt.date]:
-    day, stop = period
-    while day < stop:
-        yield day
-        day += _ONE_DAY
+@dataclass(slots=True)
+class Bucket:
+    """One driver's totals over one ISO week or one local month."""
+
+    standby_ms: int = 0
+    en_route_ms: int = 0
+    on_trip_ms: int = 0
+    pay: int | None = None  # pence; None when no payment falls in the bucket
+    active_days: int = 0  # local dates with any activity
 
 
 @dataclass(frozen=True)
 class TimeLedger:
-    """One driver's milliseconds per state, and signed pay, per local date.
+    """One driver's buckets by ISO week label and by local month label.
 
-    Only dates with activity, or with payments, have entries. Weeks and months
-    are runs of dates, so every period total is an exact sum over days.
+    Only weeks and months with activity, or with payments, have a bucket, and
+    both mappings run in date order. Every total is an exact sum over the
+    bucket's local dates.
     """
 
-    time: Mapping[dt.date, Sequence[int]]  # milliseconds per state, in _STATES order
-    pay: Mapping[dt.date, int]  # pence
-
-    def state_ms(self, period: Period) -> dict[ActivityState, int]:
-        totals = [0] * len(_STATES)
-        for day in _each_day(period):
-            for i, ms in enumerate(self.time.get(day, ())):
-                totals[i] += ms
-        return dict(zip(_STATES, totals))
-
-    def day_pay(self, period: Period) -> list[int]:
-        """Each date's pay in the period, in date order."""
-        return [self.pay[day] for day in _each_day(period) if day in self.pay]
+    weeks: Mapping[str, Bucket]
+    months: Mapping[str, Bucket]
 
 
 def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) -> TimeLedger:
-    """Split every segment at local midnights and date every payment.
+    """Split every segment at local midnights, date every payment, and fold
+    each local date once into its ISO week and its local month.
 
     Segments may come in any order; overlapping ones each count in full.
     """
@@ -209,20 +192,39 @@ def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) 
         while start < end:
             day, _, stop = CALENDAR.day(start)
             cut = min(end, stop)
-            time.setdefault(day, [0] * len(_STATES))[slot] += cut - start
+            time.setdefault(day, [0, 0, 0])[slot] += cut - start
             start = cut
 
     pay: dict[dt.date, int] = {}
     for p in payments:
         day = CALENDAR.day(p.ts)[0]
         pay[day] = pay.get(day, 0) + p.amount
-    return TimeLedger(time, pay)
+
+    weeks: dict[str, Bucket] = {}
+    months: dict[str, Bucket] = {}
+    for day in sorted(time.keys() | pay.keys()):
+        ms = time.get(day)
+        pence = pay.get(day)
+        for bucket in (
+            weeks.setdefault(iso_week_label(day), Bucket()),
+            months.setdefault(month_of(day), Bucket()),
+        ):
+            if ms is not None:
+                bucket.standby_ms += ms[0]
+                bucket.en_route_ms += ms[1]
+                bucket.on_trip_ms += ms[2]
+                bucket.active_days += 1
+            if pence is not None:
+                bucket.pay = (bucket.pay or 0) + pence
+    return TimeLedger(weeks, months)
 
 
-def hours_worked(ledger: TimeLedger, period: Period, definition: HoursDefinition) -> float:
-    """Hours on the period's dates under the chosen definition."""
-    totals = ledger.state_ms(period)
-    return sum(totals[state] for state in _STATES_FOR[definition]) / MS_PER_HOUR
+def hours_worked(totals: Bucket, definition: HoursDefinition) -> float:
+    """Hours in one week or month bucket under the chosen definition."""
+    ms = totals.en_route_ms + totals.on_trip_ms
+    if definition is HoursDefinition.TRIBUNAL:
+        ms += totals.standby_ms
+    return ms / MS_PER_HOUR
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,20 +235,18 @@ class UtilisationDaily:
     active_days: int
 
 
-def utilisation_daily(ledger: TimeLedger, month: str) -> UtilisationDaily:
-    """Average hours per active day in each state over one calendar month.
+def utilisation_daily(totals: Bucket) -> UtilisationDaily:
+    """Average hours per active day in each state over one month bucket.
 
     An active day is a local date with any activity. With no activity the
     averages are zero and active_days is 0.
     """
-    period = month_days(month)
-    n = sum(1 for day in _each_day(period) if day in ledger.time)
+    n = totals.active_days
     if n == 0:
         return UtilisationDaily(0.0, 0.0, 0.0, 0)
-    totals = ledger.state_ms(period)
     return UtilisationDaily(
-        standby_hours=totals[ActivityState.STANDBY] / MS_PER_HOUR / n,
-        en_route_hours=totals[ActivityState.EN_ROUTE] / MS_PER_HOUR / n,
-        on_trip_hours=totals[ActivityState.ON_TRIP] / MS_PER_HOUR / n,
+        standby_hours=totals.standby_ms / MS_PER_HOUR / n,
+        en_route_hours=totals.en_route_ms / MS_PER_HOUR / n,
+        on_trip_hours=totals.on_trip_ms / MS_PER_HOUR / n,
         active_days=n,
     )

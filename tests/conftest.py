@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
@@ -42,6 +43,12 @@ def london_midnight(day: dt.date) -> int:
     """The instant at which ``day`` begins in London."""
     start = dt.datetime(day.year, day.month, day.day, tzinfo=LONDON)
     return int(start.timestamp()) * 1000
+
+
+def load_ground_truth(root: str | Path) -> dict:
+    """The ``ground_truth.json`` that ``synthgen.generate`` wrote under ``root``."""
+    with open(Path(root) / "ground_truth.json", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def at(minutes: float) -> int:

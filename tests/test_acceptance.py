@@ -32,7 +32,6 @@ from fareaudit.metrics import (
 )
 from fareaudit.model import (
     MS_PER_HOUR,
-    ActivityState,
     AppSession,
     PaymentCategory,
     PaymentEvent,
@@ -41,10 +40,8 @@ from fareaudit.model import (
     TripStatus,
     format_instant,
     format_pence,
-    month_days,
     month_range,
     parse_pence,
-    week_days,
 )
 from fareaudit.predictability import feature_blocks, fit_ols, r2, year_matrix
 from fareaudit.synthgen import (
@@ -52,10 +49,9 @@ from fareaudit.synthgen import (
     FareRule,
     GenConfig,
     generate,
-    load_ground_truth,
 )
-from fareaudit.worktime import build_ledger, build_segments
-from conftest import instant
+from fareaudit.worktime import Bucket, build_ledger, build_segments
+from conftest import instant, load_ground_truth
 
 MIN = 60_000
 SECOND_H = 1.0 / 3600.0
@@ -208,11 +204,10 @@ def test_criterion_03_working_time_dominance(fixed_fleet):
 
             truth_weekly = fixed_fleet.truth["drivers"][driver_id]["weekly"]
             for week, want in truth_weekly.items():
-                ms = data.ledger.state_ms(week_days(week))
-                got = {state: v / MS_PER_HOUR for state, v in ms.items()}
-                assert abs(got[ActivityState.STANDBY] - want["standby_h"]) <= SECOND_H
-                assert abs(got[ActivityState.EN_ROUTE] - want["en_route_h"]) <= SECOND_H
-                assert abs(got[ActivityState.ON_TRIP] - want["on_trip_h"]) <= SECOND_H
+                totals = data.ledger.weeks.get(week, Bucket())
+                assert abs(totals.standby_ms / MS_PER_HOUR - want["standby_h"]) <= SECOND_H
+                assert abs(totals.en_route_ms / MS_PER_HOUR - want["en_route_h"]) <= SECOND_H
+                assert abs(totals.on_trip_ms / MS_PER_HOUR - want["on_trip_h"]) <= SECOND_H
                 weeks_checked += 1
         assert weeks_checked > 1_000
 
@@ -340,7 +335,7 @@ def test_criterion_06_surplus_gap_handling():
         ).segments
         ledger = build_ledger(segments, pays)
         on_trip = {
-            m: ledger.state_ms(month_days(m))[ActivityState.ON_TRIP]
+            m: ledger.months.get(m, Bucket()).on_trip_ms
             for m in month_range("2021-01", "2021-03")
         }
         series = {p.month: p for p in surplus_series(linked, {"d1": on_trip})}

@@ -218,6 +218,29 @@ def test_audit_bad_options(bundles, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["audit", "predict"])
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--link-window-seconds", "0"),
+        ("--link-window-seconds", "-5"),
+        ("--link-window-seconds", "nan"),
+        ("--link-window-seconds", "inf"),
+        ("--link-window-seconds", "1e306"),  # finite, but not in milliseconds
+        ("--link-window-seconds", "soon"),
+        ("--jobs", "0"),
+        ("--jobs", "-1"),
+        ("--jobs", "two"),
+    ],
+)
+def test_bad_window_or_jobs_is_a_usage_error(bundles, tmp_path, command, option, value):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(bundles), "--out", str(out), option, value])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_audit_rpi_with_bom_writes_the_same_report(bundles, tmp_path):
     plain = (bundles / "rpi.csv").read_bytes()
     bom = tmp_path / "rpi.csv"
@@ -309,6 +332,38 @@ def test_audit_utilisation_has_month_inside_one_session(tmp_path):
     assert list(utilisation) == ["2021-01", "2021-02", "2021-03"]
     assert utilisation["2021-02"]["active_driver_days"] == 28
     assert utilisation["2021-02"]["standby_hours"] == 24.0
+
+
+def test_audit_month_whose_pay_nets_to_zero_is_a_pay_month(tmp_path):
+    root = tmp_path / "bundles"
+    d = root / "d1"
+    trip = trip_csv_row(
+        req="2021-01-05T09:00:00Z",
+        accept="2021-01-05T09:01:00Z",
+        pickup="2021-01-05T09:05:00Z",
+        dropoff="2021-01-05T09:20:00Z",
+    )
+    write_table(d, "trips", TRIP_HEADER, [trip])
+    pays = [
+        payment_csv_row(ts="2021-01-05T09:21:00Z"),
+        payment_csv_row(ts="2021-03-02T10:00:00Z", amount="5.00", category="tip"),
+        payment_csv_row(ts="2021-03-02T10:30:00Z", amount="-5.00", category="adjustment"),
+    ]
+    write_table(d, "payments", PAYMENT_HEADER, pays)
+    write_table(
+        d,
+        "sessions",
+        ["login_ts", "logout_ts"],
+        [{"login_ts": "2021-03-02T10:00:00Z", "logout_ts": "2021-03-02T11:00:00Z"}],
+    )
+    (root / "rpi.csv").write_text("month,yoy_pct\n2021-01,3\n2021-02,3\n2021-03,3\n")
+    out = tmp_path / "o"
+    assert main(["audit", str(root), "--out", str(out)]) == 0
+    report = json.loads((out / "audit_report.json").read_text())
+    inflation = report["inflation"]
+    assert inflation["base_month"] == "2021-03"
+    assert list(inflation["nominal"]) == ["2021-01", "2021-03"]
+    assert inflation["nominal"]["2021-03"] == 0.0
 
 
 def test_audit_acceptance_by_local_month(tmp_path):

@@ -2,7 +2,6 @@ import ast
 import codecs
 import csv
 import io
-import json
 import re
 import tempfile
 from pathlib import Path
@@ -15,7 +14,7 @@ from fareaudit.ingest import (
     OPTIONAL_FIELDS,
     REQUIRED_TABLES,
     TABLE_FIELDS,
-    ColumnMap,
+    _DEFAULT_ALIASES,
     MalformedTable,
     MissingTable,
     RawBundle,
@@ -89,19 +88,6 @@ def test_column_aliases_resolve(tmp_path):
     bundle, _ = normalize(load_bundle(d))
     assert bundle.trips[0].distance_miles == 4.0
     assert bundle.trips[0].original_fare == 1000
-
-
-def test_column_map_override(tmp_path):
-    d = tmp_path / "d"
-    base = trip_csv_row()
-    renamed = {("when_requested" if k == "request_ts" else k): v for k, v in base.items()}
-    write_table(d, "trips", ["when_requested"] + TRIP_HEADER[1:], [renamed])
-    write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
-    cmap_path = tmp_path / "map.json"
-    cmap_path.write_text(json.dumps({"trips": {"request_ts": ["when_requested"]}}))
-    raw = load_bundle(d, ColumnMap.from_json(cmap_path))
-    bundle, _ = normalize(raw)
-    assert len(bundle.trips) == 1
 
 
 def test_missing_required_column_is_fatal(tmp_path):
@@ -327,7 +313,10 @@ def dictreader_rows(path: Path, table: str) -> list[dict[str, str]]:
     """A table as csv.DictReader reads it: canonical field -> stripped text."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        source = ColumnMap.default().resolve(table, reader.fieldnames)
+        source = {
+            f: next((a for a in _DEFAULT_ALIASES[f] if a in reader.fieldnames), None)
+            for f in TABLE_FIELDS[table]
+        }
         return [
             {f: (raw.get(source[f]) or "").strip() if source[f] else "" for f in TABLE_FIELDS[table]}
             for raw in reader
@@ -338,13 +327,12 @@ def dictreader_rows(path: Path, table: str) -> list[dict[str, str]]:
 def messy_table(draw, table: str) -> bytes:
     """A CSV file of ``table`` with aliased, reordered, absent and repeated
     columns, short and long rows, blank lines and perhaps a BOM."""
-    aliases = ColumnMap.default().tables[table]
     columns = [
-        (draw(st.sampled_from(aliases[f])), f)
+        (draw(st.sampled_from(_DEFAULT_ALIASES[f])), f)
         for f in TABLE_FIELDS[table]
         if f not in OPTIONAL_FIELDS[table] or draw(st.booleans())
     ]
-    every = [(a, f) for f in TABLE_FIELDS[table] for a in aliases[f]] + [("junk", None)]
+    every = [(a, f) for f in TABLE_FIELDS[table] for a in _DEFAULT_ALIASES[f]] + [("junk", None)]
     columns = draw(st.permutations(columns + draw(st.lists(st.sampled_from(every), max_size=3))))
     pad = st.sampled_from(["", " ", "\t "])
     cell = lambda f: st.tuples(pad, st.sampled_from(CELLS[f]), pad).map("".join)  # noqa: E731

@@ -29,7 +29,6 @@ from fareaudit.metrics import (
     weekly_rows,
 )
 from fareaudit.model import (
-    ActivityState,
     AuditError,
     DriverProfile,
     PaymentCategory,
@@ -38,11 +37,10 @@ from fareaudit.model import (
     TripRecord,
     TripStatus,
     iso_week_label,
-    month_days,
     month_range,
     parse_pence,
 )
-from fareaudit.worktime import HoursDefinition, build_ledger, build_segments
+from fareaudit.worktime import Bucket, HoursDefinition, build_ledger, build_segments
 from conftest import at, instant, london, offer, payment, trip
 
 MIN = 60_000
@@ -244,7 +242,7 @@ def surplus_fixture():
 def on_trip_by_month(ledger):
     """A driver's on-trip milliseconds in each month around the fixture's trips."""
     return {
-        m: ledger.state_ms(month_days(m))[ActivityState.ON_TRIP]
+        m: ledger.months.get(m, Bucket()).on_trip_ms
         for m in month_range("2020-12", "2021-04")
     }
 

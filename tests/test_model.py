@@ -30,7 +30,6 @@ from fareaudit.model import (
     parse_instant,
     parse_iso_week,
     parse_pence,
-    week_days,
     week_monday,
 )
 from conftest import at, instant, trip
@@ -135,13 +134,17 @@ def test_iso_week_helpers():
     assert iso_week_label(dt.date(2021, 1, 1)) == "2020-W53"
     assert week_monday("2020-W53") == dt.date(2020, 12, 28)
     assert parse_iso_week("2021-W07") == (2021, 7)
-    lo, hi = (Calendar("UTC").midnight(day) for day in week_days("2021-W09"))
+    monday = week_monday("2021-W09")
+    utc = Calendar("UTC")
+    lo, hi = utc.midnight(monday), utc.midnight(monday + dt.timedelta(days=7))
     assert hi - lo == 7 * 24 * 3600 * 1000
 
 
 def test_week_window_dst_transition_is_not_168h():
     # clocks go forward 2021-03-28 in London; that week is an hour short
-    lo, hi = (Calendar("Europe/London").midnight(day) for day in week_days("2021-W12"))
+    monday = week_monday("2021-W12")
+    london = Calendar("Europe/London")
+    lo, hi = london.midnight(monday), london.midnight(monday + dt.timedelta(days=7))
     assert hi - lo == (7 * 24 - 1) * 3600 * 1000
 
 

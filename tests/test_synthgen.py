@@ -15,9 +15,8 @@ from fareaudit.synthgen import (
     InvalidConfig,
     analytic_bin_probs,
     generate,
-    load_ground_truth,
 )
-from conftest import london
+from conftest import load_ground_truth, london
 
 
 def tree_digest(root: Path) -> str:
