@@ -21,7 +21,7 @@ from pathlib import Path
 from .anonymize import DEFAULT_STRIP_POLICY, WeakSalt, anonymize, load_salt
 from .ingest import MalformedTable, MissingTable, load_bundle, normalize, write_bundle
 from .linkage import DEFAULT_WINDOW_S
-from .model import AuditError, RpiSeries
+from .model import AuditError, RpiSeries, week_monday
 from .predictability import year_matrix
 from .report import (
     AuditOptions,
@@ -55,6 +55,17 @@ def _month_pair(text: str) -> tuple[str, str]:
     if not sep:
         raise argparse.ArgumentTypeError("expected YYYY-MM:YYYY-MM")
     return lo, hi
+
+
+def _week_list(text: str) -> list[str]:
+    """Comma-separated ISO week labels, each a week that exists."""
+    labels = text.split(",")
+    for label in labels:
+        try:
+            week_monday(label)
+        except ValueError:  # a malformed label, or a week its year does not have
+            raise argparse.ArgumentTypeError(f"not an ISO week YYYY-Www: {label!r}") from None
+    return labels
 
 
 def _window_seconds(text: str) -> float:
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weeks",
         default=None,
-        type=lambda s: s.split(","),
+        type=_week_list,
         metavar="YYYY-Www,...",
         help="restrict pooled rates to these ISO weeks",
     )

@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     DEFAULT_ERAS,
@@ -455,29 +455,25 @@ def _fmt_ts(ms: int | None) -> str:
     return "" if ms is None else format_instant(ms)
 
 
-def trip_row(t: TripRecord) -> dict[str, str]:
-    return {
-        "request_ts": _fmt_ts(t.request_ts),
-        "accept_ts": _fmt_ts(t.accept_ts),
-        "pickup_ts": _fmt_ts(t.pickup_ts),
-        "dropoff_ts": _fmt_ts(t.dropoff_ts),
-        "distance_miles": repr(t.distance_miles),
-        "status": t.status.value,
-        "original_fare": "" if t.original_fare is None else format_pence(t.original_fare),
-        "origin_tag": t.origin_tag,
-        "dest_tag": t.dest_tag,
-        "product": t.product,
-    }
+def trip_row(t: TripRecord) -> Row:
+    """A trip's canonical text in ``TABLE_FIELDS["trips"]`` order."""
+    return (
+        _fmt_ts(t.request_ts),
+        _fmt_ts(t.accept_ts),
+        _fmt_ts(t.pickup_ts),
+        _fmt_ts(t.dropoff_ts),
+        repr(t.distance_miles),
+        t.status.value,
+        "" if t.original_fare is None else format_pence(t.original_fare),
+        t.origin_tag,
+        t.dest_tag,
+        t.product,
+    )
 
 
-def payment_row(p: PaymentEvent) -> dict[str, str]:
-    return {
-        "ts": _fmt_ts(p.ts),
-        "category": p.category.value,
-        "amount": format_pence(p.amount),
-        "currency": CURRENCY,
-        "memo": p.memo or "",
-    }
+def payment_row(p: PaymentEvent) -> Row:
+    """A payment's canonical text in ``TABLE_FIELDS["payments"]`` order."""
+    return (_fmt_ts(p.ts), p.category.value, format_pence(p.amount), CURRENCY, p.memo or "")
 
 
 def write_bundle(bundle: NormalizedBundle, directory: str | Path) -> None:
@@ -485,40 +481,21 @@ def write_bundle(bundle: NormalizedBundle, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    def dump(table: str, rows: list[dict[str, str]]) -> None:
-        fields = list(TABLE_FIELDS[table])
+    def dump(table: str, rows: Iterable[Row]) -> None:
         with open(directory / TABLE_FILES[table], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-            writer.writeheader()
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(TABLE_FIELDS[table])
             writer.writerows(rows)
 
-    dump("trips", [trip_row(t) for t in bundle.trips])
-    dump("payments", [payment_row(p) for p in bundle.payments])
+    dump("trips", map(trip_row, bundle.trips))
+    dump("payments", map(payment_row, bundle.payments))
     if bundle.dispatches:
         dump(
             "dispatches",
-            [
-                {"offered_ts": _fmt_ts(d.offered_ts), "accepted": "true" if d.accepted else "false"}
-                for d in bundle.dispatches
-            ],
+            ((_fmt_ts(d.offered_ts), "true" if d.accepted else "false") for d in bundle.dispatches),
         )
     if bundle.sessions:
-        dump(
-            "sessions",
-            [
-                {"login_ts": _fmt_ts(s.login_ts), "logout_ts": _fmt_ts(s.logout_ts)}
-                for s in bundle.sessions
-            ],
-        )
+        dump("sessions", ((_fmt_ts(s.login_ts), _fmt_ts(s.logout_ts)) for s in bundle.sessions))
     if bundle.profile is not None:
         p = bundle.profile
-        dump(
-            "profile",
-            [
-                {
-                    "first_trip_ts": _fmt_ts(p.first_trip_ts),
-                    "gender": p.gender or "",
-                    "age_band": p.age_band or "",
-                }
-            ],
-        )
+        dump("profile", [(_fmt_ts(p.first_trip_ts), p.gender or "", p.age_band or "")])

@@ -90,9 +90,38 @@ def parse_instant(text: str) -> tuple[int, bool]:
     return (since.days * 86_400 + since.seconds) * 1000 + since.microseconds // 1000, naive
 
 
+# Text pieces of format_instant. They are made on its first call, not at import,
+# because the audit never formats an instant and the tables would only grow it.
+_DAY_TEXT: dict[int, str] = {}  # "YYYY-MM-DDT" of each UTC day since the epoch
+_DAY_TEXT_LIMIT = 4096  # days kept before the cache starts over
+_MINUTE_TEXT: tuple[str, ...] = ()  # "HH:MM:" of each minute of the day
+_SECOND_TEXT: tuple[str, ...] = ()  # "SS."
+_MILLI_TEXT: tuple[str, ...] = ()  # "mmmZ"
+
+
+def _day_text(day: int) -> str:
+    global _MINUTE_TEXT, _SECOND_TEXT, _MILLI_TEXT
+    if not _MILLI_TEXT:
+        _MINUTE_TEXT = tuple(f"{m // 60:02d}:{m % 60:02d}:" for m in range(1440))
+        _SECOND_TEXT = tuple(f"{s:02d}." for s in range(60))
+        _MILLI_TEXT = tuple(f"{n:03d}Z" for n in range(1000))
+    if len(_DAY_TEXT) >= _DAY_TEXT_LIMIT:
+        _DAY_TEXT.clear()
+    text = _DAY_TEXT[day] = dt.date.fromordinal(day + _EPOCH_ORDINAL).isoformat() + "T"
+    return text
+
+
 def format_instant(ms: int) -> str:
-    """Canonical text of an instant: UTC with milliseconds and a Z suffix."""
-    return (_EPOCH + ms * _MS).isoformat(timespec="milliseconds")[:-6] + "Z"
+    """Canonical text of an instant: UTC with milliseconds and a Z suffix.
+
+    The text of ``datetime.isoformat`` for years 1-9999, made by integer
+    division: the date part is cached per UTC day, the time part is looked up.
+    """
+    day, rem = divmod(ms, MS_PER_DAY)
+    minute, rem = divmod(rem, MS_PER_MINUTE)
+    second, milli = divmod(rem, 1000)
+    prefix = _DAY_TEXT.get(day) or _day_text(day)
+    return prefix + _MINUTE_TEXT[minute] + _SECOND_TEXT[second] + _MILLI_TEXT[milli]
 
 
 # ---------------------------------------------------------------------------

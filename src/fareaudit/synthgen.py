@@ -50,6 +50,7 @@ from .model import (
 )
 
 MS = 1000
+_DAY = dt.timedelta(days=1)
 JITTER_CLAMP_SIGMA = 4.0
 
 
@@ -70,11 +71,7 @@ class FareRule:
     per_min_pence: int = 12
 
     def fare_pence(self, distance_miles: float, minutes: float) -> float:
-        return (
-            self.base_pence
-            + self.per_mile_pence * distance_miles
-            + self.per_min_pence * minutes
-        )
+        return self.base_pence + self.per_mile_pence * distance_miles + self.per_min_pence * minutes
 
 
 @dataclass(frozen=True)
@@ -142,6 +139,13 @@ class CorruptionPlan:
     def __post_init__(self) -> None:
         if min(self.duplicate_payments, self.inverted_trips, self.malformed_money) < 0:
             raise InvalidConfig("corruption counts must be non-negative")
+
+
+# the nested configs that from_dict builds from JSON objects
+_CONFIG_PARTS = dict(
+    fixed_rule=FareRule, switch_rule=FareRule, share=ShareModel,
+    duration_fixed=DurationModel, duration_dynamic=DurationModel, corrupt=CorruptionPlan,
+)
 
 
 @dataclass(frozen=True)
@@ -254,23 +258,14 @@ class GenConfig:
     def from_dict(cls, raw: Mapping) -> "GenConfig":
         data = dict(raw)
         try:
-            if "fixed_rule" in data:
-                data["fixed_rule"] = FareRule(**data["fixed_rule"])
-            if "switch_rule" in data:
-                data["switch_rule"] = FareRule(**data["switch_rule"])
-            if "share" in data:
-                data["share"] = ShareModel(**data["share"])
-            if "duration_fixed" in data:
-                data["duration_fixed"] = DurationModel(**data["duration_fixed"])
-            if "duration_dynamic" in data:
-                data["duration_dynamic"] = DurationModel(**data["duration_dynamic"])
+            for key, part in _CONFIG_PARTS.items():
+                if key in data:
+                    data[key] = part(**data[key])
             if "cohort" in data and data["cohort"] is not None:
                 plan = dict(data["cohort"])
                 plan["window_pre"] = tuple(plan["window_pre"])
                 plan["window_post"] = tuple(plan["window_post"])
                 data["cohort"] = CohortPlan(**plan)
-            if "corrupt" in data:
-                data["corrupt"] = CorruptionPlan(**data["corrupt"])
             for key in ("products", "gender_mix", "age_mix"):
                 if key in data:
                     data[key] = tuple((str(k), float(v)) for k, v in data[key])
@@ -362,24 +357,13 @@ def analytic_bin_probs(
     sd = sm.noise_sd
     for i, label in enumerate(labels):
         lo_edge, hi_edge = bins[i], bins[i + 1]
+        first, last = i == 0, i == len(labels) - 1  # the end bins are open-ended
         if sd == 0.0:
-            inside = np.where(
-                (mu_share >= lo_edge) & (mu_share < hi_edge), 1.0, 0.0
-            ) if 0 < i < len(labels) - 1 else None
-            if i == 0:
-                inside = np.where(mu_share < hi_edge, 1.0, 0.0)
-            elif i == len(labels) - 1:
-                inside = np.where(mu_share >= lo_edge, 1.0, 0.0)
-            mass = inside
+            above = np.ones_like(mu_share, bool) if first else mu_share >= lo_edge
+            mass = np.where(above & (last or mu_share < hi_edge), 1.0, 0.0)
         else:
-            hi_cdf = (
-                np.ones_like(mu_share)
-                if i == len(labels) - 1
-                else _phi_vec((hi_edge - mu_share) / sd)
-            )
-            lo_cdf = (
-                np.zeros_like(mu_share) if i == 0 else _phi_vec((lo_edge - mu_share) / sd)
-            )
+            hi_cdf = np.ones_like(mu_share) if last else _phi_vec((hi_edge - mu_share) / sd)
+            lo_cdf = np.zeros_like(mu_share) if first else _phi_vec((lo_edge - mu_share) / sd)
             mass = hi_cdf - lo_cdf
         probs[label] = float(np.sum(w * scale * pdf * mass))
 
@@ -447,23 +431,51 @@ class _UniqueClock:
         return ms
 
 
-# the truth dates instants with zoneinfo itself, so it checks model.Calendar
-def _local_date(ms: int, zone: ZoneInfo) -> dt.date:
-    return dt.datetime.fromtimestamp(ms // 1000, zone).date()
-
-
 def _midnight(day: dt.date, zone: dt.tzinfo) -> int:
     return int(dt.datetime(day.year, day.month, day.day, tzinfo=zone).timestamp()) * MS
 
 
-def _week_totals(intervals: Sequence[tuple[int, int]], zone: ZoneInfo) -> dict[str, int]:
+class _LocalDays:
+    """Local dates and ISO weeks of instants in one zone, read from zoneinfo.
+
+    The truth dates instants this way, not with ``model.Calendar``, so that it
+    checks it. The bounds of the local day and the ISO week found last are
+    kept, and answer while instants fall inside them; that holds where each
+    local date runs from its midnight to the next, as in every zone whose
+    clock changes do not jump over a midnight.
+    """
+
+    def __init__(self, zone: ZoneInfo) -> None:
+        self.zone = zone
+        self._day: tuple[dt.date, int, int] = (dt.date.min, 0, 0)  # date, start, stop
+        self._week: tuple[str, int, int] = ("", 0, 0)  # label, start, stop
+
+    def date(self, ms: int) -> dt.date:
+        day, start, stop = self._day
+        if not start <= ms < stop:
+            day = dt.datetime.fromtimestamp(ms // 1000, self.zone).date()
+            self._day = day, _midnight(day, self.zone), _midnight(day + _DAY, self.zone)
+        return day
+
+    def week(self, ms: int) -> tuple[str, int]:
+        """The ISO week of the instant's local date, and the instant that week ends."""
+        label, start, stop = self._week
+        if not start <= ms < stop:
+            label = iso_week_label(self.date(ms))
+            monday = week_monday(label)
+            start, stop = _midnight(monday, self.zone), _midnight(monday + 7 * _DAY, self.zone)
+            self._week = label, start, stop
+        return label, stop
+
+
+def _week_totals(intervals: Sequence[tuple[int, int]], days: _LocalDays) -> dict[str, int]:
     """Milliseconds of the given intervals falling in each ISO week."""
     out: dict[str, int] = {}
     for start, end in intervals:
         cursor = start
         while cursor < end:
-            week = iso_week_label(_local_date(cursor, zone))
-            piece = min(end, _midnight(week_monday(week) + dt.timedelta(days=7), zone)) - cursor
+            week, stop = days.week(cursor)
+            piece = min(end, stop) - cursor
             out[week] = out.get(week, 0) + piece
             cursor += piece
     return out
@@ -481,6 +493,7 @@ def _gen_driver(
     clock = _UniqueClock()
     driver_id = f"driver{index:03d}"
     zone = ZoneInfo(config.tz)
+    days = _LocalDays(zone)
     boundaries = config.boundaries
     c = config.commission_fraction
     q = c.denominator
@@ -510,14 +523,14 @@ def _gen_driver(
         return f"{config.marker_prefix}d{index}n{marker_n}"
 
     day = month_days(config.first_month)[0]
-    last_day = month_days(config.last_month)[1] - dt.timedelta(days=1)
+    last_day = month_days(config.last_month)[1] - _DAY
     start_ms = _midnight(day, zone)
     first_trip_ms: int | None = None
 
     while day <= last_day:
         month = f"{day.year:04d}-{day.month:02d}"
         if month in skip_months or rng.random() >= config.work_prob:
-            day += dt.timedelta(days=1)
+            day += _DAY
             continue
 
         midnight = _midnight(day, dt.timezone.utc)
@@ -606,8 +619,8 @@ def _gen_driver(
             dropoff_ms = clock.claim(dropoff_ms)
             minutes = (dropoff_ms - pickup_ms) / 60_000.0
 
-            year = _local_date(pickup_ms, zone).year
-            drop_month = month_of(_local_date(dropoff_ms, zone))
+            year = days.date(pickup_ms).year
+            drop_month = month_of(days.date(dropoff_ms))
             if era is Era.DYNAMIC_PRICING:
                 fare_pence = max(int(round(config.dynamic_per_min_pence * minutes)), 100)
                 raw_share = (
@@ -708,7 +721,7 @@ def _gen_driver(
 
             cursor = dropoff_ms
 
-        day += dt.timedelta(days=1)
+        day += _DAY
 
     profile = DriverProfile(
         driver_id=driver_id,
@@ -728,11 +741,11 @@ def _gen_driver(
     # weekly truth: ledger pence and per-state hours from the native schedule
     pay_weeks: dict[str, int] = {}
     for p in payments:
-        week = iso_week_label(_local_date(p.ts, zone))
+        week = days.week(p.ts)[0]
         pay_weeks[week] = pay_weeks.get(week, 0) + p.amount
-    sess_w = _week_totals(session_iv, zone)
-    en_w = _week_totals(en_iv, zone)
-    on_w = _week_totals(on_iv, zone)
+    sess_w = _week_totals(session_iv, days)
+    en_w = _week_totals(en_iv, days)
+    on_w = _week_totals(on_iv, days)
     weekly: dict[str, dict] = {}
     for week in sorted(set(pay_weeks) | set(sess_w)):
         sess_ms = sess_w.get(week, 0)
@@ -837,10 +850,6 @@ def _cohort_truth(config: GenConfig, truths: list[DriverTruth]) -> dict | None:
     pre_months = set(month_range(*plan.window_pre))
     post_months = set(month_range(*plan.window_post))
 
-    def month_of_week(week: str) -> str:
-        monday = week_monday(week)
-        return f"{monday.year:04d}-{monday.month:02d}"
-
     qualified: list[str] = []
     pre_rate: dict[str, float] = {}
     post_rate: dict[str, float] = {}
@@ -858,7 +867,7 @@ def _cohort_truth(config: GenConfig, truths: list[DriverTruth]) -> dict | None:
             pence = 0
             hours = 0.0
             for week, row in truth.weekly.items():
-                if month_of_week(week) in months:
+                if month_of(week_monday(week)) in months:
                     pence += row["pay_pence"]
                     hours += row["standby_h"] + row["en_route_h"] + row["on_trip_h"]
             return (pence / 100.0) / hours if hours > 0 else None
@@ -922,15 +931,8 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
         directory = out_root / bundle.driver_id
         write_bundle(bundle, directory)
         corruption_rng = np.random.default_rng([config.seed, i, 7])
-        truth.corruptions = _inject_corruption(
-            directory,
-            corruption_rng,
-            {
-                "duplicate_payments": dup[i],
-                "inverted_trips": inv[i],
-                "malformed_money": mal[i],
-            },
-        )
+        counts = {"duplicate_payments": dup[i], "inverted_trips": inv[i], "malformed_money": mal[i]}
+        truth.corruptions = _inject_corruption(directory, corruption_rng, counts)
         truths.append(truth)
         all_dyn_shares.extend(dyn)
 
@@ -942,18 +944,11 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
         (out_root / "rpi.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     dyn_sorted = sorted(all_dyn_shares)
-    n_dyn = len(dyn_sorted)
+    n_dyn, mid = len(dyn_sorted), len(dyn_sorted) // 2
+    median = mean = None
     if n_dyn:
-        mid = n_dyn // 2
-        median = (
-            dyn_sorted[mid]
-            if n_dyn % 2
-            else (dyn_sorted[mid - 1] + dyn_sorted[mid]) / 2.0
-        )
+        median = dyn_sorted[mid] if n_dyn % 2 else (dyn_sorted[mid - 1] + dyn_sorted[mid]) / 2.0
         mean = sum(dyn_sorted) / n_dyn
-    else:
-        median = None
-        mean = None
 
     truth = GroundTruth(
         config=_config_dict(config),

@@ -45,6 +45,29 @@ def london_midnight(day: dt.date) -> int:
     return int(start.timestamp()) * 1000
 
 
+S_1990 = 631_152_000  # 1990-01-01T00:00:00Z
+S_2041 = 2_240_524_800  # 2041-01-01T00:00:00Z
+DAY_S = 86_400
+
+
+def offset_changes(tz: str) -> list[int]:
+    """Every instant (epoch seconds) from 1990 to 2040 at which ``tz`` changes offset."""
+    zone = ZoneInfo(tz)
+
+    def offset(s: int) -> dt.timedelta:
+        return dt.datetime.fromtimestamp(s, zone).utcoffset()
+
+    out = []
+    for day in range(S_1990, S_2041, DAY_S):  # at most one change a day
+        lo, hi = day, day + DAY_S
+        if offset(lo) != offset(hi):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if offset(mid) == offset(lo) else (lo, mid)
+            out.append(hi)
+    return out
+
+
 def load_ground_truth(root: str | Path) -> dict:
     """The ``ground_truth.json`` that ``synthgen.generate`` wrote under ``root``."""
     with open(Path(root) / "ground_truth.json", encoding="utf-8") as fh:

@@ -69,8 +69,8 @@ def test_anonymize_default_policy_removes_all_markers():
     from fareaudit.ingest import payment_row, trip_row
 
     serialized = "".join(
-        "".join(trip_row(t).values()) for t in out.trips
-    ) + "".join("".join(payment_row(p).values()) for p in out.payments)
+        "".join(trip_row(t)) for t in out.trips
+    ) + "".join("".join(payment_row(p)) for p in out.payments)
     assert "SECRET" not in serialized
 
 

@@ -218,6 +218,31 @@ def test_audit_bad_options(bundles, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "weeks",
+    [
+        "2099-W01,garbage",  # one good label does not carry a bad one
+        "2021-W54",  # well formed, but no year has a 54th week
+        "2021-W00",
+        "2021-W9",
+        "",
+    ],
+)
+def test_audit_weeks_are_checked_at_parse_time(bundles, tmp_path, weeks):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", str(bundles), "--out", str(out), "--weeks", weeks])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_audit_weeks_filter_is_written(bundles, tmp_path):
+    out = tmp_path / "o"
+    assert main(["audit", str(bundles), "--out", str(out), "--weeks", "2021-W12,2020-W53"]) == 0
+    report = json.loads((out / "audit_report.json").read_text(encoding="utf-8"))
+    assert report["parameters"]["weeks_filter"] == ["2020-W53", "2021-W12"]
+
+
 @pytest.mark.parametrize("command", ["audit", "predict"])
 @pytest.mark.parametrize(
     "option, value",

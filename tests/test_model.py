@@ -32,7 +32,7 @@ from fareaudit.model import (
     parse_pence,
     week_monday,
 )
-from conftest import at, instant, trip
+from conftest import DAY_S, S_1990, S_2041, at, instant, offset_changes, trip
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,20 @@ def test_iso_round_trips_through_parse(ms):
     assert parse_instant(format_instant(ms)) == (ms, False)
 
 
+@given(st.integers(MS_YEAR_1, MS_LAST))
+@example(-1)
+@example(0)
+@example(MS_YEAR_1)
+@example(MS_LAST)
+@example(utc_ms(2021, 3, 28, 23, 59, 59, 999_000))  # the last ms of a day
+@example(utc_ms(2021, 3, 28, 12, 34, 59, 999_000))  # of a minute
+@example(utc_ms(2021, 3, 28, 12, 34, 56, 999_000))  # of a second
+@example(utc_ms(999, 12, 31, 23, 59, 59, 999_000))  # of a three-digit year
+def test_iso_matches_datetime_isoformat(ms):
+    moment = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc) + dt.timedelta(milliseconds=ms)
+    assert format_instant(ms) == moment.isoformat(timespec="milliseconds")[:-6] + "Z"
+
+
 @given(st.integers(MS_YEAR_1000, MS_LAST))
 @example(-1)
 def test_iso_matches_strftime_for_four_digit_years(ms):
@@ -150,29 +164,6 @@ def test_week_window_dst_transition_is_not_168h():
 
 # The calendar against zoneinfo. Lord Howe shifts by 30 minutes, at 02:00.
 CALENDAR_ZONES = ("Europe/London", "America/New_York", "Australia/Lord_Howe")
-S_1990 = 631_152_000  # 1990-01-01T00:00:00Z
-S_2041 = 2_240_524_800  # 2041-01-01T00:00:00Z
-DAY_S = 86_400
-
-
-def offset_changes(tz: str) -> list[int]:
-    """Every instant (epoch seconds) from 1990 to 2040 at which ``tz`` changes offset."""
-    zone = ZoneInfo(tz)
-
-    def offset(s: int) -> dt.timedelta:
-        return dt.datetime.fromtimestamp(s, zone).utcoffset()
-
-    out = []
-    for day in range(S_1990, S_2041, DAY_S):  # at most one change a day
-        lo, hi = day, day + DAY_S
-        if offset(lo) != offset(hi):
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if offset(mid) == offset(lo) else (lo, mid)
-            out.append(hi)
-    return out
-
-
 CHANGES = {tz: offset_changes(tz) for tz in CALENDAR_ZONES}
 CALENDARS = {tz: Calendar(tz) for tz in CALENDAR_ZONES}  # shared, as the pipeline's is
 
