@@ -267,19 +267,17 @@ class Era(enum.Enum):
 class EraBoundaries:
     """The two month boundaries partitioning time into the three eras.
 
-    Each boundary is also kept as the instant its month begins in ``tz``.
+    Each boundary is also kept as the instant its month begins in ``CALENDAR``.
     """
 
     opaque_start: str = "2022-02"
     dynamic_start: str = "2023-02"
-    tz: str = DEFAULT_TIMEZONE
     opaque_ms: int = field(init=False, repr=False, compare=False)
     dynamic_ms: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        calendar = CALENDAR if self.tz == CALENDAR.tz else Calendar(self.tz)
-        opaque = calendar.midnight(month_days(self.opaque_start)[0])
-        dynamic = calendar.midnight(month_days(self.dynamic_start)[0])
+        opaque = CALENDAR.midnight(month_days(self.opaque_start)[0])
+        dynamic = CALENDAR.midnight(month_days(self.dynamic_start)[0])
         if opaque >= dynamic:
             raise RecordError(
                 f"era boundaries out of order: {self.opaque_start} >= {self.dynamic_start}"

@@ -193,34 +193,40 @@ def feature_blocks(linked: Sequence[LinkedTrip]) -> FeatureBlocks:
 
 def stack_blocks(
     blocks: Sequence[FeatureBlocks],
-) -> tuple[FeatureSchema, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Each year's full (X, y) over all drivers, stacked in the given order.
+) -> tuple[FeatureSchema, np.ndarray, np.ndarray, dict[int, tuple[int, int]]]:
+    """The fleet's full (X, y), sorted by year, and each year's [start, stop) rows.
 
-    The product vocabulary is the sorted union of the drivers' own, which is
-    what ``build_schema`` gives over all their trips; every row's hour,
-    weekday, month and product one-hots are filled in against it.
+    Within a year the rows run in the order of the blocks given, then in link
+    order. The product vocabulary is the sorted union of the drivers' own,
+    which is what ``build_schema`` gives over all their trips; every row's
+    hour, weekday, month and product one-hots are filled in against it.
     """
     schema = FeatureSchema(tuple(sorted({p for b in blocks for p in b.products})))
     sizes: dict[int, int] = {}
     for b in blocks:
         for year, (_, y, _) in b.years.items():
             sizes[year] = sizes.get(year, 0) + len(y)
-    matrices = {year: (np.zeros((n, schema.dim)), np.empty(n)) for year, n in sorted(sizes.items())}
-    filled = dict.fromkeys(sizes, 0)
+    spans: dict[int, tuple[int, int]] = {}
+    n = 0
+    for year, size in sorted(sizes.items()):
+        spans[year] = (n, n + size)
+        n += size
+    fleet_X, fleet_y = np.zeros((n, schema.dim)), np.empty(n)
+    filled = {year: start for year, (start, _) in spans.items()}
     for b in blocks:
         column = np.array([schema.product_column[p] for p in b.products], dtype=np.intp)
         for year, (X, y, codes) in b.years.items():
             lo = filled[year]
             filled[year] = hi = lo + len(y)
-            full = matrices[year][0][lo:hi]  # a view: the fills below land in the year's matrix
+            full = fleet_X[lo:hi]  # a view: the fills below land in the fleet matrix
             full[:, :_NUMERIC] = X
             rows = np.arange(len(y))
             full[rows[:, None], _CODE_BASES + codes[:, : len(_CODE_BASES)]] = 1.0
             product = codes[:, len(_CODE_BASES)]
             has = np.flatnonzero(product >= 0)
             full[has, column[product[has]]] = 1.0
-            matrices[year][1][lo:hi] = y
-    return schema, matrices
+            fleet_y[lo:hi] = y
+    return schema, fleet_X, fleet_y, spans
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +235,9 @@ def stack_blocks(
 
 @dataclass(frozen=True)
 class OlsModel:
-    feature_names: tuple[str, ...]
     coefficients: np.ndarray  # original-unit coefficients, full schema width
     intercept: float
-    train_mean: np.ndarray
-    train_std: np.ndarray
-    dropped: tuple[str, ...]
+    dropped: tuple[str, ...]  # names of the zero-variance columns
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coefficients + self.intercept
@@ -261,9 +264,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray, feature_names: Sequence[str] | None = 
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     keep = std > 0.0
-    if not keep.all():
-        names = tuple(feature_names[i] for i in np.flatnonzero(~keep))
-        warnings.warn(f"dropping zero-variance features: {', '.join(names)}", DegenerateColumn)
+    dropped = tuple(feature_names[i] for i in np.flatnonzero(~keep))
+    if dropped:
+        warnings.warn(f"dropping zero-variance features: {', '.join(dropped)}", DegenerateColumn)
     Xs = X[:, keep]  # boolean indexing copies, so X itself is never changed
     Xs -= mean[keep]
     Xs /= std[keep]
@@ -277,14 +280,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, feature_names: Sequence[str] | None = 
     coefficients = np.zeros(d)
     coefficients[keep] = beta_s / std[keep]
     intercept = y_mean - float(coefficients @ mean)
-    return OlsModel(
-        feature_names=tuple(feature_names),
-        coefficients=coefficients,
-        intercept=intercept,
-        train_mean=mean,
-        train_std=std,
-        dropped=tuple(feature_names[i] for i in np.flatnonzero(~keep)),
-    )
+    return OlsModel(coefficients, intercept, dropped)
 
 
 def r2(model: OlsModel, X: np.ndarray, y: np.ndarray) -> float:
@@ -345,60 +341,48 @@ def year_matrix(
 ) -> YearMatrix:
     """R² of models trained on earlier years and tested on later ones.
 
-    Rows are the drivers' feature blocks stacked in the order given.
-    single_year trains on the one year Y-n; cumulative trains on every year up
-    to and including Y-n. Lag 0 uses a seeded 80/20 split within the test year
-    (train years strictly before Y join the training side in cumulative mode).
-    Cells without enough training rows stay empty.
+    Rows are the drivers' feature blocks stacked in the order given, in one
+    matrix sorted by year. single_year trains on the one year Y-n; cumulative
+    trains on every year up to and including Y-n, so beyond lag 0 a training
+    set is a run of the matrix's rows. Lag 0 uses a seeded 80/20 split within
+    the test year (train years strictly before Y join the training side in
+    cumulative mode). Cells without enough training rows stay empty.
     """
     if mode not in ("single_year", "cumulative"):
         raise AuditError(f"unknown mode {mode!r}")
-    schema, matrices = stack_blocks(blocks)
-    years = sorted(matrices)
+    schema, X, y, spans = stack_blocks(blocks)
+    years = sorted(spans)
     if len(years) < 2:
         raise AuditError("need at least two calendar years of trips")
 
     cells: dict[tuple[int, int], float | None] = {}
     counts: dict[tuple[int, int], tuple[int, int]] = {}
     for year in years:
+        start, stop = spans[year]
         for lag in range(0, year - years[0] + 1):
-            train_parts: list[tuple[np.ndarray, np.ndarray]] = []
+            source = year - lag
+            if source not in spans:
+                continue
+            first = 0 if mode == "cumulative" else spans[source][0]
             if lag == 0:
-                X, y = matrices[year]
-                rng = np.random.default_rng([seed, year])
-                perm = rng.permutation(len(y))
-                cut = int(len(y) * TRAIN_FRACTION)
-                train_idx, test_idx = perm[:cut], perm[cut:]
-                if mode == "cumulative":
-                    train_parts = [matrices[p] for p in years if p < year]
-                train_parts.append((X[train_idx], y[train_idx]))
-                y_test = y[test_idx]
+                perm = np.random.default_rng([seed, year]).permutation(stop - start)
+                cut = int((stop - start) * TRAIN_FRACTION)
+                train = np.concatenate((np.arange(first, start), start + perm[:cut]))
+                test = start + perm[cut:]
             else:
-                source = year - lag
-                if source not in matrices:
-                    continue
-                if mode == "single_year":
-                    train_parts = [matrices[source]]
-                else:
-                    train_parts = [matrices[p] for p in years if p <= source]
-                y_test = matrices[year][1]
-
-            if len(train_parts) == 1:
-                X_train, y_train = train_parts[0]
-            else:
-                X_train = np.vstack([p[0] for p in train_parts])
-                y_train = np.concatenate([p[1] for p in train_parts])
+                train, test = slice(first, spans[source][1]), slice(start, stop)
+            # a slice of rows is a view; only lag 0 gathers its training rows
+            y_train, y_test = y[train], y[test]
             counts[(year, lag)] = (len(y_train), len(y_test))
             if len(y_train) <= schema.dim or len(y_test) < 2:
                 cells[(year, lag)] = None
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateColumn)
-                model = fit_ols(X_train, y_train, schema.names)
-            # the test rows are copied only now, once the fit's copies are gone
-            X_test = matrices[year][0][test_idx] if lag == 0 else matrices[year][0]
+                model = fit_ols(X[train], y_train, schema.names)
             try:
-                cells[(year, lag)] = r2(model, X_test, y_test)
+                # lag 0's test rows are gathered only now, once the fit's copies are gone
+                cells[(year, lag)] = r2(model, X[test], y_test)
             except ZeroVarianceTarget:
                 cells[(year, lag)] = None
 

@@ -239,25 +239,23 @@ def _take_rate_section(trips: TripColumns) -> dict:
 
 
 def _utilisation_section(results: Sequence[DriverResult]) -> dict:
-    months = {m for res in results for m, t in res.months.items() if t.active_days}
+    pooled: dict[str, Bucket] = {}  # each month's active driver buckets, summed exactly
+    for res in results:
+        for month, totals in res.months.items():
+            if totals.active_days:
+                bucket = pooled.setdefault(month, Bucket())
+                bucket.standby_ms += totals.standby_ms
+                bucket.en_route_ms += totals.en_route_ms
+                bucket.on_trip_ms += totals.on_trip_ms
+                bucket.active_days += totals.active_days
     out = {}
-    for month in sorted(months):
-        standby = en_route = on_trip = 0.0
-        days = 0
-        for res in results:
-            totals = res.months.get(month)
-            if totals is None or totals.active_days == 0:
-                continue
-            u = utilisation_daily(totals)
-            standby += u.standby_hours * u.active_days
-            en_route += u.en_route_hours * u.active_days
-            on_trip += u.on_trip_hours * u.active_days
-            days += u.active_days
+    for month, bucket in sorted(pooled.items()):
+        u = utilisation_daily(bucket)
         out[month] = {
-            "standby_hours": standby / days,
-            "en_route_hours": en_route / days,
-            "on_trip_hours": on_trip / days,
-            "active_driver_days": days,
+            "standby_hours": u.standby_hours,
+            "en_route_hours": u.en_route_hours,
+            "on_trip_hours": u.on_trip_hours,
+            "active_driver_days": u.active_days,
         }
     return out
 

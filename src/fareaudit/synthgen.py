@@ -154,7 +154,6 @@ class GenConfig:
     n_drivers: int = 10
     first_month: str = "2021-01"
     last_month: str = "2021-12"
-    tz: str = DEFAULT_TIMEZONE
     opaque_start: str = "2022-02"
     dynamic_start: str = "2023-02"
 
@@ -242,7 +241,7 @@ class GenConfig:
 
     @property
     def boundaries(self) -> EraBoundaries:
-        return EraBoundaries(self.opaque_start, self.dynamic_start, self.tz)
+        return EraBoundaries(self.opaque_start, self.dynamic_start)
 
     @property
     def fixed_share_float(self) -> float:
@@ -492,7 +491,7 @@ def _gen_driver(
     rng = np.random.default_rng([config.seed, index])
     clock = _UniqueClock()
     driver_id = f"driver{index:03d}"
-    zone = ZoneInfo(config.tz)
+    zone = ZoneInfo(DEFAULT_TIMEZONE)
     days = _LocalDays(zone)
     boundaries = config.boundaries
     c = config.commission_fraction
@@ -978,7 +977,7 @@ def _config_dict(config: GenConfig) -> dict:
         "n_drivers": config.n_drivers,
         "first_month": config.first_month,
         "last_month": config.last_month,
-        "tz": config.tz,
+        "tz": DEFAULT_TIMEZONE,
         "opaque_start": config.opaque_start,
         "dynamic_start": config.dynamic_start,
         "commission": config.commission,

@@ -86,6 +86,9 @@ def test_synth_rejects_bad_config(tmp_path):
     assert main(["synth", str(cfg), "--out", str(tmp_path / "o")]) == 2
     cfg.write_text("{not json")
     assert main(["synth", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # the audit dates every instant in one calendar, so a fleet has no zone of its own
+    cfg.write_text(json.dumps({"tz": "America/New_York"}))
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_synth_seed_repeat_identical(tmp_path):
@@ -585,6 +588,20 @@ def test_predict_two_year_matrix(tmp_path):
     payload = json.loads((out / "predict_matrix.json").read_text())
     assert payload["seed"] == 5
     assert payload["mode"] == "single_year"
+
+
+def test_predict_cumulative_jobs_and_reruns_byte_identical(tmp_path):
+    root = tmp_path / "fleet"
+    generate(GenConfig(seed=8, n_drivers=2, first_month="2021-11", last_month="2022-02"), root)
+    runs = [("1", "a"), ("1", "b"), ("2", "c")]
+    for jobs, name in runs:
+        out = tmp_path / name
+        args = ["predict", str(root), "--out", str(out), "--mode", "cumulative", "--jobs", jobs]
+        assert main(args) == 0
+    assert len({tree_digest(tmp_path / name) for _, name in runs}) == 1
+    payload = json.loads((tmp_path / "a" / "predict_matrix.json").read_text())
+    assert payload["mode"] == "cumulative"
+    assert all(cell["r2"] is not None for cell in payload["cells"])
 
 
 def test_predict_empty_root(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fareaudit
 from fareaudit.model import (
+    CALENDAR,
     DEFAULT_ERAS,
     Calendar,
     Era,
@@ -297,7 +298,7 @@ def test_era_of_matches_local_month_labels(pair, near, offset_ms):
     else:
         centre = instant(near)
     ts = centre + offset_ms
-    local = dt.datetime.fromtimestamp(ts // 1000, ZoneInfo(boundaries.tz))
+    local = dt.datetime.fromtimestamp(ts // 1000, ZoneInfo(CALENDAR.tz))
     label = local.year * 12 + local.month - 1
     if label < month_index(pair[0]):
         expected = Era.FIXED_COMMISSION

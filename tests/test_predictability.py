@@ -72,8 +72,9 @@ def test_featurize_known_values():
     values, codes, y = featurize(lt)
     assert y == 15.0
     assert codes == (9, 5, 6)  # hour, weekday (Monday 0), month - 1
-    schema, matrices = stack_blocks([feature_blocks([lt])])
-    (vec,), (target,) = matrices[2021]
+    schema, X, Y, spans = stack_blocks([feature_blocks([lt])])
+    assert spans == {2021: (0, 1)}
+    (vec,), (target,) = X, Y
     assert target == y
     v = dict(zip(schema.names, vec))
     assert tuple(vec[: len(values)]) == values
@@ -141,8 +142,7 @@ def test_ols_predicts_through_collinear_schema():
     # individual coefficients are not identifiable there; predictions are
     rng = np.random.default_rng(0)
     linked = rand_linked(rng, 400, coef=(2.5, 0.3, 0.8))
-    schema, matrices = stack_blocks([feature_blocks(linked)])
-    X, y = matrices[2021]
+    schema, X, y, _ = stack_blocks([feature_blocks(linked)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateColumn)
         model = fit_ols(X, y, schema.names)
@@ -253,15 +253,17 @@ def test_stacked_blocks_equal_the_fleet_feature_matrix():
         for i, lt in enumerate(second)
     ]
     everyone = first + second
-    schema, matrices = stack_blocks([feature_blocks(first), feature_blocks(second)])
+    schema, X, y, spans = stack_blocks([feature_blocks(first), feature_blocks(second)])
     want_schema = build_schema(everyone)
     assert schema.names == want_schema.names
-    assert sorted(matrices) == [2020, 2021]
-    for year, (X, y) in matrices.items():
+    # one matrix: each year's rows follow the last year's, in block then link order
+    assert spans == {2020: (0, 80), 2021: (80, 160)}
+    assert X.shape == (160, schema.dim) and y.shape == (160,)
+    for year, (start, stop) in spans.items():
         group = [lt for lt in everyone if london(lt.trip.dropoff_ts).year == year]
         want = [full_row(lt, want_schema) for lt in group]
-        assert np.array_equal(X, np.array([row for row, _ in want]))
-        assert np.array_equal(y, np.array([target for _, target in want]))
+        assert np.array_equal(X[start:stop], np.array([row for row, _ in want]))
+        assert np.array_equal(y[start:stop], np.array([target for _, target in want]))
 
 
 def full_row(lt: LinkedTrip, schema: FeatureSchema) -> tuple[list[float], float]:
@@ -277,16 +279,26 @@ def full_row(lt: LinkedTrip, schema: FeatureSchema) -> tuple[list[float], float]
     return list(row.values()), y
 
 
-@pytest.mark.parametrize("mode", ["single_year", "cumulative"])
-def test_year_matrix_matches_the_copying_reference(mode):
-    # three drivers with different product sets over three years; the
-    # reference stacks per-block arrays with np.vstack, copies every training
-    # set and standardizes out of place, and every R² must keep its bits
+@pytest.mark.parametrize(
+    "mode, years",
+    [
+        pytest.param("single_year", (2019, 2020, 2021), id="single_year"),
+        pytest.param("cumulative", (2019, 2020, 2021), id="cumulative"),
+        pytest.param("single_year", (2019, 2021), id="single_year-no_2020"),
+        pytest.param("cumulative", (2019, 2021), id="cumulative-no_2020"),
+    ],
+)
+def test_year_matrix_matches_the_copying_reference(mode, years):
+    # three drivers with different product sets; the reference stacks
+    # per-block arrays with np.vstack, copies every training set and
+    # standardizes out of place, and every R² must keep its bits. Without
+    # 2020 the lag from 2021 to 2020 is skipped, and cumulative training
+    # sets run across the gap.
     rng = np.random.default_rng(11)
     products = (("comfort", "standard", "comfort"), ("xl", "", "standard"), ("standard",) * 3)
     fleet = []
     for d, choices in enumerate(products):
-        linked = [lt for year in (2019, 2020, 2021) for lt in rand_linked(rng, 120, year)]
+        linked = [lt for year in years for lt in rand_linked(rng, 120, year)]
         fleet.append(
             [
                 replace(lt, trip=replace(lt.trip, driver_id=f"d{d}", product=choices[i % 3]))
@@ -335,6 +347,8 @@ def copying_year_matrix(blocks, mode, seed):
                 X_test, y_test = X[perm[cut:]], y[perm[cut:]]
             else:
                 last = year - lag
+                if last not in matrices:
+                    continue
                 cumulative = mode == "cumulative"
                 train = [matrices[p] for p in years if p == last or (cumulative and p < last)]
                 X_test, y_test = matrices[year]
