@@ -8,8 +8,6 @@ data model in the first place, so stripping concerns the fields that remain.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -42,6 +40,9 @@ class UnknownField(AuditError):
 
 def pseudonym(driver_id: str, salt: bytes) -> str:
     """Keyed-hash pseudonym: same id and salt give the same output everywhere."""
+    import hashlib  # loads OpenSSL, which only `anon` needs
+    import hmac
+
     if len(salt) < MIN_SALT_BYTES:
         raise WeakSalt(f"salt must be at least {MIN_SALT_BYTES} bytes, got {len(salt)}")
     digest = hmac.new(salt, driver_id.encode("utf-8"), hashlib.sha256)

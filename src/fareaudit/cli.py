@@ -14,8 +14,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent import futures  # loads its process pool only when one is made
 from pathlib import Path
 
 from .anonymize import DEFAULT_STRIP_POLICY, WeakSalt, anonymize, load_salt
@@ -33,7 +32,6 @@ from .report import (
     process_bundle,
     render_charts,
 )
-from .synthgen import GenConfig, InvalidConfig, generate
 
 log = logging.getLogger("fareaudit")
 
@@ -79,14 +77,24 @@ def _window_seconds(text: str) -> float:
     return value
 
 
-def _worker_count(text: str) -> int:
+def _whole_number(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of at least {least}, got {text!r}"
+        )
     return value
+
+
+def _worker_count(text: str) -> int:
+    return _whole_number(text, 1)
+
+
+def _seed(text: str) -> int:
+    return _whole_number(text, 0)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -101,7 +109,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _run_bundles(dirs: list[str], options: AuditOptions, jobs: int):
     if jobs > 1 and len(dirs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(process_bundle, dirs, [options] * len(dirs)))
     return [process_bundle(d, options) for d in dirs]
 
@@ -110,7 +118,16 @@ def _run_bundles(dirs: list[str], options: AuditOptions, jobs: int):
 # Subcommands
 
 
+def generate(config, out: str) -> None:
+    """Write the fleet of ``config``; the generator loads only for ``synth``."""
+    from .synthgen import generate
+
+    generate(config, out)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synthgen import GenConfig, InvalidConfig
+
     try:
         config = GenConfig.from_json(args.config)
     except (InvalidConfig, OSError, json.JSONDecodeError) as exc:
@@ -302,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="pay predictability matrix across years")
     p.add_argument("bundle_root")
     p.add_argument("--mode", choices=("single_year", "cumulative"), default="single_year")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=".")
     p.add_argument(
         "--link-window-seconds", type=_window_seconds, default=DEFAULT_WINDOW_S, metavar="S"
@@ -334,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BrokenProcessPool as exc:  # a --jobs worker died; its bundles have no result
+    except futures.BrokenExecutor as exc:  # a --jobs worker died; its bundles have no result
         log.error("worker process failed: %s", exc)
         return EXIT_NO_DATA
 

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import charts
 from .ingest import IngestReport, load_bundle, normalize
 from .linkage import DEFAULT_WINDOW_S, link
 from .metrics import (
@@ -413,6 +412,8 @@ def build_report(
 
 def render_charts(report: Mapping) -> list[tuple[str, str]]:
     """(filename, svg) pairs derived from report data only."""
+    from . import charts  # loaded only when charts are asked for
+
     out: list[tuple[str, str]] = []
 
     weekly = report.get("weekly_pay", {}).get("weekly_pooled", {})

@@ -208,6 +208,8 @@ class GenConfig:
     rpi_yoy: float | None = None
 
     def __post_init__(self) -> None:
+        if type(self.seed) is not int or self.seed < 0:  # bool is an int subclass
+            raise InvalidConfig(f"seed must be a whole number >= 0, got {self.seed!r}")
         for name in ("work_prob", "tip_prob", "cancel_prob", "acceptance_rate", "airport_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -3,6 +3,7 @@ and every count it takes must read the shape its function really returns."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from fareaudit.ingest import load_bundle, normalize
@@ -76,3 +77,25 @@ def test_tracer_sees_the_worker_entry_of_audit_and_predict(bundle_dir, tmp_path_
         shipped = [s for s in got if s["name"] == "report.result_pickle"]
         assert shipped, command
         assert all(s["counts"]["report.result_pickle_bytes"] > 0 for s in shipped), command
+
+
+def test_tracer_sees_the_generator_and_its_writes(tmp_path):
+    # synth loads the generator inside the run, so the traced span of
+    # cli.generate, and the writes inside it, must still be recorded
+    tracer = load_tracer()
+    names = [(f"fareaudit.{m}", attr) for m, attr, _span, _counts in tracer.WRAPPED]
+    names.append(("fareaudit.cli", "process_bundle"))
+    saved = [(m, attr, getattr(importlib.import_module(m), attr)) for m, attr in names]
+    spans = tracer.Tracer()
+    tracer.install(spans)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "n_drivers": 2, "last_month": "2021-01"}))
+    try:
+        cli = importlib.import_module("fareaudit.cli")
+        assert cli.main(["synth", str(config), "--out", str(tmp_path / "fleet")]) == 0
+    finally:
+        for module, attr, fn in saved:
+            setattr(importlib.import_module(module), attr, fn)
+    got = [s["name"] for s in spans.spans]
+    assert got.count("synthgen.generate") == 1
+    assert got.count("ingest.write_bundle") >= 1

@@ -89,6 +89,11 @@ def test_synth_rejects_bad_config(tmp_path):
     # the audit dates every instant in one calendar, so a fleet has no zone of its own
     cfg.write_text(json.dumps({"tz": "America/New_York"}))
     assert main(["synth", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # a seed is a whole number >= 0; true would otherwise run as seed 1
+    for seed in (-1, 1.5, "7", True):
+        cfg.write_text(json.dumps({"seed": seed, "n_drivers": 1, "last_month": "2021-01"}))
+        assert main(["synth", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_seed_repeat_identical(tmp_path):
@@ -269,6 +274,14 @@ def test_bad_window_or_jobs_is_a_usage_error(bundles, tmp_path, command, option,
     assert not out.exists()
 
 
+def test_predict_negative_seed_is_a_usage_error(bundles, tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", str(bundles), "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_audit_rpi_with_bom_writes_the_same_report(bundles, tmp_path):
     plain = (bundles / "rpi.csv").read_bytes()
     bom = tmp_path / "rpi.csv"
@@ -318,6 +331,17 @@ def test_audit_worker_crash_exits_no_data(bundles, tmp_path, monkeypatch):
     monkeypatch.setattr("fareaudit.cli.process_bundle", _worker_dies)
     out = tmp_path / "o"
     assert main(["audit", str(bundles), "--out", str(out), "--jobs", "2"]) == 3
+    assert not out.exists()
+
+
+def test_predict_worker_crash_exits_no_data(tmp_path, monkeypatch, caplog):
+    # two years, so predict would write its matrix if the workers lived
+    root = tmp_path / "fleet"
+    generate(GenConfig(seed=8, n_drivers=2, first_month="2021-11", last_month="2022-02"), root)
+    monkeypatch.setattr("fareaudit.cli.process_bundle", _worker_dies)
+    out = tmp_path / "o"
+    assert main(["predict", str(root), "--out", str(out), "--jobs", "2"]) == 3
+    assert "worker process failed" in caplog.text
     assert not out.exists()
 
 
