@@ -50,16 +50,8 @@ def pseudonym(driver_id: str, salt: bytes) -> str:
 
 
 def pseudonymize(bundle: NormalizedBundle, salt: bytes) -> NormalizedBundle:
-    """Replace the driver id with its pseudonym on every record in the bundle."""
-    alias = pseudonym(bundle.driver_id, salt)
-    return NormalizedBundle(
-        driver_id=alias,
-        trips=tuple(replace(t, driver_id=alias) for t in bundle.trips),
-        payments=tuple(replace(p, driver_id=alias) for p in bundle.payments),
-        dispatches=tuple(replace(d, driver_id=alias) for d in bundle.dispatches),
-        sessions=tuple(replace(s, driver_id=alias) for s in bundle.sessions),
-        profile=replace(bundle.profile, driver_id=alias) if bundle.profile else None,
-    )
+    """Replace the bundle's driver id, the only copy of it, with its pseudonym."""
+    return replace(bundle, driver_id=pseudonym(bundle.driver_id, salt))
 
 
 def strip_fields(
@@ -90,14 +82,7 @@ def strip_fields(
     if "memo" in names:
         payments = tuple(replace(p, memo=None) for p in payments)
 
-    return NormalizedBundle(
-        driver_id=bundle.driver_id,
-        trips=trips,
-        payments=payments,
-        dispatches=bundle.dispatches,
-        sessions=bundle.sessions,
-        profile=bundle.profile,
-    )
+    return replace(bundle, trips=trips, payments=payments)
 
 
 def anonymize(

@@ -17,10 +17,10 @@ import sys
 from concurrent import futures  # loads its process pool only when one is made
 from pathlib import Path
 
-from .anonymize import DEFAULT_STRIP_POLICY, WeakSalt, anonymize, load_salt
+from .anonymize import DEFAULT_STRIP_POLICY, STRIPPABLE_FIELDS, WeakSalt, anonymize, load_salt
 from .ingest import MalformedTable, MissingTable, load_bundle, normalize, write_bundle
 from .linkage import DEFAULT_WINDOW_S
-from .model import AuditError, RpiSeries, week_monday
+from .model import AuditError, RpiSeries, parse_month, week_monday
 from .predictability import year_matrix
 from .report import (
     AuditOptions,
@@ -49,9 +49,13 @@ def _bundle_dirs(root: str) -> list[str]:
 
 
 def _month_pair(text: str) -> tuple[str, str]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError("expected YYYY-MM:YYYY-MM")
+    """Two months, each a YYYY-MM month that exists."""
+    lo, _, hi = text.partition(":")
+    try:
+        parse_month(lo)
+        parse_month(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected YYYY-MM:YYYY-MM, got {text!r}") from None
     return lo, hi
 
 
@@ -64,6 +68,17 @@ def _week_list(text: str) -> list[str]:
         except ValueError:  # a malformed label, or a week its year does not have
             raise argparse.ArgumentTypeError(f"not an ISO week YYYY-Www: {label!r}") from None
     return labels
+
+
+def _strip_list(text: str) -> tuple[str, ...]:
+    """Comma-separated names of strippable fields."""
+    names = tuple(text.split(","))
+    for name in names:
+        if name not in STRIPPABLE_FIELDS:
+            raise argparse.ArgumentTypeError(
+                f"not a strippable field: {name!r} (choose from {', '.join(STRIPPABLE_FIELDS)})"
+            )
+    return names
 
 
 def _window_seconds(text: str) -> float:
@@ -141,6 +156,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    if (args.cohort_pre is None) != (args.cohort_post is None):
+        log.error("invalid options: --cohort-pre and --cohort-post go together")
+        return EXIT_CONFIG
     try:
         options = AuditOptions(
             link_window_s=args.link_window_seconds,
@@ -240,7 +258,6 @@ def cmd_anon(args: argparse.Namespace) -> int:
         log.error("salt unusable: %s", exc)
         return EXIT_WEAK_SALT
 
-    policy = tuple(args.strip.split(",")) if args.strip else DEFAULT_STRIP_POLICY
     dirs = _bundle_dirs(args.bundle_root)
     if not dirs:
         log.error("no bundle directories under %s", args.bundle_root)
@@ -252,7 +269,7 @@ def cmd_anon(args: argparse.Namespace) -> int:
         try:
             raw = load_bundle(directory)
             bundle, report = normalize(raw)
-            clean = anonymize(bundle, salt, policy)
+            clean = anonymize(bundle, salt, args.strip)
         except (MissingTable, MalformedTable) as exc:
             log.warning("bundle %s skipped: %s", Path(directory).name, exc)
             continue
@@ -335,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--strip",
-        default=None,
+        type=_strip_list,
+        default=DEFAULT_STRIP_POLICY,
         metavar="FIELD,...",
         help=f"fields to blank (default: {','.join(DEFAULT_STRIP_POLICY)})",
     )

@@ -285,10 +285,9 @@ class _RowContext:
         return self.ts(text) if text else None
 
 
-def _parse_trip(row: Row, driver_id: str, ctx: _RowContext) -> TripRecord:
+def _parse_trip(row: Row, ctx: _RowContext) -> TripRecord:
     request, accept, pickup, dropoff, distance, status, fare, origin, dest, product = row
     return TripRecord(
-        driver_id,
         ctx.ts(request),
         ctx.opt_ts(accept),
         ctx.opt_ts(pickup),
@@ -302,13 +301,11 @@ def _parse_trip(row: Row, driver_id: str, ctx: _RowContext) -> TripRecord:
     )
 
 
-def _parse_payment(row: Row, driver_id: str, ctx: _RowContext) -> PaymentEvent:
+def _parse_payment(row: Row, ctx: _RowContext) -> PaymentEvent:
     ts, category, amount, currency, memo = row
     if currency not in ("", CURRENCY):
         raise RecordError(f"currency {currency!r} is not {CURRENCY}")
-    return PaymentEvent(
-        driver_id, ctx.ts(ts), PaymentCategory(category), parse_pence(amount), memo or None
-    )
+    return PaymentEvent(ctx.ts(ts), PaymentCategory(category), parse_pence(amount), memo or None)
 
 
 def _parse_bool(text: str) -> bool:
@@ -320,19 +317,19 @@ def _parse_bool(text: str) -> bool:
     raise RecordError(f"not a boolean: {text!r}")
 
 
-def _parse_dispatch(row: Row, driver_id: str, ctx: _RowContext) -> DispatchOffer:
+def _parse_dispatch(row: Row, ctx: _RowContext) -> DispatchOffer:
     offered, accepted = row
-    return DispatchOffer(driver_id, ctx.ts(offered), _parse_bool(accepted))
+    return DispatchOffer(ctx.ts(offered), _parse_bool(accepted))
 
 
-def _parse_session(row: Row, driver_id: str, ctx: _RowContext) -> AppSession:
+def _parse_session(row: Row, ctx: _RowContext) -> AppSession:
     login, logout = row
-    return AppSession(driver_id, ctx.ts(login), ctx.ts(logout))
+    return AppSession(ctx.ts(login), ctx.ts(logout))
 
 
-def _parse_profile(row: Row, driver_id: str, ctx: _RowContext) -> DriverProfile:
+def _parse_profile(row: Row, ctx: _RowContext) -> DriverProfile:
     first_trip, gender, age_band = row
-    return DriverProfile(driver_id, ctx.ts(first_trip), gender or None, age_band or None)
+    return DriverProfile(ctx.ts(first_trip), gender or None, age_band or None)
 
 
 _PARSERS = {
@@ -371,7 +368,7 @@ def normalize(
                 continue
             seen.add(row)
             try:
-                ok.append(parser(row, raw.driver_id, ctx))
+                ok.append(parser(row, ctx))
             except (RecordError, ValueError) as exc:
                 bad += 1
                 fields = dict(zip(TABLE_FIELDS[table], row))

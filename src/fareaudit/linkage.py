@@ -26,10 +26,6 @@ from .model import (
 DEFAULT_WINDOW_S = 600.0
 
 
-class ZeroFare(AuditError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class LinkedTrip:
     """A trip with its matched earnings events and, where legal, fare split."""
@@ -37,14 +33,7 @@ class LinkedTrip:
     trip: TripRecord
     earnings: tuple[PaymentEvent, ...]
     driver_total: int  # pence
-    rider_fare: int | None  # pence
-    driver_share: float | None
-    platform_share: float | None
-
-    def __post_init__(self) -> None:
-        both = (self.driver_share is None) == (self.platform_share is None)
-        if not both:
-            raise AuditError("shares must be present or absent together")
+    driver_share: float | None  # of the trip's original fare; above 1 when pay tops it
 
 
 @dataclass(frozen=True)
@@ -54,27 +43,13 @@ class LinkResult:
     unmatched_payments: tuple[PaymentEvent, ...]
 
 
-def split_fraction(driver_total: int, rider_fare: int) -> tuple[float, float]:
-    """Driver and platform shares of the rider fare.
-
-    The driver share can exceed 1 (platform share negative) when the payout
-    tops the fare.
-    """
-    if rider_fare == 0:
-        raise ZeroFare("rider fare is zero")
-    driver = driver_total / rider_fare
-    return driver, 1.0 - driver
-
-
-def _try_split(
-    trip: TripRecord, total: int, boundaries: EraBoundaries
-) -> tuple[float | None, float | None]:
+def _try_split(trip: TripRecord, total: int, boundaries: EraBoundaries) -> float | None:
     fare = trip.original_fare
     if fare is None or fare <= 0:
-        return None, None
+        return None
     if era_of(trip_anchor(trip), boundaries) is Era.OPAQUE_GAP:
-        return None, None
-    return split_fraction(total, fare)
+        return None
+    return total / fare
 
 
 def link(
@@ -125,17 +100,7 @@ def link(
             unmatched_trips.append(trip)
             continue
         total = sum(e.amount for e in events)
-        d_share, p_share = _try_split(trip, total, boundaries)
-        linked.append(
-            LinkedTrip(
-                trip=trip,
-                earnings=tuple(events),
-                driver_total=total,
-                rider_fare=trip.original_fare,
-                driver_share=d_share,
-                platform_share=p_share,
-            )
-        )
+        linked.append(LinkedTrip(trip, tuple(events), total, _try_split(trip, total, boundaries)))
     return LinkResult(tuple(linked), tuple(unmatched_trips), tuple(unmatched_payments))
 
 

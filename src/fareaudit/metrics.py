@@ -62,7 +62,8 @@ class NoOffers(AuditError):
 
 @dataclass(frozen=True, slots=True)
 class WeeklyPayRow:
-    driver_id: str
+    """One ISO week of one driver's ledger; the driver is the caller's to keep."""
+
     iso_week: str
     net_pay: int  # pence
     hours_tribunal: float
@@ -73,7 +74,7 @@ class WeeklyPayRow:
             raise RecordError("platform hours exceed tribunal hours")
 
 
-def weekly_rows(driver_id: str, ledger: TimeLedger) -> tuple[WeeklyPayRow, ...]:
+def weekly_rows(ledger: TimeLedger) -> tuple[WeeklyPayRow, ...]:
     """One row per ISO week with any pay or any working time, in week order.
 
     Pay is the signed sum of every payment category (the week's cash position),
@@ -86,7 +87,7 @@ def weekly_rows(driver_id: str, ledger: TimeLedger) -> tuple[WeeklyPayRow, ...]:
         net = totals.pay or 0
         if net == 0 and tribunal == 0.0:
             continue
-        rows.append(WeeklyPayRow(driver_id, week, net, tribunal, platform))
+        rows.append(WeeklyPayRow(week, net, tribunal, platform))
     return tuple(rows)
 
 
@@ -172,10 +173,11 @@ _DTYPES = {
 class TripColumns:
     """Share-valid linked trips as parallel numpy columns, one row per trip.
 
-    Rows keep the order they were given in. ``driver`` indexes ``driver_ids``,
-    ``month`` is the ``month_index`` of the local month of the trip's anchor,
-    ``era`` indexes ``ERAS``, ``share`` is the driver share of the
-    rider fare, and the pence are the trip's earnings and its rider fare.
+    Rows keep the order they were given in. ``driver`` indexes ``driver_ids``;
+    one bundle's columns hold its one driver, at index 0. ``month`` is the
+    ``month_index`` of the local month of the trip's anchor, ``era`` indexes
+    ``ERAS``, ``share`` is the driver share of the rider fare, and the pence
+    are the trip's earnings and its rider fare.
     """
 
     driver_ids: tuple[str, ...]
@@ -189,23 +191,25 @@ class TripColumns:
 
     @classmethod
     def from_linked(
-        cls, linked: Iterable[LinkedTrip], boundaries: EraBoundaries = DEFAULT_ERAS
+        cls,
+        linked: Iterable[LinkedTrip],
+        driver_id: str,
+        boundaries: EraBoundaries = DEFAULT_ERAS,
     ) -> "TripColumns":
+        """The share-valid trips of one driver's bundle."""
         valid = [lt for lt in linked if lt.driver_share is not None]
-        driver_ids = tuple(sorted({lt.trip.driver_id for lt in valid}))
-        code = {d: i for i, d in enumerate(driver_ids)}
         anchors = [trip_anchor(lt.trip) for lt in valid]
         days = [CALENDAR.day(a)[0] for a in anchors]
         values = {
-            "driver": [code[lt.trip.driver_id] for lt in valid],
+            "driver": [0] * len(valid),
             "month": [d.year * 12 + d.month - 1 for d in days],
             "era": [ERAS.index(era_of(a, boundaries)) for a in anchors],
             "share": [lt.driver_share for lt in valid],
             "driver_pence": [lt.driver_total for lt in valid],
-            "fare_pence": [lt.rider_fare for lt in valid],
+            "fare_pence": [lt.trip.original_fare for lt in valid],
             "on_trip_minutes": [lt.trip.on_trip_minutes for lt in valid],
         }
-        return cls(driver_ids, **{k: np.array(v, _DTYPES[k]) for k, v in values.items()})
+        return cls((driver_id,), **{k: np.array(v, _DTYPES[k]) for k, v in values.items()})
 
     @classmethod
     def concat(cls, parts: Sequence["TripColumns"]) -> "TripColumns":

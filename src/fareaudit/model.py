@@ -299,7 +299,7 @@ def era_of(ms: int, boundaries: EraBoundaries = DEFAULT_ERAS) -> Era:
 
 
 # ---------------------------------------------------------------------------
-# Records
+# Records: none carries a driver id, which the bundle holding them has once
 
 
 class TripStatus(enum.Enum):
@@ -328,7 +328,6 @@ class ActivityState(enum.Enum):
 class TripRecord:
     """One completed or cancelled trip."""
 
-    driver_id: str
     request_ts: int  # epoch ms, as every *_ts field
     accept_ts: int | None
     pickup_ts: int | None
@@ -366,7 +365,6 @@ def trip_anchor(trip: TripRecord) -> int:
 class PaymentEvent:
     """One signed money movement on a driver's ledger."""
 
-    driver_id: str
     ts: int
     category: PaymentCategory
     amount: int  # pence
@@ -375,14 +373,12 @@ class PaymentEvent:
 
 @dataclass(frozen=True, slots=True)
 class DispatchOffer:
-    driver_id: str
     offered_ts: int
     accepted: bool
 
 
 @dataclass(frozen=True, slots=True)
 class DriverProfile:
-    driver_id: str
     first_trip_ts: int
     gender: str | None = None
     age_band: str | None = None
@@ -398,7 +394,6 @@ class DriverProfile:
 class AppSession:
     """One logged-in interval; the envelope from which standby is derived."""
 
-    driver_id: str
     login_ts: int
     logout_ts: int
 

@@ -8,7 +8,6 @@ equations on standardized features; evaluation is plain out-of-sample R².
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -32,10 +31,6 @@ class Underdetermined(AuditError):
 
 class ZeroVarianceTarget(AuditError):
     pass
-
-
-class DegenerateColumn(UserWarning):
-    """A zero-variance feature was dropped from a fit."""
 
 
 AIRPORT_MARKER = "airport"
@@ -237,36 +232,27 @@ def stack_blocks(
 class OlsModel:
     coefficients: np.ndarray  # original-unit coefficients, full schema width
     intercept: float
-    dropped: tuple[str, ...]  # names of the zero-variance columns
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coefficients + self.intercept
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray, feature_names: Sequence[str] | None = None) -> OlsModel:
+def fit_ols(X: np.ndarray, y: np.ndarray) -> OlsModel:
     """Least squares via ridge-stabilized normal equations on standardized data.
 
-    Zero-variance columns are dropped (their coefficients are zero) with a
-    DegenerateColumn warning; epsilon is 1e-8 * trace(XtX) / d, which makes the
-    one-hot blocks solvable alongside an intercept without visibly biasing
-    coefficients.
+    Zero-variance columns are left out of the fit and get a coefficient of
+    zero; epsilon is 1e-8 * trace(XtX) / d, which makes the one-hot blocks
+    solvable alongside an intercept without visibly biasing coefficients.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
-    if feature_names is None:
-        feature_names = tuple(f"x{i}" for i in range(d))
-    if len(feature_names) != d:
-        raise AuditError("feature name list does not match matrix width")
     if n <= d:
         raise Underdetermined(f"{n} rows cannot determine {d} features")
 
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     keep = std > 0.0
-    dropped = tuple(feature_names[i] for i in np.flatnonzero(~keep))
-    if dropped:
-        warnings.warn(f"dropping zero-variance features: {', '.join(dropped)}", DegenerateColumn)
     Xs = X[:, keep]  # boolean indexing copies, so X itself is never changed
     Xs -= mean[keep]
     Xs /= std[keep]
@@ -280,7 +266,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, feature_names: Sequence[str] | None = 
     coefficients = np.zeros(d)
     coefficients[keep] = beta_s / std[keep]
     intercept = y_mean - float(coefficients @ mean)
-    return OlsModel(coefficients, intercept, dropped)
+    return OlsModel(coefficients, intercept)
 
 
 def r2(model: OlsModel, X: np.ndarray, y: np.ndarray) -> float:
@@ -377,9 +363,7 @@ def year_matrix(
             if len(y_train) <= schema.dim or len(y_test) < 2:
                 cells[(year, lag)] = None
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateColumn)
-                model = fit_ols(X[train], y_train, schema.names)
+            model = fit_ols(X[train], y_train)
             try:
                 # lag 0's test rows are gathered only now, once the fit's copies are gone
                 cells[(year, lag)] = r2(model, X[test], y_test)

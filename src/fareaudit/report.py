@@ -116,7 +116,7 @@ def process_bundle(
             return feature_blocks(links.linked)
         timeline = build_segments(bundle.sessions, bundle.trips)
         ledger = build_ledger(timeline.segments, bundle.payments)
-        rows = weekly_rows(bundle.driver_id, ledger)
+        rows = weekly_rows(ledger)
     except AuditError as exc:
         return BundleFailure(driver_id, str(exc))
     except (OSError, ValueError) as exc:
@@ -132,7 +132,7 @@ def process_bundle(
         orphan_trips=len(timeline.orphan_trips),
         rows=rows,
         months=ledger.months,
-        trips=TripColumns.from_linked(links.linked, options.boundaries),
+        trips=TripColumns.from_linked(links.linked, bundle.driver_id, options.boundaries),
         offers=offer_counts(bundle.dispatches),
         active_months=completed_months(bundle.trips),
         profile=bundle.profile,
@@ -175,6 +175,7 @@ def _pooled_rate(rows: Sequence[WeeklyPayRow], definition: HoursDefinition,
 
 
 def _weekly_pooled(rows: Sequence[WeeklyPayRow]) -> dict:
+    """Each week's rows pooled; a driver has at most one row a week."""
     by_week: dict[str, list[WeeklyPayRow]] = {}
     for row in rows:
         by_week.setdefault(row.iso_week, []).append(row)
@@ -187,7 +188,7 @@ def _weekly_pooled(rows: Sequence[WeeklyPayRow]) -> dict:
             "hours_platform": sum(r.hours_platform for r in group),
             "rate_tribunal": _pooled_rate(group, HoursDefinition.TRIBUNAL, None),
             "rate_platform": _pooled_rate(group, HoursDefinition.PLATFORM, None),
-            "drivers": len({r.driver_id for r in group}),
+            "drivers": len(group),
         }
     return out
 
@@ -338,13 +339,14 @@ def build_report(
     report["weekly_pay"] = {
         "rows": [
             {
-                "driver_id": row.driver_id,
+                "driver_id": res.driver_id,
                 "iso_week": row.iso_week,
                 "net_pay_pounds": row.net_pay / 100.0,
                 "hours_tribunal": row.hours_tribunal,
                 "hours_platform": row.hours_platform,
             }
-            for row in sorted(all_rows, key=lambda r: (r.driver_id, r.iso_week))
+            for res in results  # in driver order, each driver's rows in week order
+            for row in res.rows
         ],
         "pooled_rate_tribunal": _pooled_rate(all_rows, HoursDefinition.TRIBUNAL, weeks),
         "pooled_rate_platform": _pooled_rate(all_rows, HoursDefinition.PLATFORM, weeks),

@@ -541,7 +541,7 @@ def _gen_driver(
             config.session_max_h - config.session_min_h
         )
         session_end = clock.claim(session_start + int(session_hours * 3600) * MS)
-        sessions.append(AppSession(driver_id, session_start, session_end))
+        sessions.append(AppSession(session_start, session_end))
         session_iv.append((session_start, session_end))
 
         era_here = era_of(session_start, boundaries)
@@ -562,9 +562,7 @@ def _gen_driver(
             n_reject = int(rng.geometric(config.acceptance_rate)) - 1
             for _ in range(n_reject):
                 pos = cursor + int(rng.random() * max(request_ms - cursor - MS, MS))
-                offers.append(
-                    DispatchOffer(driver_id, clock.claim(pos), False)
-                )
+                offers.append(DispatchOffer(clock.claim(pos), False))
 
             en_route_s = config.en_route_min_s + rng.random() * (
                 config.en_route_max_s - config.en_route_min_s
@@ -589,7 +587,7 @@ def _gen_driver(
 
             request_ms = clock.claim(request_ms)
             accept_ms = clock.claim(accept_ms)
-            offers.append(DispatchOffer(driver_id, request_ms, True))
+            offers.append(DispatchOffer(request_ms, True))
 
             if rng.random() < config.cancel_prob:
                 status = (
@@ -599,7 +597,6 @@ def _gen_driver(
                 )
                 trips.append(
                     TripRecord(
-                        driver_id=driver_id,
                         request_ts=request_ms,
                         accept_ts=accept_ms,
                         pickup_ts=None,
@@ -666,7 +663,6 @@ def _gen_driver(
                 fare_out = pay_pence
 
             trip = TripRecord(
-                driver_id=driver_id,
                 request_ts=request_ms,
                 accept_ts=accept_ms,
                 pickup_ts=pickup_ms,
@@ -691,7 +687,6 @@ def _gen_driver(
             jitter_s = min(max(jitter_s, -clamp), clamp)
             pay_ms = clock.claim(dropoff_ms + int(round(jitter_s * MS)))
             payment = PaymentEvent(
-                driver_id=driver_id,
                 ts=pay_ms,
                 category=PaymentCategory.TRIP_EARNINGS,
                 amount=pay_pence,
@@ -712,7 +707,6 @@ def _gen_driver(
                 tip = int(rng.integers(50, config.tip_max_pence + 1))
                 payments.append(
                     PaymentEvent(
-                        driver_id=driver_id,
                         ts=tip_ms,
                         category=PaymentCategory.TIP,
                         amount=tip,
@@ -725,7 +719,6 @@ def _gen_driver(
         day += _DAY
 
     profile = DriverProfile(
-        driver_id=driver_id,
         first_trip_ts=first_trip_ms if first_trip_ms is not None else start_ms,
         gender=gender,
         age_band=age_band,

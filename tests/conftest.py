@@ -84,14 +84,12 @@ def trip(
     accept: float | None = 1.0,
     pickup: float | None = 5.0,
     dropoff: float | None = 20.0,
-    driver: str = "d1",
     distance: float = 4.0,
     status: TripStatus = TripStatus.COMPLETED,
     fare: str | None = "10.00",
     **kw,
 ) -> TripRecord:
     return TripRecord(
-        driver_id=driver,
         request_ts=at(req),
         accept_ts=None if accept is None else at(accept),
         pickup_ts=None if pickup is None else at(pickup),
@@ -107,18 +105,17 @@ def payment(
     ts_min: float = 21.0,
     amount: str = "7.50",
     category: PaymentCategory = PaymentCategory.TRIP_EARNINGS,
-    driver: str = "d1",
     memo: str | None = None,
 ) -> PaymentEvent:
-    return PaymentEvent(driver, at(ts_min), category, parse_pence(amount), memo)
+    return PaymentEvent(at(ts_min), category, parse_pence(amount), memo)
 
 
-def session(start: float, end: float, driver: str = "d1") -> AppSession:
-    return AppSession(driver, at(start), at(end))
+def session(start: float, end: float) -> AppSession:
+    return AppSession(at(start), at(end))
 
 
-def offer(ts_min: float, accepted: bool, driver: str = "d1") -> DispatchOffer:
-    return DispatchOffer(driver, at(ts_min), accepted)
+def offer(ts_min: float, accepted: bool) -> DispatchOffer:
+    return DispatchOffer(at(ts_min), accepted)
 
 
 def segment(start: float, end: float, state: ActivityState) -> tuple[int, int, ActivityState]:

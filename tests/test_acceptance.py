@@ -75,7 +75,7 @@ def process_fleet(root: Path) -> dict[str, SimpleNamespace]:
         links = link(bundle.trips, bundle.payments)
         timeline = build_segments(bundle.sessions, bundle.trips)
         ledger = build_ledger(timeline.segments, bundle.payments)
-        rows = weekly_rows(bundle.driver_id, ledger)
+        rows = weekly_rows(ledger)
         out[bundle.driver_id] = SimpleNamespace(
             bundle=bundle, links=links, ledger=ledger, rows=rows
         )
@@ -121,8 +121,11 @@ def dynamic_fleet(tmp_path_factory):
     generate(cfg, root)
     drivers = process_fleet(root)
     linked = [lt for d in drivers.values() for lt in d.links.linked]
+    columns = TripColumns.concat(
+        [TripColumns.from_linked(d.links.linked, name) for name, d in drivers.items()]
+    )
     return SimpleNamespace(
-        root=root, truth=load_ground_truth(root), drivers=drivers, linked=linked
+        root=root, truth=load_ground_truth(root), drivers=drivers, linked=linked, columns=columns
     )
 
 
@@ -174,7 +177,7 @@ def test_criterion_02_dynamic_share_recovery(dynamic_fleet):
         assert abs(statistics.fmean(shares) - truth["dynamic_share_mean"]) <= 0.005
         assert abs(statistics.median(shares) - truth["dynamic_share_median"]) <= 0.005
 
-        counts = take_rate_histogram(TripColumns.from_linked(dynamic_fleet.linked))
+        counts = take_rate_histogram(dynamic_fleet.columns)
         total = sum(counts.values())
         for label, prob in truth["analytic_bin_probs"].items():
             mass = counts.get(label, 0) / total
@@ -220,7 +223,7 @@ def test_criterion_04_per_minute_split_pattern(dynamic_fleet):
     with criterion(4, "per-minute fare split pattern"):
         bins = [
             b
-            for b in per_minute_fare_by_split(TripColumns.from_linked(dynamic_fleet.linked))
+            for b in per_minute_fare_by_split(dynamic_fleet.columns)
             if b.n_trips
         ]
         assert len(bins) >= 3
@@ -288,10 +291,9 @@ def test_criterion_05_predictability_shift(tmp_path_factory):
 # 6. Surplus gap handling
 
 
-def trip_at(iso: str, on_min: int, fare: str, driver: str = "d1") -> TripRecord:
+def trip_at(iso: str, on_min: int, fare: str) -> TripRecord:
     t0 = instant(iso)
     return TripRecord(
-        driver_id=driver,
         request_ts=t0,
         accept_ts=t0 + 1 * MIN,
         pickup_ts=t0 + 5 * MIN,
@@ -302,9 +304,8 @@ def trip_at(iso: str, on_min: int, fare: str, driver: str = "d1") -> TripRecord:
     )
 
 
-def pay_at(iso: str, amount: str, driver: str = "d1") -> PaymentEvent:
+def pay_at(iso: str, amount: str) -> PaymentEvent:
     return PaymentEvent(
-        driver,
         instant(iso),
         PaymentCategory.TRIP_EARNINGS,
         parse_pence(amount),
@@ -321,11 +322,10 @@ def test_criterion_06_surplus_gap_handling():
             pay_at("2021-01-05T10:06:00Z", "12.00"),  # surplus 8 pounds/hour
             pay_at("2021-03-05T10:06:00Z", "8.00"),  # surplus 12 pounds/hour
         ]
-        linked = TripColumns.from_linked(link(trips, pays).linked)
+        linked = TripColumns.from_linked(link(trips, pays).linked, "d1")
         segments = build_segments(
             [
                 AppSession(
-                    "d1",
                     t.request_ts - 10 * MIN,
                     t.dropoff_ts + 10 * MIN,
                 )

@@ -244,6 +244,24 @@ def test_audit_weeks_are_checked_at_parse_time(bundles, tmp_path, weeks):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--cohort-pre", "2021-03:2021-04"],  # one window without the other
+        ["--cohort-post", "2021-09:2021-10"],
+        ["--cohort-pre", "2021-13:2021-14", "--cohort-post", "2021-09:2021-10"],
+        ["--cohort-pre", "2021-03:2021-04", "--cohort-post", "2021-09:21-10"],
+    ],
+)
+def test_audit_cohort_windows_are_checked_before_any_bundle(tmp_path, flags):
+    # an empty root exits 3 (no data) unless the windows are checked first
+    try:
+        code = main(["audit", str(tmp_path), "--out", str(tmp_path / "o"), *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+
+
 def test_audit_weeks_filter_is_written(bundles, tmp_path):
     out = tmp_path / "o"
     assert main(["audit", str(bundles), "--out", str(out), "--weeks", "2021-W12,2020-W53"]) == 0
@@ -575,19 +593,21 @@ def test_anon_unknown_strip_field(bundles, tmp_path, monkeypatch):
     monkeypatch.delenv(SALT_ENV_VAR, raising=False)
     salt = tmp_path / "salt"
     salt.write_bytes(b"0123456789abcdef0123")
-    rc = main(
-        [
-            "anon",
-            str(bundles),
-            "--out",
-            str(tmp_path / "o"),
-            "--salt-file",
-            str(salt),
-            "--strip",
-            "driver_id",
-        ]
-    )
-    assert rc == 2
+    out = tmp_path / "o"
+    argv = ["anon", str(bundles), "--out", str(out), "--salt-file", str(salt), "--strip"]
+    for strip in ("driver_id", "memo,", ""):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, strip])
+        assert exc.value.code == 2, strip
+        assert not out.exists()
+
+
+def test_anon_strip_is_checked_before_any_bundle(tmp_path, monkeypatch):
+    # an empty root would exit 3 (no data) if the fields were checked per bundle
+    monkeypatch.setenv(SALT_ENV_VAR, "0123456789abcdef0123")
+    with pytest.raises(SystemExit) as exc:
+        main(["anon", str(tmp_path), "--out", str(tmp_path / "o"), "--strip", "bogus"])
+    assert exc.value.code == 2
 
 
 # -- predict --

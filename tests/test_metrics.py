@@ -46,10 +46,9 @@ from conftest import at, instant, london, offer, payment, trip
 MIN = 60_000
 
 
-def trip_at(iso: str, on_min: int = 60, fare: str | None = "20.00", driver="d1"):
+def trip_at(iso: str, on_min: int = 60, fare: str | None = "20.00"):
     t0 = instant(iso)
     return TripRecord(
-        driver_id=driver,
         request_ts=t0,
         accept_ts=t0 + 1 * MIN,
         pickup_ts=t0 + 5 * MIN,
@@ -60,10 +59,10 @@ def trip_at(iso: str, on_min: int = 60, fare: str | None = "20.00", driver="d1")
     )
 
 
-def pay_at(iso: str, offset_min: float, amount: str, driver="d1"):
+def pay_at(iso: str, offset_min: float, amount: str):
     t0 = instant(iso)
     return PaymentEvent(
-        driver, t0 + round(offset_min * MIN),
+        t0 + round(offset_min * MIN),
         PaymentCategory.TRIP_EARNINGS, parse_pence(amount),
     )
 
@@ -72,7 +71,6 @@ def covering_session(t: TripRecord):
     from fareaudit.model import AppSession
 
     return AppSession(
-        t.driver_id,
         t.request_ts - 10 * MIN,
         (t.dropoff_ts or t.request_ts) + 10 * MIN,
     )
@@ -88,7 +86,7 @@ def test_weekly_pay_sums_all_categories_signed():
         payment(ts_min=20.0, amount="1.00", category=PaymentCategory.TIP),
         payment(ts_min=30.0, amount="-2.00", category=PaymentCategory.ADJUSTMENT),
     ]
-    (row,) = weekly_rows("d1", build_ledger([], pays))
+    (row,) = weekly_rows(build_ledger([], pays))
     assert row.iso_week == iso_week_label(london(pays[0].ts).date())
     assert row.net_pay == 650
 
@@ -99,7 +97,7 @@ def test_weekly_rows_split_by_iso_week():
     t = trip_at("2021-03-01T10:00:00Z")
     sess = covering_session(t)
     segs = build_segments([sess], [t]).segments
-    rows = weekly_rows("d1", build_ledger(segs, [p1, p2]))
+    rows = weekly_rows(build_ledger(segs, [p1, p2]))
     assert [r.iso_week for r in rows] == ["2021-W09", "2021-W10"]
     assert rows[0].net_pay == 1000
     assert rows[0].hours_tribunal > 0
@@ -109,7 +107,7 @@ def test_weekly_rows_split_by_iso_week():
 def test_weekly_rows_platform_never_exceeds_tribunal():
     t = trip_at("2021-03-02T09:00:00Z", on_min=30)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows("d1", build_ledger(segs, [pay_at("2021-03-02T09:40:00Z", 0, "9.00")]))
+    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T09:40:00Z", 0, "9.00")]))
     for row in rows:
         assert row.hours_platform <= row.hours_tribunal
 
@@ -117,7 +115,7 @@ def test_weekly_rows_platform_never_exceeds_tribunal():
 def test_pay_per_hour_pooled_and_week_filter():
     t = trip_at("2021-03-02T09:00:00Z", on_min=55)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows("d1", build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")]))
+    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")]))
     rate = pay_per_hour(rows, HoursDefinition.TRIBUNAL)
     # session is 80 minutes: 10 before request + 70 through dropoff+10
     assert rate == pytest.approx(12.0 / (80 / 60))
@@ -128,7 +126,7 @@ def test_pay_per_hour_pooled_and_week_filter():
 def test_pay_per_hour_platform_dominates_for_nonnegative_pay():
     t = trip_at("2021-03-02T09:00:00Z", on_min=55)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows("d1", build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")]))
+    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")]))
     assert pay_per_hour(rows, HoursDefinition.PLATFORM) >= pay_per_hour(
         rows, HoursDefinition.TRIBUNAL
     )
@@ -187,16 +185,19 @@ def test_inflation_matches_index_ratio_oracle():
 
 
 def linked_with_shares(rows):
-    """Columns of one linked trip per (driver, fare_pounds, pay_pounds) row, fixed era."""
-    out = []
+    """Columns of one linked trip per (driver, fare_pounds, pay_pounds) row, fixed era.
+
+    Each driver's rows are one bundle's columns, joined in order of first appearance.
+    """
+    by_driver: dict[str, list] = {}
     for i, (driver, fare, pays) in enumerate(rows):
         t = trip(
             req=i * 120.0, accept=i * 120.0 + 1, pickup=i * 120.0 + 5,
-            dropoff=i * 120.0 + 25, driver=driver, fare=f"{fare:.2f}",
+            dropoff=i * 120.0 + 25, fare=f"{fare:.2f}",
         )
-        p = payment(ts_min=i * 120.0 + 26, amount=f"{pays:.2f}", driver=driver)
-        out.extend(link([t], [p]).linked)
-    return TripColumns.from_linked(out)
+        p = payment(ts_min=i * 120.0 + 26, amount=f"{pays:.2f}")
+        by_driver.setdefault(driver, []).extend(link([t], [p]).linked)
+    return TripColumns.concat([TripColumns.from_linked(v, d) for d, v in by_driver.items()])
 
 
 def test_take_rate_stats_by_trip_and_driver():
@@ -249,7 +250,7 @@ def on_trip_by_month(ledger):
 
 def test_surplus_interior_gap_interpolated_and_flagged():
     linked, on_trip = surplus_fixture()
-    series = surplus_series(TripColumns.from_linked(linked), on_trip)
+    series = surplus_series(TripColumns.from_linked(linked, "d1"), on_trip)
     by_month = {p.month: p for p in series}
     assert by_month["2021-01"].value == pytest.approx(8.0)
     assert not by_month["2021-01"].interpolated
@@ -260,7 +261,7 @@ def test_surplus_interior_gap_interpolated_and_flagged():
 
 def test_surplus_edge_gap_is_missing_not_extrapolated():
     linked, on_trip = surplus_fixture()
-    by_month = {p.month: p for p in surplus_series(TripColumns.from_linked(linked), on_trip)}
+    by_month = {p.month: p for p in surplus_series(TripColumns.from_linked(linked, "d1"), on_trip)}
     for month in ("2020-12", "2021-04"):
         assert month not in by_month or by_month[month].value is None
 
@@ -268,12 +269,14 @@ def test_surplus_edge_gap_is_missing_not_extrapolated():
 def test_surplus_denominator_only_contributing_drivers():
     linked, on_trip = surplus_fixture()
     # a second driver with on-trip time but no valid shares must not dilute
-    t_other = trip_at("2021-01-07T09:00:00Z", on_min=120, fare=None, driver="d2")
+    t_other = trip_at("2021-01-07T09:00:00Z", on_min=120, fare=None)
     segs2 = build_segments([covering_session(t_other)], [t_other]).segments
-    pays2 = [pay_at("2021-01-07T11:06:00Z", 0, "9.00", "d2")]
+    pays2 = [pay_at("2021-01-07T11:06:00Z", 0, "9.00")]
     linked2 = link([t_other], pays2).linked
     series = surplus_series(
-        TripColumns.from_linked(linked + list(linked2)),
+        TripColumns.concat(
+            [TripColumns.from_linked(linked, "d1"), TripColumns.from_linked(linked2, "d2")]
+        ),
         {**on_trip, "d2": on_trip_by_month(build_ledger(segs2, pays2))},
     )
     jan = next(p for p in series if p.month == "2021-01")
@@ -308,16 +311,16 @@ def month_iso(month: str, day: int, hour: int) -> str:
     return f"{month}-{day:02d}T{hour:02d}:00:00Z"
 
 
-def driver_rows(driver: str, months: list[str], pounds_per_trip: float):
+def driver_rows(months: list[str], pounds_per_trip: float):
     trips, pays, sessions = [], [], []
     for m in months:
         for day in (9, 16):  # mid-month, away from ISO week edges
-            t = trip_at(month_iso(m, day, 9), on_min=60, fare="20.00", driver=driver)
+            t = trip_at(month_iso(m, day, 9), on_min=60, fare="20.00")
             trips.append(t)
-            pays.append(pay_at(month_iso(m, day, 10), 6, f"{pounds_per_trip:.2f}", driver))
+            pays.append(pay_at(month_iso(m, day, 10), 6, f"{pounds_per_trip:.2f}"))
             sessions.append(covering_session(t))
     segs = build_segments(sessions, trips).segments
-    return weekly_rows(driver, build_ledger(segs, pays)), trips
+    return weekly_rows(build_ledger(segs, pays)), trips
 
 
 def active_months(trips_by_driver):
@@ -332,15 +335,15 @@ def test_cohort_partition_and_qualification():
     rows = {}
     trips = {}
     # dropper: pay falls from 12 to 9
-    r, t = driver_rows("drop", months_all[:2], 12.0)
-    r2, t2 = driver_rows("drop", months_all[2:], 9.0)
+    r, t = driver_rows(months_all[:2], 12.0)
+    r2, t2 = driver_rows(months_all[2:], 9.0)
     rows["drop"], trips["drop"] = tuple(r) + tuple(r2), tuple(t) + tuple(t2)
     # riser: pay rises
-    r, t = driver_rows("rise", months_all[:2], 9.0)
-    r2, t2 = driver_rows("rise", months_all[2:], 12.0)
+    r, t = driver_rows(months_all[:2], 9.0)
+    r2, t2 = driver_rows(months_all[2:], 12.0)
     rows["rise"], trips["rise"] = tuple(r) + tuple(r2), tuple(t) + tuple(t2)
     # gapper: missing 2021-02 entirely
-    r, t = driver_rows("gap", ["2021-01", "2021-04", "2021-05"], 12.0)
+    r, t = driver_rows(["2021-01", "2021-04", "2021-05"], 12.0)
     rows["gap"], trips["gap"] = tuple(r), tuple(t)
 
     split = cohort_pay_change(rows, active_months(trips), pre, post)
@@ -353,8 +356,8 @@ def test_cohort_partition_and_qualification():
 def test_cohort_zero_change_counts_as_same_or_more():
     pre = ("2021-01", "2021-01")
     post = ("2021-04", "2021-04")
-    r1, t1 = driver_rows("flat", ["2021-01"], 10.0)
-    r2, t2 = driver_rows("flat", ["2021-04"], 10.0)
+    r1, t1 = driver_rows(["2021-01"], 10.0)
+    r2, t2 = driver_rows(["2021-04"], 10.0)
     split = cohort_pay_change(
         {"flat": tuple(r1) + tuple(r2)},
         active_months({"flat": tuple(t1) + tuple(t2)}),
@@ -458,10 +461,10 @@ def test_distribution_compare_requires_data():
 
 def test_cohort_summary_proportions():
     profiles = [
-        DriverProfile("a", at(0.0), gender="M", age_band="30-39"),
-        DriverProfile("b", at(0.0), gender="M", age_band="40-49"),
-        DriverProfile("c", at(0.0), gender="F", age_band=None),
-        DriverProfile("d", at(0.0), gender=None, age_band="30-39"),
+        DriverProfile(at(0.0), gender="M", age_band="30-39"),
+        DriverProfile(at(0.0), gender="M", age_band="40-49"),
+        DriverProfile(at(0.0), gender="F", age_band=None),
+        DriverProfile(at(0.0), gender=None, age_band="30-39"),
     ]
     out = cohort_summary(profiles)
     assert out["gender"]["M"] == pytest.approx(2 / 3)

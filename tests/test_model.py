@@ -347,17 +347,17 @@ def test_session_must_be_nonempty():
     from fareaudit.model import AppSession
 
     with pytest.raises(RecordError):
-        AppSession("d1", at(5.0), at(5.0))
+        AppSession(at(5.0), at(5.0))
 
 
 def test_profile_label_validation():
     from fareaudit.model import DriverProfile
 
     with pytest.raises(RecordError):
-        DriverProfile("d1", at(0.0), gender="X")
+        DriverProfile(at(0.0), gender="X")
     with pytest.raises(RecordError):
-        DriverProfile("d1", at(0.0), age_band="13-19")
-    p = DriverProfile("d1", at(0.0), gender="F", age_band="30-39")
+        DriverProfile(at(0.0), age_band="13-19")
+    p = DriverProfile(at(0.0), gender="F", age_band="30-39")
     assert p.age_band == "30-39"
 
 

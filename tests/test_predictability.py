@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from fareaudit.linkage import LinkedTrip
 from fareaudit.model import AuditError, TripRecord, TripStatus
 from fareaudit.predictability import (
-    DegenerateColumn,
     FeatureSchema,
     build_schema,
     feature_blocks,
@@ -34,7 +32,6 @@ def make_linked(
 ) -> LinkedTrip:
     t0 = instant(iso)
     t = TripRecord(
-        driver_id="d1",
         request_ts=t0,
         accept_ts=t0 + round(wait_min * MIN),
         pickup_ts=t0 + round((wait_min + en_min) * MIN),
@@ -46,14 +43,7 @@ def make_linked(
         dest_tag="zone-2",
         product=product,
     )
-    return LinkedTrip(
-        trip=t,
-        earnings=(),
-        driver_total=round(pay * 100),
-        rider_fare=None,
-        driver_share=None,
-        platform_share=None,
-    )
+    return LinkedTrip(trip=t, earnings=(), driver_total=round(pay * 100), driver_share=None)
 
 
 def test_schema_dimension():
@@ -96,8 +86,7 @@ def test_featurize_known_values():
 def test_featurize_rejects_incomplete():
     bad = LinkedTrip(
         trip=trip(pickup=None, dropoff=None, status=TripStatus.RIDER_CANCELLED),
-        earnings=(), driver_total=100, rider_fare=None,
-        driver_share=None, platform_share=None,
+        earnings=(), driver_total=100, driver_share=None,
     )
     from fareaudit.predictability import IncompleteTrip
 
@@ -143,9 +132,7 @@ def test_ols_predicts_through_collinear_schema():
     rng = np.random.default_rng(0)
     linked = rand_linked(rng, 400, coef=(2.5, 0.3, 0.8))
     schema, X, y, _ = stack_blocks([feature_blocks(linked)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateColumn)
-        model = fit_ols(X, y, schema.names)
+    model = fit_ols(X, y)
     by_name = dict(zip(schema.names, model.coefficients))
     assert by_name["on_trip_minutes"] == pytest.approx(0.3, abs=1e-2)
     assert np.abs(model.predict(X) - y).max() < 1e-1
@@ -169,14 +156,12 @@ def test_ols_agrees_with_pinv_oracle():
         assert r2(model, X, y) == pytest.approx(r2_oracle, abs=1e-6)
 
 
-def test_zero_variance_columns_dropped_with_warning():
+def test_zero_variance_columns_get_zero_coefficients():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(100, 5))
     X[:, 3] = 7.0  # constant column
     y = X[:, 0] * 2.0 + 1.0
-    with pytest.warns(DegenerateColumn):
-        model = fit_ols(X, y)
-    assert "x3" in model.dropped
+    model = fit_ols(X, y)
     assert model.coefficients[3] == 0.0
     assert model.coefficients[0] == pytest.approx(2.0, abs=1e-6)
 
@@ -249,7 +234,7 @@ def test_stacked_blocks_equal_the_fleet_feature_matrix():
         for i, lt in enumerate(first)
     ]
     second = [
-        replace(lt, trip=replace(lt.trip, driver_id="d2", product=("xl", "", "standard")[i % 3]))
+        replace(lt, trip=replace(lt.trip, product=("xl", "", "standard")[i % 3]))
         for i, lt in enumerate(second)
     ]
     everyone = first + second
@@ -297,18 +282,16 @@ def test_year_matrix_matches_the_copying_reference(mode, years):
     rng = np.random.default_rng(11)
     products = (("comfort", "standard", "comfort"), ("xl", "", "standard"), ("standard",) * 3)
     fleet = []
-    for d, choices in enumerate(products):
+    for choices in products:
         linked = [lt for year in years for lt in rand_linked(rng, 120, year)]
         fleet.append(
             [
-                replace(lt, trip=replace(lt.trip, driver_id=f"d{d}", product=choices[i % 3]))
+                replace(lt, trip=replace(lt.trip, product=choices[i % 3]))
                 for i, lt in enumerate(linked)
             ]
         )
     blocks = [feature_blocks(linked) for linked in fleet]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateColumn)
-        got = year_matrix(blocks, mode=mode, seed=3)
+    got = year_matrix(blocks, mode=mode, seed=3)
     cells, counts = copying_year_matrix(blocks, mode, seed=3)
     assert got.counts == counts
     assert got.cells.keys() == cells.keys()

@@ -273,7 +273,7 @@ def test_utilisation_counts_active_days():
 def test_utilisation_empty_month():
     assert build_ledger([], []).months == {}
     # a month with a payment and no activity has a bucket, but no active day
-    ledger = build_ledger([], [PaymentEvent("d1", at(0.0), PaymentCategory.TIP, 100)])
+    ledger = build_ledger([], [PaymentEvent(at(0.0), PaymentCategory.TIP, 100)])
     u = utilisation_daily(ledger.months["2021-03"])
     assert u.active_days == 0
     assert (u.standby_hours, u.en_route_hours, u.on_trip_hours) == (0.0, 0.0, 0.0)
@@ -293,13 +293,13 @@ def test_state_hours_breakdown():
 
 def test_zero_pay_is_pay_but_makes_no_weekly_row():
     payments = [
-        PaymentEvent("d1", at(0.0), PaymentCategory.TIP, 500),
-        PaymentEvent("d1", at(60.0), PaymentCategory.ADJUSTMENT, -500),
+        PaymentEvent(at(0.0), PaymentCategory.TIP, 500),
+        PaymentEvent(at(60.0), PaymentCategory.ADJUSTMENT, -500),
     ]
     ledger = build_ledger([], payments)
     assert ledger.weeks[BASE_WEEK] == Bucket(pay=0)
     assert ledger.months["2021-03"] == Bucket(pay=0)
-    assert weekly_rows("d1", ledger) == ()
+    assert weekly_rows(ledger) == ()
 
 
 # Independent clip-and-sum oracle for hours: which states each definition
@@ -388,7 +388,7 @@ def test_weekly_rows_hours_match_clip_and_sum(raw):
         if tribunal > 0:
             want[week] = (tribunal, platform)
         monday += dt.timedelta(days=7)
-    rows = weekly_rows("d1", build_ledger(segments, []))
+    rows = weekly_rows(build_ledger(segments, []))
     assert {r.iso_week: (r.hours_tribunal, r.hours_platform) for r in rows} == want
 
 
@@ -439,9 +439,7 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
         for anchor, s, d, state in raw_segments
     ]
     payments = [
-        PaymentEvent(
-            "d1", anchor + s * MIN, PaymentCategory.TIP, pence
-        )
+        PaymentEvent(anchor + s * MIN, PaymentCategory.TIP, pence)
         for anchor, s, pence in raw_payments
     ]
     ledger = build_ledger(segments, payments)
