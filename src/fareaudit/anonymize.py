@@ -34,10 +34,6 @@ class WeakSalt(AuditError):
     pass
 
 
-class UnknownField(AuditError):
-    pass
-
-
 def pseudonym(driver_id: str, salt: bytes) -> str:
     """Keyed-hash pseudonym: same id and salt give the same output everywhere."""
     import hashlib  # loads OpenSSL, which only `anon` needs
@@ -57,31 +53,16 @@ def pseudonymize(bundle: NormalizedBundle, salt: bytes) -> NormalizedBundle:
 def strip_fields(
     bundle: NormalizedBundle, policy: Sequence[str] = DEFAULT_STRIP_POLICY
 ) -> NormalizedBundle:
-    """Blank the listed fields on every record.
+    """Blank the listed fields on every record; each is a key of ``STRIPPABLE_FIELDS``.
 
     Stripped values never reach serialized output: text fields become empty
     strings (memos become None), so no substring of the source value survives.
     """
-    for name in policy:
-        if name not in STRIPPABLE_FIELDS:
-            raise UnknownField(f"not a strippable field: {name!r}")
-    names = set(policy)
-
-    trips = bundle.trips
-    if names & {"origin_tag", "dest_tag", "product"}:
-        trip_kwargs = {}
-        if "origin_tag" in names:
-            trip_kwargs["origin_tag"] = ""
-        if "dest_tag" in names:
-            trip_kwargs["dest_tag"] = ""
-        if "product" in names:
-            trip_kwargs["product"] = ""
-        trips = tuple(replace(t, **trip_kwargs) for t in trips)
-
+    blank = {name: "" for name in policy if STRIPPABLE_FIELDS[name] == "trips"}
+    trips = tuple(replace(t, **blank) for t in bundle.trips) if blank else bundle.trips
     payments = bundle.payments
-    if "memo" in names:
+    if "memo" in policy:
         payments = tuple(replace(p, memo=None) for p in payments)
-
     return replace(bundle, trips=trips, payments=payments)
 
 

@@ -65,6 +65,13 @@ def _axes(y_lo: float, y_hi: float) -> tuple[list[str], float]:
     return parts, scale
 
 
+def _y_label(text: str) -> str:
+    return (
+        f'<text x="14" y="{_H / 2:.0f}" transform="rotate(-90 14 {_H / 2:.0f})" '
+        f'text-anchor="middle">{_esc(text)}</text>'
+    )
+
+
 def _x_tick_labels(labels: Sequence[str], positions: Sequence[float]) -> list[str]:
     step = max(1, len(labels) // 10)
     out = []
@@ -80,7 +87,7 @@ def line_chart(
     title: str,
     x_labels: Sequence[str],
     series: Mapping[str, Sequence[float | None]],
-    y_label: str = "",
+    y_label: str,
 ) -> str:
     """Multi-series line chart; None values break the line (missing months)."""
     flat = [v for values in series.values() for v in values if v is not None]
@@ -93,11 +100,7 @@ def line_chart(
     n = len(x_labels)
     xs = [_ML + plot_w * (i + 0.5) / n for i in range(n)]
     body.extend(_x_tick_labels(x_labels, xs))
-    if y_label:
-        body.append(
-            f'<text x="14" y="{_H / 2:.0f}" transform="rotate(-90 14 {_H / 2:.0f})" '
-            f'text-anchor="middle">{_esc(y_label)}</text>'
-        )
+    body.append(_y_label(y_label))
 
     for k, (name, values) in enumerate(series.items()):
         color = PALETTE[k % len(PALETTE)]
@@ -131,9 +134,7 @@ def line_chart(
     return _frame(title, body)
 
 
-def bar_chart(
-    title: str, labels: Sequence[str], values: Sequence[float], y_label: str = ""
-) -> str:
+def bar_chart(title: str, labels: Sequence[str], values: Sequence[float], y_label: str) -> str:
     if not labels:
         return _frame(title, ['<text x="60" y="60">no data</text>'])
     y_lo, y_hi = _y_scale(list(values))
@@ -154,11 +155,7 @@ def bar_chart(
         )
         xs.append(x + slot * 0.35)
     body.extend(_x_tick_labels(labels, xs))
-    if y_label:
-        body.append(
-            f'<text x="14" y="{_H / 2:.0f}" transform="rotate(-90 14 {_H / 2:.0f})" '
-            f'text-anchor="middle">{_esc(y_label)}</text>'
-        )
+    body.append(_y_label(y_label))
     return _frame(title, body)
 
 
@@ -166,7 +163,7 @@ def stacked_bar_chart(
     title: str,
     labels: Sequence[str],
     series: Mapping[str, Sequence[float]],
-    y_label: str = "",
+    y_label: str,
 ) -> str:
     """Stacked non-negative bars, one stack per label."""
     if not labels:
@@ -199,9 +196,5 @@ def stacked_bar_chart(
             f'<rect x="{_ML + 8 + 120 * k}" y="{_MT - 6}" width="10" height="10" fill="{color}"/>'
         )
         body.append(f'<text x="{_ML + 22 + 120 * k}" y="{_MT + 3}">{_esc(name)}</text>')
-    if y_label:
-        body.append(
-            f'<text x="14" y="{_H / 2:.0f}" transform="rotate(-90 14 {_H / 2:.0f})" '
-            f'text-anchor="middle">{_esc(y_label)}</text>'
-        )
+    body.append(_y_label(y_label))
     return _frame(title, body)

@@ -18,17 +18,17 @@ from concurrent import futures  # loads its process pool only when one is made
 from pathlib import Path
 
 from .anonymize import DEFAULT_STRIP_POLICY, STRIPPABLE_FIELDS, WeakSalt, anonymize, load_salt
-from .ingest import MalformedTable, MissingTable, load_bundle, normalize, write_bundle
+from .ingest import load_bundle, normalize, write_bundle
 from .linkage import DEFAULT_WINDOW_S
-from .model import AuditError, RpiSeries, parse_month, week_monday
+from .model import AuditError, EraBoundaries, RpiSeries, parse_month, week_monday
 from .predictability import year_matrix
 from .report import (
+    BUNDLE_ERRORS,
     AuditOptions,
     BundleFailure,
     DriverResult,
     build_report,
     dumps_report,
-    json_ready,
     process_bundle,
     render_charts,
 )
@@ -42,10 +42,12 @@ EXIT_WEAK_SALT = 4
 
 
 def _bundle_dirs(root: str) -> list[str]:
+    """The bundle directories under ``root``, sorted; finding none is logged."""
     base = Path(root)
-    if not base.is_dir():
-        return []
-    return [str(p) for p in sorted(base.iterdir()) if p.is_dir()]
+    dirs = [str(p) for p in sorted(base.iterdir()) if p.is_dir()] if base.is_dir() else []
+    if not dirs:
+        log.error("no bundle directories under %s", root)
+    return dirs
 
 
 def _month_pair(text: str) -> tuple[str, str]:
@@ -122,11 +124,21 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _log_skip(failure: BundleFailure) -> None:
+    log.warning("bundle %s skipped: %s", failure.driver_id, failure.reason)
+
+
 def _run_bundles(dirs: list[str], options: AuditOptions, jobs: int):
+    """Each bundle's outcome, in ``dirs`` order; each skipped bundle is logged."""
     if jobs > 1 and len(dirs) > 1:
         with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(process_bundle, dirs, [options] * len(dirs)))
-    return [process_bundle(d, options) for d in dirs]
+            outcomes = list(pool.map(process_bundle, dirs, [options] * len(dirs)))
+    else:
+        outcomes = [process_bundle(d, options) for d in dirs]
+    for outcome in outcomes:
+        if isinstance(outcome, BundleFailure):
+            _log_skip(outcome)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -156,32 +168,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    if (args.cohort_pre is None) != (args.cohort_post is None):
-        log.error("invalid options: --cohort-pre and --cohort-post go together")
-        return EXIT_CONFIG
     try:
         options = AuditOptions(
             link_window_s=args.link_window_seconds,
-            opaque_start=args.era_boundaries[0],
-            dynamic_start=args.era_boundaries[1],
+            eras=EraBoundaries(*args.era_boundaries),
             weeks=tuple(args.weeks) if args.weeks else None,
             cohort_pre=args.cohort_pre,
             cohort_post=args.cohort_post,
         )
-        options.boundaries  # validates ordering early
     except AuditError as exc:
         log.error("invalid options: %s", exc)
         return EXIT_CONFIG
 
     dirs = _bundle_dirs(args.bundle_root)
     if not dirs:
-        log.error("no bundle directories under %s", args.bundle_root)
         return EXIT_NO_DATA
 
     outcomes = _run_bundles(dirs, options, args.jobs)
-    for outcome in outcomes:
-        if isinstance(outcome, BundleFailure):
-            log.warning("bundle %s skipped: %s", outcome.driver_id, outcome.reason)
     if not any(isinstance(o, DriverResult) for o in outcomes):
         log.error("no valid bundles")
         return EXIT_NO_DATA
@@ -218,16 +221,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     options = AuditOptions(link_window_s=args.link_window_seconds, features_only=True)
     dirs = _bundle_dirs(args.bundle_root)
     if not dirs:
-        log.error("no bundle directories under %s", args.bundle_root)
         return EXIT_NO_DATA
 
     outcomes = _run_bundles(dirs, options, args.jobs)
-    blocks = []
-    for outcome in outcomes:
-        if isinstance(outcome, BundleFailure):
-            log.warning("bundle %s skipped: %s", outcome.driver_id, outcome.reason)
-            continue
-        blocks.append(outcome)
+    blocks = [o for o in outcomes if not isinstance(o, BundleFailure)]
     if not any(b.years for b in blocks):
         log.error("no linkable trips")
         return EXIT_NO_DATA
@@ -241,12 +238,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_atomic(out / "predict_matrix.csv", matrix.to_csv())
-    payload = matrix.to_dict()
-    payload["seed"] = args.seed
-    _write_atomic(
-        out / "predict_matrix.json",
-        json.dumps(json_ready(payload), sort_keys=True, indent=2) + "\n",
-    )
+    payload = dumps_report({**matrix.to_dict(), "seed": args.seed})
+    _write_atomic(out / "predict_matrix.json", payload)
     log.info("matrix written to %s", out / "predict_matrix.csv")
     return EXIT_OK
 
@@ -260,7 +253,6 @@ def cmd_anon(args: argparse.Namespace) -> int:
 
     dirs = _bundle_dirs(args.bundle_root)
     if not dirs:
-        log.error("no bundle directories under %s", args.bundle_root)
         return EXIT_NO_DATA
 
     out = Path(args.out)
@@ -270,12 +262,9 @@ def cmd_anon(args: argparse.Namespace) -> int:
             raw = load_bundle(directory)
             bundle, report = normalize(raw)
             clean = anonymize(bundle, salt, args.strip)
-        except (MissingTable, MalformedTable) as exc:
-            log.warning("bundle %s skipped: %s", Path(directory).name, exc)
+        except BUNDLE_ERRORS as exc:
+            _log_skip(BundleFailure.of(directory, exc))
             continue
-        except AuditError as exc:
-            log.error("%s", exc)
-            return EXIT_CONFIG
         left_out = (
             f"{table} {t.rows_quarantined} quarantined, {t.rows_deduped} deduplicated"
             for table, t in sorted(report.tables.items())

@@ -179,32 +179,6 @@ class IngestReport:
     naive_timestamps: int
     trips_per_era: Mapping[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "driver_id": self.driver_id,
-            "tables": {
-                name: {
-                    "rows_in": t.rows_in,
-                    "rows_ok": t.rows_ok,
-                    "rows_deduped": t.rows_deduped,
-                    "rows_quarantined": t.rows_quarantined,
-                }
-                for name, t in sorted(self.tables.items())
-            },
-            "quarantine": [
-                {
-                    "table": q.table,
-                    "row_number": q.row_number,
-                    "reason": q.reason,
-                    "row": dict(q.row),
-                }
-                for q in self.quarantine
-            ],
-            "skipped_files": list(self.skipped_files),
-            "naive_timestamps": self.naive_timestamps,
-            "trips_per_era": dict(sorted(self.trips_per_era.items())),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Loading
@@ -243,27 +217,32 @@ def _read_table(path: Path, table: str) -> tuple[Row, ...]:
 
     Blank lines are skipped, a short row reads "" past its end, extra cells
     are ignored, and of two columns with the same header the last is read.
+    Text that is not UTF-8 or not CSV makes the whole table unusable.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MalformedTable(f"{path.name}: empty file, header row required")
-        resolution = _resolve_columns(table, header)
-        width = len(header)
-        column = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
-        # an absent field reads the cell one past the header, which is always ""
-        pick = itemgetter(
-            *(width if resolution[f] is None else column[resolution[f]] for f in TABLE_FIELDS[table])
-        )
-        rows = []
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                row = (row + [""] * width)[:width]
-            row.append("")
-            rows.append(tuple(map(str.strip, pick(row))))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise MalformedTable(f"{path.name}: empty file, header row required")
+            resolution = _resolve_columns(table, header)
+            width = len(header)
+            column = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
+            # an absent field reads the cell one past the header, which is always ""
+            pick = itemgetter(
+                *(width if resolution[f] is None else column[resolution[f]]
+                  for f in TABLE_FIELDS[table])
+            )
+            rows = []
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    row = (row + [""] * width)[:width]
+                row.append("")
+                rows.append(tuple(map(str.strip, pick(row))))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MalformedTable(f"{path.name}: {exc}") from None
     return tuple(rows)
 
 

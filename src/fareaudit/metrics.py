@@ -243,15 +243,11 @@ def _bin_index(share: float, bins: Sequence[float]) -> int:
     return min(max(idx, 0), len(bins) - 2)
 
 
-def take_rate_histogram(
-    trips: TripColumns, bins: Sequence[float] = DEFAULT_SPLIT_BINS
-) -> dict[str, int]:
-    if list(bins) != sorted(bins) or len(bins) < 2:
-        raise AuditError("bins must be ordered and define at least one interval")
-    labels = bin_labels(bins)
+def take_rate_histogram(trips: TripColumns) -> dict[str, int]:
+    labels = bin_labels()
     counts = dict.fromkeys(labels, 0)
     for share in trips.share.tolist():
-        counts[labels[_bin_index(share, bins)]] += 1
+        counts[labels[_bin_index(share, DEFAULT_SPLIT_BINS)]] += 1
     return counts
 
 
@@ -382,16 +378,14 @@ class PerMinuteBin:
             raise RecordError("per-minute bin does not conserve fare")
 
 
-def per_minute_fare_by_split(
-    trips: TripColumns, bins: Sequence[float] = DEFAULT_SPLIT_BINS
-) -> tuple[PerMinuteBin, ...]:
+def per_minute_fare_by_split(trips: TripColumns) -> tuple[PerMinuteBin, ...]:
     """Driver and platform pounds per on-trip minute, bucketed by driver share.
 
     Conservation is exact in pence: driver + platform = fare within every bin.
     The per-minute floats share one denominator, so they sum to the fare rate
     up to float rounding only. Minutes are summed in row order.
     """
-    labels = bin_labels(bins)
+    labels = bin_labels()
     acc: dict[int, list] = {}
     for share, minutes, driver, fare in zip(
         trips.share.tolist(),
@@ -401,7 +395,7 @@ def per_minute_fare_by_split(
     ):
         if minutes <= 0.0:
             continue
-        slot = acc.setdefault(_bin_index(share, bins), [0, 0.0, 0, 0])
+        slot = acc.setdefault(_bin_index(share, DEFAULT_SPLIT_BINS), [0, 0.0, 0, 0])
         slot[0] += 1
         slot[1] += minutes
         slot[2] += driver
@@ -448,8 +442,14 @@ class CohortSplit:
             raise RecordError("cohort groups overlap")
 
 
-def _window_months(window: tuple[str, str]) -> list[str]:
-    return month_range(window[0], window[1])
+def cohort_months(pre: tuple[str, str], post: tuple[str, str]) -> tuple[set[str], set[str]]:
+    """The months of two cohort windows, which must be as long and must not overlap."""
+    pre_months, post_months = month_range(*pre), month_range(*post)
+    if len(pre_months) != len(post_months):
+        raise AuditError("windows must cover the same number of months")
+    if set(pre_months) & set(post_months):
+        raise AuditError("windows must not overlap")
+    return set(pre_months), set(post_months)
 
 
 def completed_months(trips: Iterable[TripRecord]) -> frozenset[str]:
@@ -474,13 +474,7 @@ def cohort_pay_change(
     each window. A week belongs to a window when its Monday falls inside the
     window's months. Change of exactly zero lands in paid_same_or_more.
     """
-    pre_months = _window_months(window_pre)
-    post_months = _window_months(window_post)
-    if len(pre_months) != len(post_months):
-        raise AuditError("windows must cover the same number of months")
-    if set(pre_months) & set(post_months):
-        raise AuditError("windows must not overlap")
-    pre_set, post_set = set(pre_months), set(post_months)
+    pre_set, post_set = cohort_months(window_pre, window_post)
 
     def week_in(row: WeeklyPayRow, months: set[str]) -> bool:
         return month_of(week_monday(row.iso_week)) in months

@@ -428,9 +428,12 @@ class RpiSeries:
         series: dict[str, float] = {}
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh, restval="")  # so a short row fails float() with ValueError
-            for column in ("month", "yoy_pct"):
-                if column not in (reader.fieldnames or ()):
-                    raise RecordError(f"no {column!r} column in the header")
-            for row in reader:
-                series[row["month"].strip()] = float(row["yoy_pct"])
+            try:
+                for column in ("month", "yoy_pct"):
+                    if column not in (reader.fieldnames or ()):
+                        raise RecordError(f"no {column!r} column in the header")
+                for row in reader:
+                    series[row["month"].strip()] = float(row["yoy_pct"])
+            except csv.Error as exc:
+                raise RecordError(f"not CSV: {exc}") from None
         return cls(series)

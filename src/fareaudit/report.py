@@ -25,6 +25,7 @@ from .metrics import (
     ZeroHours,
     acceptance_rate,
     adjust_inflation,
+    cohort_months,
     cohort_pay_change,
     cohort_summary,
     completed_months,
@@ -39,6 +40,7 @@ from .metrics import (
 )
 from .model import (
     CALENDAR,
+    DEFAULT_ERAS,
     AuditError,
     DriverProfile,
     Era,
@@ -60,19 +62,23 @@ from .worktime import (
 
 @dataclass(frozen=True)
 class AuditOptions:
-    """Everything an audit run needs; picklable for worker processes."""
+    """Everything an audit run needs; picklable for worker processes.
+
+    The cohort windows come as a pair of equal length that do not overlap.
+    """
 
     link_window_s: float = DEFAULT_WINDOW_S
-    opaque_start: str = "2022-02"
-    dynamic_start: str = "2023-02"
+    eras: EraBoundaries = DEFAULT_ERAS
     weeks: tuple[str, ...] | None = None
     cohort_pre: tuple[str, str] | None = None
     cohort_post: tuple[str, str] | None = None
     features_only: bool = False  # predict: stop after linkage with feature blocks
 
-    @property
-    def boundaries(self) -> EraBoundaries:
-        return EraBoundaries(self.opaque_start, self.dynamic_start)
+    def __post_init__(self) -> None:
+        if (self.cohort_pre is None) != (self.cohort_post is None):
+            raise AuditError("the pre and post cohort windows go together")
+        if self.cohort_pre is not None:
+            cohort_months(self.cohort_pre, self.cohort_post)
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,20 @@ class DriverResult:
     profile: DriverProfile | None
 
 
+# a bundle that fails with one of these is skipped, and its reason reported
+BUNDLE_ERRORS = (AuditError, OSError, ValueError)
+
+
 @dataclass(frozen=True)
 class BundleFailure:
     driver_id: str
     reason: str
+
+    @classmethod
+    def of(cls, directory: str, exc: Exception) -> BundleFailure:
+        """The failure of the bundle in ``directory``; a toolkit error is its own reason."""
+        reason = str(exc) if isinstance(exc, AuditError) else f"{type(exc).__name__}: {exc}"
+        return cls(Path(directory).name, reason)
 
 
 def process_bundle(
@@ -105,22 +121,17 @@ def process_bundle(
     With ``options.features_only`` the bundle stops after linkage and comes
     back as its feature blocks for the predictability matrix.
     """
-    driver_id = Path(directory).name
     try:
         raw = load_bundle(directory)
-        bundle, report = normalize(raw, options.boundaries)
-        links = link(
-            bundle.trips, bundle.payments, options.link_window_s, options.boundaries
-        )
+        bundle, report = normalize(raw, options.eras)
+        links = link(bundle.trips, bundle.payments, options.link_window_s, options.eras)
         if options.features_only:
             return feature_blocks(links.linked)
         timeline = build_segments(bundle.sessions, bundle.trips)
         ledger = build_ledger(timeline.segments, bundle.payments)
         rows = weekly_rows(ledger)
-    except AuditError as exc:
-        return BundleFailure(driver_id, str(exc))
-    except (OSError, ValueError) as exc:
-        return BundleFailure(driver_id, f"{type(exc).__name__}: {exc}")
+    except BUNDLE_ERRORS as exc:
+        return BundleFailure.of(directory, exc)
     return DriverResult(
         driver_id=bundle.driver_id,
         report=report,
@@ -132,7 +143,7 @@ def process_bundle(
         orphan_trips=len(timeline.orphan_trips),
         rows=rows,
         months=ledger.months,
-        trips=TripColumns.from_linked(links.linked, bundle.driver_id, options.boundaries),
+        trips=TripColumns.from_linked(links.linked, bundle.driver_id, options.eras),
         offers=offer_counts(bundle.dispatches),
         active_months=completed_months(bundle.trips),
         profile=bundle.profile,
@@ -314,8 +325,8 @@ def build_report(
         "parameters": {
             "link_window_seconds": options.link_window_s,
             "era_boundaries": {
-                "opaque_start": options.opaque_start,
-                "dynamic_start": options.dynamic_start,
+                "opaque_start": options.eras.opaque_start,
+                "dynamic_start": options.eras.dynamic_start,
             },
             "timezone": CALENDAR.tz,
             "weeks_filter": sorted(weeks) if weeks else None,
@@ -324,7 +335,7 @@ def build_report(
         },
         "bundles": {
             res.driver_id: {
-                "ingest": res.report.to_dict(),
+                "ingest": asdict(res.report),
                 "linkage": dict(
                     zip(("linked", "unmatched_trips", "unmatched_payments"), res.link_counts)
                 ),
@@ -367,7 +378,7 @@ def build_report(
     report["utilisation"] = _utilisation_section(results)
     report["acceptance"] = _acceptance_section(results)
 
-    if options.cohort_pre and options.cohort_post:
+    if options.cohort_pre:
         split = cohort_pay_change(
             {res.driver_id: res.rows for res in results},
             {res.driver_id: res.active_months for res in results},

@@ -27,6 +27,7 @@ from conftest import (
     trip_csv_row,
     write_table,
 )
+from test_synthgen import GOLDEN
 
 
 def tree_digest(root: Path) -> str:
@@ -251,6 +252,9 @@ def test_audit_weeks_are_checked_at_parse_time(bundles, tmp_path, weeks):
         ["--cohort-post", "2021-09:2021-10"],
         ["--cohort-pre", "2021-13:2021-14", "--cohort-post", "2021-09:2021-10"],
         ["--cohort-pre", "2021-03:2021-04", "--cohort-post", "2021-09:21-10"],
+        ["--cohort-pre", "2023-03:2023-05", "--cohort-post", "2023-05:2023-07"],  # overlapping
+        ["--cohort-pre", "2023-03:2023-04", "--cohort-post", "2023-09:2023-11"],  # unequal
+        ["--cohort-pre", "2023-05:2023-03", "--cohort-post", "2023-09:2023-11"],  # reversed
     ],
 )
 def test_audit_cohort_windows_are_checked_before_any_bundle(tmp_path, flags):
@@ -361,6 +365,21 @@ def test_predict_worker_crash_exits_no_data(tmp_path, monkeypatch, caplog):
     assert main(["predict", str(root), "--out", str(out), "--jobs", "2"]) == 3
     assert "worker process failed" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_audit_skips_a_bundle_with_an_oversized_field(bundles, tmp_path, jobs):
+    # past csv's field limit (131,072 characters) the reader raises csv.Error
+    root = tmp_path / "b"
+    shutil.copytree(bundles, root)
+    with open(root / "driver000" / "trips.csv", "a", encoding="utf-8") as fh:
+        fh.write("x" * 200_000 + "\n")
+    out = tmp_path / "o"
+    assert main(["audit", str(root), "--out", str(out), "--jobs", jobs]) == 0
+    report = json.loads((out / "audit_report.json").read_text())
+    assert [f["driver_id"] for f in report["failures"]] == ["driver000"]
+    assert report["failures"][0]["reason"].startswith("trips.csv: field larger than field limit")
+    assert list(report["bundles"]) == ["driver001"]
 
 
 def test_audit_writes_only_under_out(bundles, tmp_path):
@@ -589,6 +608,21 @@ def test_anon_logs_rows_left_out(bundles, tmp_path, monkeypatch, caplog):
     assert len(after) == 2 and after[1] == before[1]
 
 
+def test_anon_skips_a_bundle_that_is_not_utf8(bundles, tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv(SALT_ENV_VAR, "0123456789abcdef0123")
+    root = tmp_path / "b"
+    shutil.copytree(bundles, root)
+    payments = root / "driver000" / "payments.csv"
+    payments.write_bytes(payments.read_bytes() + b"\xff\n")
+    out = tmp_path / "o"
+    with caplog.at_level(logging.WARNING, logger="fareaudit"):
+        assert main(["anon", str(root), "--out", str(out)]) == 0
+    skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert len(skipped) == 1
+    assert skipped[0].startswith("bundle driver000 skipped: payments.csv: 'utf-8' codec")
+    assert len(list(out.iterdir())) == 1  # driver001 is still written
+
+
 def test_anon_unknown_strip_field(bundles, tmp_path, monkeypatch):
     monkeypatch.delenv(SALT_ENV_VAR, raising=False)
     salt = tmp_path / "salt"
@@ -650,3 +684,45 @@ def test_predict_cumulative_jobs_and_reruns_byte_identical(tmp_path):
 
 def test_predict_empty_root(tmp_path):
     assert main(["predict", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
+
+
+# -- golden outputs --
+
+# `audit --charts` (with GOLDEN's cohort windows and its rpi.csv) and both
+# `predict` modes on the golden synth fleet (test_synthgen.GOLDEN). They were
+# byte-identical under OPENBLAS_CORETYPE=Prescott and under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 X86_V3 AVX512_ICL AVX512_SPR"; any change
+# to them must be deliberate.
+OUTPUT_GOLDEN_SHA256 = {
+    "audit/audit_report.json": "4fb113c733d330cd85c557d6abe602674018b2758eb3be2ad6ad3ef507384586",
+    "audit/per_minute_by_split.svg": "e686b8aecb14a42b6342b8a0fa3f158fc5527ed978c861e369c0122badc2bce2",
+    "audit/share_kde.svg": "528d983a6c6463faeb8b665420ea37af819a38971049c63b3b80fb2d6ffa564c",
+    "audit/surplus.svg": "e63b640ddd2e1be6930d8bd0f475b2fe51963c5c895b2eee2ecbf8cf5095966f",
+    "audit/take_rate_hist.svg": "d1dc40605d1d5be5cae70d54a9752d4a7d2a38c3f862d9af979ceae4bddfb436",
+    "audit/utilisation.svg": "64773e68f7497458208c40e9867f9e10403d9b7da29ee51daf8d3da0c909d0da",
+    "audit/weekly_rates.svg": "db1792beb159db0917c876bb3ccf85a5acf5610c5cff3fd0947693f585ca2e90",
+    "cumulative/predict_matrix.csv": "9100923855a01bbaf9624bafe61d84a23415ee1280ff8ca0eb06e60d8f548159",
+    "cumulative/predict_matrix.json": "b8aa6e85eeb144a50033fc7dc1b37901d6b3a3030bf3db6a78a9beaf498270bd",
+    "single_year/predict_matrix.csv": "cc008d9cab31d76486cebc19d9b5f45f4d31d82b036223d16a94b0ce1a513a50",
+    "single_year/predict_matrix.json": "4f981845dcb58d53dae0a038ddf52b145da8f5faf4bde83978f19bb65c1ee0e5",
+}
+
+
+def test_audit_and_predict_files_keep_their_golden_digests(tmp_path):
+    fleet = tmp_path / "fleet"
+    generate(GOLDEN, fleet)
+    windows = ["--cohort-pre", ":".join(GOLDEN.cohort.window_pre)]
+    windows += ["--cohort-post", ":".join(GOLDEN.cohort.window_post)]
+    runs = {
+        "audit": ["audit", str(fleet), "--charts", *windows],
+        "single_year": ["predict", str(fleet), "--mode", "single_year"],
+        "cumulative": ["predict", str(fleet), "--mode", "cumulative"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    got = {
+        f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for name in runs
+        for path in sorted((tmp_path / name).iterdir())
+    }
+    assert got == OUTPUT_GOLDEN_SHA256
