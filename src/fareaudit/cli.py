@@ -21,7 +21,6 @@ from .anonymize import DEFAULT_STRIP_POLICY, STRIPPABLE_FIELDS, WeakSalt, anonym
 from .ingest import load_bundle, normalize, write_bundle
 from .linkage import DEFAULT_WINDOW_S
 from .model import AuditError, EraBoundaries, RpiSeries, parse_month, week_monday
-from .predictability import year_matrix
 from .report import (
     BUNDLE_ERRORS,
     AuditOptions,
@@ -114,6 +113,16 @@ def _seed(text: str) -> int:
     return _whole_number(text, 0)
 
 
+def _out_dir(text: str) -> str:
+    """An output directory: one that exists, or can be made, where this user may write."""
+    nearest = os.path.abspath(text)
+    while not os.path.exists(nearest):  # the root always exists
+        nearest = os.path.dirname(nearest)
+    if not (os.path.isdir(nearest) and os.access(nearest, os.W_OK | os.X_OK)):
+        raise argparse.ArgumentTypeError(f"not a directory that can be written: {text!r}")
+    return text
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Replace ``path`` with ``text`` in one step; a failed write leaves it whole."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -152,6 +161,13 @@ def generate(config, out: str) -> None:
     generate(config, out)
 
 
+def year_matrix(blocks, mode: str, seed: int):
+    """The predictability matrix of ``blocks``; ``cmd_predict`` has loaded its module."""
+    from .predictability import year_matrix
+
+    return year_matrix(blocks, mode=mode, seed=seed)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synthgen import GenConfig, InvalidConfig
 
@@ -180,15 +196,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         log.error("invalid options: %s", exc)
         return EXIT_CONFIG
 
-    dirs = _bundle_dirs(args.bundle_root)
-    if not dirs:
-        return EXIT_NO_DATA
-
-    outcomes = _run_bundles(dirs, options, args.jobs)
-    if not any(isinstance(o, DriverResult) for o in outcomes):
-        log.error("no valid bundles")
-        return EXIT_NO_DATA
-
     rpi = None
     rpi_path = args.rpi or str(Path(args.bundle_root) / "rpi.csv")
     if Path(rpi_path).is_file():
@@ -200,6 +207,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
     elif args.rpi:
         log.error("rpi file not found: %s", args.rpi)
         return EXIT_CONFIG
+
+    dirs = _bundle_dirs(args.bundle_root)
+    if not dirs:
+        return EXIT_NO_DATA
+
+    outcomes = _run_bundles(dirs, options, args.jobs)
+    if not any(isinstance(o, DriverResult) for o in outcomes):
+        log.error("no valid bundles")
+        return EXIT_NO_DATA
 
     try:
         report = build_report(outcomes, options, rpi)
@@ -222,6 +238,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     dirs = _bundle_dirs(args.bundle_root)
     if not dirs:
         return EXIT_NO_DATA
+
+    # numpy loads before the pool forks, so no worker imports it again
+    from . import predictability  # noqa: F401
 
     outcomes = _run_bundles(dirs, options, args.jobs)
     blocks = [o for o in outcomes if not isinstance(o, BundleFailure)]
@@ -292,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic bundles with ground truth")
     p.add_argument("config", help="generator config JSON")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_out_dir, required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("audit", help="produce the audit report for a bundle tree")
     p.add_argument("bundle_root", help="directory of per-driver bundle directories")
     p.add_argument("--rpi", default=None, help="inflation CSV (default: <root>/rpi.csv)")
-    p.add_argument("--out", default=".", help="output directory (default: cwd)")
+    p.add_argument("--out", type=_out_dir, default=".", help="output directory (default: cwd)")
     p.add_argument(
         "--link-window-seconds", type=_window_seconds, default=DEFAULT_WINDOW_S, metavar="S"
     )
@@ -326,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle_root")
     p.add_argument("--mode", choices=("single_year", "cumulative"), default="single_year")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", type=_out_dir, default=".")
     p.add_argument(
         "--link-window-seconds", type=_window_seconds, default=DEFAULT_WINDOW_S, metavar="S"
     )
@@ -335,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anon", help="write pseudonymized, stripped bundle copies")
     p.add_argument("bundle_root")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.add_argument(
         "--salt-file", default=None, help="key file; else FAREAUDIT_SALT env var"
     )

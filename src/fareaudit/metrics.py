@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .linkage import LinkedTrip
 from .model import (
@@ -39,6 +38,9 @@ from .model import (
     week_monday,
 )
 from .worktime import HoursDefinition, TimeLedger, hours_worked
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SPLIT_BINS = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.5)
 KDE_BLOCK_ELEMENTS = 1 << 14
@@ -158,20 +160,21 @@ def _monthly_factor(rpi: RpiSeries, month: str) -> float:
 
 ERAS = tuple(Era)
 
-_DTYPES = {
-    "driver": np.int32,
-    "month": np.int32,
-    "era": np.int8,
-    "share": np.float64,
-    "driver_pence": np.int64,
-    "fare_pence": np.int64,
-    "on_trip_minutes": np.float64,
+# each column's array typecode: int32, int32, int8, float64, int64, int64, float64
+_TYPECODES = {
+    "driver": "i",
+    "month": "i",
+    "era": "b",
+    "share": "d",
+    "driver_pence": "q",
+    "fare_pence": "q",
+    "on_trip_minutes": "d",
 }
 
 
 @dataclass(frozen=True)
 class TripColumns:
-    """Share-valid linked trips as parallel numpy columns, one row per trip.
+    """Share-valid linked trips as parallel ``array.array`` columns, one row per trip.
 
     Rows keep the order they were given in. ``driver`` indexes ``driver_ids``;
     one bundle's columns hold its one driver, at index 0. ``month`` is the
@@ -181,13 +184,13 @@ class TripColumns:
     """
 
     driver_ids: tuple[str, ...]
-    driver: np.ndarray
-    month: np.ndarray
-    era: np.ndarray
-    share: np.ndarray
-    driver_pence: np.ndarray
-    fare_pence: np.ndarray
-    on_trip_minutes: np.ndarray
+    driver: array
+    month: array
+    era: array
+    share: array
+    driver_pence: array
+    fare_pence: array
+    on_trip_minutes: array
 
     @classmethod
     def from_linked(
@@ -209,20 +212,23 @@ class TripColumns:
             "fare_pence": [lt.trip.original_fare for lt in valid],
             "on_trip_minutes": [lt.trip.on_trip_minutes for lt in valid],
         }
-        return cls((driver_id,), **{k: np.array(v, _DTYPES[k]) for k, v in values.items()})
+        return cls((driver_id,), **{k: array(_TYPECODES[k], v) for k, v in values.items()})
 
     @classmethod
     def concat(cls, parts: Sequence["TripColumns"]) -> "TripColumns":
-        """The parts' rows one after another; their drivers must be distinct."""
-        offsets = np.cumsum([0] + [len(p.driver_ids) for p in parts])
-        columns = {
-            name: np.concatenate([np.zeros(0, dtype)] + [getattr(p, name) for p in parts])
-            for name, dtype in _DTYPES.items()
-        }
-        columns["driver"] = np.concatenate(
-            [np.zeros(0, np.int32)] + [p.driver + k for p, k in zip(parts, offsets)]
-        ).astype(np.int32)
-        return cls(tuple(d for p in parts for d in p.driver_ids), **columns)
+        """The parts' rows one after another; each part holds one driver, as
+        ``from_linked`` gives, and no two parts the same one."""
+        driver_ids = []
+        for part in parts:
+            (driver_id,) = part.driver_ids
+            driver_ids.append(driver_id)
+        # one column at a time, so that each grows alone and mostly in place
+        columns = {name: array(code) for name, code in _TYPECODES.items()}
+        for name, column in columns.items():
+            for k, part in enumerate(parts):
+                rows = array("i", [k]) * len(part) if name == "driver" else getattr(part, name)
+                column.extend(rows)
+        return cls(tuple(driver_ids), **columns)
 
     def __len__(self) -> int:
         return len(self.share)
@@ -603,6 +609,8 @@ def _kde(values: Sequence[float], grid: np.ndarray, h: float) -> np.ndarray:
     kernel sum is still taken over its own row, so the densities have the same
     bytes as with one matrix.
     """
+    import numpy as np
+
     x = np.asarray(values, dtype=float)
     rows = max(1, KDE_BLOCK_ELEMENTS // len(x))
     sums = np.empty(len(grid))
@@ -615,7 +623,13 @@ def _kde(values: Sequence[float], grid: np.ndarray, h: float) -> np.ndarray:
 def distribution_compare(
     values_a: Sequence[float], values_b: Sequence[float], grid_points: int = 512
 ) -> DistributionComparison:
-    """Gaussian KDEs of two samples on one shared grid, plot-ready."""
+    """Gaussian KDEs of two samples on one shared grid, plot-ready.
+
+    This is the only numpy the audit runs, so it is imported here: a fleet
+    without both samples never loads it.
+    """
+    import numpy as np
+
     if not values_a or not values_b:
         raise AuditError("both samples must be non-empty")
     h_a = silverman_bandwidth(values_a)

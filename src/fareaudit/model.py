@@ -49,18 +49,24 @@ class MoneyParseError(RecordError):
 
 _MONEY_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d{1,2}))?$")
 
+# The largest magnitude an amount may have: one billion pounds. A bundle's
+# sums of pence then stay inside int64 up to 92 million rows.
+MAX_PENCE = 100_000_000_000
+
 
 def parse_pence(text: str) -> int:
     """Parse a decimal pounds string ("12.34") exactly into pence.
 
     At most two fraction digits are accepted; anything else is rejected so
-    that sums stay bit-reproducible.
+    that sums stay bit-reproducible. So is a magnitude above ``MAX_PENCE``.
     """
     m = _MONEY_RE.match(text.strip())
     if m is None:
         raise MoneyParseError(f"not a money amount: {text!r}")
     sign, whole, frac = m.groups()
     pence = int(whole) * 100 + int((frac or "").ljust(2, "0"))
+    if pence > MAX_PENCE:
+        raise MoneyParseError(f"money amount above {format_pence(MAX_PENCE)}: {text!r}")
     return -pence if sign == "-" else pence
 
 

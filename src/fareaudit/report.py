@@ -13,7 +13,7 @@ import json
 import statistics
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .ingest import IngestReport, load_bundle, normalize
 from .linkage import DEFAULT_WINDOW_S, link
@@ -49,7 +49,6 @@ from .model import (
     month_label,
     month_range,
 )
-from .predictability import FeatureBlocks, feature_blocks
 from .worktime import (
     Bucket,
     HoursDefinition,
@@ -58,6 +57,9 @@ from .worktime import (
     hours_worked,
     utilisation_daily,
 )
+
+if TYPE_CHECKING:
+    from .predictability import FeatureBlocks
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,8 @@ def process_bundle(
         bundle, report = normalize(raw, options.eras)
         links = link(bundle.trips, bundle.payments, options.link_window_s, options.eras)
         if options.features_only:
+            from .predictability import feature_blocks  # numpy loads only for predict
+
             return feature_blocks(links.linked)
         timeline = build_segments(bundle.sessions, bundle.trips)
         ledger = build_ledger(timeline.segments, bundle.payments)
@@ -288,8 +292,11 @@ def _acceptance_section(results: Sequence[DriverResult]) -> dict:
 
 
 def _distribution_section(trips: TripColumns) -> dict | None:
-    fixed = trips.share[trips.era == ERAS.index(Era.FIXED_COMMISSION)].tolist()
-    dynamic = trips.share[trips.era == ERAS.index(Era.DYNAMIC_PRICING)].tolist()
+    by_era: list[list[float]] = [[] for _ in ERAS]
+    for era, share in zip(trips.era, trips.share):
+        by_era[era].append(share)
+    fixed = by_era[ERAS.index(Era.FIXED_COMMISSION)]
+    dynamic = by_era[ERAS.index(Era.DYNAMIC_PRICING)]
     if not fixed or not dynamic:
         return None
     cmp = distribution_compare(fixed, dynamic)

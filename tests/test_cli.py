@@ -382,6 +382,63 @@ def test_audit_skips_a_bundle_with_an_oversized_field(bundles, tmp_path, jobs):
     assert list(report["bundles"]) == ["driver001"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_audit_quarantines_an_oversized_fare(bundles, tmp_path, jobs):
+    # twenty digits of pounds would overflow the 64-bit column of fare pence
+    root = tmp_path / "b"
+    shutil.copytree(bundles, root)
+    trips = root / "driver000" / "trips.csv"
+    with open(trips, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    huge = "99999999999999999999.00"
+    next(r for r in rows if r["original_fare"] and r["dropoff_ts"])["original_fare"] = huge
+    with open(trips, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "o"
+    assert main(["audit", str(root), "--out", str(out), "--jobs", jobs]) == 0
+    report = json.loads((out / "audit_report.json").read_text())
+    assert report["failures"] == []
+    quarantine = report["bundles"]["driver000"]["ingest"]["quarantine"]
+    reasons = [q["reason"] for q in quarantine if q["row"].get("original_fare") == huge]
+    assert reasons == [f"money amount above 1000000000.00: {huge!r}"]
+
+
+def _no_bundle_is_read(directory, options):
+    raise AssertionError(f"bundle {directory} was read")
+
+
+def test_audit_rpi_is_read_before_any_bundle(bundles, tmp_path, monkeypatch, caplog):
+    # an empty root exits 3 (no data) unless the rpi file is read first
+    out = tmp_path / "o"
+    missing = tmp_path / "nope.csv"
+    assert main(["audit", str(tmp_path), "--out", str(out), "--rpi", str(missing)]) == 2
+    assert "rpi file not found" in caplog.text
+    monkeypatch.setattr("fareaudit.cli.process_bundle", _no_bundle_is_read)
+    bad = tmp_path / "rpi.csv"
+    bad.write_text("month,yoy\n2021-01,1.5\n")
+    for rpi in (missing, bad):
+        assert main(["audit", str(bundles), "--out", str(out), "--rpi", str(rpi)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "predict", "anon"])
+def test_unusable_out_is_a_usage_error(bundles, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv(SALT_ENV_VAR, "0123456789abcdef0123")
+    monkeypatch.setattr("fareaudit.cli.process_bundle", _no_bundle_is_read)
+    monkeypatch.setattr("fareaudit.cli.load_bundle", _no_bundle_is_read)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(bundles), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --out: not a directory that can be written" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+
+
 def test_audit_writes_only_under_out(bundles, tmp_path):
     before = tree_digest(bundles)
     assert main(["audit", str(bundles), "--out", str(tmp_path / "o")]) == 0

@@ -1,9 +1,12 @@
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fareaudit.linkage import link
+from fareaudit.linkage import LinkedTrip, link
 from fareaudit.metrics import (
     KDE_BLOCK_ELEMENTS,
     CohortSplit,
@@ -281,6 +284,76 @@ def test_surplus_denominator_only_contributing_drivers():
     )
     jan = next(p for p in series if p.month == "2021-01")
     assert jan.value == pytest.approx(8.0)
+
+
+# ---------------------------------------------------------------------------
+# Trip columns
+
+
+def float_bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+INT64_PENCE = st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1]) | st.integers(-(2**63), 2**63 - 1)
+# -0.0, the smallest subnormal, the largest subnormal and a negative one
+SHARES = st.sampled_from([-0.0, 5e-324, 2.225073858507201e-308, -1e-310]) | st.floats(
+    allow_nan=False
+)
+MS_2019, MS_2026 = instant("2019-01-01T00:00:00Z"), instant("2026-01-01T00:00:00Z")
+
+
+@st.composite
+def linked_trips(draw) -> LinkedTrip:
+    pickup = draw(st.integers(MS_2019, MS_2026))
+    dropoff = pickup + draw(st.integers(0, 10 * 3_600_000))
+    record = TripRecord(
+        request_ts=pickup, accept_ts=pickup, pickup_ts=pickup, dropoff_ts=dropoff,
+        distance_miles=1.0, status=TripStatus.COMPLETED, original_fare=draw(INT64_PENCE),
+    )
+    return LinkedTrip(record, (), draw(INT64_PENCE), draw(st.none() | SHARES))
+
+
+def column_values(columns: TripColumns) -> dict:
+    """Every column as Python values, floats as their bits, with its typecode."""
+    out = {"driver_ids": columns.driver_ids}
+    for name in ("driver", "month", "era", "driver_pence", "fare_pence"):
+        out[name] = (getattr(columns, name).typecode, getattr(columns, name).tolist())
+    for name in ("share", "on_trip_minutes"):
+        out[name] = (getattr(columns, name).typecode, float_bits(getattr(columns, name).tolist()))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(linked_trips(), max_size=6), max_size=4))
+def test_trip_columns_give_back_every_value_bit_for_bit(drivers):
+    parts = [TripColumns.from_linked(linked, f"d{k}") for k, linked in enumerate(drivers)]
+    whole = TripColumns.concat(parts)
+    valid = [
+        (k, lt) for k, linked in enumerate(drivers) for lt in linked if lt.driver_share is not None
+    ]
+    local = [london(lt.trip.dropoff_ts) for _, lt in valid]
+    labels = [f"{d.year:04d}-{d.month:02d}" for d in local]
+    assert column_values(whole) == {
+        "driver_ids": tuple(f"d{k}" for k in range(len(drivers))),
+        "driver": ("i", [k for k, _ in valid]),
+        "month": ("i", [d.year * 12 + d.month - 1 for d in local]),
+        "era": ("b", [0 if m < "2022-02" else 1 if m < "2023-02" else 2 for m in labels]),
+        "share": ("d", float_bits(lt.driver_share for _, lt in valid)),
+        "driver_pence": ("q", [lt.driver_total for _, lt in valid]),
+        "fare_pence": ("q", [lt.trip.original_fare for _, lt in valid]),
+        "on_trip_minutes": (
+            "d", float_bits((lt.trip.dropoff_ts - lt.trip.pickup_ts) / MIN for _, lt in valid)
+        ),
+    }
+    assert len(whole) == len(valid)
+    for columns in (whole, *parts):
+        assert column_values(pickle.loads(pickle.dumps(columns))) == column_values(columns)
+
+
+def test_trip_columns_concat_takes_one_driver_a_part():
+    two = TripColumns.concat([TripColumns.from_linked([], "a"), TripColumns.from_linked([], "b")])
+    with pytest.raises(ValueError):
+        TripColumns.concat([two])
 
 
 # ---------------------------------------------------------------------------

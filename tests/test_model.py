@@ -57,6 +57,15 @@ def test_money_parse_rejects(bad):
         parse_pence(bad)
 
 
+def test_money_parse_rejects_amounts_above_a_billion_pounds():
+    # a bundle's sums of pence then stay inside int64 up to 92 million rows
+    assert parse_pence("1000000000.00") == 100_000_000_000
+    assert parse_pence("-1000000000.00") == -100_000_000_000
+    for bad in ("1000000000.01", "-1000000000.01", "99999999999999999999.00"):
+        with pytest.raises(MoneyParseError, match=re.escape(f"above 1000000000.00: {bad!r}")):
+            parse_pence(bad)
+
+
 @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
 def test_money_parse_str_roundtrip(p, q):
     assert parse_pence(format_pence(p + q)) == p + q

@@ -1,6 +1,7 @@
 """What a CLI process loads and starts: each subcommand imports only the
-modules it runs, and OpenBLAS keeps to one thread unless the user says
-otherwise, with the same bytes either way."""
+modules it runs, numpy only for the density comparison and predict, and
+OpenBLAS keeps to one thread unless the user says otherwise, with the same
+bytes either way."""
 
 import hashlib
 import json
@@ -22,12 +23,30 @@ TWO_YEARS = GenConfig(
     seed=21, n_drivers=2, first_month="2022-12", last_month="2023-03", work_prob=0.5
 )
 
+# one month on fixed commission: no density comparison, so no numpy
+FIXED_ONLY = GenConfig(seed=22, n_drivers=1, first_month="2021-01", last_month="2021-01")
+
 RUN_MAIN = (
     "import sys\n"
     "from fareaudit.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print(*sorted(sys.modules), sep='\\n')\n"
     "sys.exit(code)\n"
+)
+
+
+# predict --jobs 2, printing whether numpy and the predictability module were
+# loaded when the process pool started
+RUN_PREDICT_POOL = (
+    "import sys\n"
+    "from concurrent import futures\n"
+    "from fareaudit.cli import main\n"
+    "class Pool(futures.ProcessPoolExecutor):\n"
+    "    def __init__(self, *args, **kwargs):\n"
+    "        print('numpy' in sys.modules, 'fareaudit.predictability' in sys.modules)\n"
+    "        super().__init__(*args, **kwargs)\n"
+    "futures.ProcessPoolExecutor = Pool\n"
+    "sys.exit(main(sys.argv[1:]))\n"
 )
 
 
@@ -81,6 +100,30 @@ def test_each_subcommand_loads_only_its_own_modules(fleet, tmp_path):
     loaded = modules_after("synth", str(config), "--out", str(tmp_path / "s"))
     assert "fareaudit.synthgen" in loaded
     assert "concurrent.futures.process" not in loaded
+
+
+def test_audit_loads_numpy_only_to_compare_era_densities(fleet, tmp_path):
+    fixed = tmp_path / "fixed"
+    generate(FIXED_ONLY, fixed)
+    out = tmp_path / "f"
+    loaded = modules_after("audit", str(fixed), "--out", str(out))
+    assert "share_distribution" not in json.loads((out / "audit_report.json").read_text())
+    assert not loaded & {"numpy", "fareaudit.predictability"}
+
+    # with the eras moved, December 2022 is on fixed commission and 2023-02
+    # on dynamic pricing, so the report compares the two densities
+    out = tmp_path / "d"
+    loaded = modules_after(
+        "audit", str(fleet), "--out", str(out), "--era-boundaries", "2023-01:2023-02"
+    )
+    assert "share_distribution" in json.loads((out / "audit_report.json").read_text())
+    assert "numpy" in loaded
+    assert "fareaudit.predictability" not in loaded
+
+
+def test_predict_loads_numpy_before_its_workers_fork(fleet, tmp_path):
+    args = ["predict", str(fleet), "--out", str(tmp_path / "p"), "--jobs", "2"]
+    assert run_python(["-c", RUN_PREDICT_POOL, *args]).split() == ["True", "True"]
 
 
 def _task_count(blas_threads):
