@@ -8,8 +8,8 @@ run with its ``n_drivers`` divided by k (the first drivers of the full fleet:
 each driver's trips come from its own seeded stream), and then:
 
 * ``synth`` once, traced: ``bench/tracer.py`` run as a script;
-* ``audit --jobs 2 --charts`` and ``predict --jobs 2``, untraced: wall time
-  and peak RSS;
+* ``audit --jobs 2 --charts``, ``predict --jobs 2`` and ``predict --mode
+  cumulative --jobs 2``, untraced: wall time and peak RSS;
 * ``audit --jobs 1 --charts`` and ``predict --jobs 1``, traced: stage times
   (the tracer records spans of one process only).
 
@@ -88,6 +88,8 @@ def measure(config: dict, k: int, work: Path) -> dict:
             args = [name, str(fleet), "--out", str(out), *flags]
             result[name] = run([*args, "--jobs", "2"])
             result[name]["traced_jobs1"] = run([*args, "--jobs", "1"], spans)
+        cumulative = ["predict", str(fleet), "--out", str(out), "--mode", "cumulative"]
+        result["predict_cumulative"] = run([*cumulative, "--jobs", "2"])
         return result
     finally:
         shutil.rmtree(fleet, ignore_errors=True)
@@ -97,7 +99,7 @@ def measure(config: dict, k: int, work: Path) -> dict:
 def growth(base_mb: float, first: dict, last: dict) -> dict:
     rows = last["trip_rows"] / first["trip_rows"]
     out = {"rows_ratio": round(rows, 3)}
-    for name in ("synth", "audit", "predict"):
+    for name in ("synth", "audit", "predict", "predict_cumulative"):
         a, b = first[name], last[name]
         out[name] = {
             "wall_per_row": round(b["wall_s"] / a["wall_s"] / rows, 3),

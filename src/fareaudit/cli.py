@@ -137,13 +137,20 @@ def _log_skip(failure: BundleFailure) -> None:
     log.warning("bundle %s skipped: %s", failure.driver_id, failure.reason)
 
 
-def _run_bundles(dirs: list[str], options: AuditOptions, jobs: int):
-    """Each bundle's outcome, in ``dirs`` order; each skipped bundle is logged."""
+def _run_bundles(dirs: list[str], options: AuditOptions, jobs: int, in_flight=lambda: None):
+    """Each bundle's outcome, in ``dirs`` order; each skipped bundle is logged.
+
+    ``in_flight`` runs once every bundle is under way: as soon as the pool has
+    started its workers, or after the last bundle when they run in process.
+    """
     if jobs > 1 and len(dirs) > 1:
         with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(process_bundle, dirs, [options] * len(dirs)))
+            results = pool.map(process_bundle, dirs, [options] * len(dirs))
+            in_flight()
+            outcomes = list(results)
     else:
         outcomes = [process_bundle(d, options) for d in dirs]
+        in_flight()
     for outcome in outcomes:
         if isinstance(outcome, BundleFailure):
             _log_skip(outcome)
@@ -161,11 +168,18 @@ def generate(config, out: str) -> None:
     generate(config, out)
 
 
-def year_matrix(blocks, mode: str, seed: int):
-    """The predictability matrix of ``blocks``; ``cmd_predict`` has loaded its module."""
+def year_matrix(blocks: list, mode: str, seed: int):
+    """The predictability matrix of ``blocks``, which it empties: the blocks are
+    handed over one at a time, so none is held once its rows are stacked."""
     from .predictability import year_matrix
 
-    return year_matrix(blocks, mode=mode, seed=seed)
+    blocks.reverse()
+    return year_matrix((blocks.pop() for _ in range(len(blocks))), mode=mode, seed=seed)
+
+
+def _load_numpy() -> None:
+    """Load numpy for the fits once the bundles are under way, so no worker forks with it."""
+    import numpy.random  # noqa: F401  (numpy itself, and the lag-0 splits)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -239,12 +253,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not dirs:
         return EXIT_NO_DATA
 
-    # numpy loads before the pool forks, so no worker imports it again
-    from . import predictability  # noqa: F401
-
-    outcomes = _run_bundles(dirs, options, args.jobs)
+    outcomes = _run_bundles(dirs, options, args.jobs, _load_numpy)
     blocks = [o for o in outcomes if not isinstance(o, BundleFailure)]
-    if not any(b.years for b in blocks):
+    del outcomes  # year_matrix lets each block go once stacked
+    if not any(b.arrays for b in blocks):
         log.error("no linkable trips")
         return EXIT_NO_DATA
 

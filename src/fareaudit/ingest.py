@@ -264,6 +264,12 @@ class _RowContext:
         return self.ts(text) if text else None
 
 
+# members by value: a dict lookup costs a tenth of calling the enum, which a
+# value that is no member still goes through, for its error
+_TRIP_STATUS = {status.value: status for status in TripStatus}
+_PAYMENT_CATEGORY = {category.value: category for category in PaymentCategory}
+
+
 def _parse_trip(row: Row, ctx: _RowContext) -> TripRecord:
     request, accept, pickup, dropoff, distance, status, fare, origin, dest, product = row
     return TripRecord(
@@ -272,7 +278,7 @@ def _parse_trip(row: Row, ctx: _RowContext) -> TripRecord:
         ctx.opt_ts(pickup),
         ctx.opt_ts(dropoff),
         float(distance) if distance else 0.0,
-        TripStatus(status),
+        _TRIP_STATUS.get(status) or TripStatus(status),
         parse_pence(fare) if fare else None,
         origin,
         dest,
@@ -284,7 +290,8 @@ def _parse_payment(row: Row, ctx: _RowContext) -> PaymentEvent:
     ts, category, amount, currency, memo = row
     if currency not in ("", CURRENCY):
         raise RecordError(f"currency {currency!r} is not {CURRENCY}")
-    return PaymentEvent(ctx.ts(ts), PaymentCategory(category), parse_pence(amount), memo or None)
+    kind = _PAYMENT_CATEGORY.get(category) or PaymentCategory(category)
+    return PaymentEvent(ctx.ts(ts), kind, parse_pence(amount), memo or None)
 
 
 def _parse_bool(text: str) -> bool:

@@ -318,21 +318,22 @@ def surplus_series(
     Months without a direct value between two valid months are filled
     linearly and flagged; gaps at either edge stay missing.
     """
-    surplus: dict[str, int] = {}
-    contributors: dict[str, set[str]] = {}
+    by_index: dict[int, int] = {}  # surplus pence by month index, labelled once per month
+    drivers: dict[int, set[int]] = {}
     for driver, month, fare, pay in zip(
         trips.driver.tolist(),
         trips.month.tolist(),
         trips.fare_pence.tolist(),
         trips.driver_pence.tolist(),
     ):
-        label = month_label(month)
-        surplus[label] = surplus.get(label, 0) + (fare - pay)
-        contributors.setdefault(label, set()).add(trips.driver_ids[driver])
-    if not surplus:
+        by_index[month] = by_index.get(month, 0) + (fare - pay)
+        drivers.setdefault(month, set()).add(driver)
+    if not by_index:
         return ()
 
-    months = month_range(min(surplus, key=month_index), max(surplus, key=month_index))
+    surplus = {month_label(m): pence for m, pence in by_index.items()}
+    contributors = {month_label(m): {trips.driver_ids[d] for d in ds} for m, ds in drivers.items()}
+    months = month_range(month_label(min(by_index)), month_label(max(by_index)))
     direct: dict[str, SurplusPoint] = {}
     for month in months:
         if month not in surplus:

@@ -82,14 +82,22 @@ def format_pence(pence: int) -> str:
 
 
 def parse_instant(text: str) -> tuple[int, bool]:
-    """Epoch ms of an ISO-8601 text, and whether it was naive; naive text is read as UTC."""
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
+    """Epoch ms of an ISO-8601 text, and whether it was naive; naive text is read as UTC.
+
+    From Python 3.11 ``fromisoformat`` reads a ``Z`` itself, so a canonical
+    text needs no rewrite; any other (surrounding space, a lowercase ``z``, or
+    a ``Z`` before 3.11) is stripped and its ``Z`` rewritten to ``+00:00``.
+    """
     try:
-        parsed = dt.datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise RecordError(f"unparseable timestamp: {text!r}") from exc
+        parsed = dt.datetime.fromisoformat(text)
+    except ValueError:
+        raw = text.strip()
+        if raw.endswith(("Z", "z")):
+            raw = raw[:-1] + "+00:00"
+        try:
+            parsed = dt.datetime.fromisoformat(raw)
+        except ValueError as exc:
+            raise RecordError(f"unparseable timestamp: {text!r}") from exc
     naive = parsed.tzinfo is None
     since = (parsed.replace(tzinfo=dt.timezone.utc) if naive else parsed) - _EPOCH
     # the floor of its microseconds over 1000, without dividing two timedeltas

@@ -8,14 +8,16 @@ equations on standardized features; evaluation is plain out-of-sample R².
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .linkage import LinkedTrip
-from .model import CALENDAR, AuditError, TripStatus, trip_anchor
+from .model import CALENDAR, AuditError, TripRecord, TripStatus, trip_anchor
+
+if TYPE_CHECKING:  # numpy loads in the functions that compute with it, never in a worker
+    import numpy as np
 
 RIDGE_SCALE = 1e-8
 TRAIN_FRACTION = 0.8
@@ -64,7 +66,7 @@ _FLAGS = (
 )
 _NUMERIC = len(_BASE_NUMERIC + _FLAGS)
 # where the hour, weekday and month one-hot groups begin in a schema's row
-_CODE_BASES = np.array([_NUMERIC, _NUMERIC + len(_HOURS), _NUMERIC + len(_HOURS + _DOWS)])
+_CODE_BASES = (_NUMERIC, _NUMERIC + len(_HOURS), _NUMERIC + len(_HOURS + _DOWS))
 _PRODUCT_BASE = _NUMERIC + len(_HOURS + _DOWS + _MONTHS)
 
 
@@ -88,9 +90,9 @@ class FeatureSchema:
         return {p: _PRODUCT_BASE + i for i, p in enumerate(self.products)}
 
 
-def build_schema(linked: Sequence[LinkedTrip]) -> FeatureSchema:
-    products = sorted({lt.trip.product for lt in linked if lt.trip.product})
-    return FeatureSchema(tuple(products))
+def _usable(trip: TripRecord) -> bool:
+    stamps = (trip.accept_ts, trip.pickup_ts, trip.dropoff_ts)
+    return trip.status is TripStatus.COMPLETED and None not in stamps
 
 
 def featurize(linked: LinkedTrip) -> tuple[tuple[float, ...], tuple[int, int, int], float]:
@@ -100,11 +102,7 @@ def featurize(linked: LinkedTrip) -> tuple[tuple[float, ...], tuple[int, int, in
     indexes its one-hot group of the schema, which ``stack_blocks`` fills in.
     """
     trip = linked.trip
-    if trip.status is not TripStatus.COMPLETED or None in (
-        trip.accept_ts,
-        trip.pickup_ts,
-        trip.dropoff_ts,
-    ):
+    if not _usable(trip):
         raise IncompleteTrip("featurization needs a completed trip with all timestamps")
 
     on_trip = (trip.dropoff_ts - trip.pickup_ts) / 60_000.0
@@ -141,87 +139,101 @@ def featurize(linked: LinkedTrip) -> tuple[tuple[float, ...], tuple[int, int, in
     return numeric + flags, (hour, dow, month - 1), linked.driver_total / 100.0
 
 
-def feature_matrix(linked: Sequence[LinkedTrip]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X, y, codes) of the trips in order: ``featurize``'s values, targets and codes."""
-    featured = [featurize(lt) for lt in linked]
-    n = len(featured)
-    return (
-        np.array([values for values, _, _ in featured], dtype=float).reshape(n, _NUMERIC),
-        np.array([y for _, _, y in featured], dtype=float),
-        np.array([codes for _, codes, _ in featured], dtype=np.int32).reshape(n, len(_CODE_BASES)),
-    )
+def feature_matrix(
+    linked: Sequence[LinkedTrip], products: Mapping[str, int]
+) -> tuple[array, array, array]:
+    """(X, y, codes) of the trips, row after row: ``featurize``'s values, targets and
+    codes, each code row ending in the index of the trip's product in ``products``, or -1."""
+    X, y, codes = array("d"), array("d"), array("i")
+    for lt in linked:
+        values, (hour, dow, month), target = featurize(lt)
+        X.extend(values)
+        y.append(target)
+        codes.extend((hour, dow, month, products.get(lt.trip.product, -1)))
+    return X, y, codes
 
 
 @dataclass(frozen=True)
 class FeatureBlocks:
     """One driver's usable linked trips, featurized per anchor year.
 
-    ``years[year]`` is ``(X, y, codes)`` in link order: X holds the numeric
-    and flag features, and each row of ``codes`` the trip's hour, weekday and
-    month codes and its index into ``products``, or -1 for a trip without one.
+    ``arrays[year]`` is ``feature_matrix``'s ``(X, y, codes)``: stdlib arrays,
+    so a worker never loads numpy and a block pickles to its values' bytes.
     """
 
     products: tuple[str, ...]
-    years: Mapping[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    arrays: Mapping[int, tuple[array, array, array]]
+
+    @property
+    def years(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``arrays`` as numpy views of one row per trip."""
+        import numpy as np
+
+        return {
+            year: (
+                np.frombuffer(X).reshape(len(y), _NUMERIC),
+                np.frombuffer(y),
+                np.frombuffer(codes, np.intc).reshape(len(y), len(_CODE_BASES) + 1),
+            )
+            for year, (X, y, codes) in self.arrays.items()
+        }
 
 
 def feature_blocks(linked: Sequence[LinkedTrip]) -> FeatureBlocks:
     """Featurize the completed trips that have every timestamp, year by year."""
-    usable = [
-        lt
-        for lt in linked
-        if lt.trip.status is TripStatus.COMPLETED
-        and None not in (lt.trip.accept_ts, lt.trip.pickup_ts, lt.trip.dropoff_ts)
-    ]
-    products = build_schema(usable).products
+    usable = [lt for lt in linked if _usable(lt.trip)]
+    products = tuple(sorted({lt.trip.product for lt in usable if lt.trip.product}))
     code = {p: i for i, p in enumerate(products)}
     by_year: dict[int, list[LinkedTrip]] = {}
     for lt in usable:
         by_year.setdefault(CALENDAR.day(trip_anchor(lt.trip))[0].year, []).append(lt)
-    years = {}
-    for year, group in sorted(by_year.items()):
-        X, y, codes = feature_matrix(group)
-        product = np.array([code.get(lt.trip.product, -1) for lt in group], dtype=np.int32)
-        years[year] = (X, y, np.column_stack((codes, product)))
+    years = {year: feature_matrix(group, code) for year, group in sorted(by_year.items())}
     return FeatureBlocks(products, years)
 
 
 def stack_blocks(
-    blocks: Sequence[FeatureBlocks],
-) -> tuple[FeatureSchema, np.ndarray, np.ndarray, dict[int, tuple[int, int]]]:
-    """The fleet's full (X, y), sorted by year, and each year's [start, stop) rows.
+    blocks: Iterable[FeatureBlocks],
+) -> tuple[FeatureSchema, np.ndarray, dict[int, tuple[int, int]], Callable[..., np.ndarray]]:
+    """The fleet's targets sorted by year, each year's [start, stop) rows, and ``dense``.
 
     Within a year the rows run in the order of the blocks given, then in link
-    order. The product vocabulary is the sorted union of the drivers' own,
-    which is what ``build_schema`` gives over all their trips; every row's
-    hour, weekday, month and product one-hots are filled in against it.
+    order; the products are the sorted union of the drivers' own. The fleet is
+    kept compact, and ``dense(rows)`` gives the schema rows of a range or an
+    index array in a new matrix. Each year's block arrays are let go once copied.
     """
-    schema = FeatureSchema(tuple(sorted({p for b in blocks for p in b.products})))
-    sizes: dict[int, int] = {}
+    import numpy as np
+
+    parts: dict[int, list[tuple]] = {}
+    products: set[str] = set()
     for b in blocks:
-        for year, (_, y, _) in b.years.items():
-            sizes[year] = sizes.get(year, 0) + len(y)
-    spans: dict[int, tuple[int, int]] = {}
-    n = 0
-    for year, size in sorted(sizes.items()):
-        spans[year] = (n, n + size)
-        n += size
-    fleet_X, fleet_y = np.zeros((n, schema.dim)), np.empty(n)
-    filled = {year: start for year, (start, _) in spans.items()}
-    for b in blocks:
-        column = np.array([schema.product_column[p] for p in b.products], dtype=np.intp)
-        for year, (X, y, codes) in b.years.items():
-            lo = filled[year]
-            filled[year] = hi = lo + len(y)
-            full = fleet_X[lo:hi]  # a view: the fills below land in the fleet matrix
-            full[:, :_NUMERIC] = X
-            rows = np.arange(len(y))
-            full[rows[:, None], _CODE_BASES + codes[:, : len(_CODE_BASES)]] = 1.0
-            product = codes[:, len(_CODE_BASES)]
-            has = np.flatnonzero(product >= 0)
-            full[has, column[product[has]]] = 1.0
-            fleet_y[lo:hi] = y
-    return schema, fleet_X, fleet_y, spans
+        products.update(b.products)
+        for year, part in b.years.items():
+            parts.setdefault(year, []).append((b.products, *part))
+    schema = FeatureSchema(tuple(sorted(products)))
+    spans, n = {}, 0
+    for year in sorted(parts):
+        spans[year] = (n, n := n + sum(len(y) for _, _, y, _ in parts[year]))
+    fleet_X, fleet_y = np.empty((n, _NUMERIC)), np.empty(n)
+    fleet_columns = np.empty((n, len(_CODE_BASES) + 1), np.intc)
+    for year, (lo, _) in spans.items():
+        for names, X, y, codes in parts.pop(year):
+            hi = lo + len(y)
+            fleet_X[lo:hi], fleet_y[lo:hi] = X, y
+            # the one-hot columns of the hour, weekday, month and product (or the hour again)
+            columns = fleet_columns[lo:hi]  # a view: the fills below land in the fleet
+            columns[:, :3] = codes[:, :3] + _CODE_BASES
+            product = np.array([schema.product_column[p] for p in names] + [-1])[codes[:, 3]]
+            columns[:, 3] = np.where(product >= 0, product, columns[:, 0])
+            lo = hi
+
+    def dense(rows: slice | np.ndarray) -> np.ndarray:
+        numeric = fleet_X[rows]
+        out = np.zeros((len(numeric), schema.dim))
+        out[:, :_NUMERIC] = numeric
+        out[np.arange(len(out))[:, None], fleet_columns[rows]] = 1.0
+        return out
+
+    return schema, fleet_y, spans, dense
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +249,16 @@ class OlsModel:
         return X @ self.coefficients + self.intercept
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray) -> OlsModel:
+def fit_ols(X: np.ndarray, y: np.ndarray, *, overwrite_x: bool = False) -> OlsModel:
     """Least squares via ridge-stabilized normal equations on standardized data.
 
     Zero-variance columns are left out of the fit and get a coefficient of
     zero; epsilon is 1e-8 * trace(XtX) / d, which makes the one-hot blocks
     solvable alongside an intercept without visibly biasing coefficients.
+    With ``overwrite_x``, a float X that keeps every column is standardized in place.
     """
+    import numpy as np
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
@@ -253,7 +268,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> OlsModel:
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     keep = std > 0.0
-    Xs = X[:, keep]  # boolean indexing copies, so X itself is never changed
+    Xs = X if overwrite_x and keep.all() else X[:, keep]  # boolean indexing copies
     Xs -= mean[keep]
     Xs /= std[keep]
     y_mean = float(y.mean())
@@ -271,6 +286,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> OlsModel:
 
 def r2(model: OlsModel, X: np.ndarray, y: np.ndarray) -> float:
     """Out-of-sample R² about the test mean; 1 is perfect, negatives possible."""
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     pred = model.predict(np.asarray(X, dtype=float))
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -288,7 +305,6 @@ def r2(model: OlsModel, X: np.ndarray, y: np.ndarray) -> float:
 class YearMatrix:
     mode: str
     test_years: tuple[int, ...]
-    max_lag: int
     cells: Mapping[tuple[int, int], float | None]  # (test_year, lag) -> R²
     counts: Mapping[tuple[int, int], tuple[int, int]]  # (train_n, test_n)
 
@@ -296,47 +312,39 @@ class YearMatrix:
         return "Y" if lag == 0 else f"Y-{lag}"
 
     def to_csv(self) -> str:
-        lags = list(range(self.max_lag + 1))
+        lags = range(self.test_years[-1] - self.test_years[0] + 1)
         lines = ["test_year," + ",".join(self.lag_label(n) for n in lags)]
         for year in self.test_years:
-            row = [str(year)]
-            for lag in lags:
-                value = self.cells.get((year, lag))
-                row.append("" if value is None else f"{value:.3f}")
-            lines.append(",".join(row))
+            values = [self.cells.get((year, lag)) for lag in lags]
+            lines.append(",".join([str(year)] + ["" if v is None else f"{v:.3f}" for v in values]))
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        out: dict = {"mode": self.mode, "cells": []}
-        for (year, lag), value in sorted(self.cells.items()):
-            train_n, test_n = self.counts[(year, lag)]
-            out["cells"].append(
-                {
-                    "test_year": year,
-                    "lag": self.lag_label(lag),
-                    "r2": value,
-                    "train_n": train_n,
-                    "test_n": test_n,
-                }
-            )
-        return out
+        keys = ("test_year", "lag", "r2", "train_n", "test_n")
+        cells = [
+            dict(zip(keys, (year, self.lag_label(lag), value, *self.counts[(year, lag)])))
+            for (year, lag), value in sorted(self.cells.items())
+        ]
+        return {"mode": self.mode, "cells": cells}
 
 
 def year_matrix(
-    blocks: Sequence[FeatureBlocks], mode: str = "single_year", seed: int = 0
+    blocks: Iterable[FeatureBlocks], mode: str = "single_year", seed: int = 0
 ) -> YearMatrix:
     """R² of models trained on earlier years and tested on later ones.
 
     Rows are the drivers' feature blocks stacked in the order given, in one
-    matrix sorted by year. single_year trains on the one year Y-n; cumulative
-    trains on every year up to and including Y-n, so beyond lag 0 a training
-    set is a run of the matrix's rows. Lag 0 uses a seeded 80/20 split within
-    the test year (train years strictly before Y join the training side in
-    cumulative mode). Cells without enough training rows stay empty.
+    compact fleet sorted by year. single_year trains on the one year Y-n;
+    cumulative trains on every year up to and including Y-n. Lag 0 uses a
+    seeded 80/20 split within the test year (train years strictly before Y
+    join the training side in cumulative mode). Cells without enough training
+    rows stay empty. A fit's test rows are made dense once it is done.
     """
+    import numpy as np
+
     if mode not in ("single_year", "cumulative"):
         raise AuditError(f"unknown mode {mode!r}")
-    schema, X, y, spans = stack_blocks(blocks)
+    schema, y, spans, dense = stack_blocks(blocks)
     years = sorted(spans)
     if len(years) < 2:
         raise AuditError("need at least two calendar years of trips")
@@ -357,23 +365,15 @@ def year_matrix(
                 test = start + perm[cut:]
             else:
                 train, test = slice(first, spans[source][1]), slice(start, stop)
-            # a slice of rows is a view; only lag 0 gathers its training rows
             y_train, y_test = y[train], y[test]
             counts[(year, lag)] = (len(y_train), len(y_test))
             if len(y_train) <= schema.dim or len(y_test) < 2:
                 cells[(year, lag)] = None
                 continue
-            model = fit_ols(X[train], y_train)
+            model = fit_ols(dense(train), y_train, overwrite_x=True)
             try:
-                # lag 0's test rows are gathered only now, once the fit's copies are gone
-                cells[(year, lag)] = r2(model, X[test], y_test)
+                cells[(year, lag)] = r2(model, dense(test), y_test)
             except ZeroVarianceTarget:
                 cells[(year, lag)] = None
 
-    return YearMatrix(
-        mode=mode,
-        test_years=tuple(years),
-        max_lag=years[-1] - years[0],
-        cells=cells,
-        counts=counts,
-    )
+    return YearMatrix(mode, tuple(years), cells, counts)

@@ -128,7 +128,7 @@ def process_bundle(
         bundle, report = normalize(raw, options.eras)
         links = link(bundle.trips, bundle.payments, options.link_window_s, options.eras)
         if options.features_only:
-            from .predictability import feature_blocks  # numpy loads only for predict
+            from .predictability import feature_blocks  # loads only for predict
 
             return feature_blocks(links.linked)
         timeline = build_segments(bundle.sessions, bundle.trips)
@@ -238,16 +238,16 @@ def _take_rate_section(trips: TripColumns) -> dict:
     if not len(trips):
         return {"n_trips": 0}
     hist = take_rate_histogram(trips)
-    monthly: dict[str, list[float]] = {}
+    monthly: dict[int, list[float]] = {}  # by month index, labelled once per month
     for month, share in zip(trips.month.tolist(), trips.share.tolist()):
-        monthly.setdefault(month_label(month), []).append(share)
+        monthly.setdefault(month, []).append(share)
 
     return {
         "by_trip": asdict(take_rate_stats(trips, "trip")),
         "by_driver": asdict(take_rate_stats(trips, "driver")),
         "histogram": hist,
         "monthly_median_share": {
-            m: statistics.median(sorted(v)) for m, v in sorted(monthly.items())
+            month_label(m): statistics.median(sorted(v)) for m, v in sorted(monthly.items())
         },
         "n_trips": len(trips),
     }

@@ -182,6 +182,22 @@ def test_bad_money_quarantined(tmp_path):
         normalize(load_bundle(d))
 
 
+def test_unknown_status_and_category_keep_the_enum_reason(tmp_path):
+    d = tmp_path / "d"
+    write_table(d, "trips", TRIP_HEADER, [trip_csv_row(), trip_csv_row(status="Completed")])
+    write_table(
+        d, "payments", PAYMENT_HEADER,
+        [payment_csv_row(), payment_csv_row(ts="2021-03-02T09:25:00Z", category="bonus")],
+    )
+    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    assert [(q.table, q.row_number, q.reason) for q in report.quarantine] == [
+        ("payments", 3, "unparseable value: 'bonus' is not a valid PaymentCategory"),
+        ("trips", 3, "unparseable value: 'Completed' is not a valid TripStatus"),
+    ]
+    assert bundle.trips[0].status is TripStatus.COMPLETED
+    assert len(bundle.payments) == 1
+
+
 def test_only_ingest_reads_a_currency():
     """GBP is checked once, at ingest; past it every amount is plain pence."""
     readers = set()

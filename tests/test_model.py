@@ -93,6 +93,60 @@ def test_timestamp_naive_interpreted_utc():
     assert naive == parse_instant("2021-03-02T09:00:00Z")[0]
 
 
+def rewrite_then_parse(text: str) -> tuple[int, bool]:
+    """parse_instant's slow path alone: strip, rewrite a Z suffix, fromisoformat."""
+    raw = text.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    parsed = dt.datetime.fromisoformat(raw)
+    naive = parsed.tzinfo is None
+    return epoch_ms(parsed.replace(tzinfo=dt.timezone.utc) if naive else parsed), naive
+
+
+def _iso_text(day, time, fraction, separator, basic, offset, pad):
+    hour, minute, second = time
+    if basic:
+        date_text, time_text = day.strftime("%Y%m%d"), f"{hour:02d}{minute:02d}{second:02d}"
+    else:
+        date_text, time_text = day.isoformat(), f"{hour:02d}:{minute:02d}:{second:02d}"
+    return f"{pad[0]}{date_text}{separator}{time_text}{fraction}{offset}{pad[1]}"
+
+
+ISO_TEXTS = st.builds(
+    _iso_text,
+    st.dates(),
+    st.tuples(st.integers(0, 24), st.integers(0, 60), st.integers(0, 60)),
+    st.sampled_from(["", ".5", ".250", ".123456", ".1234567", ","]),
+    st.sampled_from(["T", " ", "t", ""]),
+    st.booleans(),
+    st.sampled_from(
+        ["", "Z", "z", "ZZ", "Zz", "+00:00", "-00:00", "+01:00", "-0530", "+14", "+00:00Z", "Z "]
+    ),
+    st.tuples(*[st.sampled_from(["", " ", "\t", "\n", "\u3000"])] * 2),
+)
+
+
+@given(st.one_of(ISO_TEXTS, st.text(alphabet="0123456789-+:.TZz WT", max_size=30)))
+@example("2021-03-02T09:00:00.250Z")
+@example("2021-03-02T09:00:00.250z")
+@example(" 2021-03-02T09:00:00Z\n")
+@example("20210302T090000Z")
+@example("2021-03-02T09:00:00+01:00")
+@example("2021-03-02Z")
+def test_fromisoformat_first_accepts_what_the_rewrite_accepts(text):
+    # parse_instant tries fromisoformat on the text as given before it strips
+    # and rewrites; both paths must accept the same texts, with the same result
+    try:
+        want = rewrite_then_parse(text)
+    except ValueError:
+        want = None
+    try:
+        got = parse_instant(text)
+    except RecordError:
+        got = None
+    assert got == want
+
+
 def epoch_ms(moment: dt.datetime) -> int:
     return (moment - dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)) // dt.timedelta(milliseconds=1)
 

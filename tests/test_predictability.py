@@ -1,13 +1,16 @@
+import pickle
+from array import array
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareaudit.linkage import LinkedTrip
 from fareaudit.model import AuditError, TripRecord, TripStatus
 from fareaudit.predictability import (
+    FeatureBlocks,
     FeatureSchema,
-    build_schema,
     feature_blocks,
     featurize,
     fit_ols,
@@ -62,9 +65,9 @@ def test_featurize_known_values():
     values, codes, y = featurize(lt)
     assert y == 15.0
     assert codes == (9, 5, 6)  # hour, weekday (Monday 0), month - 1
-    schema, X, Y, spans = stack_blocks([feature_blocks([lt])])
+    schema, Y, spans, dense = stack_blocks([feature_blocks([lt])])
     assert spans == {2021: (0, 1)}
-    (vec,), (target,) = X, Y
+    (vec,), (target,) = dense(slice(None)), Y
     assert target == y
     v = dict(zip(schema.names, vec))
     assert tuple(vec[: len(values)]) == values
@@ -131,7 +134,8 @@ def test_ols_predicts_through_collinear_schema():
     # individual coefficients are not identifiable there; predictions are
     rng = np.random.default_rng(0)
     linked = rand_linked(rng, 400, coef=(2.5, 0.3, 0.8))
-    schema, X, y, _ = stack_blocks([feature_blocks(linked)])
+    schema, y, _, dense = stack_blocks([feature_blocks(linked)])
+    X = dense(slice(None))
     model = fit_ols(X, y)
     by_name = dict(zip(schema.names, model.coefficients))
     assert by_name["on_trip_minutes"] == pytest.approx(0.3, abs=1e-2)
@@ -238,17 +242,123 @@ def test_stacked_blocks_equal_the_fleet_feature_matrix():
         for i, lt in enumerate(second)
     ]
     everyone = first + second
-    schema, X, y, spans = stack_blocks([feature_blocks(first), feature_blocks(second)])
-    want_schema = build_schema(everyone)
+    schema, y, spans, dense = stack_blocks([feature_blocks(first), feature_blocks(second)])
+    want_schema = FeatureSchema(tuple(sorted({lt.trip.product for lt in everyone} - {""})))
     assert schema.names == want_schema.names
-    # one matrix: each year's rows follow the last year's, in block then link order
+    # one fleet: each year's rows follow the last year's, in block then link order
     assert spans == {2020: (0, 80), 2021: (80, 160)}
+    X = dense(slice(None))
     assert X.shape == (160, schema.dim) and y.shape == (160,)
     for year, (start, stop) in spans.items():
         group = [lt for lt in everyone if london(lt.trip.dropoff_ts).year == year]
         want = [full_row(lt, want_schema) for lt in group]
         assert np.array_equal(X[start:stop], np.array([row for row, _ in want]))
         assert np.array_equal(y[start:stop], np.array([target for _, target in want]))
+    # a run of rows and an index array give the same rows as the whole fleet
+    assert np.array_equal(dense(slice(70, 90)), X[70:90])
+    picked = np.array([159, 3, 80, 3])
+    assert np.array_equal(dense(picked), X[picked])
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+INT32_EDGES = st.sampled_from([-(2**31), -1, 0, 2**31 - 1])
+
+
+@st.composite
+def stdlib_blocks(draw):
+    """A FeatureBlocks made straight from drawn values, edge cases included."""
+    years = {}
+    for year in draw(st.sets(st.integers(2000, 2030), max_size=3)):
+        n = draw(st.integers(0, 4))
+        values = st.one_of(EDGE_FLOATS, st.floats(allow_subnormal=True))
+        X = array("d", draw(st.lists(values, min_size=19 * n, max_size=19 * n)))
+        y = array("d", draw(st.lists(values, min_size=n, max_size=n)))
+        codes = st.one_of(INT32_EDGES, st.integers(-(2**31), 2**31 - 1))
+        years[year] = (X, y, array("i", draw(st.lists(codes, min_size=4 * n, max_size=4 * n))))
+    return FeatureBlocks(tuple(draw(st.lists(st.text(max_size=3), max_size=3))), years)
+
+
+@given(stdlib_blocks())
+def test_feature_blocks_keep_every_bit_through_pickle(blocks):
+    copy = pickle.loads(pickle.dumps(blocks))
+    assert copy.products == blocks.products
+    assert copy.arrays.keys() == blocks.arrays.keys()
+    for year, arrays in blocks.arrays.items():
+        got = copy.arrays[year]
+        assert [a.typecode for a in got] == ["d", "d", "i"]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
+        # the numpy views read the same bytes, one row per trip
+        X, y, codes = copy.years[year]
+        assert X.shape == (len(y), 19) and codes.shape == (len(y), 4)
+        assert [v.tobytes() for v in (X, y, codes)] == [a.tobytes() for a in arrays]
+
+
+def matrix_as_built_before(blocks):
+    """The dense fleet matrix as it was built before the fleet was kept compact:
+    zeros, the numeric features copied in and each one-hot set, block by block."""
+    schema = FeatureSchema(tuple(sorted({p for b in blocks for p in b.products})))
+    sizes = {}
+    for b in blocks:
+        for year, (_, y, _) in b.years.items():
+            sizes[year] = sizes.get(year, 0) + len(y)
+    spans, n = {}, 0
+    for year, size in sorted(sizes.items()):
+        spans[year] = (n, n + size)
+        n += size
+    fleet_X, fleet_y = np.zeros((n, schema.dim)), np.empty(n)
+    filled = {year: start for year, (start, _) in spans.items()}
+    bases = np.array([19, 19 + 24, 19 + 24 + 7])
+    for b in blocks:
+        column = np.array([schema.product_column[p] for p in b.products], dtype=np.intp)
+        for year, (X, y, codes) in b.years.items():
+            lo = filled[year]
+            filled[year] = hi = lo + len(y)
+            full = fleet_X[lo:hi]
+            full[:, :19] = X
+            rows = np.arange(len(y))
+            full[rows[:, None], bases + codes[:, :3]] = 1.0
+            has = np.flatnonzero(codes[:, 3] >= 0)
+            full[has, column[codes[has, 3]]] = 1.0
+            fleet_y[lo:hi] = y
+    return schema, fleet_X, fleet_y, spans
+
+
+TRIPS = st.lists(
+    st.tuples(
+        st.sampled_from([2019, 2020, 2021]),
+        st.integers(1, 12),
+        st.integers(1, 28),
+        st.integers(0, 23),
+        st.floats(0.5, 90),
+        st.floats(0.0, 30),
+        st.sampled_from(["", "comfort", "standard", "xl"]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(TRIPS, min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_dense_compact_fleet_equals_the_matrix_built_before(fleets, rnd):
+    blocks = [
+        feature_blocks(
+            [
+                make_linked(f"{y}-{m:02d}-{d:02d}T{h:02d}:15:00Z", on, 4.0, 1.0, dist, product=p)
+                for y, m, d, h, on, dist, p in trips
+            ]
+        )
+        for trips in fleets
+    ]
+    want_schema, want_X, want_y, want_spans = matrix_as_built_before(blocks)
+    schema, y, spans, dense = stack_blocks(iter(blocks))
+    assert schema == want_schema and spans == want_spans
+    assert y.tobytes() == want_y.tobytes()
+    X = dense(slice(None))
+    assert X.shape == want_X.shape and X.tobytes() == want_X.tobytes()
+    rows = np.array([rnd.randrange(len(y)) for _ in range(len(y))], dtype=np.intp)
+    assert dense(rows).tobytes() == want_X[rows].tobytes()
+    for start, stop in spans.values():
+        assert dense(slice(start, stop)).tobytes() == want_X[start:stop].tobytes()
 
 
 def full_row(lt: LinkedTrip, schema: FeatureSchema) -> tuple[list[float], float]:

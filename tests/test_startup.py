@@ -35,18 +35,23 @@ RUN_MAIN = (
 )
 
 
-# predict --jobs 2, printing whether numpy and the predictability module were
-# loaded when the process pool started
-RUN_PREDICT_POOL = (
-    "import sys\n"
-    "from concurrent import futures\n"
-    "from fareaudit.cli import main\n"
-    "class Pool(futures.ProcessPoolExecutor):\n"
-    "    def __init__(self, *args, **kwargs):\n"
-    "        print('numpy' in sys.modules, 'fareaudit.predictability' in sys.modules)\n"
-    "        super().__init__(*args, **kwargs)\n"
-    "futures.ProcessPoolExecutor = Pool\n"
-    "sys.exit(main(sys.argv[1:]))\n"
+# predict, printing whether numpy is loaded before each fork, after each
+# process_bundle (in the parent or in a pool worker) and at the end
+RUN_PREDICT_LOADS = (
+    "import os, sys\n"
+    "from fareaudit import cli\n"
+    "parent = os.getpid()\n"
+    "os.register_at_fork(before=lambda: print('fork', 'numpy' in sys.modules, flush=True))\n"
+    "real = cli.process_bundle\n"
+    "def process_bundle(directory, options):\n"
+    "    result = real(directory, options)\n"
+    "    where = 'parent' if os.getpid() == parent else 'worker'\n"
+    "    print(where, 'numpy' in sys.modules, flush=True)\n"
+    "    return result\n"
+    "cli.process_bundle = process_bundle\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print('end', 'numpy' in sys.modules)\n"
+    "sys.exit(code)\n"
 )
 
 
@@ -121,9 +126,17 @@ def test_audit_loads_numpy_only_to_compare_era_densities(fleet, tmp_path):
     assert "fareaudit.predictability" not in loaded
 
 
-def test_predict_loads_numpy_before_its_workers_fork(fleet, tmp_path):
-    args = ["predict", str(fleet), "--out", str(tmp_path / "p"), "--jobs", "2"]
-    assert run_python(["-c", RUN_PREDICT_POOL, *args]).split() == ["True", "True"]
+def test_predict_loads_numpy_only_once_its_bundles_are_under_way(fleet, tmp_path):
+    # at --jobs 2 both workers fork before the parent loads numpy, and neither
+    # loads it to featurize; at --jobs 1 it loads after the last bundle
+    drivers = TWO_YEARS.n_drivers
+    for jobs, want in (
+        ("2", ["end True"] + ["fork False"] * 2 + ["worker False"] * drivers),
+        ("1", ["end True"] + ["parent False"] * drivers),
+    ):
+        args = ["predict", str(fleet), "--out", str(tmp_path / jobs), "--jobs", jobs]
+        lines = run_python(["-c", RUN_PREDICT_LOADS, *args]).splitlines()
+        assert sorted(lines) == want, jobs
 
 
 def _task_count(blas_threads):
