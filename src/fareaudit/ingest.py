@@ -17,18 +17,15 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
-    DEFAULT_ERAS,
     AppSession,
     AuditError,
     DispatchOffer,
     DriverProfile,
-    EraBoundaries,
     PaymentCategory,
     PaymentEvent,
     RecordError,
     TripRecord,
     TripStatus,
-    era_of,
     format_instant,
     format_pence,
     parse_instant,
@@ -177,7 +174,6 @@ class IngestReport:
     quarantine: tuple[QuarantinedRow, ...]
     skipped_files: tuple[str, ...]
     naive_timestamps: int
-    trips_per_era: Mapping[str, int]
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +324,7 @@ _PARSERS = {
 
 
 def normalize(
-    raw: RawBundle,
-    boundaries: EraBoundaries = DEFAULT_ERAS,
-    malformed_threshold: float = 0.05,
+    raw: RawBundle, malformed_threshold: float = 0.05
 ) -> tuple[NormalizedBundle, IngestReport]:
     """Type-check every row: dedupe exact duplicates, quarantine bad rows.
 
@@ -376,18 +370,12 @@ def normalize(
         profile=profile_rows[0] if profile_rows else None,
     )
 
-    per_era: dict[str, int] = {}
-    for trip in bundle.trips:
-        era = era_of(trip_anchor(trip), boundaries)
-        per_era[era.value] = per_era.get(era.value, 0) + 1
-
     report = IngestReport(
         driver_id=raw.driver_id,
         tables=table_reports,
         quarantine=tuple(quarantine),
         skipped_files=raw.skipped_files,
         naive_timestamps=ctx.naive_count,
-        trips_per_era=per_era,
     )
     return bundle, report
 

@@ -11,29 +11,19 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (
-    DEFAULT_ERAS,
-    AuditError,
-    Era,
-    EraBoundaries,
-    PaymentCategory,
-    PaymentEvent,
-    TripRecord,
-    era_of,
-    trip_anchor,
-)
+from .model import AuditError, PaymentCategory, PaymentEvent, TripRecord
 
 DEFAULT_WINDOW_S = 600.0
 
 
 @dataclass(frozen=True, slots=True)
 class LinkedTrip:
-    """A trip with its matched earnings events and, where legal, fare split."""
+    """A trip with its matched earnings events and, where it has a fare, fare split."""
 
     trip: TripRecord
     earnings: tuple[PaymentEvent, ...]
     driver_total: int  # pence
-    driver_share: float | None  # of the trip's original fare; above 1 when pay tops it
+    driver_share: float | None  # pay over a positive rider fare; above 1 when pay tops it
 
 
 @dataclass(frozen=True)
@@ -43,11 +33,9 @@ class LinkResult:
     unmatched_payments: tuple[PaymentEvent, ...]
 
 
-def _try_split(trip: TripRecord, total: int, boundaries: EraBoundaries) -> float | None:
+def _try_split(trip: TripRecord, total: int) -> float | None:
     fare = trip.original_fare
     if fare is None or fare <= 0:
-        return None
-    if era_of(trip_anchor(trip), boundaries) is Era.OPAQUE_GAP:
         return None
     return total / fare
 
@@ -56,7 +44,6 @@ def link(
     trips: Sequence[TripRecord],
     payments: Sequence[PaymentEvent],
     window_s: float = DEFAULT_WINDOW_S,
-    boundaries: EraBoundaries = DEFAULT_ERAS,
 ) -> LinkResult:
     """Match trip-earnings payments to dropoffs within ``window_s`` seconds.
 
@@ -100,7 +87,7 @@ def link(
             unmatched_trips.append(trip)
             continue
         total = sum(e.amount for e in events)
-        linked.append(LinkedTrip(trip, tuple(events), total, _try_split(trip, total, boundaries)))
+        linked.append(LinkedTrip(trip, tuple(events), total, _try_split(trip, total)))
     return LinkResult(tuple(linked), tuple(unmatched_trips), tuple(unmatched_payments))
 
 

@@ -13,6 +13,7 @@ import statistics
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .linkage import LinkedTrip
@@ -199,14 +200,23 @@ class TripColumns:
         driver_id: str,
         boundaries: EraBoundaries = DEFAULT_ERAS,
     ) -> "TripColumns":
-        """The share-valid trips of one driver's bundle."""
-        valid = [lt for lt in linked if lt.driver_share is not None]
-        anchors = [trip_anchor(lt.trip) for lt in valid]
-        days = [CALENDAR.day(a)[0] for a in anchors]
+        """The share-valid trips of one driver's bundle.
+
+        A trip in the opaque gap is left out: its exported fare is not the
+        rider's price, so its share means nothing.
+        """
+        dated = ((lt, trip_anchor(lt.trip)) for lt in linked if lt.driver_share is not None)
+        rows = [
+            (lt, anchor, era)
+            for lt, anchor in dated
+            if (era := era_of(anchor, boundaries)) is not Era.OPAQUE_GAP
+        ]
+        valid = [lt for lt, _, _ in rows]
+        days = [CALENDAR.day(anchor)[0] for _, anchor, _ in rows]
         values = {
             "driver": [0] * len(valid),
             "month": [d.year * 12 + d.month - 1 for d in days],
-            "era": [ERAS.index(era_of(a, boundaries)) for a in anchors],
+            "era": [ERAS.index(era) for _, _, era in rows],
             "share": [lt.driver_share for lt in valid],
             "driver_pence": [lt.driver_total for lt in valid],
             "fare_pence": [lt.trip.original_fare for lt in valid],
@@ -233,6 +243,20 @@ class TripColumns:
     def __len__(self) -> int:
         return len(self.share)
 
+    @cached_property
+    def share_bin(self) -> array:
+        """Each row's index into ``bin_labels()``, binned once for every section."""
+        return array("b", [_bin_index(share, DEFAULT_SPLIT_BINS) for share in self.share.tolist()])
+
+
+def trips_per_era(trips: Iterable[TripRecord], boundaries: EraBoundaries) -> dict[str, int]:
+    """How many of the trips fall in each era, by trip anchor."""
+    counts: dict[str, int] = {}
+    for trip in trips:
+        era = era_of(trip_anchor(trip), boundaries).value
+        counts[era] = counts.get(era, 0) + 1
+    return counts
+
 
 # ---------------------------------------------------------------------------
 # Take rates
@@ -251,10 +275,10 @@ def _bin_index(share: float, bins: Sequence[float]) -> int:
 
 def take_rate_histogram(trips: TripColumns) -> dict[str, int]:
     labels = bin_labels()
-    counts = dict.fromkeys(labels, 0)
-    for share in trips.share.tolist():
-        counts[labels[_bin_index(share, DEFAULT_SPLIT_BINS)]] += 1
-    return counts
+    counts = [0] * len(labels)
+    for idx in trips.share_bin:
+        counts[idx] += 1
+    return dict(zip(labels, counts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,15 +418,15 @@ def per_minute_fare_by_split(trips: TripColumns) -> tuple[PerMinuteBin, ...]:
     """
     labels = bin_labels()
     acc: dict[int, list] = {}
-    for share, minutes, driver, fare in zip(
-        trips.share.tolist(),
+    for idx, minutes, driver, fare in zip(
+        trips.share_bin,
         trips.on_trip_minutes.tolist(),
         trips.driver_pence.tolist(),
         trips.fare_pence.tolist(),
     ):
         if minutes <= 0.0:
             continue
-        slot = acc.setdefault(_bin_index(share, DEFAULT_SPLIT_BINS), [0, 0.0, 0, 0])
+        slot = acc.setdefault(idx, [0, 0.0, 0, 0])
         slot[0] += 1
         slot[1] += minutes
         slot[2] += driver

@@ -37,37 +37,13 @@ class ZeroVarianceTarget(AuditError):
 
 AIRPORT_MARKER = "airport"
 
-_HOURS = tuple(f"hour_{h:02d}" for h in range(24))
-_DOWS = ("dow_mon", "dow_tue", "dow_wed", "dow_thu", "dow_fri", "dow_sat", "dow_sun")
-_MONTHS = tuple(f"month_{m:02d}" for m in range(1, 13))
-
-_BASE_NUMERIC = (
-    "on_trip_minutes",
-    "en_route_minutes",
-    "distance_miles",
-    "wait_minutes",
-    "speed_mph",
-    "distance_sq",
-    "duration_sq",
-    "log_distance",
-    "log_duration",
-    "duration_x_distance",
-    "distance_x_weekend",
-    "duration_x_peak",
-)
-_FLAGS = (
-    "is_airport_origin",
-    "is_airport_dest",
-    "is_airport_any",
-    "is_weekend",
-    "is_peak_morning",
-    "is_peak_evening",
-    "is_night",
-)
-_NUMERIC = len(_BASE_NUMERIC + _FLAGS)
+# a schema row: the 12 numeric features and 7 flags in ``featurize``'s order,
+# one-hots of the 24 local hours, the 7 weekdays (Monday first) and the 12
+# months, then one column per product of the schema's vocabulary
+_NUMERIC = 12 + 7
 # where the hour, weekday and month one-hot groups begin in a schema's row
-_CODE_BASES = (_NUMERIC, _NUMERIC + len(_HOURS), _NUMERIC + len(_HOURS + _DOWS))
-_PRODUCT_BASE = _NUMERIC + len(_HOURS + _DOWS + _MONTHS)
+_CODE_BASES = (_NUMERIC, _NUMERIC + 24, _NUMERIC + 24 + 7)
+_PRODUCT_BASE = _NUMERIC + 24 + 7 + 12
 
 
 @dataclass(frozen=True)
@@ -76,14 +52,9 @@ class FeatureSchema:
 
     products: tuple[str, ...]
 
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        product_names = tuple(f"product_{p}" for p in self.products)
-        return _BASE_NUMERIC + _FLAGS + _HOURS + _DOWS + _MONTHS + product_names
-
-    @cached_property
+    @property
     def dim(self) -> int:
-        return len(self.names)
+        return _PRODUCT_BASE + len(self.products)
 
     @cached_property
     def product_column(self) -> dict[str, int]:

@@ -36,6 +36,7 @@ from .metrics import (
     surplus_series,
     take_rate_histogram,
     take_rate_stats,
+    trips_per_era,
     weekly_rows,
 )
 from .model import (
@@ -89,6 +90,7 @@ class DriverResult:
 
     driver_id: str
     report: IngestReport
+    trips_per_era: Mapping[str, int]  # every trip of the bundle, by era name
     link_counts: tuple[int, int, int]  # linked, unmatched trips, unmatched payments
     orphan_trips: int
     rows: tuple[WeeklyPayRow, ...]
@@ -125,8 +127,8 @@ def process_bundle(
     """
     try:
         raw = load_bundle(directory)
-        bundle, report = normalize(raw, options.eras)
-        links = link(bundle.trips, bundle.payments, options.link_window_s, options.eras)
+        bundle, report = normalize(raw)
+        links = link(bundle.trips, bundle.payments, options.link_window_s)
         if options.features_only:
             from .predictability import feature_blocks  # loads only for predict
 
@@ -136,9 +138,11 @@ def process_bundle(
         rows = weekly_rows(ledger)
     except BUNDLE_ERRORS as exc:
         return BundleFailure.of(directory, exc)
+    eras = options.eras  # the one place a bundle meets the era boundaries
     return DriverResult(
         driver_id=bundle.driver_id,
         report=report,
+        trips_per_era=trips_per_era(bundle.trips, eras),
         link_counts=(
             len(links.linked),
             len(links.unmatched_trips),
@@ -147,7 +151,7 @@ def process_bundle(
         orphan_trips=len(timeline.orphan_trips),
         rows=rows,
         months=ledger.months,
-        trips=TripColumns.from_linked(links.linked, bundle.driver_id, options.eras),
+        trips=TripColumns.from_linked(links.linked, bundle.driver_id, eras),
         offers=offer_counts(bundle.dispatches),
         active_months=completed_months(bundle.trips),
         profile=bundle.profile,
@@ -342,7 +346,7 @@ def build_report(
         },
         "bundles": {
             res.driver_id: {
-                "ingest": asdict(res.report),
+                "ingest": {**asdict(res.report), "trips_per_era": res.trips_per_era},
                 "linkage": dict(
                     zip(("linked", "unmatched_trips", "unmatched_payments"), res.link_counts)
                 ),
@@ -419,7 +423,7 @@ def build_report(
 
     era_totals: dict[str, int] = {}
     for res in results:
-        for era_name, n in res.report.trips_per_era.items():
+        for era_name, n in res.trips_per_era.items():
             era_totals[era_name] = era_totals.get(era_name, 0) + n
     report["trips_per_era"] = era_totals
 

@@ -23,7 +23,8 @@ from fareaudit.ingest import (
     write_bundle,
 )
 from fareaudit.linkage import link
-from fareaudit.model import Era, TripStatus
+from fareaudit.metrics import TripColumns, trips_per_era
+from fareaudit.model import DEFAULT_ERAS, Era, TripStatus
 from conftest import (
     PAYMENT_HEADER,
     TRIP_HEADER,
@@ -239,8 +240,8 @@ def test_trips_per_era_counted(tmp_path):
     )
     write_table(d, "trips", TRIP_HEADER, [trip_csv_row(), dynamic])
     write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
-    _, report = normalize(load_bundle(d))
-    assert report.trips_per_era == {
+    bundle, _ = normalize(load_bundle(d))
+    assert trips_per_era(bundle.trips, DEFAULT_ERAS) == {
         Era.FIXED_COMMISSION.value: 1,
         Era.DYNAMIC_PRICING.value: 1,
     }
@@ -265,21 +266,22 @@ def test_fare_semantics_flags_opaque_gap(tmp_path):
     )
     (fixed_link,) = link(fixed.trips, fixed.payments).linked
     assert fixed_link.driver_share == 0.75
+    assert TripColumns.from_linked([fixed_link], "d1").share.tolist() == [0.75]
     (gap_link,) = link(gap.trips, gap.payments).linked
-    assert gap_link.driver_share is None
+    assert len(TripColumns.from_linked([gap_link], "d1")) == 0
 
 
 def test_trip_straddling_an_era_boundary_takes_its_dropoff_era(tmp_path):
     # requested in the last minutes of January 2022, dropped off in February
     # (London is on UTC in winter): the dropoff dates the trip
-    bundle, report = one_trip_bundle(
+    bundle, _ = one_trip_bundle(
         tmp_path / "d",
         "2022-01-31T23:50:00Z", "2022-01-31T23:51:00Z",
         "2022-01-31T23:55:00Z", "2022-02-01T00:10:00Z", "2022-02-01T00:11:00Z",
     )
-    assert report.trips_per_era == {Era.OPAQUE_GAP.value: 1}
+    assert trips_per_era(bundle.trips, DEFAULT_ERAS) == {Era.OPAQUE_GAP.value: 1}
     (linked,) = link(bundle.trips, bundle.payments).linked
-    assert linked.driver_share is None
+    assert len(TripColumns.from_linked([linked], "d1")) == 0
 
 
 def test_write_bundle_roundtrip_is_fixed_point(tmp_path, bundle_dir):

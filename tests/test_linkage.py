@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareaudit.linkage import link
+from fareaudit.metrics import TripColumns
 from fareaudit.model import (
     AuditError,
     PaymentCategory,
@@ -81,8 +82,7 @@ def test_share_computed_fixed_era():
     assert lt.driver_share == 0.75
 
 
-def test_share_none_in_opaque_gap():
-    t = trip(fare="10.00")
+def test_opaque_gap_pay_counted_and_share_left_out_of_the_audit():
     shifted = instant("2022-06-01T09:00:00Z") - at(0.0)
     opaque_trip = trip(
         req=shifted / 60000.0,
@@ -93,8 +93,10 @@ def test_share_none_in_opaque_gap():
     p = payment(ts_min=shifted / 60000.0 + 21)
     result = link([opaque_trip], [p])
     lt = result.linked[0]
-    assert lt.driver_share is None
     assert lt.driver_total == 750  # pay still counted
+    # linkage knows no eras; the audit's columns leave the gap's share out
+    assert lt.driver_share == 0.75
+    assert len(TripColumns.from_linked([lt], "d1")) == 0
 
 
 def test_share_none_when_fare_missing():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareaudit.linkage import LinkedTrip
-from fareaudit.model import AuditError, TripRecord, TripStatus
+from fareaudit.model import DEFAULT_ERAS, AuditError, EraBoundaries, TripRecord, TripStatus
 from fareaudit.predictability import (
     FeatureBlocks,
     FeatureSchema,
@@ -18,9 +18,45 @@ from fareaudit.predictability import (
     stack_blocks,
     year_matrix,
 )
+from fareaudit.report import AuditOptions, process_bundle
+from fareaudit.synthgen import GenConfig, generate
 from conftest import instant, london, trip
 
 MIN = 60_000
+
+# the schema's column names, in its order, written out apart from the package
+NUMERIC_NAMES = (
+    "on_trip_minutes",
+    "en_route_minutes",
+    "distance_miles",
+    "wait_minutes",
+    "speed_mph",
+    "distance_sq",
+    "duration_sq",
+    "log_distance",
+    "log_duration",
+    "duration_x_distance",
+    "distance_x_weekend",
+    "duration_x_peak",
+    "is_airport_origin",
+    "is_airport_dest",
+    "is_airport_any",
+    "is_weekend",
+    "is_peak_morning",
+    "is_peak_evening",
+    "is_night",
+)
+DOW_NAMES = ("dow_mon", "dow_tue", "dow_wed", "dow_thu", "dow_fri", "dow_sat", "dow_sun")
+
+
+def schema_names(schema: FeatureSchema) -> tuple[str, ...]:
+    return (
+        NUMERIC_NAMES
+        + tuple(f"hour_{h:02d}" for h in range(24))
+        + DOW_NAMES
+        + tuple(f"month_{m:02d}" for m in range(1, 13))
+        + tuple(f"product_{p}" for p in schema.products)
+    )
 
 
 def make_linked(
@@ -52,8 +88,8 @@ def make_linked(
 def test_schema_dimension():
     schema = FeatureSchema(products=("comfort", "standard"))
     # 12 numerics + 7 flags + 24 hours + 7 dows + 12 months + 2 products
-    assert schema.dim == 64
-    assert len(schema.names) == len(set(schema.names))
+    assert schema.dim == 64 == len(schema_names(schema))
+    assert len(set(schema_names(schema))) == 64
 
 
 def test_featurize_known_values():
@@ -69,7 +105,7 @@ def test_featurize_known_values():
     assert spans == {2021: (0, 1)}
     (vec,), (target,) = dense(slice(None)), Y
     assert target == y
-    v = dict(zip(schema.names, vec))
+    v = dict(zip(schema_names(schema), vec))
     assert tuple(vec[: len(values)]) == values
     assert vec[len(values):].sum() == 4.0  # the hour, weekday, month and product one-hots
     assert v["on_trip_minutes"] == pytest.approx(20.0)
@@ -137,7 +173,7 @@ def test_ols_predicts_through_collinear_schema():
     schema, y, _, dense = stack_blocks([feature_blocks(linked)])
     X = dense(slice(None))
     model = fit_ols(X, y)
-    by_name = dict(zip(schema.names, model.coefficients))
+    by_name = dict(zip(schema_names(schema), model.coefficients))
     assert by_name["on_trip_minutes"] == pytest.approx(0.3, abs=1e-2)
     assert np.abs(model.predict(X) - y).max() < 1e-1
     assert r2(model, X, y) > 0.999999
@@ -227,6 +263,31 @@ def test_year_matrix_csv_layout():
     assert lines[2].startswith("2021,")
 
 
+def test_feature_blocks_do_not_depend_on_era_boundaries(tmp_path):
+    # 2022-01..2023-03 crosses both default boundaries; the moved ones put
+    # every month of the fleet in a different era
+    config = GenConfig(
+        seed=23, n_drivers=2, first_month="2022-01", last_month="2023-03",
+        work_prob=0.2, session_min_h=1.0, session_max_h=2.0,
+    )
+    generate(config, tmp_path)
+    moved = EraBoundaries("2022-11", "2022-12")
+    for driver_id in ("driver000", "driver001"):
+        directory = str(tmp_path / driver_id)
+        default, shifted = (
+            process_bundle(directory, AuditOptions(eras=eras, features_only=True))
+            for eras in (DEFAULT_ERAS, moved)
+        )
+        assert isinstance(default, FeatureBlocks)
+        assert set(default.arrays) == {2022, 2023}
+        assert shifted.products == default.products
+        assert shifted.arrays.keys() == default.arrays.keys()
+        for year, arrays in default.arrays.items():
+            got = shifted.arrays[year]
+            assert [a.typecode for a in got] == [a.typecode for a in arrays]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
+
+
 def test_stacked_blocks_equal_the_fleet_feature_matrix():
     # two drivers with different product sets, one trip without a product:
     # the stacked blocks must carry the one-hot columns of the fleet schema
@@ -244,7 +305,7 @@ def test_stacked_blocks_equal_the_fleet_feature_matrix():
     everyone = first + second
     schema, y, spans, dense = stack_blocks([feature_blocks(first), feature_blocks(second)])
     want_schema = FeatureSchema(tuple(sorted({lt.trip.product for lt in everyone} - {""})))
-    assert schema.names == want_schema.names
+    assert schema == want_schema
     # one fleet: each year's rows follow the last year's, in block then link order
     assert spans == {2020: (0, 80), 2021: (80, 160)}
     X = dense(slice(None))
@@ -364,10 +425,12 @@ def test_dense_compact_fleet_equals_the_matrix_built_before(fleets, rnd):
 def full_row(lt: LinkedTrip, schema: FeatureSchema) -> tuple[list[float], float]:
     """One trip's schema row, its one-hots set by column name."""
     values, (hour, dow, month), y = featurize(lt)
-    row = dict.fromkeys(schema.names, 0.0)
-    row.update(zip(schema.names, values))
+    names = schema_names(schema)
+    assert len(names) == schema.dim
+    row = dict.fromkeys(names, 0.0)
+    row.update(zip(names, values))
     row[f"hour_{hour:02d}"] = 1.0
-    row[("dow_mon", "dow_tue", "dow_wed", "dow_thu", "dow_fri", "dow_sat", "dow_sun")[dow]] = 1.0
+    row[DOW_NAMES[dow]] = 1.0
     row[f"month_{month + 1:02d}"] = 1.0
     if lt.trip.product:
         row[f"product_{lt.trip.product}"] = 1.0

@@ -36,21 +36,24 @@ RUN_MAIN = (
 
 
 # predict, printing whether numpy is loaded before each fork, after each
-# process_bundle (in the parent or in a pool worker) and at the end
+# process_bundle (in the parent or in a pool worker) and at the end. Each line
+# is one write to the pipe, shorter than PIPE_BUF, so the workers' lines never
+# interleave, also when PYTHONUNBUFFERED has print write word by word
 RUN_PREDICT_LOADS = (
     "import os, sys\n"
     "from fareaudit import cli\n"
+    "def say(where):\n"
+    "    os.write(1, f\"{where} {'numpy' in sys.modules}\\n\".encode())\n"
     "parent = os.getpid()\n"
-    "os.register_at_fork(before=lambda: print('fork', 'numpy' in sys.modules, flush=True))\n"
+    "os.register_at_fork(before=lambda: say('fork'))\n"
     "real = cli.process_bundle\n"
     "def process_bundle(directory, options):\n"
     "    result = real(directory, options)\n"
-    "    where = 'parent' if os.getpid() == parent else 'worker'\n"
-    "    print(where, 'numpy' in sys.modules, flush=True)\n"
+    "    say('parent' if os.getpid() == parent else 'worker')\n"
     "    return result\n"
     "cli.process_bundle = process_bundle\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print('end', 'numpy' in sys.modules)\n"
+    "say('end')\n"
     "sys.exit(code)\n"
 )
 
