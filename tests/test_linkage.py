@@ -82,7 +82,8 @@ def test_share_computed_fixed_era():
     assert lt.driver_share == 0.75
 
 
-def test_opaque_gap_pay_counted_and_share_left_out_of_the_audit():
+def test_share_none_in_opaque_gap():
+    """The audit holds no share for an opaque-gap trip; linkage still counts its pay."""
     shifted = instant("2022-06-01T09:00:00Z") - at(0.0)
     opaque_trip = trip(
         req=shifted / 60000.0,
