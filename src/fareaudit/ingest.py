@@ -382,8 +382,6 @@ def normalize(
 
 def _reason(exc: Exception) -> str:
     text = str(exc)
-    if "inverted" in text:
-        return "inverted timestamps"
     if isinstance(exc, ValueError) and not isinstance(exc, RecordError):
         return f"unparseable value: {text}"
     return text

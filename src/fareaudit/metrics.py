@@ -12,6 +12,7 @@ import math
 import statistics
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -159,13 +160,10 @@ def _monthly_factor(rpi: RpiSeries, month: str) -> float:
 # ---------------------------------------------------------------------------
 # Share-valid trips as columns
 
-ERAS = tuple(Era)
-
-# each column's array typecode: int32, int32, int8, float64, int64, int64, float64
+# each column's array typecode: int32, int32, float64, int64, int64, float64
 _TYPECODES = {
     "driver": "i",
     "month": "i",
-    "era": "b",
     "share": "d",
     "driver_pence": "q",
     "fare_pence": "q",
@@ -179,15 +177,14 @@ class TripColumns:
 
     Rows keep the order they were given in. ``driver`` indexes ``driver_ids``;
     one bundle's columns hold its one driver, at index 0. ``month`` is the
-    ``month_index`` of the local month of the trip's anchor, ``era`` indexes
-    ``ERAS``, ``share`` is the driver share of the rider fare, and the pence
-    are the trip's earnings and its rider fare.
+    ``month_index`` of the local month of the trip's anchor, ``share`` is the
+    driver share of the rider fare, and the pence are the trip's earnings and
+    its rider fare.
     """
 
     driver_ids: tuple[str, ...]
     driver: array
     month: array
-    era: array
     share: array
     driver_pence: array
     fare_pence: array
@@ -205,18 +202,14 @@ class TripColumns:
         A trip in the opaque gap is left out: its exported fare is not the
         rider's price, so its share means nothing.
         """
-        dated = ((lt, trip_anchor(lt.trip)) for lt in linked if lt.driver_share is not None)
-        rows = [
-            (lt, anchor, era)
-            for lt, anchor in dated
-            if (era := era_of(anchor, boundaries)) is not Era.OPAQUE_GAP
-        ]
-        valid = [lt for lt, _, _ in rows]
-        days = [CALENDAR.day(anchor)[0] for _, anchor, _ in rows]
+        shared = [lt for lt in linked if lt.driver_share is not None]
+        months = [CALENDAR.month(trip_anchor(lt.trip)) for lt in shared]
+        gap = {m for m in set(months) if era_of(m, boundaries) is Era.OPAQUE_GAP}
+        rows = [(lt, month) for lt, month in zip(shared, months) if month not in gap]
+        valid = [lt for lt, _ in rows]
         values = {
             "driver": [0] * len(valid),
-            "month": [d.year * 12 + d.month - 1 for d in days],
-            "era": [ERAS.index(era) for _, _, era in rows],
+            "month": [month for _, month in rows],
             "share": [lt.driver_share for lt in valid],
             "driver_pence": [lt.driver_total for lt in valid],
             "fare_pence": [lt.trip.original_fare for lt in valid],
@@ -250,11 +243,11 @@ class TripColumns:
 
 
 def trips_per_era(trips: Iterable[TripRecord], boundaries: EraBoundaries) -> dict[str, int]:
-    """How many of the trips fall in each era, by trip anchor."""
+    """How many of the trips fall in each era, by the local month of the trip anchor."""
     counts: dict[str, int] = {}
-    for trip in trips:
-        era = era_of(trip_anchor(trip), boundaries).value
-        counts[era] = counts.get(era, 0) + 1
+    for month, n in Counter(CALENDAR.month(trip_anchor(trip)) for trip in trips).items():
+        era = era_of(month, boundaries).value
+        counts[era] = counts.get(era, 0) + n
     return counts
 
 
@@ -485,11 +478,8 @@ def cohort_months(pre: tuple[str, str], post: tuple[str, str]) -> tuple[set[str]
 
 def completed_months(trips: Iterable[TripRecord]) -> frozenset[str]:
     """The local months that hold at least one completed trip, by trip anchor."""
-    return frozenset(
-        month_of(CALENDAR.day(trip_anchor(t))[0])
-        for t in trips
-        if t.status is TripStatus.COMPLETED
-    )
+    months = {CALENDAR.month(trip_anchor(t)) for t in trips if t.status is TripStatus.COMPLETED}
+    return frozenset(month_label(m) for m in months)
 
 
 def cohort_pay_change(
@@ -572,12 +562,12 @@ def cohort_pay_change(
 
 def offer_counts(offers: Iterable[DispatchOffer]) -> dict[str, tuple[int, int]]:
     """(accepted, offered) dispatch counts per local month of the offer."""
-    counts: dict[str, list[int]] = {}
+    counts: dict[int, list[int]] = {}  # by month index, labelled once per month
     for o in offers:
-        slot = counts.setdefault(month_of(CALENDAR.day(o.offered_ts)[0]), [0, 0])
+        slot = counts.setdefault(CALENDAR.month(o.offered_ts), [0, 0])
         slot[0] += o.accepted
         slot[1] += 1
-    return {month: (accepted, total) for month, (accepted, total) in counts.items()}
+    return {month_label(m): (accepted, total) for m, (accepted, total) in counts.items()}
 
 
 def acceptance_rate(counts: Iterable[tuple[int, int]]) -> float:

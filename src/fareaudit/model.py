@@ -12,7 +12,7 @@ import enum
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 from zoneinfo import ZoneInfo
@@ -29,6 +29,12 @@ _MS = dt.timedelta(milliseconds=1)
 MS_PER_DAY = 86_400_000
 MS_PER_HOUR = 3_600_000
 MS_PER_MINUTE = 60_000
+
+# The instants a Calendar dates in any zone whose offset is under a day: from
+# UTC 0001-01-02 up to 9998-12-31, so that each local date falls in a year
+# whose dates, and the next 1 January, ``datetime`` can hold.
+_FIRST_MS = (dt.datetime(1, 1, 2, tzinfo=dt.timezone.utc) - _EPOCH) // _MS
+_STOP_MS = (dt.datetime(9998, 12, 31, tzinfo=dt.timezone.utc) - _EPOCH) // _MS
 
 
 class AuditError(Exception):
@@ -87,6 +93,7 @@ def parse_instant(text: str) -> tuple[int, bool]:
     From Python 3.11 ``fromisoformat`` reads a ``Z`` itself, so a canonical
     text needs no rewrite; any other (surrounding space, a lowercase ``z``, or
     a ``Z`` before 3.11) is stripped and its ``Z`` rewritten to ``+00:00``.
+    An instant the calendar cannot date is rejected.
     """
     try:
         parsed = dt.datetime.fromisoformat(text)
@@ -101,7 +108,10 @@ def parse_instant(text: str) -> tuple[int, bool]:
     naive = parsed.tzinfo is None
     since = (parsed.replace(tzinfo=dt.timezone.utc) if naive else parsed) - _EPOCH
     # the floor of its microseconds over 1000, without dividing two timedeltas
-    return (since.days * 86_400 + since.seconds) * 1000 + since.microseconds // 1000, naive
+    ms = (since.days * 86_400 + since.seconds) * 1000 + since.microseconds // 1000
+    if not _FIRST_MS <= ms < _STOP_MS:
+        raise RecordError(f"timestamp outside the calendar: {text!r}")
+    return ms, naive
 
 
 # Text pieces of format_instant. They are made on its first call, not at import,
@@ -193,10 +203,10 @@ class Calendar:
             return (ms - start) // MS_PER_HOUR
         return dt.datetime.fromtimestamp(ms // 1000, self._zone).hour  # a clock-change day
 
-    def midnight(self, day: dt.date) -> int:
-        """The instant at which the local date ``day`` begins; ``day`` inverts it."""
-        starts, dates = self._year(day.year)
-        return starts[day.toordinal() - dates[0].toordinal()]
+    def month(self, ms: int) -> int:
+        """The ``month_index`` of the local date holding the instant ``ms``."""
+        day = self.day(ms)[0]
+        return day.year * 12 + day.month - 1
 
 
 CALENDAR = Calendar(DEFAULT_TIMEZONE)  # dates every instant the audit reads
@@ -279,35 +289,26 @@ class Era(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class EraBoundaries:
-    """The two month boundaries partitioning time into the three eras.
-
-    Each boundary is also kept as the instant its month begins in ``CALENDAR``.
-    """
+    """The months in which the opaque gap and dynamic pricing begin."""
 
     opaque_start: str = "2022-02"
     dynamic_start: str = "2023-02"
-    opaque_ms: int = field(init=False, repr=False, compare=False)
-    dynamic_ms: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        opaque = CALENDAR.midnight(month_days(self.opaque_start)[0])
-        dynamic = CALENDAR.midnight(month_days(self.dynamic_start)[0])
-        if opaque >= dynamic:
+        if month_index(self.opaque_start) >= month_index(self.dynamic_start):
             raise RecordError(
                 f"era boundaries out of order: {self.opaque_start} >= {self.dynamic_start}"
             )
-        object.__setattr__(self, "opaque_ms", opaque)
-        object.__setattr__(self, "dynamic_ms", dynamic)
 
 
 DEFAULT_ERAS = EraBoundaries()
 
 
-def era_of(ms: int, boundaries: EraBoundaries = DEFAULT_ERAS) -> Era:
-    """Map an instant to the era containing its local month."""
-    if ms < boundaries.opaque_ms:
+def era_of(month: int, boundaries: EraBoundaries = DEFAULT_ERAS) -> Era:
+    """The era holding the month of ``month_index`` ``month``."""
+    if month < month_index(boundaries.opaque_start):
         return Era.FIXED_COMMISSION
-    if ms < boundaries.dynamic_ms:
+    if month < month_index(boundaries.dynamic_start):
         return Era.OPAQUE_GAP
     return Era.DYNAMIC_PRICING
 
@@ -354,6 +355,8 @@ class TripRecord:
     product: str = ""
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.distance_miles):
+            raise RecordError(f"non-finite distance: {self.distance_miles!r}")
         if self.distance_miles < 0:
             raise RecordError("negative distance")
         chain = [self.request_ts, self.accept_ts, self.pickup_ts, self.dropoff_ts]

@@ -157,7 +157,7 @@ def feature_blocks(linked: Sequence[LinkedTrip]) -> FeatureBlocks:
     code = {p: i for i, p in enumerate(products)}
     by_year: dict[int, list[LinkedTrip]] = {}
     for lt in usable:
-        by_year.setdefault(CALENDAR.day(trip_anchor(lt.trip))[0].year, []).append(lt)
+        by_year.setdefault(CALENDAR.month(trip_anchor(lt.trip)) // 12, []).append(lt)
     years = {year: feature_matrix(group, code) for year, group in sorted(by_year.items())}
     return FeatureBlocks(products, years)
 

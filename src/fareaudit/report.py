@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .ingest import IngestReport, load_bundle, normalize
 from .linkage import DEFAULT_WINDOW_S, link
 from .metrics import (
-    ERAS,
     MissingRpiMonth,
     TripColumns,
     WeeklyPayRow,
@@ -47,6 +46,7 @@ from .model import (
     Era,
     EraBoundaries,
     RpiSeries,
+    era_of,
     month_label,
     month_range,
 )
@@ -295,12 +295,13 @@ def _acceptance_section(results: Sequence[DriverResult]) -> dict:
     }
 
 
-def _distribution_section(trips: TripColumns) -> dict | None:
-    by_era: list[list[float]] = [[] for _ in ERAS]
-    for era, share in zip(trips.era, trips.share):
-        by_era[era].append(share)
-    fixed = by_era[ERAS.index(Era.FIXED_COMMISSION)]
-    dynamic = by_era[ERAS.index(Era.DYNAMIC_PRICING)]
+def _distribution_section(trips: TripColumns, eras: EraBoundaries) -> dict | None:
+    era = {month: era_of(month, eras) for month in set(trips.month)}
+    by_era: dict[Era, list[float]] = {e: [] for e in Era}
+    for month, share in zip(trips.month, trips.share):
+        by_era[era[month]].append(share)
+    fixed = by_era[Era.FIXED_COMMISSION]
+    dynamic = by_era[Era.DYNAMIC_PRICING]
     if not fixed or not dynamic:
         return None
     cmp = distribution_compare(fixed, dynamic)
@@ -414,7 +415,7 @@ def build_report(
             },
         }
 
-    distribution = _distribution_section(trips)
+    distribution = _distribution_section(trips, options.eras)
     if distribution is not None:
         report["share_distribution"] = distribution
 

@@ -32,12 +32,10 @@ from .model import (
     DispatchOffer,
     DriverProfile,
     Era,
-    EraBoundaries,
     PaymentCategory,
     PaymentEvent,
     TripRecord,
     TripStatus,
-    era_of,
     format_instant,
     format_pence,
     iso_week_label,
@@ -220,6 +218,8 @@ class GenConfig:
             raise InvalidConfig("need at least one driver")
         if month_index(self.first_month) > month_index(self.last_month):
             raise InvalidConfig("month range reversed")
+        if month_index(self.opaque_start) >= month_index(self.dynamic_start):
+            raise InvalidConfig("era boundaries out of order")
         if self.acceptance_rate <= 0.0:
             raise InvalidConfig("acceptance rate must be positive")
         c = self.commission_fraction
@@ -240,10 +240,6 @@ class GenConfig:
             return Fraction(self.commission)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidConfig(f"bad commission text: {self.commission!r}") from exc
-
-    @property
-    def boundaries(self) -> EraBoundaries:
-        return EraBoundaries(self.opaque_start, self.dynamic_start)
 
     @property
     def fixed_share_float(self) -> float:
@@ -495,7 +491,7 @@ def _gen_driver(
     driver_id = f"driver{index:03d}"
     zone = ZoneInfo(DEFAULT_TIMEZONE)
     days = _LocalDays(zone)
-    boundaries = config.boundaries
+    opaque, dynamic = month_index(config.opaque_start), month_index(config.dynamic_start)
     c = config.commission_fraction
     q = c.denominator
     pay_num = c.denominator - c.numerator
@@ -517,6 +513,14 @@ def _gen_driver(
     n_cancelled = 0
     marker_n = 0
     active_months: set[str] = set()
+
+    def era_at(ms: int) -> Era:
+        """The era of the instant's local month, dated by the truth's own calendar."""
+        local = days.date(ms)
+        month = local.year * 12 + local.month - 1
+        if month < opaque:
+            return Era.FIXED_COMMISSION
+        return Era.OPAQUE_GAP if month < dynamic else Era.DYNAMIC_PRICING
 
     def marker() -> str:
         nonlocal marker_n
@@ -544,7 +548,7 @@ def _gen_driver(
         sessions.append(AppSession(session_start, session_end))
         session_iv.append((session_start, session_end))
 
-        era_here = era_of(session_start, boundaries)
+        era_here = era_at(session_start)
         standby_scale = (
             config.standby_inflation_post if era_here is Era.DYNAMIC_PRICING else 1.0
         )
@@ -569,7 +573,7 @@ def _gen_driver(
             )
             pickup_ms = accept_ms + int(en_route_s) * MS
 
-            era = era_of(pickup_ms, boundaries)
+            era = era_at(pickup_ms)
             if era is Era.DYNAMIC_PRICING:
                 duration_s = _trunc_lognormal(rng, config.duration_dynamic)
             else:
@@ -580,7 +584,7 @@ def _gen_driver(
                 break
 
             # trips straddling an era boundary are skipped (time stays standby)
-            drop_era = era_of(dropoff_ms, boundaries)
+            drop_era = era_at(dropoff_ms)
             if drop_era is not era:
                 cursor = dropoff_ms
                 continue

@@ -227,6 +227,19 @@ def test_audit_bad_options(bundles, tmp_path):
     assert rc == 2
 
 
+def test_audit_era_boundaries_are_months_not_instants(bundles, tmp_path):
+    # a boundary month need not be one the calendar can date
+    out = tmp_path / "o"
+    rc = main(["audit", str(bundles), "--out", str(out), "--era-boundaries", "2022-02:9999-01"])
+    assert rc == 0
+    report = json.loads((out / "audit_report.json").read_text())
+    assert report["parameters"]["era_boundaries"] == {
+        "opaque_start": "2022-02",
+        "dynamic_start": "9999-01",
+    }
+    assert list(report["trips_per_era"]) == ["fixed_commission"]
+
+
 @pytest.mark.parametrize(
     "weeks",
     [
@@ -557,6 +570,26 @@ def test_audit_quarantines_a_euro_payment(bundles, tmp_path, category):
     assert euros["failures"] == []
     del pounds["bundles"], euros["bundles"]
     assert euros == pounds  # weekly rows, pooled rates and every other section
+
+
+def test_audit_quarantines_instants_the_calendar_cannot_date(bundles, tmp_path):
+    # a 9999-12-31 null date on an adjustment must not cost the driver's bundle
+    shutil.copytree(bundles, tmp_path / "b")
+    sentinels = ("9999-12-31T00:00:00.000Z", "0001-01-01T00:00:00Z")
+    with open(tmp_path / "b" / "driver000" / "payments.csv", "a", encoding="utf-8") as fh:
+        for ts in sentinels:
+            fh.write(f"{ts},adjustment,-1.00,GBP,\n")
+    reports = []
+    for root in (bundles, tmp_path / "b"):
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["audit", str(root), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "audit_report.json").read_text()))
+    before, after = (r["bundles"]["driver000"]["ingest"]["quarantine"] for r in reports)
+    assert [q["reason"] for q in after if q not in before] == [
+        f"timestamp outside the calendar: {ts!r}" for ts in sentinels
+    ]
+    assert reports[1]["failures"] == []
+    assert reports[1]["drivers"] == reports[0]["drivers"]
 
 
 # Eight drivers whose February on-trip hours sum to a value on a rounding tie

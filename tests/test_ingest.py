@@ -183,6 +183,56 @@ def test_bad_money_quarantined(tmp_path):
         normalize(load_bundle(d))
 
 
+def test_non_finite_distance_quarantined(tmp_path):
+    # float() reads these, and nan < 0 is false; a nan distance would reach
+    # the predictability fits and turn their scores to nan
+    d = tmp_path / "d"
+    bad = [trip_csv_row(distance_miles=text) for text in ("nan", "inf", "-inf")]
+    write_table(d, "trips", TRIP_HEADER, [trip_csv_row(), *bad])
+    write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
+    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    assert [(q.row_number, q.reason) for q in report.quarantine] == [
+        (3, "non-finite distance: nan"),
+        (4, "non-finite distance: inf"),
+        (5, "non-finite distance: -inf"),
+    ]
+    assert [t.distance_miles for t in bundle.trips] == [4.0]
+
+
+def test_instants_the_calendar_cannot_date_are_quarantined(tmp_path):
+    # a 9999-12-31 null-date sentinel, and an instant before London's first
+    # midnight of year 1, fall outside the years the calendar can date
+    d = tmp_path / "d"
+    write_table(d, "trips", TRIP_HEADER, [trip_csv_row()])
+    sentinels = ("9999-12-31T00:00:00.000Z", "0001-01-01T00:00:00Z")
+    rows = [payment_csv_row(ts=ts, category="adjustment", amount="-1.00") for ts in sentinels]
+    write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row(), *rows])
+    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    assert [(q.row_number, q.reason) for q in report.quarantine] == [
+        (3, "timestamp outside the calendar: '9999-12-31T00:00:00.000Z'"),
+        (4, "timestamp outside the calendar: '0001-01-01T00:00:00Z'"),
+    ]
+    assert [p.amount for p in bundle.payments] == [750]
+
+
+def test_sessions_and_trips_keep_their_own_reasons(tmp_path):
+    # an empty session is not an inverted trip
+    d = tmp_path / "d"
+    inverted = trip_csv_row(req="2021-03-02T10:00:00Z", accept="2021-03-02T09:00:00Z")
+    write_table(d, "trips", TRIP_HEADER, [trip_csv_row(), inverted])
+    write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
+    sessions = [
+        {"login_ts": "2021-03-02T08:00:00Z", "logout_ts": "2021-03-02T12:00:00Z"},
+        {"login_ts": "2021-03-02T13:00:00Z", "logout_ts": "2021-03-02T13:00:00Z"},
+    ]
+    write_table(d, "sessions", ["login_ts", "logout_ts"], sessions)
+    _, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    assert [(q.table, q.row_number, q.reason) for q in report.quarantine] == [
+        ("sessions", 3, "empty or inverted session"),
+        ("trips", 3, "inverted timestamps"),
+    ]
+
+
 def test_unknown_status_and_category_keep_the_enum_reason(tmp_path):
     d = tmp_path / "d"
     write_table(d, "trips", TRIP_HEADER, [trip_csv_row(), trip_csv_row(status="Completed")])

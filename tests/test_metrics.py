@@ -316,7 +316,7 @@ def linked_trips(draw) -> LinkedTrip:
 def column_values(columns: TripColumns) -> dict:
     """Every column as Python values, floats as their bits, with its typecode."""
     out = {"driver_ids": columns.driver_ids}
-    for name in ("driver", "month", "era", "driver_pence", "fare_pence"):
+    for name in ("driver", "month", "driver_pence", "fare_pence"):
         out[name] = (getattr(columns, name).typecode, getattr(columns, name).tolist())
     for name in ("share", "on_trip_minutes"):
         out[name] = (getattr(columns, name).typecode, float_bits(getattr(columns, name).tolist()))
@@ -337,12 +337,10 @@ def test_trip_columns_give_back_every_value_bit_for_bit(drivers):
         and not "2022-02" <= f"{london(lt.trip.dropoff_ts):%Y-%m}" < "2023-02"
     ]
     local = [london(lt.trip.dropoff_ts) for _, lt in valid]
-    labels = [f"{d.year:04d}-{d.month:02d}" for d in local]
     assert column_values(whole) == {
         "driver_ids": tuple(f"d{k}" for k in range(len(drivers))),
         "driver": ("i", [k for k, _ in valid]),
         "month": ("i", [d.year * 12 + d.month - 1 for d in local]),
-        "era": ("b", [0 if m < "2022-02" else 2 for m in labels]),
         "share": ("d", float_bits(lt.driver_share for _, lt in valid)),
         "driver_pence": ("q", [lt.driver_total for _, lt in valid]),
         "fare_pence": ("q", [lt.trip.original_fare for _, lt in valid]),

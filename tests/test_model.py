@@ -94,13 +94,17 @@ def test_timestamp_naive_interpreted_utc():
 
 
 def rewrite_then_parse(text: str) -> tuple[int, bool]:
-    """parse_instant's slow path alone: strip, rewrite a Z suffix, fromisoformat."""
+    """parse_instant's slow path alone: strip, rewrite a Z suffix, fromisoformat;
+    and the instants of UTC 0001-01-02 up to 9998-12-31, which every calendar dates."""
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     parsed = dt.datetime.fromisoformat(raw)
     naive = parsed.tzinfo is None
-    return epoch_ms(parsed.replace(tzinfo=dt.timezone.utc) if naive else parsed), naive
+    ms = epoch_ms(parsed.replace(tzinfo=dt.timezone.utc) if naive else parsed)
+    if not MS_FIRST <= ms <= MS_LAST:
+        raise ValueError("outside the calendar")
+    return ms, naive
 
 
 def _iso_text(day, time, fraction, separator, basic, offset, pad):
@@ -157,23 +161,43 @@ def utc_ms(*fields: int) -> int:
 
 MS_YEAR_1 = utc_ms(1, 1, 1)
 MS_YEAR_1000 = utc_ms(1000, 1, 1)
-MS_LAST = utc_ms(9999, 12, 31, 23, 59, 59, 999_000)  # the last millisecond of 9999
+MS_END = utc_ms(9999, 12, 31, 23, 59, 59, 999_000)  # the last millisecond of 9999
+# the first and last instants the calendar dates: a day inside years 1-9998,
+# so that no zone's local date leaves the years it can tabulate
+MS_FIRST = utc_ms(1, 1, 2)
+MS_LAST = utc_ms(9998, 12, 30, 23, 59, 59, 999_000)
 
 
-@given(st.integers(MS_YEAR_1, MS_LAST))
+@given(st.integers(MS_FIRST, MS_LAST))
 @example(-1)
 @example(0)
-@example(MS_YEAR_1)
+@example(MS_FIRST)
 @example(MS_LAST)
 def test_iso_round_trips_through_parse(ms):
     assert parse_instant(format_instant(ms)) == (ms, False)
 
 
-@given(st.integers(MS_YEAR_1, MS_LAST))
+@pytest.mark.parametrize("tz", ["Europe/London", "Pacific/Kiritimati", "Pacific/Pago_Pago"])
+def test_parse_accepts_only_instants_the_calendar_dates(tz):
+    # a 9999-12-31 null-date sentinel, or an instant before the zone's first
+    # midnight of 0001, would make the calendar raise on a year 0 or 10000
+    calendar = Calendar(tz)
+    for ms in (MS_FIRST, MS_LAST):
+        assert parse_instant(format_instant(ms)) == (ms, False)
+        day, start, stop = calendar.day(ms)
+        assert start <= ms < stop
+        assert calendar.month(ms) == day.year * 12 + day.month - 1
+    for ms in (MS_YEAR_1, MS_FIRST - 1, MS_LAST + 1, MS_END):
+        text = format_instant(ms)
+        with pytest.raises(RecordError, match=re.escape(f"outside the calendar: {text!r}")):
+            parse_instant(text)
+
+
+@given(st.integers(MS_YEAR_1, MS_END))
 @example(-1)
 @example(0)
 @example(MS_YEAR_1)
-@example(MS_LAST)
+@example(MS_END)
 @example(utc_ms(2021, 3, 28, 23, 59, 59, 999_000))  # the last ms of a day
 @example(utc_ms(2021, 3, 28, 12, 34, 59, 999_000))  # of a minute
 @example(utc_ms(2021, 3, 28, 12, 34, 56, 999_000))  # of a second
@@ -183,7 +207,7 @@ def test_iso_matches_datetime_isoformat(ms):
     assert format_instant(ms) == moment.isoformat(timespec="milliseconds")[:-6] + "Z"
 
 
-@given(st.integers(MS_YEAR_1000, MS_LAST))
+@given(st.integers(MS_YEAR_1000, MS_END))
 @example(-1)
 def test_iso_matches_strftime_for_four_digit_years(ms):
     d = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc) + dt.timedelta(milliseconds=ms)
@@ -202,9 +226,8 @@ def test_month_helpers():
     assert month_index("2021-01") + 1 == month_index("2021-02")
     assert month_add("2021-11", 3) == "2022-02"
     assert month_range("2021-11", "2022-01") == ["2021-11", "2021-12", "2022-01"]
-    lo, hi = (Calendar("UTC").midnight(day) for day in month_days("2021-03"))
-    assert format_instant(lo) == "2021-03-01T00:00:00.000Z"
-    assert format_instant(hi) == "2021-04-01T00:00:00.000Z"
+    assert month_days("2021-03") == (dt.date(2021, 3, 1), dt.date(2021, 4, 1))
+    assert month_days("2021-12") == (dt.date(2021, 12, 1), dt.date(2022, 1, 1))
 
 
 def test_iso_week_helpers():
@@ -212,17 +235,19 @@ def test_iso_week_helpers():
     assert iso_week_label(dt.date(2021, 1, 1)) == "2020-W53"
     assert week_monday("2020-W53") == dt.date(2020, 12, 28)
     assert parse_iso_week("2021-W07") == (2021, 7)
-    monday = week_monday("2021-W09")
     utc = Calendar("UTC")
-    lo, hi = utc.midnight(monday), utc.midnight(monday + dt.timedelta(days=7))
+    lo = utc.day(instant("2021-03-01T12:00:00Z"))[1]  # Monday of 2021-W09
+    hi = utc.day(instant("2021-03-08T12:00:00Z"))[1]
+    assert week_monday("2021-W09") == utc.day(lo)[0]
     assert hi - lo == 7 * 24 * 3600 * 1000
 
 
 def test_week_window_dst_transition_is_not_168h():
     # clocks go forward 2021-03-28 in London; that week is an hour short
-    monday = week_monday("2021-W12")
     london = Calendar("Europe/London")
-    lo, hi = london.midnight(monday), london.midnight(monday + dt.timedelta(days=7))
+    lo = london.day(instant("2021-03-22T12:00:00Z"))[1]
+    hi = london.day(instant("2021-03-29T12:00:00Z"))[1]
+    assert week_monday("2021-W12") == london.day(lo)[0]
     assert hi - lo == (7 * 24 - 1) * 3600 * 1000
 
 
@@ -251,7 +276,7 @@ def check_calendar(tz: str, ms: int) -> None:
     assert iso_week_label(day) == f"{year:04d}-W{week:02d}"
     assert (day.year, day.weekday() + 1) == (want.year, weekday)
     assert calendar.hour(ms) == want.hour
-    assert calendar.midnight(day) == start
+    assert calendar.month(ms) == want.year * 12 + want.month - 1
 
 
 def test_calendar_zones_change_offset_twice_a_year():
@@ -314,23 +339,28 @@ def test_only_the_calendar_and_the_generator_import_zoneinfo():
 
 
 def test_era_partition():
-    assert era_of(instant("2022-01-31T12:00:00Z")) is Era.FIXED_COMMISSION
-    assert era_of(instant("2022-02-01T12:00:00Z")) is Era.OPAQUE_GAP
-    assert era_of(instant("2023-01-15T12:00:00Z")) is Era.OPAQUE_GAP
-    assert era_of(instant("2023-02-01T12:00:00Z")) is Era.DYNAMIC_PRICING
+    assert era_of(month_index("2022-01")) is Era.FIXED_COMMISSION
+    assert era_of(month_index("2022-02")) is Era.OPAQUE_GAP
+    assert era_of(month_index("2023-01")) is Era.OPAQUE_GAP
+    assert era_of(month_index("2023-02")) is Era.DYNAMIC_PRICING
+
+
+def era_at(text: str, boundaries: EraBoundaries = DEFAULT_ERAS) -> Era:
+    """The era of an instant's local month."""
+    return era_of(CALENDAR.month(instant(text)), boundaries)
 
 
 def test_era_boundary_uses_local_month():
     # London is an hour ahead of UTC in summer, so a boundary month begins at
     # 23:00 UTC on the last day of the month before
     summer = EraBoundaries("2021-07", "2021-09")
-    assert era_of(instant("2021-06-30T22:59:59.999Z"), summer) is Era.FIXED_COMMISSION
-    assert era_of(instant("2021-06-30T23:30:00Z"), summer) is Era.OPAQUE_GAP
-    assert era_of(instant("2021-08-31T22:59:59.999Z"), summer) is Era.OPAQUE_GAP
-    assert era_of(instant("2021-08-31T23:00:00Z"), summer) is Era.DYNAMIC_PRICING
+    assert era_at("2021-06-30T22:59:59.999Z", summer) is Era.FIXED_COMMISSION
+    assert era_at("2021-06-30T23:30:00Z", summer) is Era.OPAQUE_GAP
+    assert era_at("2021-08-31T22:59:59.999Z", summer) is Era.OPAQUE_GAP
+    assert era_at("2021-08-31T23:00:00Z", summer) is Era.DYNAMIC_PRICING
     # in winter London is on UTC, so the default boundaries start at UTC midnight
-    assert era_of(instant("2023-01-31T23:30:00Z"), DEFAULT_ERAS) is Era.OPAQUE_GAP
-    assert era_of(instant("2022-01-31T23:30:00Z")) is Era.FIXED_COMMISSION
+    assert era_at("2023-01-31T23:30:00Z") is Era.OPAQUE_GAP
+    assert era_at("2022-01-31T23:30:00Z") is Era.FIXED_COMMISSION
 
 
 ERA_MONTHS = month_range("2020-01", "2023-12")
@@ -352,7 +382,8 @@ def utc_month_start_ms(label: str) -> int:
 @example(pair=["2021-03", "2021-04"], near="dynamic", offset_ms=-1)
 @settings(max_examples=300, deadline=None)
 def test_era_of_matches_local_month_labels(pair, near, offset_ms):
-    """Instants near the boundaries and the 2021 clock changes, against month labels."""
+    """Instants near the boundaries and the 2021 clock changes, through their local
+    month, against month labels of zoneinfo's dates."""
     boundaries = EraBoundaries(*pair)
     if near == "opaque":
         centre = utc_month_start_ms(pair[0])
@@ -369,7 +400,7 @@ def test_era_of_matches_local_month_labels(pair, near, offset_ms):
         expected = Era.OPAQUE_GAP
     else:
         expected = Era.DYNAMIC_PRICING
-    assert era_of(ts, boundaries) is expected
+    assert era_of(CALENDAR.month(ts), boundaries) is expected
 
 
 def test_era_boundaries_validated():
@@ -379,9 +410,11 @@ def test_era_boundaries_validated():
         EraBoundaries("2022-02", "2022-02")
     with pytest.raises(RecordError):
         EraBoundaries("2022-13", "2023-02")
+    # boundaries far apart are months, not instants the calendar must date
+    assert era_of(month_index("2023-01"), EraBoundaries("2022-02", "9999-01")) is Era.OPAQUE_GAP
     custom = EraBoundaries("2020-06", "2021-06")
-    assert era_of(instant("2020-07-15T12:00:00Z"), custom) is Era.OPAQUE_GAP
-    assert era_of(instant("2021-06-15T12:00:00Z"), custom) is Era.DYNAMIC_PRICING
+    assert era_at("2020-07-15T12:00:00Z", custom) is Era.OPAQUE_GAP
+    assert era_at("2021-06-15T12:00:00Z", custom) is Era.DYNAMIC_PRICING
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import datetime as dt
 import hashlib
 import json
@@ -8,8 +9,9 @@ from zoneinfo import ZoneInfo
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fareaudit import synthgen
 from fareaudit.ingest import load_bundle, normalize
-from fareaudit.model import Era, TripStatus, era_of, iso_week_label, week_monday
+from fareaudit.model import TripStatus, iso_week_label, week_monday
 from fareaudit.synthgen import (
     CohortPlan,
     CorruptionPlan,
@@ -47,6 +49,21 @@ def test_config_validation():
         GenConfig(gender_mix=(("M", 0.5),))  # weights must sum to 1
     with pytest.raises(InvalidConfig):
         GenConfig(cohort=CohortPlan(("2021-01", "2021-03"), ("2021-02", "2021-04")))
+    with pytest.raises(InvalidConfig):
+        GenConfig(opaque_start="2023-02", dynamic_start="2023-02")
+
+
+def test_truth_dates_eras_without_the_audit_calendar():
+    # the truth picks each trip's era from its own zoneinfo dating, so that it
+    # checks the audit's era rule instead of repeating it
+    source = Path(synthgen.__file__).read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names.isdisjoint({"CALENDAR", "Calendar", "EraBoundaries", "era_of"})
 
 
 def test_config_from_json_roundtrip(tmp_path):
@@ -115,7 +132,7 @@ def test_opaque_gap_trips_have_pay_valued_fare(tmp_path):
     for t in bundle.trips:
         if t.status is not TripStatus.COMPLETED:
             continue
-        assert era_of(t.dropoff_ts) is Era.OPAQUE_GAP
+        assert "2022-02" <= f"{london(t.dropoff_ts):%Y-%m}" < "2023-02"  # the opaque gap
         assert t.original_fare is not None
     assert truth["drivers"][driver_id]["shares"] == {}
 
