@@ -9,7 +9,6 @@ Logs go to stderr; data only ever lands under --out.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -183,11 +182,11 @@ def _load_numpy() -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from .synthgen import GenConfig, InvalidConfig
+    from .synthgen import GenConfig
 
     try:
         config = GenConfig.from_json(args.config)
-    except (InvalidConfig, OSError, json.JSONDecodeError) as exc:
+    except AuditError as exc:  # InvalidConfig, or a RecordError from a month label
         log.error("invalid config: %s", exc)
         return EXIT_CONFIG
     generate(config, args.out)

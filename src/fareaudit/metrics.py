@@ -35,7 +35,6 @@ from .model import (
     month_index,
     month_label,
     month_of,
-    month_range,
     trip_anchor,
     week_monday,
 )
@@ -122,36 +121,31 @@ def pay_per_hour(
 
 
 def adjust_inflation(
-    series: Mapping[str, float], rpi: RpiSeries, base_month: str
-) -> dict[str, float]:
-    """Rescale each month's pounds into base-month pounds.
+    series: Mapping[int, float], rpi: RpiSeries, base_month: int
+) -> dict[int, float]:
+    """Rescale each month's pounds into base-month pounds; months are ``month_index``.
 
     The published series is year-on-year percent change per month; each month
     gets the compounded monthly factor (1 + yoy/100)^(1/12), and a value moves
-    to the base month through the product of the factors between them. An
-    all-zero series leaves values bit-identical.
+    to the base month through the product of the factors of the months after
+    the earlier of the two, up to the later. An all-zero series leaves values
+    bit-identical.
     """
-    out: dict[str, float] = {}
-    base_idx = month_index(base_month)
-    for month in sorted(series, key=month_index):
-        idx = month_index(month)
+    out: dict[int, float] = {}
+    for month in sorted(series):
         factor = 1.0
-        if idx < base_idx:
-            needed = month_range(month, base_month)[1:]
-            for k in needed:
-                factor *= _monthly_factor(rpi, k)
-        elif idx > base_idx:
-            needed = month_range(base_month, month)[1:]
-            for k in needed:
-                factor /= _monthly_factor(rpi, k)
+        for k in range(month + 1, base_month + 1):  # empty unless month < base_month
+            factor *= _monthly_factor(rpi, k)
+        for k in range(base_month + 1, month + 1):  # empty unless month > base_month
+            factor /= _monthly_factor(rpi, k)
         out[month] = series[month] * factor
     return out
 
 
-def _monthly_factor(rpi: RpiSeries, month: str) -> float:
-    if not rpi.covers(month):
-        raise MissingRpiMonth(f"inflation series does not cover {month}")
-    yoy = rpi.yoy_pct[month]
+def _monthly_factor(rpi: RpiSeries, month: int) -> float:
+    yoy = rpi.yoy_pct.get(month)
+    if yoy is None:
+        raise MissingRpiMonth(f"inflation series does not cover {month_label(month)}")
     if yoy == 0.0:
         return 1.0
     return (1.0 + yoy / 100.0) ** (1.0 / 12.0)
@@ -283,14 +277,13 @@ class TakeRateStats:
     n_drivers: int
 
 
-def take_rate_stats(trips: TripColumns, group_by: str = "trip") -> TakeRateStats:
-    """Mean and median driver share, plus the fraction of drivers holding 0.75.
+def take_rate_stats(trips: TripColumns) -> tuple[TakeRateStats, TakeRateStats]:
+    """Driver-share statistics by trip and by driver, from one grouping pass.
 
-    group_by="trip" pools all trips; group_by="driver" averages within driver
-    first. The 0.75 statistic is always driver-based.
+    Each holds the mean and median driver share and the fraction of drivers
+    holding 0.75. The first pools all trips; the second averages within driver
+    first. The 0.75 statistic is driver-based in both.
     """
-    if group_by not in ("trip", "driver"):
-        raise AuditError(f"unknown grouping {group_by!r}")
     per_driver: dict[int, list[float]] = {}
     all_shares = trips.share.tolist()
     for driver, share in zip(trips.driver.tolist(), all_shares):
@@ -299,15 +292,18 @@ def take_rate_stats(trips: TripColumns, group_by: str = "trip") -> TakeRateStats
         raise AuditError("no share-valid trips")
 
     driver_means = sorted(statistics.fmean(v) for v in per_driver.values())
-    pool = all_shares if group_by == "trip" else driver_means
     at_or_above = sum(1 for m in driver_means if m >= 0.75) / len(driver_means)
-    return TakeRateStats(
-        mean=statistics.fmean(pool),
-        median=statistics.median(sorted(pool)),
-        drivers_at_or_above_075=at_or_above,
-        n_trips=len(all_shares),
-        n_drivers=len(per_driver),
+    by_trip, by_driver = (
+        TakeRateStats(
+            mean=statistics.fmean(pool),
+            median=statistics.median(sorted(pool)),
+            drivers_at_or_above_075=at_or_above,
+            n_trips=len(all_shares),
+            n_drivers=len(per_driver),
+        )
+        for pool in (all_shares, driver_means)
     )
+    return by_trip, by_driver
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +320,18 @@ class SurplusPoint:
 
 
 def surplus_series(
-    trips: TripColumns, on_trip_ms: Mapping[str, Mapping[str, int]]
+    trips: TripColumns, on_trip_ms: Mapping[str, Mapping[int, int]]
 ) -> tuple[SurplusPoint, ...]:
     """Monthly platform surplus per on-trip hour, with interior gaps interpolated.
 
     A month's direct value needs at least one share-valid linked trip; the
     denominator is the on-trip hours that month of the drivers contributing
-    those trips (``on_trip_ms[driver_id][month]``), summed in integer
+    those trips (``on_trip_ms[driver_id][month_index]``), summed in integer
     milliseconds so that it does not depend on the order of the drivers.
     Months without a direct value between two valid months are filled
     linearly and flagged; gaps at either edge stay missing.
     """
-    by_index: dict[int, int] = {}  # surplus pence by month index, labelled once per month
+    surplus: dict[int, int] = {}  # pence by month index
     drivers: dict[int, set[int]] = {}
     for driver, month, fare, pay in zip(
         trips.driver.tolist(),
@@ -343,42 +339,34 @@ def surplus_series(
         trips.fare_pence.tolist(),
         trips.driver_pence.tolist(),
     ):
-        by_index[month] = by_index.get(month, 0) + (fare - pay)
+        surplus[month] = surplus.get(month, 0) + (fare - pay)
         drivers.setdefault(month, set()).add(driver)
-    if not by_index:
+    if not surplus:
         return ()
 
-    surplus = {month_label(m): pence for m, pence in by_index.items()}
-    contributors = {month_label(m): {trips.driver_ids[d] for d in ds} for m, ds in drivers.items()}
-    months = month_range(month_label(min(by_index)), month_label(max(by_index)))
-    direct: dict[str, SurplusPoint] = {}
-    for month in months:
-        if month not in surplus:
-            continue
-        on_trip = sum(on_trip_ms[driver_id].get(month, 0) for driver_id in contributors[month])
+    months = range(min(surplus), max(surplus) + 1)
+    direct: dict[int, SurplusPoint] = {}
+    for month, pence in surplus.items():
+        on_trip = sum(on_trip_ms[trips.driver_ids[d]].get(month, 0) for d in drivers[month])
         hours = on_trip / MS_PER_HOUR
         if hours > 0.0:
             direct[month] = SurplusPoint(
-                month, (surplus[month] / 100.0) / hours, False, surplus[month], hours
+                month_label(month), (pence / 100.0) / hours, False, pence, hours
             )
 
     points: list[SurplusPoint] = []
-    valid_idx = [i for i, m in enumerate(months) if m in direct]
-    for i, month in enumerate(months):
+    valid = sorted(direct)
+    for month in months:
+        k = bisect_right(valid, month)
         if month in direct:
             points.append(direct[month])
-            continue
-        before = [j for j in valid_idx if j < i]
-        after = [j for j in valid_idx if j > i]
-        if before and after:
-            j0, j1 = before[-1], after[0]
-            v0, v1 = points[j0].value, direct[months[j1]].value
-            t = (i - j0) / (j1 - j0)
-            points.append(
-                SurplusPoint(month, v0 + (v1 - v0) * t, True, 0, 0.0)
-            )
+        elif 0 < k < len(valid):  # between two valid months
+            m0, m1 = valid[k - 1], valid[k]
+            v0, v1 = direct[m0].value, direct[m1].value
+            t = (month - m0) / (m1 - m0)
+            points.append(SurplusPoint(month_label(month), v0 + (v1 - v0) * t, True, 0, 0.0))
         else:
-            points.append(SurplusPoint(month, None, False, 0, 0.0))
+            points.append(SurplusPoint(month_label(month), None, False, 0, 0.0))
     return tuple(points)
 
 
@@ -466,25 +454,31 @@ class CohortSplit:
             raise RecordError("cohort groups overlap")
 
 
-def cohort_months(pre: tuple[str, str], post: tuple[str, str]) -> tuple[set[str], set[str]]:
-    """The months of two cohort windows, which must be as long and must not overlap."""
-    pre_months, post_months = month_range(*pre), month_range(*post)
+def cohort_months(pre: tuple[str, str], post: tuple[str, str]) -> tuple[set[int], set[int]]:
+    """The month indexes of two cohort windows, which must be as long and must not overlap."""
+    windows = []
+    for first, last in (pre, post):
+        if month_index(last) < month_index(first):
+            raise RecordError(f"month range reversed: {first} > {last}")
+        windows.append(set(range(month_index(first), month_index(last) + 1)))
+    pre_months, post_months = windows
     if len(pre_months) != len(post_months):
         raise AuditError("windows must cover the same number of months")
-    if set(pre_months) & set(post_months):
+    if pre_months & post_months:
         raise AuditError("windows must not overlap")
-    return set(pre_months), set(post_months)
+    return pre_months, post_months
 
 
-def completed_months(trips: Iterable[TripRecord]) -> frozenset[str]:
-    """The local months that hold at least one completed trip, by trip anchor."""
-    months = {CALENDAR.month(trip_anchor(t)) for t in trips if t.status is TripStatus.COMPLETED}
-    return frozenset(month_label(m) for m in months)
+def completed_months(trips: Iterable[TripRecord]) -> frozenset[int]:
+    """The ``month_index`` of each local month that holds a completed trip, by trip anchor."""
+    return frozenset(
+        CALENDAR.month(trip_anchor(t)) for t in trips if t.status is TripStatus.COMPLETED
+    )
 
 
 def cohort_pay_change(
     rows_by_driver: Mapping[str, Sequence[WeeklyPayRow]],
-    active_months_by_driver: Mapping[str, Iterable[str]],
+    active_months_by_driver: Mapping[str, Iterable[int]],
     window_pre: tuple[str, str],
     window_post: tuple[str, str],
 ) -> CohortSplit:
@@ -497,7 +491,7 @@ def cohort_pay_change(
     """
     pre_set, post_set = cohort_months(window_pre, window_post)
 
-    def week_in(row: WeeklyPayRow, months: set[str]) -> bool:
+    def week_in(row: WeeklyPayRow, months: set[int]) -> bool:
         return month_of(week_monday(row.iso_week)) in months
 
     qualified: list[str] = []
@@ -530,7 +524,7 @@ def cohort_pay_change(
         else:
             paid_same_or_more.append(driver_id)
 
-    def pooled(months: set[str]) -> float:
+    def pooled(months: set[int]) -> float:
         rows = [
             r
             for d in qualified
@@ -560,14 +554,14 @@ def cohort_pay_change(
 # Acceptance rate
 
 
-def offer_counts(offers: Iterable[DispatchOffer]) -> dict[str, tuple[int, int]]:
-    """(accepted, offered) dispatch counts per local month of the offer."""
-    counts: dict[int, list[int]] = {}  # by month index, labelled once per month
+def offer_counts(offers: Iterable[DispatchOffer]) -> dict[int, tuple[int, int]]:
+    """(accepted, offered) dispatch counts by ``month_index`` of the offer's local month."""
+    counts: dict[int, list[int]] = {}
     for o in offers:
         slot = counts.setdefault(CALENDAR.month(o.offered_ts), [0, 0])
         slot[0] += o.accepted
         slot[1] += 1
-    return {month_label(m): (accepted, total) for m, (accepted, total) in counts.items()}
+    return {m: (accepted, total) for m, (accepted, total) in counts.items()}
 
 
 def acceptance_rate(counts: Iterable[tuple[int, int]]) -> float:

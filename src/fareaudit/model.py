@@ -149,7 +149,7 @@ def format_instant(ms: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Calendar: local dates of instants, months as "YYYY-MM", weeks as "YYYY-Www"
+# Calendar: local dates of instants, months as ``month_index``, weeks as "YYYY-Www"
 
 
 class Calendar:
@@ -205,15 +205,15 @@ class Calendar:
 
     def month(self, ms: int) -> int:
         """The ``month_index`` of the local date holding the instant ``ms``."""
-        day = self.day(ms)[0]
-        return day.year * 12 + day.month - 1
+        return month_of(self.day(ms)[0])
 
 
 CALENDAR = Calendar(DEFAULT_TIMEZONE)  # dates every instant the audit reads
 
 
-def month_of(day: dt.date) -> str:
-    return f"{day.year:04d}-{day.month:02d}"
+def month_of(day: dt.date) -> int:
+    """The ``month_index`` of the month holding ``day``."""
+    return day.year * 12 + day.month - 1
 
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -421,28 +421,27 @@ class AppSession:
 
 @dataclass(frozen=True)
 class RpiSeries:
-    """Year-on-year percent change per calendar month, contiguous coverage."""
+    """Year-on-year percent change by ``month_index``, contiguous coverage."""
 
-    yoy_pct: Mapping[str, float]
+    yoy_pct: Mapping[int, float]
 
     def __post_init__(self) -> None:
         if not self.yoy_pct:
             raise RecordError("empty inflation series")
         for month, pct in self.yoy_pct.items():
             if not math.isfinite(pct) or pct <= -100.0:
-                raise RecordError(f"year-on-year change for {month} out of range: {pct!r}")
-        indexes = sorted(month_index(m) for m in self.yoy_pct)
+                raise RecordError(
+                    f"year-on-year change for {month_label(month)} out of range: {pct!r}"
+                )
+        indexes = sorted(self.yoy_pct)
         if indexes != list(range(indexes[0], indexes[-1] + 1)):
             raise RecordError("inflation series has month gaps")
         object.__setattr__(self, "yoy_pct", dict(sorted(self.yoy_pct.items())))
 
-    def covers(self, label: str) -> bool:
-        return label in self.yoy_pct
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "RpiSeries":
         """Load a two-column CSV with header ``month,yoy_pct``; a UTF-8 BOM is allowed."""
-        series: dict[str, float] = {}
+        series: dict[int, float] = {}
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh, restval="")  # so a short row fails float() with ValueError
             try:
@@ -450,7 +449,10 @@ class RpiSeries:
                     if column not in (reader.fieldnames or ()):
                         raise RecordError(f"no {column!r} column in the header")
                 for row in reader:
-                    series[row["month"].strip()] = float(row["yoy_pct"])
+                    month = month_index(row["month"].strip())
+                    if month in series:
+                        raise RecordError(f"month listed twice: {month_label(month)}")
+                    series[month] = float(row["yoy_pct"])
             except csv.Error as exc:
                 raise RecordError(f"not CSV: {exc}") from None
         return cls(series)

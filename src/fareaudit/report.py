@@ -48,7 +48,6 @@ from .model import (
     RpiSeries,
     era_of,
     month_label,
-    month_range,
 )
 from .worktime import (
     Bucket,
@@ -94,10 +93,10 @@ class DriverResult:
     link_counts: tuple[int, int, int]  # linked, unmatched trips, unmatched payments
     orphan_trips: int
     rows: tuple[WeeklyPayRow, ...]
-    months: Mapping[str, Bucket]  # the ledger's local-month buckets
+    months: Mapping[int, Bucket]  # the ledger's local-month buckets, by month index
     trips: TripColumns  # share-valid linked trips, in link order
-    offers: Mapping[str, tuple[int, int]]  # month -> (accepted, offered)
-    active_months: frozenset[str]  # months with a completed trip
+    offers: Mapping[int, tuple[int, int]]  # month index -> (accepted, offered)
+    active_months: frozenset[int]  # month indexes with a completed trip
     profile: DriverProfile | None
 
 
@@ -217,8 +216,8 @@ def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict
     months = {m for res in results for m, t in res.months.items() if t.pay is not None}
     if not months:
         return {"error": "no payments"}
-    nominal: dict[str, float] = {}
-    for month in month_range(min(months), max(months)):
+    nominal: dict[int, float] = {}
+    for month in range(min(months), max(months) + 1):
         pence = 0
         hours = 0.0
         for res in results:
@@ -231,11 +230,13 @@ def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict
     if not nominal:
         return {"error": "no working months"}
     base = max(nominal)
+    labelled = {month_label(m): rate for m, rate in nominal.items()}
     try:
         real = adjust_inflation(nominal, rpi, base)
     except MissingRpiMonth as exc:
-        return {"error": str(exc), "nominal": nominal}
-    return {"base_month": base, "nominal": nominal, "real": real}
+        return {"error": str(exc), "nominal": labelled}
+    real = {month_label(m): rate for m, rate in real.items()}
+    return {"base_month": month_label(base), "nominal": labelled, "real": real}
 
 
 def _take_rate_section(trips: TripColumns) -> dict:
@@ -246,9 +247,10 @@ def _take_rate_section(trips: TripColumns) -> dict:
     for month, share in zip(trips.month.tolist(), trips.share.tolist()):
         monthly.setdefault(month, []).append(share)
 
+    by_trip, by_driver = take_rate_stats(trips)
     return {
-        "by_trip": asdict(take_rate_stats(trips, "trip")),
-        "by_driver": asdict(take_rate_stats(trips, "driver")),
+        "by_trip": asdict(by_trip),
+        "by_driver": asdict(by_driver),
         "histogram": hist,
         "monthly_median_share": {
             month_label(m): statistics.median(sorted(v)) for m, v in sorted(monthly.items())
@@ -258,7 +260,7 @@ def _take_rate_section(trips: TripColumns) -> dict:
 
 
 def _utilisation_section(results: Sequence[DriverResult]) -> dict:
-    pooled: dict[str, Bucket] = {}  # each month's active driver buckets, summed exactly
+    pooled: dict[int, Bucket] = {}  # each month's active driver buckets, summed exactly
     for res in results:
         for month, totals in res.months.items():
             if totals.active_days:
@@ -270,7 +272,7 @@ def _utilisation_section(results: Sequence[DriverResult]) -> dict:
     out = {}
     for month, bucket in sorted(pooled.items()):
         u = utilisation_daily(bucket)
-        out[month] = {
+        out[month_label(month)] = {
             "standby_hours": u.standby_hours,
             "en_route_hours": u.en_route_hours,
             "on_trip_hours": u.on_trip_hours,
@@ -280,14 +282,14 @@ def _utilisation_section(results: Sequence[DriverResult]) -> dict:
 
 
 def _acceptance_section(results: Sequence[DriverResult]) -> dict:
-    by_month: dict[str, list[tuple[int, int]]] = {}
+    by_month: dict[int, list[tuple[int, int]]] = {}
     for res in results:
         for month, counts in res.offers.items():
             by_month.setdefault(month, []).append(counts)
     if not by_month:
         return {"overall": None, "monthly": {}}
     every = [counts for group in by_month.values() for counts in group]
-    monthly = {month: acceptance_rate(by_month[month]) for month in sorted(by_month)}
+    monthly = {month_label(m): acceptance_rate(by_month[m]) for m in sorted(by_month)}
     return {
         "overall": acceptance_rate(every),
         "monthly": monthly,

@@ -42,6 +42,7 @@ from .model import (
     month_add,
     month_days,
     month_index,
+    month_label,
     month_of,
     month_range,
     week_monday,
@@ -622,7 +623,7 @@ def _gen_driver(
             minutes = (dropoff_ms - pickup_ms) / 60_000.0
 
             year = days.date(pickup_ms).year
-            drop_month = month_of(days.date(dropoff_ms))
+            drop_month = month_label(month_of(days.date(dropoff_ms)))
             if era is Era.DYNAMIC_PRICING:
                 fare_pence = max(int(round(config.dynamic_per_min_pence * minutes)), 100)
                 raw_share = (
@@ -865,7 +866,7 @@ def _cohort_truth(config: GenConfig, truths: list[DriverTruth]) -> dict | None:
             pence = 0
             hours = 0.0
             for week, row in truth.weekly.items():
-                if month_of(week_monday(week)) in months:
+                if month_label(month_of(week_monday(week))) in months:
                     pence += row["pay_pence"]
                     hours += row["standby_h"] + row["en_route_h"] + row["on_trip_h"]
             return (pence / 100.0) / hours if hours > 0 else None

@@ -169,7 +169,7 @@ class Bucket:
 
 @dataclass(frozen=True)
 class TimeLedger:
-    """One driver's buckets by ISO week label and by local month label.
+    """One driver's buckets by ISO week label and by local ``month_index``.
 
     Only weeks and months with activity, or with payments, have a bucket, and
     both mappings run in date order. Every total is an exact sum over the
@@ -177,7 +177,7 @@ class TimeLedger:
     """
 
     weeks: Mapping[str, Bucket]
-    months: Mapping[str, Bucket]
+    months: Mapping[int, Bucket]
 
 
 def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) -> TimeLedger:
@@ -201,7 +201,7 @@ def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) 
         pay[day] = pay.get(day, 0) + p.amount
 
     weeks: dict[str, Bucket] = {}
-    months: dict[str, Bucket] = {}
+    months: dict[int, Bucket] = {}
     for day in sorted(time.keys() | pay.keys()):
         ms = time.get(day)
         pence = pay.get(day)

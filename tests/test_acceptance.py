@@ -40,7 +40,7 @@ from fareaudit.model import (
     TripStatus,
     format_instant,
     format_pence,
-    month_range,
+    month_index,
     parse_pence,
 )
 from fareaudit.predictability import feature_blocks, fit_ols, r2, year_matrix
@@ -336,7 +336,7 @@ def test_criterion_06_surplus_gap_handling():
         ledger = build_ledger(segments, pays)
         on_trip = {
             m: ledger.months.get(m, Bucket()).on_trip_ms
-            for m in month_range("2021-01", "2021-03")
+            for m in range(month_index("2021-01"), month_index("2021-03") + 1)
         }
         series = {p.month: p for p in surplus_series(linked, {"d1": on_trip})}
         feb = series["2021-02"]
@@ -354,14 +354,14 @@ def test_criterion_06_surplus_gap_handling():
 
 def test_criterion_07_inflation_identity_and_compounding():
     with criterion(7, "inflation identity and compounding"):
-        months = month_range("2021-01", "2022-01")
+        months = range(month_index("2021-01"), month_index("2022-01") + 1)
         series = {m: 100.0 + 7.0 * i for i, m in enumerate(months)}
         zero = RpiSeries({m: 0.0 for m in months})
-        adjusted = adjust_inflation(series, zero, "2022-01")
+        adjusted = adjust_inflation(series, zero, month_index("2022-01"))
         assert all(adjusted[m] == series[m] for m in months)  # bit-identical
 
         ten = RpiSeries({m: 10.0 for m in months})
-        adjusted = adjust_inflation({months[0]: 100.0}, ten, "2022-01")
+        adjusted = adjust_inflation({months[0]: 100.0}, ten, month_index("2022-01"))
         assert abs(adjusted[months[0]] - 110.0) <= 1e-9 * 110.0
 
 

@@ -97,6 +97,21 @@ def test_synth_rejects_bad_config(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"first_month": "2021-13"},
+        {"cohort": {"window_pre": ["2021-2", "2021-03"], "window_post": ["2021-09", "2021-10"]}},
+    ],
+)
+def test_synth_malformed_month_label_is_a_config_error(tmp_path, caplog, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "invalid config" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_seed_repeat_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -334,6 +349,7 @@ def test_audit_bad_rpi_file_is_a_config_error(bundles, tmp_path, caplog):
         ("mon,yoy_pct\n2021-01,1.5\n", "'month'"),
         ("month,yoy\n2021-01,1.5\n", "'yoy_pct'"),
         ("month,yoy_pct\n2021-01\n", "float"),  # a row without its value
+        ("month,yoy_pct\n2021-02,3\n2021-03,4\n2021-03,40\n", "2021-03"),  # a month twice
     ):
         rpi.write_text(text)
         caplog.clear()

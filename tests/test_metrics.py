@@ -40,6 +40,8 @@ from fareaudit.model import (
     TripRecord,
     TripStatus,
     iso_week_label,
+    month_index,
+    month_label,
     month_range,
     parse_pence,
 )
@@ -140,37 +142,50 @@ def test_pay_per_hour_platform_dominates_for_nonnegative_pay():
 
 
 def test_zero_rpi_is_exact_identity():
-    rpi = RpiSeries({m: 0.0 for m in ("2021-01", "2021-02", "2021-03")})
-    series = {"2021-01": 12.34, "2021-02": 56.78, "2021-03": 9.99}
-    out = adjust_inflation(series, rpi, "2021-03")
+    rpi = RpiSeries({month_index(m): 0.0 for m in ("2021-01", "2021-02", "2021-03")})
+    series = {
+        month_index("2021-01"): 12.34,
+        month_index("2021-02"): 56.78,
+        month_index("2021-03"): 9.99,
+    }
+    out = adjust_inflation(series, rpi, month_index("2021-03"))
     assert out == series  # bit-identical floats
 
 
 def test_constant_10pct_over_year_scales_by_1_1():
     months = [f"2021-{m:02d}" for m in range(1, 13)] + ["2022-01"]
-    rpi = RpiSeries({m: 10.0 for m in months})
-    out = adjust_inflation({"2021-01": 100.0}, rpi, "2022-01")
-    assert abs(out["2021-01"] - 110.0) < 1e-9 * 110.0
+    rpi = RpiSeries({month_index(m): 10.0 for m in months})
+    out = adjust_inflation({month_index("2021-01"): 100.0}, rpi, month_index("2022-01"))
+    assert abs(out[month_index("2021-01")] - 110.0) < 1e-9 * 110.0
 
 
 def test_adjust_toward_earlier_base_deflates():
     months = ["2021-01", "2021-02"]
-    rpi = RpiSeries({m: 10.0 for m in months})
-    out = adjust_inflation({"2021-02": 110.0}, rpi, "2021-01")
-    assert out["2021-02"] < 110.0
+    rpi = RpiSeries({month_index(m): 10.0 for m in months})
+    out = adjust_inflation({month_index("2021-02"): 110.0}, rpi, month_index("2021-01"))
+    assert out[month_index("2021-02")] < 110.0
 
 
 def test_missing_rpi_month_raises():
-    rpi = RpiSeries({"2021-01": 1.0})
+    rpi = RpiSeries({month_index("2021-01"): 1.0})
     with pytest.raises(MissingRpiMonth):
-        adjust_inflation({"2021-03": 5.0}, rpi, "2021-01")
+        adjust_inflation({month_index("2021-03"): 5.0}, rpi, month_index("2021-01"))
 
 
 def test_inflation_matches_index_ratio_oracle():
-    yoy = {"2021-01": 3.0, "2021-02": 5.0, "2021-03": -1.0, "2021-04": 12.0}
+    yoy = {
+        month_index("2021-01"): 3.0,
+        month_index("2021-02"): 5.0,
+        month_index("2021-03"): -1.0,
+        month_index("2021-04"): 12.0,
+    }
     rpi = RpiSeries(yoy)
-    series = {"2021-01": 50.0, "2021-02": 60.0, "2021-03": 70.0}
-    base = "2021-04"
+    series = {
+        month_index("2021-01"): 50.0,
+        month_index("2021-02"): 60.0,
+        month_index("2021-03"): 70.0,
+    }
+    base = month_index("2021-04")
     out = adjust_inflation(series, rpi, base)
     # independent oracle: cumulative product of monthly factors
     months = sorted(yoy)
@@ -181,6 +196,54 @@ def test_inflation_matches_index_ratio_oracle():
         index[m] = level
     for m, v in series.items():
         assert out[m] == pytest.approx(v * index[base] / index[m], rel=1e-12)
+
+
+def adjust_inflation_by_label(series, yoy, base_month):
+    """``adjust_inflation`` written over "YYYY-MM" labels with ``month_range``:
+    an oracle the month-index form must match bit for bit."""
+
+    def factor_of(month):
+        pct = yoy[month]
+        return 1.0 if pct == 0.0 else (1.0 + pct / 100.0) ** (1.0 / 12.0)
+
+    out = {}
+    base_idx = month_index(base_month)
+    for month in sorted(series, key=month_index):
+        idx = month_index(month)
+        factor = 1.0
+        if idx < base_idx:
+            for k in month_range(month, base_month)[1:]:
+                factor *= factor_of(k)
+        elif idx > base_idx:
+            for k in month_range(base_month, month)[1:]:
+                factor /= factor_of(k)
+        out[month] = series[month] * factor
+    return out
+
+
+@st.composite
+def inflation_across_new_year(draw):
+    """A yoy series from a month in June-December up to a month after the next
+    1 January, some of its months' values, and a base month inside it."""
+    first = draw(st.integers(2019, 2024)) * 12 + draw(st.integers(5, 11))
+    last = draw(st.integers(first + 12 - first % 12, first + 30))
+    labels = month_range(month_label(first), month_label(last))
+    pct = st.sampled_from([0.0, -99.5, 250.0]) | st.floats(-99.0, 60.0)
+    yoy = {m: draw(pct) for m in labels}
+    months = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    series = {m: draw(st.floats(-1e6, 1e6)) for m in months}
+    return yoy, series, draw(st.sampled_from(labels))
+
+
+@given(inflation_across_new_year())
+@settings(max_examples=200, deadline=None)
+def test_adjust_inflation_across_new_year_matches_the_label_oracle(case):
+    yoy, series, base = case
+    rpi = RpiSeries({month_index(m): pct for m, pct in yoy.items()})
+    out = adjust_inflation({month_index(m): v for m, v in series.items()}, rpi, month_index(base))
+    want = adjust_inflation_by_label(series, yoy, base)
+    assert [month_label(m) for m in out] == list(want)
+    assert float_bits(out.values()) == float_bits(want.values())
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +270,9 @@ def test_take_rate_stats_by_trip_and_driver():
     linked = linked_with_shares(
         [("a", 10, 8), ("a", 10, 6), ("b", 10, 7)]
     )  # a: 0.8, 0.6; b: 0.7
-    by_trip = take_rate_stats(linked, "trip")
+    by_trip, by_driver = take_rate_stats(linked)
     assert by_trip.mean == pytest.approx(0.7)
     assert by_trip.median == pytest.approx(0.7)
-    by_driver = take_rate_stats(linked, "driver")
     assert by_driver.mean == pytest.approx((0.7 + 0.7) / 2)
     assert by_driver.n_drivers == 2
     # driver means are a:0.7, b:0.7 -> fraction at or above 0.75 is 0
@@ -247,7 +309,7 @@ def on_trip_by_month(ledger):
     """A driver's on-trip milliseconds in each month around the fixture's trips."""
     return {
         m: ledger.months.get(m, Bucket()).on_trip_ms
-        for m in month_range("2020-12", "2021-04")
+        for m in range(month_index("2020-12"), month_index("2021-04") + 1)
     }
 
 
@@ -267,6 +329,26 @@ def test_surplus_edge_gap_is_missing_not_extrapolated():
     by_month = {p.month: p for p in surplus_series(TripColumns.from_linked(linked, "d1"), on_trip)}
     for month in ("2020-12", "2021-04"):
         assert month not in by_month or by_month[month].value is None
+
+
+def test_surplus_gap_across_new_year_is_interpolated_and_labelled():
+    trips = [
+        trip_at("2020-11-05T09:00:00Z", on_min=60, fare="20.00"),
+        trip_at("2021-02-04T09:00:00Z", on_min=60, fare="20.00"),
+    ]
+    pays = [
+        pay_at("2020-11-05T10:06:00Z", 0, "12.00"),  # surplus 8/h
+        pay_at("2021-02-04T10:06:00Z", 0, "8.00"),  # surplus 12/h
+    ]
+    segs = build_segments([covering_session(t) for t in trips], trips).segments
+    ledger = build_ledger(segs, pays)
+    series = surplus_series(
+        TripColumns.from_linked(link(trips, pays).linked, "d1"),
+        {"d1": {m: bucket.on_trip_ms for m, bucket in ledger.months.items()}},
+    )
+    assert [p.month for p in series] == ["2020-11", "2020-12", "2021-01", "2021-02"]
+    assert [p.interpolated for p in series] == [False, True, True, False]
+    assert [p.value for p in series] == pytest.approx([8.0, 8.0 + 4 / 3, 8.0 + 8 / 3, 12.0])
 
 
 def test_surplus_denominator_only_contributing_drivers():

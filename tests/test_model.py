@@ -26,6 +26,7 @@ from fareaudit.model import (
     month_add,
     month_days,
     month_index,
+    month_label,
     month_of,
     month_range,
     parse_instant,
@@ -218,8 +219,8 @@ def test_iso_matches_strftime_for_four_digit_years(ms):
 def test_local_calendar_fields_respect_timezone():
     # 23:30 UTC on 30 June is 00:30 on 1 July in London (BST)
     ts = instant("2021-06-30T23:30:00Z")
-    assert month_of(Calendar("Europe/London").day(ts)[0]) == "2021-07"
-    assert month_of(Calendar("UTC").day(ts)[0]) == "2021-06"
+    assert month_of(Calendar("Europe/London").day(ts)[0]) == month_index("2021-07")
+    assert month_of(Calendar("UTC").day(ts)[0]) == month_index("2021-06")
 
 
 def test_month_helpers():
@@ -271,7 +272,7 @@ def check_calendar(tz: str, ms: int) -> None:
     assert start <= ms < stop
     assert local(start).date() == day > local(start - 1).date()
     assert local(stop - 1).date() == day < local(stop).date()
-    assert month_of(day) == f"{want.year:04d}-{want.month:02d}"
+    assert month_label(month_of(day)) == f"{want.year:04d}-{want.month:02d}"
     year, week, weekday = want.isocalendar()
     assert iso_week_label(day) == f"{year:04d}-W{week:02d}"
     assert (day.year, day.weekday() + 1) == (want.year, weekday)
@@ -463,19 +464,19 @@ def test_profile_label_validation():
 
 def test_rpi_requires_contiguous_months():
     with pytest.raises(RecordError):
-        RpiSeries({"2021-01": 1.0, "2021-03": 2.0})
-    series = RpiSeries({"2021-02": 2.0, "2021-01": 1.0})
-    assert list(series.yoy_pct) == ["2021-01", "2021-02"]
+        RpiSeries({month_index("2021-01"): 1.0, month_index("2021-03"): 2.0})
+    series = RpiSeries({month_index("2021-02"): 2.0, month_index("2021-01"): 1.0})
+    assert list(series.yoy_pct) == [month_index("2021-01"), month_index("2021-02")]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -100.0, -150.0])
 def test_rpi_rejects_non_finite_or_total_deflation(bad):
     with pytest.raises(RecordError):
-        RpiSeries({"2021-01": 1.0, "2021-02": bad})
+        RpiSeries({month_index("2021-01"): 1.0, month_index("2021-02"): bad})
 
 
 def test_rpi_from_csv(tmp_path):
     path = tmp_path / "rpi.csv"
     path.write_text("month,yoy_pct\n2021-01,1.5\n2021-02,2.0\n")
     series = RpiSeries.from_csv(path)
-    assert series.yoy_pct["2021-02"] == 2.0
+    assert series.yoy_pct[month_index("2021-02")] == 2.0

@@ -8,6 +8,7 @@ from fareaudit.model import (
     PaymentCategory,
     PaymentEvent,
     TripStatus,
+    month_index,
 )
 from fareaudit.worktime import (
     Bucket,
@@ -224,7 +225,7 @@ def test_hours_clipped_to_period():
     weeks = {w: hours_worked(t, HoursDefinition.TRIBUNAL) for w, t in ledger.weeks.items()}
     months = {m: hours_worked(t, HoursDefinition.TRIBUNAL) for m, t in ledger.months.items()}
     assert weeks == {"2021-W09": 1.0, "2021-W10": 2.0, "2021-W13": 3.0}
-    assert months == {"2021-03": 4.0, "2021-04": 2.0}
+    assert months == {month_index("2021-03"): 4.0, month_index("2021-04"): 2.0}
 
 
 @given(
@@ -264,7 +265,7 @@ def test_platform_hours_never_exceed_tribunal(sess_raw, trips_raw):
 def test_utilisation_counts_active_days():
     sessions = [session(0.0, 60.0), session(24 * 60.0, 24 * 60.0 + 120.0)]
     ledger = build_ledger(build_segments(sessions, []).segments, [])
-    u = utilisation_daily(ledger.months["2021-03"])
+    u = utilisation_daily(ledger.months[month_index("2021-03")])
     assert u.active_days == 2
     assert u.standby_hours == (1.0 + 2.0) / 2
     assert u.on_trip_hours == 0.0
@@ -274,7 +275,7 @@ def test_utilisation_empty_month():
     assert build_ledger([], []).months == {}
     # a month with a payment and no activity has a bucket, but no active day
     ledger = build_ledger([], [PaymentEvent(at(0.0), PaymentCategory.TIP, 100)])
-    u = utilisation_daily(ledger.months["2021-03"])
+    u = utilisation_daily(ledger.months[month_index("2021-03")])
     assert u.active_days == 0
     assert (u.standby_hours, u.en_route_hours, u.on_trip_hours) == (0.0, 0.0, 0.0)
 
@@ -283,7 +284,7 @@ def test_state_hours_breakdown():
     sessions = [session(0.0, 60.0)]
     trips = [trip(req=10.0, accept=11.0, pickup=15.0, dropoff=30.0)]
     ledger = build_ledger(build_segments(sessions, trips).segments, [])
-    for totals in (ledger.weeks[BASE_WEEK], ledger.months["2021-03"]):
+    for totals in (ledger.weeks[BASE_WEEK], ledger.months[month_index("2021-03")]):
         assert totals.on_trip_ms == 15 * MIN
         assert totals.en_route_ms == 4 * MIN
         assert totals.standby_ms == 41 * MIN
@@ -298,7 +299,7 @@ def test_zero_pay_is_pay_but_makes_no_weekly_row():
     ]
     ledger = build_ledger([], payments)
     assert ledger.weeks[BASE_WEEK] == Bucket(pay=0)
-    assert ledger.months["2021-03"] == Bucket(pay=0)
+    assert ledger.months[month_index("2021-03")] == Bucket(pay=0)
     assert weekly_rows(ledger) == ()
 
 
@@ -344,7 +345,10 @@ def test_hours_worked_matches_clip_and_sum(raw):
     segments = [segment(float(s), float(s + d), state) for s, d, state in raw]
     ledger = build_ledger(segments, [])
     periods = [(ledger.weeks, iso_label(monday), london_week(monday)) for monday in ORACLE_MONDAYS]
-    periods += [(ledger.months, f"{y:04d}-{m:02d}", london_month(y, m)) for y, m in ORACLE_MONTHS]
+    periods += [
+        (ledger.months, month_index(f"{y:04d}-{m:02d}"), london_month(y, m))
+        for y, m in ORACLE_MONTHS
+    ]
     for buckets, label, (lo, hi) in periods:
         want = {d: clip_and_sum_hours(segments, lo, hi, d) for d in HoursDefinition}
         if want[HoursDefinition.TRIBUNAL] == 0:
@@ -459,7 +463,10 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
     months = [(int(m[:4]), int(m[5:])) for m in LEDGER_MONTHS]
     for buckets, label, (lo, hi) in [
         *((ledger.weeks, w, london_week(monday)) for w, monday in zip(LEDGER_WEEKS, weeks)),
-        *((ledger.months, m, london_month(*ym)) for m, ym in zip(LEDGER_MONTHS, months)),
+        *(
+            (ledger.months, month_index(m), london_month(*ym))
+            for m, ym in zip(LEDGER_MONTHS, months)
+        ),
     ]:
         got = buckets.get(label, Bucket())
         for state in ActivityState:
@@ -477,7 +484,7 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
                 while day <= london(e - 1).date():
                     active.add(day)
                     day += DAY
-        assert ledger.months.get(month, Bucket()).active_days == len(active), month
+        assert ledger.months.get(month_index(month), Bucket()).active_days == len(active), month
 
 
 def test_segment_spanning_a_whole_month_counts_in_it():
@@ -486,6 +493,6 @@ def test_segment_spanning_a_whole_month_counts_in_it():
         instant("2021-03-01T12:00:00Z"),
         ActivityState.STANDBY,
     )
-    u = utilisation_daily(build_ledger([whole_february], []).months["2021-02"])
+    u = utilisation_daily(build_ledger([whole_february], []).months[month_index("2021-02")])
     assert u.active_days == 28
     assert u.standby_hours == 24.0
