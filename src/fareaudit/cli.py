@@ -141,9 +141,11 @@ def _run_bundles(dirs: list[str], options: AuditOptions, jobs: int, in_flight=la
 
     ``in_flight`` runs once every bundle is under way: as soon as the pool has
     started its workers, or after the last bundle when they run in process.
+    The pool starts every worker on its first bundle, so it has no more
+    workers than bundles.
     """
     if jobs > 1 and len(dirs) > 1:
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with futures.ProcessPoolExecutor(max_workers=min(jobs, len(dirs))) as pool:
             results = pool.map(process_bundle, dirs, [options] * len(dirs))
             in_flight()
             outcomes = list(results)

@@ -12,7 +12,6 @@ import math
 import statistics
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -23,14 +22,11 @@ from .model import (
     DEFAULT_ERAS,
     MS_PER_HOUR,
     AuditError,
-    DispatchOffer,
     DriverProfile,
     Era,
     EraBoundaries,
     RecordError,
     RpiSeries,
-    TripRecord,
-    TripStatus,
     era_of,
     month_index,
     month_label,
@@ -38,7 +34,7 @@ from .model import (
     trip_anchor,
     week_monday,
 )
-from .worktime import HoursDefinition, TimeLedger, hours_worked
+from .worktime import Bucket, HoursDefinition, TimeLedger, hours_worked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,54 +59,33 @@ class NoOffers(AuditError):
 # Weekly pay
 
 
-@dataclass(frozen=True, slots=True)
-class WeeklyPayRow:
-    """One ISO week of one driver's ledger; the driver is the caller's to keep."""
-
-    iso_week: str
-    net_pay: int  # pence
-    hours_tribunal: float
-    hours_platform: float
-
-    def __post_init__(self) -> None:
-        if self.hours_platform > self.hours_tribunal:
-            raise RecordError("platform hours exceed tribunal hours")
-
-
-def weekly_rows(ledger: TimeLedger) -> tuple[WeeklyPayRow, ...]:
-    """One row per ISO week with any pay or any working time, in week order.
+def weekly_rows(ledger: TimeLedger) -> tuple[tuple[str, Bucket], ...]:
+    """The ledger's (ISO week, bucket) pairs that hold any pay or any working
+    time, in week order.
 
     Pay is the signed sum of every payment category (the week's cash position),
     unlike take-rate inputs which use trip earnings only.
     """
-    rows: list[WeeklyPayRow] = []
-    for week, totals in ledger.weeks.items():
-        tribunal = hours_worked(totals, HoursDefinition.TRIBUNAL)
-        platform = hours_worked(totals, HoursDefinition.PLATFORM)
-        net = totals.pay or 0
-        if net == 0 and tribunal == 0.0:
-            continue
-        rows.append(WeeklyPayRow(week, net, tribunal, platform))
-    return tuple(rows)
+    return tuple(
+        (week, totals)
+        for week, totals in ledger.weeks.items()
+        if totals.pay or hours_worked(totals, HoursDefinition.TRIBUNAL)
+    )
 
 
 def pay_per_hour(
-    rows: Iterable[WeeklyPayRow],
+    rows: Iterable[tuple[str, Bucket]],
     definition: HoursDefinition,
     weeks: set[str] | None = None,
 ) -> float:
-    """Pooled pay per hour over the given rows, optionally filtered by week."""
+    """Pooled pay per hour over (ISO week, bucket) rows, optionally filtered by week."""
     pence = 0
     hours = 0.0
-    for row in rows:
-        if weeks is not None and row.iso_week not in weeks:
+    for week, totals in rows:
+        if weeks is not None and week not in weeks:
             continue
-        pence += row.net_pay
-        hours += (
-            row.hours_tribunal
-            if definition is HoursDefinition.TRIBUNAL
-            else row.hours_platform
-        )
+        pence += totals.pay or 0
+        hours += hours_worked(totals, definition)
     if hours <= 0.0:
         raise ZeroHours("no working time under the chosen definition")
     return (pence / 100.0) / hours
@@ -236,12 +211,13 @@ class TripColumns:
         return array("b", [_bin_index(share, DEFAULT_SPLIT_BINS) for share in self.share.tolist()])
 
 
-def trips_per_era(trips: Iterable[TripRecord], boundaries: EraBoundaries) -> dict[str, int]:
-    """How many of the trips fall in each era, by the local month of the trip anchor."""
+def trips_per_era(months: Mapping[int, Bucket], boundaries: EraBoundaries) -> dict[str, int]:
+    """How many trips the month buckets hold in each era; an era with none is left out."""
     counts: dict[str, int] = {}
-    for month, n in Counter(CALENDAR.month(trip_anchor(trip)) for trip in trips).items():
-        era = era_of(month, boundaries).value
-        counts[era] = counts.get(era, 0) + n
+    for month, totals in months.items():
+        if totals.trips:
+            era = era_of(month, boundaries).value
+            counts[era] = counts.get(era, 0) + totals.trips
     return counts
 
 
@@ -469,30 +445,24 @@ def cohort_months(pre: tuple[str, str], post: tuple[str, str]) -> tuple[set[int]
     return pre_months, post_months
 
 
-def completed_months(trips: Iterable[TripRecord]) -> frozenset[int]:
-    """The ``month_index`` of each local month that holds a completed trip, by trip anchor."""
-    return frozenset(
-        CALENDAR.month(trip_anchor(t)) for t in trips if t.status is TripStatus.COMPLETED
-    )
-
-
 def cohort_pay_change(
-    rows_by_driver: Mapping[str, Sequence[WeeklyPayRow]],
-    active_months_by_driver: Mapping[str, Iterable[int]],
+    rows_by_driver: Mapping[str, Sequence[tuple[str, Bucket]]],
+    months_by_driver: Mapping[str, Mapping[int, Bucket]],
     window_pre: tuple[str, str],
     window_post: tuple[str, str],
 ) -> CohortSplit:
     """Split the always-active cohort by whether pay per hour fell.
 
-    Qualification demands at least one completed trip in every calendar month
-    of both windows (``completed_months``), plus positive tribunal hours in
-    each window. A week belongs to a window when its Monday falls inside the
+    Rows are each driver's ``weekly_rows`` and months its ledger's month
+    buckets. Qualification demands at least one completed trip in every
+    calendar month of both windows, plus positive tribunal hours in each
+    window. A week belongs to a window when its Monday falls inside the
     window's months. Change of exactly zero lands in paid_same_or_more.
     """
     pre_set, post_set = cohort_months(window_pre, window_post)
 
-    def week_in(row: WeeklyPayRow, months: set[int]) -> bool:
-        return month_of(week_monday(row.iso_week)) in months
+    def week_in(row: tuple[str, Bucket], months: set[int]) -> bool:
+        return month_of(week_monday(row[0])) in months
 
     qualified: list[str] = []
     pre_rate: dict[str, float] = {}
@@ -501,8 +471,9 @@ def cohort_pay_change(
     paid_less: list[str] = []
     paid_same_or_more: list[str] = []
 
-    for driver_id in sorted(active_months_by_driver):
-        active_months = set(active_months_by_driver[driver_id])
+    for driver_id in sorted(months_by_driver):
+        months = months_by_driver[driver_id]
+        active_months = {m for m, totals in months.items() if totals.completed}
         if not (pre_set <= active_months and post_set <= active_months):
             continue
         rows = rows_by_driver.get(driver_id, ())
@@ -554,25 +525,11 @@ def cohort_pay_change(
 # Acceptance rate
 
 
-def offer_counts(offers: Iterable[DispatchOffer]) -> dict[int, tuple[int, int]]:
-    """(accepted, offered) dispatch counts by ``month_index`` of the offer's local month."""
-    counts: dict[int, list[int]] = {}
-    for o in offers:
-        slot = counts.setdefault(CALENDAR.month(o.offered_ts), [0, 0])
-        slot[0] += o.accepted
-        slot[1] += 1
-    return {m: (accepted, total) for m, (accepted, total) in counts.items()}
-
-
-def acceptance_rate(counts: Iterable[tuple[int, int]]) -> float:
-    """The accepted share of the offers that (accepted, offered) pairs count."""
-    accepted = offered = 0
-    for a, n in counts:
-        accepted += a
-        offered += n
-    if not offered:
+def acceptance_rate(totals: Bucket) -> float:
+    """The accepted share of a bucket's dispatch offers."""
+    if not totals.offered:
         raise NoOffers("no dispatch offers")
-    return accepted / offered
+    return totals.accepted / totals.offered
 
 
 # ---------------------------------------------------------------------------

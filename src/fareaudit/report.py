@@ -2,9 +2,10 @@
 
 ``process_bundle`` is a pure function of (directory, options) so bundles can
 be fanned out across processes. It reduces each bundle in the worker to
-integer and float columns and per-month totals, so little crosses the process
-boundary; ``build_report`` folds the results back together in sorted driver
-order, which keeps the report byte-identical no matter how many workers ran.
+integer and float columns of its share-valid trips and one time ledger of
+per-week and per-month totals, so little crosses the process boundary;
+``build_report`` folds the results back together in sorted driver order,
+which keeps the report byte-identical no matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from .linkage import DEFAULT_WINDOW_S, link
 from .metrics import (
     MissingRpiMonth,
     TripColumns,
-    WeeklyPayRow,
     ZeroHours,
     acceptance_rate,
     adjust_inflation,
     cohort_months,
     cohort_pay_change,
     cohort_summary,
-    completed_months,
     distribution_compare,
-    offer_counts,
     pay_per_hour,
     per_minute_fare_by_split,
     surplus_series,
@@ -52,6 +50,7 @@ from .model import (
 from .worktime import (
     Bucket,
     HoursDefinition,
+    TimeLedger,
     build_ledger,
     build_segments,
     hours_worked,
@@ -89,14 +88,10 @@ class DriverResult:
 
     driver_id: str
     report: IngestReport
-    trips_per_era: Mapping[str, int]  # every trip of the bundle, by era name
     link_counts: tuple[int, int, int]  # linked, unmatched trips, unmatched payments
     orphan_trips: int
-    rows: tuple[WeeklyPayRow, ...]
-    months: Mapping[int, Bucket]  # the ledger's local-month buckets, by month index
+    ledger: TimeLedger  # time, pay, trips and offers per ISO week and local month
     trips: TripColumns  # share-valid linked trips, in link order
-    offers: Mapping[int, tuple[int, int]]  # month index -> (accepted, offered)
-    active_months: frozenset[int]  # month indexes with a completed trip
     profile: DriverProfile | None
 
 
@@ -133,26 +128,23 @@ def process_bundle(
 
             return feature_blocks(links.linked)
         timeline = build_segments(bundle.sessions, bundle.trips)
-        ledger = build_ledger(timeline.segments, bundle.payments)
-        rows = weekly_rows(ledger)
+        ledger = build_ledger(
+            timeline.segments, bundle.payments, bundle.trips, bundle.dispatches
+        )
     except BUNDLE_ERRORS as exc:
         return BundleFailure.of(directory, exc)
-    eras = options.eras  # the one place a bundle meets the era boundaries
     return DriverResult(
         driver_id=bundle.driver_id,
         report=report,
-        trips_per_era=trips_per_era(bundle.trips, eras),
         link_counts=(
             len(links.linked),
             len(links.unmatched_trips),
             len(links.unmatched_payments),
         ),
         orphan_trips=len(timeline.orphan_trips),
-        rows=rows,
-        months=ledger.months,
-        trips=TripColumns.from_linked(links.linked, bundle.driver_id, eras),
-        offers=offer_counts(bundle.dispatches),
-        active_months=completed_months(bundle.trips),
+        ledger=ledger,
+        # the one place a worker meets the era boundaries
+        trips=TripColumns.from_linked(links.linked, bundle.driver_id, options.eras),
         profile=bundle.profile,
     )
 
@@ -184,7 +176,7 @@ def dumps_report(report: Mapping) -> str:
     return json.dumps(json_ready(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _pooled_rate(rows: Sequence[WeeklyPayRow], definition: HoursDefinition,
+def _pooled_rate(rows: Sequence[tuple[str, Bucket]], definition: HoursDefinition,
                  weeks: set[str] | None) -> float | None:
     try:
         return pay_per_hour(rows, definition, weeks)
@@ -192,18 +184,18 @@ def _pooled_rate(rows: Sequence[WeeklyPayRow], definition: HoursDefinition,
         return None
 
 
-def _weekly_pooled(rows: Sequence[WeeklyPayRow]) -> dict:
+def _weekly_pooled(rows: Sequence[tuple[str, Bucket]]) -> dict:
     """Each week's rows pooled; a driver has at most one row a week."""
-    by_week: dict[str, list[WeeklyPayRow]] = {}
+    by_week: dict[str, list[tuple[str, Bucket]]] = {}
     for row in rows:
-        by_week.setdefault(row.iso_week, []).append(row)
+        by_week.setdefault(row[0], []).append(row)
     out = {}
     for week in sorted(by_week):
         group = by_week[week]
         out[week] = {
-            "net_pay_pounds": sum(r.net_pay for r in group) / 100.0,
-            "hours_tribunal": sum(r.hours_tribunal for r in group),
-            "hours_platform": sum(r.hours_platform for r in group),
+            "net_pay_pounds": sum(b.pay or 0 for _, b in group) / 100.0,
+            "hours_tribunal": sum(hours_worked(b, HoursDefinition.TRIBUNAL) for _, b in group),
+            "hours_platform": sum(hours_worked(b, HoursDefinition.PLATFORM) for _, b in group),
             "rate_tribunal": _pooled_rate(group, HoursDefinition.TRIBUNAL, None),
             "rate_platform": _pooled_rate(group, HoursDefinition.PLATFORM, None),
             "drivers": len(group),
@@ -213,7 +205,7 @@ def _weekly_pooled(rows: Sequence[WeeklyPayRow]) -> dict:
 
 def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict:
     """Nominal and inflation-adjusted pooled pay per tribunal hour by month."""
-    months = {m for res in results for m, t in res.months.items() if t.pay is not None}
+    months = {m for res in results for m, t in res.ledger.months.items() if t.pay is not None}
     if not months:
         return {"error": "no payments"}
     nominal: dict[int, float] = {}
@@ -221,7 +213,7 @@ def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict
         pence = 0
         hours = 0.0
         for res in results:
-            totals = res.months.get(month)
+            totals = res.ledger.months.get(month)
             if totals is not None:
                 pence += totals.pay or 0
                 hours += hours_worked(totals, HoursDefinition.TRIBUNAL)
@@ -259,18 +251,11 @@ def _take_rate_section(trips: TripColumns) -> dict:
     }
 
 
-def _utilisation_section(results: Sequence[DriverResult]) -> dict:
-    pooled: dict[int, Bucket] = {}  # each month's active driver buckets, summed exactly
-    for res in results:
-        for month, totals in res.months.items():
-            if totals.active_days:
-                bucket = pooled.setdefault(month, Bucket())
-                bucket.standby_ms += totals.standby_ms
-                bucket.en_route_ms += totals.en_route_ms
-                bucket.on_trip_ms += totals.on_trip_ms
-                bucket.active_days += totals.active_days
+def _utilisation_section(pooled: Mapping[int, Bucket]) -> dict:
     out = {}
     for month, bucket in sorted(pooled.items()):
+        if not bucket.active_days:
+            continue
         u = utilisation_daily(bucket)
         out[month_label(month)] = {
             "standby_hours": u.standby_hours,
@@ -281,19 +266,17 @@ def _utilisation_section(results: Sequence[DriverResult]) -> dict:
     return out
 
 
-def _acceptance_section(results: Sequence[DriverResult]) -> dict:
-    by_month: dict[int, list[tuple[int, int]]] = {}
-    for res in results:
-        for month, counts in res.offers.items():
-            by_month.setdefault(month, []).append(counts)
-    if not by_month:
+def _acceptance_section(pooled: Mapping[int, Bucket]) -> dict:
+    offered = {m: bucket for m, bucket in sorted(pooled.items()) if bucket.offered}
+    if not offered:
         return {"overall": None, "monthly": {}}
-    every = [counts for group in by_month.values() for counts in group]
-    monthly = {month_label(m): acceptance_rate(by_month[m]) for m in sorted(by_month)}
+    every = Bucket()
+    for bucket in offered.values():
+        every.add(bucket)
     return {
         "overall": acceptance_rate(every),
-        "monthly": monthly,
-        "n_offers": sum(n for _, n in every),
+        "monthly": {month_label(m): acceptance_rate(bucket) for m, bucket in offered.items()},
+        "n_offers": every.offered,
     }
 
 
@@ -331,8 +314,13 @@ def build_report(
         (r for r in outcomes if isinstance(r, BundleFailure)), key=lambda r: r.driver_id
     )
 
-    all_rows = [row for res in results for row in res.rows]
+    rows = {res.driver_id: weekly_rows(res.ledger) for res in results}
+    all_rows = [row for driver_rows in rows.values() for row in driver_rows]
     trips = TripColumns.concat([res.trips for res in results])
+    pooled: dict[int, Bucket] = {}  # every driver's month buckets, summed exactly
+    for res in results:
+        for month, totals in res.ledger.months.items():
+            pooled.setdefault(month, Bucket()).add(totals)
     weeks = set(options.weeks) if options.weeks else None
 
     report: dict = {
@@ -349,7 +337,10 @@ def build_report(
         },
         "bundles": {
             res.driver_id: {
-                "ingest": {**asdict(res.report), "trips_per_era": res.trips_per_era},
+                "ingest": {
+                    **asdict(res.report),
+                    "trips_per_era": trips_per_era(res.ledger.months, options.eras),
+                },
                 "linkage": dict(
                     zip(("linked", "unmatched_trips", "unmatched_payments"), res.link_counts)
                 ),
@@ -365,13 +356,13 @@ def build_report(
         "rows": [
             {
                 "driver_id": res.driver_id,
-                "iso_week": row.iso_week,
-                "net_pay_pounds": row.net_pay / 100.0,
-                "hours_tribunal": row.hours_tribunal,
-                "hours_platform": row.hours_platform,
+                "iso_week": week,
+                "net_pay_pounds": (totals.pay or 0) / 100.0,
+                "hours_tribunal": hours_worked(totals, HoursDefinition.TRIBUNAL),
+                "hours_platform": hours_worked(totals, HoursDefinition.PLATFORM),
             }
             for res in results  # in driver order, each driver's rows in week order
-            for row in res.rows
+            for week, totals in rows[res.driver_id]
         ],
         "pooled_rate_tribunal": _pooled_rate(all_rows, HoursDefinition.TRIBUNAL, weeks),
         "pooled_rate_platform": _pooled_rate(all_rows, HoursDefinition.PLATFORM, weeks),
@@ -384,18 +375,19 @@ def build_report(
     report["take_rates"] = _take_rate_section(trips)
 
     on_trip_ms = {
-        res.driver_id: {m: t.on_trip_ms for m, t in res.months.items()} for res in results
+        res.driver_id: {m: t.on_trip_ms for m, t in res.ledger.months.items()}
+        for res in results
     }
     report["surplus"] = [asdict(p) for p in surplus_series(trips, on_trip_ms)]
     report["per_minute_by_split"] = [asdict(b) for b in per_minute_fare_by_split(trips)]
 
-    report["utilisation"] = _utilisation_section(results)
-    report["acceptance"] = _acceptance_section(results)
+    report["utilisation"] = _utilisation_section(pooled)
+    report["acceptance"] = _acceptance_section(pooled)
 
     if options.cohort_pre:
         split = cohort_pay_change(
-            {res.driver_id: res.rows for res in results},
-            {res.driver_id: res.active_months for res in results},
+            rows,
+            {res.driver_id: res.ledger.months for res in results},
             options.cohort_pre,
             options.cohort_post,
         )
@@ -424,11 +416,7 @@ def build_report(
     profiles = [res.profile for res in results if res.profile is not None]
     report["demographics"] = cohort_summary(profiles)
 
-    era_totals: dict[str, int] = {}
-    for res in results:
-        for era_name, n in res.trips_per_era.items():
-            era_totals[era_name] = era_totals.get(era_name, 0) + n
-    report["trips_per_era"] = era_totals
+    report["trips_per_era"] = trips_per_era(pooled, options.eras)
 
     return report
 

@@ -140,6 +140,14 @@ class CorruptionPlan:
             raise InvalidConfig("corruption counts must be non-negative")
 
 
+def _finite(text: str) -> float:
+    """A JSON number of a config; NaN and the infinities are not numbers here."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidConfig(f"not a finite number: {text}")
+    return value
+
+
 # the nested configs that from_dict builds from JSON objects
 _CONFIG_PARTS = dict(
     fixed_rule=FareRule, switch_rule=FareRule, share=ShareModel,
@@ -268,14 +276,16 @@ class GenConfig:
                 if key in data:
                     data[key] = tuple((str(k), float(v)) for k, v in data[key])
             return cls(**data)
-        except TypeError as exc:
+        except KeyError as exc:
+            raise InvalidConfig(f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise InvalidConfig(str(exc)) from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "GenConfig":
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):

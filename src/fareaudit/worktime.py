@@ -17,12 +17,14 @@ from .model import (
     CALENDAR,
     ActivityState,
     AppSession,
+    DispatchOffer,
     MS_PER_HOUR,
     PaymentEvent,
     TripRecord,
     TripStatus,
     iso_week_label,
     month_of,
+    trip_anchor,
 )
 
 Interval = tuple[int, int]  # [start_ms, end_ms)
@@ -158,33 +160,59 @@ _SLOT = {ActivityState.STANDBY: 0, ActivityState.EN_ROUTE: 1, ActivityState.ON_T
 
 @dataclass(slots=True)
 class Bucket:
-    """One driver's totals over one ISO week or one local month."""
+    """Totals over one local date, ISO week or local month, of one driver or summed
+    over several."""
 
     standby_ms: int = 0
     en_route_ms: int = 0
     on_trip_ms: int = 0
     pay: int | None = None  # pence; None when no payment falls in the bucket
     active_days: int = 0  # local dates with any activity
+    trips: int = 0  # trips anchored in the bucket, whatever their status
+    completed: int = 0  # of those, the completed trips
+    offered: int = 0  # dispatch offers
+    accepted: int = 0  # of those, the accepted offers
+
+    def add(self, other: Bucket) -> None:
+        """Add each of ``other``'s totals to this bucket's."""
+        self.standby_ms += other.standby_ms
+        self.en_route_ms += other.en_route_ms
+        self.on_trip_ms += other.on_trip_ms
+        if other.pay is not None:
+            self.pay = (self.pay or 0) + other.pay
+        self.active_days += other.active_days
+        self.trips += other.trips
+        self.completed += other.completed
+        self.offered += other.offered
+        self.accepted += other.accepted
 
 
 @dataclass(frozen=True)
 class TimeLedger:
     """One driver's buckets by ISO week label and by local ``month_index``.
 
-    Only weeks and months with activity, or with payments, have a bucket, and
-    both mappings run in date order. Every total is an exact sum over the
-    bucket's local dates.
+    Only weeks and months with activity, payments, trips or offers have a
+    bucket, and both mappings run in date order. Every total is an exact sum
+    over the bucket's local dates.
     """
 
     weeks: Mapping[str, Bucket]
     months: Mapping[int, Bucket]
 
 
-def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) -> TimeLedger:
-    """Split every segment at local midnights, date every payment, and fold
-    each local date once into its ISO week and its local month.
+def build_ledger(
+    segments: Iterable[Segment],
+    payments: Iterable[PaymentEvent],
+    trips: Iterable[TripRecord],
+    offers: Iterable[DispatchOffer],
+) -> TimeLedger:
+    """Date every record once and fold each local date into its ISO week and
+    its local month.
 
-    Segments may come in any order; overlapping ones each count in full.
+    Segments are split at local midnights and may come in any order;
+    overlapping ones each count in full. A payment is dated by its instant, a
+    trip by ``trip_anchor`` and an offer by its offer instant. Only a date with
+    segment time is an active day.
     """
     time: dict[dt.date, list[int]] = {}
     for start, end, state in segments:
@@ -195,27 +223,27 @@ def build_ledger(segments: Iterable[Segment], payments: Iterable[PaymentEvent]) 
             time.setdefault(day, [0, 0, 0])[slot] += cut - start
             start = cut
 
-    pay: dict[dt.date, int] = {}
+    days: dict[dt.date, Bucket] = {}
+    for day, (standby, en_route, on_trip) in time.items():
+        days[day] = Bucket(standby, en_route, on_trip, active_days=1)
     for p in payments:
-        day = CALENDAR.day(p.ts)[0]
-        pay[day] = pay.get(day, 0) + p.amount
+        bucket = days.setdefault(CALENDAR.day(p.ts)[0], Bucket())
+        bucket.pay = (bucket.pay or 0) + p.amount
+    for trip in trips:
+        bucket = days.setdefault(CALENDAR.day(trip_anchor(trip))[0], Bucket())
+        bucket.trips += 1
+        bucket.completed += trip.status is TripStatus.COMPLETED
+    for offer in offers:
+        bucket = days.setdefault(CALENDAR.day(offer.offered_ts)[0], Bucket())
+        bucket.offered += 1
+        bucket.accepted += offer.accepted
 
     weeks: dict[str, Bucket] = {}
     months: dict[int, Bucket] = {}
-    for day in sorted(time.keys() | pay.keys()):
-        ms = time.get(day)
-        pence = pay.get(day)
-        for bucket in (
-            weeks.setdefault(iso_week_label(day), Bucket()),
-            months.setdefault(month_of(day), Bucket()),
-        ):
-            if ms is not None:
-                bucket.standby_ms += ms[0]
-                bucket.en_route_ms += ms[1]
-                bucket.on_trip_ms += ms[2]
-                bucket.active_days += 1
-            if pence is not None:
-                bucket.pay = (bucket.pay or 0) + pence
+    for day in sorted(days):
+        totals = days[day]
+        weeks.setdefault(iso_week_label(day), Bucket()).add(totals)
+        months.setdefault(month_of(day), Bucket()).add(totals)
     return TimeLedger(weeks, months)
 
 

@@ -23,7 +23,6 @@ from fareaudit.linkage import link
 from fareaudit.metrics import (
     TripColumns,
     adjust_inflation,
-    completed_months,
     per_minute_fare_by_split,
     surplus_series,
     take_rate_histogram,
@@ -50,7 +49,13 @@ from fareaudit.synthgen import (
     GenConfig,
     generate,
 )
-from fareaudit.worktime import Bucket, build_ledger, build_segments
+from fareaudit.worktime import (
+    Bucket,
+    HoursDefinition,
+    build_ledger,
+    build_segments,
+    hours_worked,
+)
 from conftest import instant, load_ground_truth
 
 MIN = 60_000
@@ -74,7 +79,9 @@ def process_fleet(root: Path) -> dict[str, SimpleNamespace]:
         bundle, _report = normalize(load_bundle(directory))
         links = link(bundle.trips, bundle.payments)
         timeline = build_segments(bundle.sessions, bundle.trips)
-        ledger = build_ledger(timeline.segments, bundle.payments)
+        ledger = build_ledger(
+            timeline.segments, bundle.payments, bundle.trips, bundle.dispatches
+        )
         rows = weekly_rows(ledger)
         out[bundle.driver_id] = SimpleNamespace(
             bundle=bundle, links=links, ledger=ledger, rows=rows
@@ -192,15 +199,18 @@ def test_criterion_03_working_time_dominance(fixed_fleet):
     with criterion(3, "working-time dominance per week"):
         weeks_checked = 0
         for driver_id, data in fixed_fleet.drivers.items():
-            for row in data.rows:
-                assert row.hours_platform <= row.hours_tribunal
-                if row.net_pay >= 0 and row.hours_tribunal > 0.0:
-                    rate_t = row.net_pay / row.hours_tribunal
+            for _week, totals in data.rows:
+                net_pay = totals.pay or 0
+                hours_tribunal = hours_worked(totals, HoursDefinition.TRIBUNAL)
+                hours_platform = hours_worked(totals, HoursDefinition.PLATFORM)
+                assert hours_platform <= hours_tribunal
+                if net_pay >= 0 and hours_tribunal > 0.0:
+                    rate_t = net_pay / hours_tribunal
                     rate_p = (
-                        row.net_pay / row.hours_platform
-                        if row.hours_platform > 0.0
+                        net_pay / hours_platform
+                        if hours_platform > 0.0
                         else math.inf
-                        if row.net_pay > 0
+                        if net_pay > 0
                         else 0.0
                     )
                     assert rate_p >= rate_t or math.isclose(rate_p, rate_t)
@@ -333,7 +343,7 @@ def test_criterion_06_surplus_gap_handling():
             ],
             trips,
         ).segments
-        ledger = build_ledger(segments, pays)
+        ledger = build_ledger(segments, pays, [], [])
         on_trip = {
             m: ledger.months.get(m, Bucket()).on_trip_ms
             for m in range(month_index("2021-01"), month_index("2021-03") + 1)
@@ -418,7 +428,7 @@ def test_criterion_09_cohort_partition(tmp_path_factory):
         drivers = process_fleet(root)
         split = cohort_pay_change(
             {d: data.rows for d, data in drivers.items()},
-            {d: completed_months(data.bundle.trips) for d, data in drivers.items()},
+            {d: data.ledger.months for d, data in drivers.items()},
             plan.window_pre,
             plan.window_post,
         )

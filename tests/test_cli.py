@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import pickle
 import re
@@ -102,6 +103,13 @@ def test_synth_rejects_bad_config(tmp_path):
     [
         {"first_month": "2021-13"},
         {"cohort": {"window_pre": ["2021-2", "2021-03"], "window_post": ["2021-09", "2021-10"]}},
+        # a weight that is no number, and a mix entry without its weight
+        {"n_drivers": 1, "last_month": "2021-01", "products": [["UberX", "x"]]},
+        {"n_drivers": 1, "last_month": "2021-01", "products": [["UberX"]]},
+        {"n_drivers": 1, "last_month": "2021-01", "cohort": {"window_post": ["2021-01"] * 2}},
+        # json reads NaN, and generation could not round it
+        {"n_drivers": 1, "last_month": "2021-01", "jitter_sd_s": math.nan},
+        {"n_drivers": 1, "last_month": "2021-01", "session_min_h": math.nan},
     ],
 )
 def test_synth_malformed_month_label_is_a_config_error(tmp_path, caplog, config):
@@ -162,6 +170,30 @@ def test_audit_report_sections(bundles, tmp_path):
         for t in info["ingest"]["tables"].values()
     )
     assert dropped >= 4
+
+
+def test_jobs_never_start_more_workers_than_bundles(bundles, tmp_path, monkeypatch):
+    # a fork pool starts all its workers on the first bundle, so --jobs 64
+    # over a few bundles would fork 64 processes; this stand-in pool records
+    # its size and runs the bundles in process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("fareaudit.cli.futures.ProcessPoolExecutor", InProcessPool)
+    assert main(["audit", str(bundles), "--out", str(tmp_path / "o"), "--jobs", "64"]) == 0
+    assert sizes == [len(_bundle_dirs(str(bundles)))]
 
 
 def test_audit_rerun_and_jobs_byte_identical(bundles, tmp_path):

@@ -25,6 +25,7 @@ from fareaudit.ingest import (
 from fareaudit.linkage import link
 from fareaudit.metrics import TripColumns, trips_per_era
 from fareaudit.model import DEFAULT_ERAS, Era, TripStatus
+from fareaudit.worktime import build_ledger
 from conftest import (
     PAYMENT_HEADER,
     TRIP_HEADER,
@@ -291,7 +292,8 @@ def test_trips_per_era_counted(tmp_path):
     write_table(d, "trips", TRIP_HEADER, [trip_csv_row(), dynamic])
     write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
     bundle, _ = normalize(load_bundle(d))
-    assert trips_per_era(bundle.trips, DEFAULT_ERAS) == {
+    months = build_ledger([], [], bundle.trips, []).months
+    assert trips_per_era(months, DEFAULT_ERAS) == {
         Era.FIXED_COMMISSION.value: 1,
         Era.DYNAMIC_PRICING.value: 1,
     }
@@ -329,7 +331,8 @@ def test_trip_straddling_an_era_boundary_takes_its_dropoff_era(tmp_path):
         "2022-01-31T23:50:00Z", "2022-01-31T23:51:00Z",
         "2022-01-31T23:55:00Z", "2022-02-01T00:10:00Z", "2022-02-01T00:11:00Z",
     )
-    assert trips_per_era(bundle.trips, DEFAULT_ERAS) == {Era.OPAQUE_GAP.value: 1}
+    months = build_ledger([], [], bundle.trips, []).months
+    assert trips_per_era(months, DEFAULT_ERAS) == {Era.OPAQUE_GAP.value: 1}
     (linked,) = link(bundle.trips, bundle.payments).linked
     assert len(TripColumns.from_linked([linked], "d1")) == 0
 

@@ -20,9 +20,7 @@ from fareaudit.metrics import (
     bin_labels,
     cohort_pay_change,
     cohort_summary,
-    completed_months,
     distribution_compare,
-    offer_counts,
     pay_per_hour,
     per_minute_fare_by_split,
     silverman_bandwidth,
@@ -45,7 +43,7 @@ from fareaudit.model import (
     month_range,
     parse_pence,
 )
-from fareaudit.worktime import Bucket, HoursDefinition, build_ledger, build_segments
+from fareaudit.worktime import Bucket, HoursDefinition, build_ledger, build_segments, hours_worked
 from conftest import at, instant, london, offer, payment, trip
 
 MIN = 60_000
@@ -91,9 +89,9 @@ def test_weekly_pay_sums_all_categories_signed():
         payment(ts_min=20.0, amount="1.00", category=PaymentCategory.TIP),
         payment(ts_min=30.0, amount="-2.00", category=PaymentCategory.ADJUSTMENT),
     ]
-    (row,) = weekly_rows(build_ledger([], pays))
-    assert row.iso_week == iso_week_label(london(pays[0].ts).date())
-    assert row.net_pay == 650
+    ((week, totals),) = weekly_rows(build_ledger([], pays, [], []))
+    assert week == iso_week_label(london(pays[0].ts).date())
+    assert totals.pay == 650
 
 
 def test_weekly_rows_split_by_iso_week():
@@ -102,25 +100,27 @@ def test_weekly_rows_split_by_iso_week():
     t = trip_at("2021-03-01T10:00:00Z")
     sess = covering_session(t)
     segs = build_segments([sess], [t]).segments
-    rows = weekly_rows(build_ledger(segs, [p1, p2]))
-    assert [r.iso_week for r in rows] == ["2021-W09", "2021-W10"]
-    assert rows[0].net_pay == 1000
-    assert rows[0].hours_tribunal > 0
-    assert rows[1].hours_tribunal == 0.0  # pay with no recorded time that week
+    rows = weekly_rows(build_ledger(segs, [p1, p2], [], []))
+    assert [week for week, _ in rows] == ["2021-W09", "2021-W10"]
+    assert rows[0][1].pay == 1000
+    assert hours_worked(rows[0][1], HoursDefinition.TRIBUNAL) > 0
+    assert hours_worked(rows[1][1], HoursDefinition.TRIBUNAL) == 0.0  # pay, no time that week
 
 
 def test_weekly_rows_platform_never_exceeds_tribunal():
     t = trip_at("2021-03-02T09:00:00Z", on_min=30)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T09:40:00Z", 0, "9.00")]))
-    for row in rows:
-        assert row.hours_platform <= row.hours_tribunal
+    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T09:40:00Z", 0, "9.00")], [t], []))
+    for _week, totals in rows:
+        assert hours_worked(totals, HoursDefinition.PLATFORM) <= hours_worked(
+            totals, HoursDefinition.TRIBUNAL
+        )
 
 
 def test_pay_per_hour_pooled_and_week_filter():
     t = trip_at("2021-03-02T09:00:00Z", on_min=55)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")]))
+    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")], [t], []))
     rate = pay_per_hour(rows, HoursDefinition.TRIBUNAL)
     # session is 80 minutes: 10 before request + 70 through dropoff+10
     assert rate == pytest.approx(12.0 / (80 / 60))
@@ -131,7 +131,7 @@ def test_pay_per_hour_pooled_and_week_filter():
 def test_pay_per_hour_platform_dominates_for_nonnegative_pay():
     t = trip_at("2021-03-02T09:00:00Z", on_min=55)
     segs = build_segments([covering_session(t)], [t]).segments
-    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")]))
+    rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")], [t], []))
     assert pay_per_hour(rows, HoursDefinition.PLATFORM) >= pay_per_hour(
         rows, HoursDefinition.TRIBUNAL
     )
@@ -302,7 +302,7 @@ def surplus_fixture():
     trips = [t_jan, t_mar]
     linked = link(trips, pays).linked
     segs = build_segments([covering_session(t) for t in trips], trips).segments
-    return list(linked), {"d1": on_trip_by_month(build_ledger(segs, pays))}
+    return list(linked), {"d1": on_trip_by_month(build_ledger(segs, pays, [], []))}
 
 
 def on_trip_by_month(ledger):
@@ -341,7 +341,7 @@ def test_surplus_gap_across_new_year_is_interpolated_and_labelled():
         pay_at("2021-02-04T10:06:00Z", 0, "8.00"),  # surplus 12/h
     ]
     segs = build_segments([covering_session(t) for t in trips], trips).segments
-    ledger = build_ledger(segs, pays)
+    ledger = build_ledger(segs, pays, [], [])
     series = surplus_series(
         TripColumns.from_linked(link(trips, pays).linked, "d1"),
         {"d1": {m: bucket.on_trip_ms for m, bucket in ledger.months.items()}},
@@ -362,7 +362,7 @@ def test_surplus_denominator_only_contributing_drivers():
         TripColumns.concat(
             [TripColumns.from_linked(linked, "d1"), TripColumns.from_linked(linked2, "d2")]
         ),
-        {**on_trip, "d2": on_trip_by_month(build_ledger(segs2, pays2))},
+        {**on_trip, "d2": on_trip_by_month(build_ledger(segs2, pays2, [], []))},
     )
     jan = next(p for p in series if p.month == "2021-01")
     assert jan.value == pytest.approx(8.0)
@@ -478,11 +478,12 @@ def driver_rows(months: list[str], pounds_per_trip: float):
             pays.append(pay_at(month_iso(m, day, 10), 6, f"{pounds_per_trip:.2f}"))
             sessions.append(covering_session(t))
     segs = build_segments(sessions, trips).segments
-    return weekly_rows(build_ledger(segs, pays)), trips
+    return weekly_rows(build_ledger(segs, pays, trips, [])), trips
 
 
 def active_months(trips_by_driver):
-    return {d: completed_months(trips) for d, trips in trips_by_driver.items()}
+    """Each driver's month buckets, whose completed-trip counts decide the cohort."""
+    return {d: build_ledger([], [], trips, []).months for d, trips in trips_by_driver.items()}
 
 
 def test_cohort_partition_and_qualification():
@@ -546,12 +547,20 @@ def test_cohort_split_partition_enforced():
 # Acceptance rate
 
 
+def offer_totals(offers):
+    """The offers' counts, pooled over the ledger's month buckets."""
+    totals = Bucket()
+    for bucket in build_ledger([], [], [], offers).months.values():
+        totals.add(bucket)
+    return totals
+
+
 def test_acceptance_rate_window():
     offers = [offer(float(m), m % 3 != 0) for m in range(30)]
-    assert acceptance_rate(offer_counts(offers).values()) == pytest.approx(20 / 30)
-    assert acceptance_rate(offer_counts(offers[:1]).values()) == 0.0
+    assert acceptance_rate(offer_totals(offers)) == pytest.approx(20 / 30)
+    assert acceptance_rate(offer_totals(offers[:1])) == 0.0
     with pytest.raises(NoOffers):
-        acceptance_rate(offer_counts([]).values())
+        acceptance_rate(offer_totals([]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 from fareaudit.metrics import weekly_rows
 from fareaudit.model import (
     ActivityState,
+    AppSession,
+    DispatchOffer,
     PaymentCategory,
     PaymentEvent,
+    TripRecord,
     TripStatus,
     month_index,
 )
@@ -208,7 +211,7 @@ def test_segments_match_minute_oracle(sess_raw, trips_raw):
 def test_hours_definitions():
     sessions = [session(0.0, 60.0)]
     trips = [trip(req=10.0, accept=11.0, pickup=15.0, dropoff=30.0)]
-    ledger = build_ledger(build_segments(sessions, trips).segments, [])
+    ledger = build_ledger(build_segments(sessions, trips).segments, [], [], [])
     tribunal = hours_worked(ledger.weeks[BASE_WEEK], HoursDefinition.TRIBUNAL)
     platform = hours_worked(ledger.weeks[BASE_WEEK], HoursDefinition.PLATFORM)
     assert tribunal == 1.0
@@ -221,7 +224,7 @@ def test_hours_clipped_to_period():
         session(8040.0, 8220.0),  # 23:00 Sunday 7 March to 02:00 Monday (GMT)
         session(42540.0, 42720.0),  # 23:00 Wednesday 31 March to 02:00 Thursday (BST)
     ]
-    ledger = build_ledger(build_segments(sessions, []).segments, [])
+    ledger = build_ledger(build_segments(sessions, []).segments, [], [], [])
     weeks = {w: hours_worked(t, HoursDefinition.TRIBUNAL) for w, t in ledger.weeks.items()}
     months = {m: hours_worked(t, HoursDefinition.TRIBUNAL) for m, t in ledger.months.items()}
     assert weeks == {"2021-W09": 1.0, "2021-W10": 2.0, "2021-W13": 3.0}
@@ -255,7 +258,7 @@ def test_platform_hours_never_exceed_tribunal(sess_raw, trips_raw):
                 dropoff=float(off + wait + en + dur),
             )
         )
-    ledger = build_ledger(build_segments(sessions, trips).segments, [])
+    ledger = build_ledger(build_segments(sessions, trips).segments, [], [], [])
     for totals in [*ledger.weeks.values(), *ledger.months.values()]:
         platform = hours_worked(totals, HoursDefinition.PLATFORM)
         tribunal = hours_worked(totals, HoursDefinition.TRIBUNAL)
@@ -264,7 +267,7 @@ def test_platform_hours_never_exceed_tribunal(sess_raw, trips_raw):
 
 def test_utilisation_counts_active_days():
     sessions = [session(0.0, 60.0), session(24 * 60.0, 24 * 60.0 + 120.0)]
-    ledger = build_ledger(build_segments(sessions, []).segments, [])
+    ledger = build_ledger(build_segments(sessions, []).segments, [], [], [])
     u = utilisation_daily(ledger.months[month_index("2021-03")])
     assert u.active_days == 2
     assert u.standby_hours == (1.0 + 2.0) / 2
@@ -272,9 +275,9 @@ def test_utilisation_counts_active_days():
 
 
 def test_utilisation_empty_month():
-    assert build_ledger([], []).months == {}
+    assert build_ledger([], [], [], []).months == {}
     # a month with a payment and no activity has a bucket, but no active day
-    ledger = build_ledger([], [PaymentEvent(at(0.0), PaymentCategory.TIP, 100)])
+    ledger = build_ledger([], [PaymentEvent(at(0.0), PaymentCategory.TIP, 100)], [], [])
     u = utilisation_daily(ledger.months[month_index("2021-03")])
     assert u.active_days == 0
     assert (u.standby_hours, u.en_route_hours, u.on_trip_hours) == (0.0, 0.0, 0.0)
@@ -283,7 +286,7 @@ def test_utilisation_empty_month():
 def test_state_hours_breakdown():
     sessions = [session(0.0, 60.0)]
     trips = [trip(req=10.0, accept=11.0, pickup=15.0, dropoff=30.0)]
-    ledger = build_ledger(build_segments(sessions, trips).segments, [])
+    ledger = build_ledger(build_segments(sessions, trips).segments, [], [], [])
     for totals in (ledger.weeks[BASE_WEEK], ledger.months[month_index("2021-03")]):
         assert totals.on_trip_ms == 15 * MIN
         assert totals.en_route_ms == 4 * MIN
@@ -297,7 +300,7 @@ def test_zero_pay_is_pay_but_makes_no_weekly_row():
         PaymentEvent(at(0.0), PaymentCategory.TIP, 500),
         PaymentEvent(at(60.0), PaymentCategory.ADJUSTMENT, -500),
     ]
-    ledger = build_ledger([], payments)
+    ledger = build_ledger([], payments, [], [])
     assert ledger.weeks[BASE_WEEK] == Bucket(pay=0)
     assert ledger.months[month_index("2021-03")] == Bucket(pay=0)
     assert weekly_rows(ledger) == ()
@@ -343,7 +346,7 @@ ORACLE_MONTHS = [(2021, 2), (2021, 3), (2021, 4), (2021, 5)]
 @settings(max_examples=300, deadline=None)
 def test_hours_worked_matches_clip_and_sum(raw):
     segments = [segment(float(s), float(s + d), state) for s, d, state in raw]
-    ledger = build_ledger(segments, [])
+    ledger = build_ledger(segments, [], [], [])
     periods = [(ledger.weeks, iso_label(monday), london_week(monday)) for monday in ORACLE_MONDAYS]
     periods += [
         (ledger.months, month_index(f"{y:04d}-{m:02d}"), london_month(y, m))
@@ -392,8 +395,14 @@ def test_weekly_rows_hours_match_clip_and_sum(raw):
         if tribunal > 0:
             want[week] = (tribunal, platform)
         monday += dt.timedelta(days=7)
-    rows = weekly_rows(build_ledger(segments, []))
-    assert {r.iso_week: (r.hours_tribunal, r.hours_platform) for r in rows} == want
+    rows = weekly_rows(build_ledger(segments, [], [], []))
+    assert {
+        week: (
+            hours_worked(totals, HoursDefinition.TRIBUNAL),
+            hours_worked(totals, HoursDefinition.PLATFORM),
+        )
+        for week, totals in rows
+    } == want
 
 
 # Both 2021 clock changes fall on a Sunday, the last day of an ISO week:
@@ -446,7 +455,7 @@ def test_ledger_matches_clip_and_sum_across_clock_changes(raw_segments, raw_paym
         PaymentEvent(anchor + s * MIN, PaymentCategory.TIP, pence)
         for anchor, s, pence in raw_payments
     ]
-    ledger = build_ledger(segments, payments)
+    ledger = build_ledger(segments, payments, [], [])
 
     def want_ms(state, lo, hi):
         return sum(
@@ -493,6 +502,105 @@ def test_segment_spanning_a_whole_month_counts_in_it():
         instant("2021-03-01T12:00:00Z"),
         ActivityState.STANDBY,
     )
-    u = utilisation_daily(build_ledger([whole_february], []).months[month_index("2021-02")])
+    ledger = build_ledger([whole_february], [], [], [])
+    u = utilisation_daily(ledger.months[month_index("2021-02")])
     assert u.active_days == 28
     assert u.standby_hours == 24.0
+
+
+# Trips and offers drawn round both 2021 clock changes. A completed trip may
+# drop off at exactly a London midnight, so its anchor date has none of its
+# time; a cancelled trip may have no dropoff (dated by its request) and no
+# segment at all. Sessions cover only some trips and offers.
+TRIP_KINDS = ("completed", "dropoff_at_midnight", "cancelled_without_dropoff")
+
+
+def drawn_trip(anchor: int, offset_min: int, on_trip_min: int, kind: str) -> TripRecord:
+    at_ms = anchor + offset_min * MIN
+    if kind == "cancelled_without_dropoff":
+        return TripRecord(at_ms, at_ms + MIN, None, None, 0.0, TripStatus.RIDER_CANCELLED)
+    dropoff = at_ms + (5 + on_trip_min) * MIN
+    if kind == "dropoff_at_midnight":
+        dropoff = london_midnight(london(at_ms).date())
+    pickup = dropoff - on_trip_min * MIN
+    return TripRecord(
+        pickup - 5 * MIN, pickup - 4 * MIN, pickup, dropoff, 3.0, TripStatus.COMPLETED
+    )
+
+
+def london_month_index(ms: int) -> int:
+    local = london(ms)
+    return month_index(f"{local.year:04d}-{local.month:02d}")
+
+
+COUNT_MINUTES = st.integers(-2 * 24 * 60, 9 * 24 * 60)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(LEDGER_ANCHORS), COUNT_MINUTES, st.integers(1, 6 * 60)),
+        max_size=4,
+    ),
+    st.lists(
+        st.tuples(
+            st.sampled_from(LEDGER_ANCHORS),
+            COUNT_MINUTES,
+            st.integers(1, 90),
+            st.sampled_from(TRIP_KINDS),
+        ),
+        max_size=10,
+    ),
+    st.lists(
+        st.tuples(st.sampled_from(LEDGER_ANCHORS), COUNT_MINUTES, st.booleans()), max_size=10
+    ),
+)
+# on the trip's own time the clocks go back; it drops off at 00:00 GMT on
+# Monday 1 November, which opens a month and an ISO week holding no time
+@example([], [(LEDGER_ANCHORS[1], 3 * 24 * 60 + 30, 30, "dropoff_at_midnight")], [])
+# a cancelled trip and offers on both clock-change days, outside every session
+@example(
+    [(LEDGER_ANCHORS[0], 0, 60)],
+    [(LEDGER_ANCHORS[0], 2 * 24 * 60 + 90, 1, "cancelled_without_dropoff")],
+    [(LEDGER_ANCHORS[0], 2 * 24 * 60 + 59, True), (LEDGER_ANCHORS[1], 2 * 24 * 60 + 61, False)],
+)
+@settings(max_examples=150, deadline=None)
+def test_ledger_counts_trips_and_offers_by_local_month(raw_sessions, raw_trips, raw_offers):
+    sessions = [AppSession(a + s * MIN, a + (s + d) * MIN) for a, s, d in raw_sessions]
+    trips = [drawn_trip(*raw) for raw in raw_trips]
+    offers = [DispatchOffer(a + s * MIN, accepted) for a, s, accepted in raw_offers]
+    segments = build_segments(sessions, trips).segments
+    ledger = build_ledger(segments, [], trips, offers)
+
+    want: dict[int, list[int]] = {}  # month -> trips, completed, offered, accepted
+    for t in trips:
+        anchor = t.request_ts if t.dropoff_ts is None else t.dropoff_ts
+        counts = want.setdefault(london_month_index(anchor), [0, 0, 0, 0])
+        counts[0] += 1
+        counts[1] += t.status is TripStatus.COMPLETED
+    for o in offers:
+        counts = want.setdefault(london_month_index(o.offered_ts), [0, 0, 0, 0])
+        counts[2] += 1
+        counts[3] += o.accepted
+    got = {
+        month: [b.trips, b.completed, b.offered, b.accepted]
+        for month, b in ledger.months.items()
+        if b.trips or b.offered
+    }
+    assert got == want
+    assert sum(b.trips for b in ledger.weeks.values()) == len(trips)
+    assert sum(b.offered for b in ledger.weeks.values()) == len(offers)
+
+    # only London dates holding segment time are active days or make weekly rows
+    active = set()
+    for start, end, _state in segments:
+        day = london(start).date()
+        while day <= london(end - 1).date():
+            active.add(day)
+            day += DAY
+    active_months = {month_index(f"{d.year:04d}-{d.month:02d}") for d in active}
+    assert set(ledger.months) == active_months | set(want)
+    for month, bucket in ledger.months.items():
+        assert bucket.active_days == sum(
+            1 for d in active if month_index(f"{d.year:04d}-{d.month:02d}") == month
+        ), month
+    assert {week for week, _ in weekly_rows(ledger)} == {iso_label(d) for d in active}
