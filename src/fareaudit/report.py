@@ -120,8 +120,7 @@ def process_bundle(
     back as its feature blocks for the predictability matrix.
     """
     try:
-        raw = load_bundle(directory)
-        bundle, report = normalize(raw)
+        bundle, report = normalize(load_bundle(directory))
         links = link(bundle.trips, bundle.payments, options.link_window_s)
         if options.features_only:
             from .predictability import feature_blocks  # loads only for predict
@@ -210,15 +209,11 @@ def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict
         return {"error": "no payments"}
     nominal: dict[int, float] = {}
     for month in range(min(months), max(months) + 1):
-        pence = 0
-        hours = 0.0
-        for res in results:
-            totals = res.ledger.months.get(month)
-            if totals is not None:
-                pence += totals.pay or 0
-                hours += hours_worked(totals, HoursDefinition.TRIBUNAL)
-        if hours > 0.0:
-            nominal[month] = (pence / 100.0) / hours
+        label = month_label(month)
+        rows = [(label, res.ledger.months[month]) for res in results if month in res.ledger.months]
+        rate = _pooled_rate(rows, HoursDefinition.TRIBUNAL, None)
+        if rate is not None:
+            nominal[month] = rate
     if not nominal:
         return {"error": "no working months"}
     base = max(nominal)

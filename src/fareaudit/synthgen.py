@@ -77,17 +77,11 @@ class FareRule:
 class ShareModel:
     """Dynamic-era driver share: clamp(intercept - per_pound*fare + noise)."""
 
-    intercept: float = 1.08
-    per_pound: float = 0.025
-    noise_sd: float = 0.07
-    lo: float = 0.35
-    hi: float = 1.12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lo < self.hi:
-            raise InvalidConfig("share clamp bounds out of order")
-        if self.noise_sd < 0:
-            raise InvalidConfig("negative share noise")
+    intercept: float
+    per_pound: float
+    noise_sd: float
+    lo: float
+    hi: float
 
     def mean_share(self, fare_pounds: float) -> float:
         return self.intercept - self.per_pound * fare_pounds
@@ -97,14 +91,10 @@ class ShareModel:
 class DurationModel:
     """Truncated lognormal trip duration in seconds."""
 
-    median_s: float = 840.0
-    sigma: float = 0.45
-    lo_s: float = 360.0
-    hi_s: float = 2400.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.lo_s < self.hi_s:
-            raise InvalidConfig("duration bounds out of order")
+    median_s: float
+    sigma: float
+    lo_s: float
+    hi_s: float
 
 
 @dataclass(frozen=True)
@@ -114,8 +104,6 @@ class CohortPlan:
     window_pre: tuple[str, str]
     window_post: tuple[str, str]
     cut_fraction: float = 0.8
-    cut_factor: float = 0.85
-    raise_factor: float = 1.10
     gap_drivers: int = 0  # drivers that skip one post-window month entirely
 
     def __post_init__(self) -> None:
@@ -148,11 +136,30 @@ def _finite(text: str) -> float:
     return value
 
 
+# What every fleet shares. A config sets only what some fleet varies.
+FIXED_RULE = FareRule()  # fixed-era pricing, until a switch_year
+DYNAMIC_PER_MIN_PENCE = 140
+SHARE = ShareModel(intercept=1.08, per_pound=0.025, noise_sd=0.07, lo=0.35, hi=1.12)
+DURATION_FIXED = DurationModel(median_s=840.0, sigma=0.45, lo_s=360.0, hi_s=2400.0)
+DURATION_DYNAMIC = DurationModel(median_s=780.0, sigma=0.45, lo_s=300.0, hi_s=2400.0)
+STANDBY_MIN_S, STANDBY_MEAN_S = 300, 600
+EN_ROUTE_MIN_S, EN_ROUTE_MAX_S = 180, 720
+WAIT_MIN_S, WAIT_MAX_S = 5, 60
+SPEED_MPH = 18.0
+DISTANCE_NOISE_SD = 0.08
+TIP_PROB = 0.15
+TIP_MAX_PENCE = 500
+CANCEL_PROB = 0.05
+ACCEPTANCE_RATE = 0.8
+AIRPORT_PROB = 0.06
+PRODUCTS = (("standard", 0.7), ("comfort", 0.2), ("exec", 0.1))
+GENDER_MIX = (("M", 0.96), ("F", 0.04))
+AGE_MIX = (("20-29", 0.23), ("30-39", 0.35), ("40-49", 0.28), ("50+", 0.14))
+MARKER_PREFIX = "ZZMARK"  # in every free-text field, for the anonymization sweep
+CUT_FACTOR, RAISE_FACTOR = 0.85, 1.10  # post-window pay of a cohort's cut and raised drivers
+
 # the nested configs that from_dict builds from JSON objects
-_CONFIG_PARTS = dict(
-    fixed_rule=FareRule, switch_rule=FareRule, share=ShareModel,
-    duration_fixed=DurationModel, duration_dynamic=DurationModel, corrupt=CorruptionPlan,
-)
+_CONFIG_PARTS = dict(switch_rule=FareRule, corrupt=CorruptionPlan)
 
 
 @dataclass(frozen=True)
@@ -165,62 +172,27 @@ class GenConfig:
     dynamic_start: str = "2023-02"
 
     commission: str = "0.25"  # exact decimal or a/b fraction text
-    fixed_rule: FareRule = field(default_factory=FareRule)
     switch_year: int | None = None  # fixed-rule regime switch (predictability fixtures)
     switch_rule: FareRule = field(default_factory=lambda: FareRule(100, 20, 85))
-    pay_noise_sd: float = 0.0  # relative noise on fixed-era pay; breaks share exactness
-
-    dynamic_per_min_pence: int = 140
-    share: ShareModel = field(default_factory=ShareModel)
-    duration_fixed: DurationModel = field(default_factory=DurationModel)
-    duration_dynamic: DurationModel = field(
-        default_factory=lambda: DurationModel(780.0, 0.45, 300.0, 2400.0)
-    )
 
     work_prob: float = 0.75
     session_min_h: float = 4.0
     session_max_h: float = 9.0
-    standby_min_s: int = 300
-    standby_mean_s: int = 600
-    standby_inflation_post: float = 1.0
-    en_route_min_s: int = 180
-    en_route_max_s: int = 720
-    wait_min_s: int = 5
-    wait_max_s: int = 60
-
-    speed_mph: float = 18.0
-    distance_noise_sd: float = 0.08
     jitter_sd_s: float = 60.0
-    tip_prob: float = 0.15
-    tip_max_pence: int = 500
-    cancel_prob: float = 0.05
-    acceptance_rate: float = 0.8
-    airport_prob: float = 0.06
-    products: tuple[tuple[str, float], ...] = (
-        ("standard", 0.7),
-        ("comfort", 0.2),
-        ("exec", 0.1),
-    )
-    gender_mix: tuple[tuple[str, float], ...] = (("M", 0.96), ("F", 0.04))
-    age_mix: tuple[tuple[str, float], ...] = (
-        ("20-29", 0.23),
-        ("30-39", 0.35),
-        ("40-49", 0.28),
-        ("50+", 0.14),
-    )
 
     cohort: CohortPlan | None = None
     corrupt: CorruptionPlan = field(default_factory=CorruptionPlan)
-    marker_prefix: str = "ZZMARK"
     rpi_yoy: float | None = None
 
     def __post_init__(self) -> None:
         if type(self.seed) is not int or self.seed < 0:  # bool is an int subclass
             raise InvalidConfig(f"seed must be a whole number >= 0, got {self.seed!r}")
-        for name in ("work_prob", "tip_prob", "cancel_prob", "acceptance_rate", "airport_prob"):
+        for name in ("work_prob", "session_min_h", "session_max_h", "jitter_sd_s", "rpi_yoy"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidConfig(f"{name} must lie in [0,1], got {value}")
+            if value is not None and not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be a finite number, got {value}")
+        if not 0.0 <= self.work_prob <= 1.0:
+            raise InvalidConfig(f"work_prob must lie in [0,1], got {self.work_prob}")
         if self.jitter_sd_s < 0:
             raise InvalidConfig("jitter must be >= 0")
         if self.n_drivers < 1:
@@ -229,19 +201,9 @@ class GenConfig:
             raise InvalidConfig("month range reversed")
         if month_index(self.opaque_start) >= month_index(self.dynamic_start):
             raise InvalidConfig("era boundaries out of order")
-        if self.acceptance_rate <= 0.0:
-            raise InvalidConfig("acceptance rate must be positive")
         c = self.commission_fraction
         if not 0 <= c < 1:
             raise InvalidConfig("commission must lie in [0,1)")
-        for mix_name in ("products", "gender_mix", "age_mix"):
-            mix = getattr(self, mix_name)
-            if not mix or any(w <= 0 for _, w in mix):
-                raise InvalidConfig(f"{mix_name} weights must be positive")
-            if abs(sum(w for _, w in mix) - 1.0) > 1e-9:
-                raise InvalidConfig(f"{mix_name} weights must sum to 1")
-            if len({k for k, _ in mix}) != len(mix):
-                raise InvalidConfig(f"{mix_name} labels must be unique")
 
     @property
     def commission_fraction(self) -> Fraction:
@@ -272,9 +234,6 @@ class GenConfig:
                 plan["window_pre"] = tuple(plan["window_pre"])
                 plan["window_post"] = tuple(plan["window_post"])
                 data["cohort"] = CohortPlan(**plan)
-            for key in ("products", "gender_mix", "age_mix"):
-                if key in data:
-                    data[key] = tuple((str(k), float(v)) for k, v in data[key])
             return cls(**data)
         except KeyError as exc:
             raise InvalidConfig(f"missing field {exc}") from exc
@@ -328,52 +287,45 @@ class GroundTruth:
 
 
 # ---------------------------------------------------------------------------
-# Analytic histogram oracle (quadrature over the configured distributions)
+# Analytic histogram oracle (quadrature over the dynamic era's distributions)
 
 
 def _phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def analytic_bin_probs(
-    config: GenConfig, bins: Sequence[float] = DEFAULT_SPLIT_BINS, nodes: int = 400
-) -> dict[str, float]:
+def analytic_bin_probs() -> dict[str, float]:
     """Exact-by-quadrature share-bin probabilities for the dynamic era.
 
     Integrates the share model over the truncated-lognormal duration law with
     Gauss-Legendre nodes; the normal share noise integrates in closed form.
     Clamp atoms fall inside the end bins, matching the histogram's absorption.
     """
-    dur = config.duration_dynamic
-    sm = config.share
+    dur = DURATION_DYNAMIC
     mu_ln = math.log(dur.median_s)
     a = (math.log(dur.lo_s) - mu_ln) / dur.sigma
     b = (math.log(dur.hi_s) - mu_ln) / dur.sigma
     z_norm = _phi(b) - _phi(a)
 
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(400)
     m = 0.5 * (dur.hi_s - dur.lo_s) * x + 0.5 * (dur.hi_s + dur.lo_s)
     scale = 0.5 * (dur.hi_s - dur.lo_s)
     z = (np.log(m) - mu_ln) / dur.sigma
     pdf = np.exp(-0.5 * z * z) / (m * dur.sigma * math.sqrt(2.0 * math.pi)) / z_norm
 
-    fare_pounds = config.dynamic_per_min_pence * (m / 60.0) / 100.0
-    mu_share = sm.intercept - sm.per_pound * fare_pounds
+    fare_pounds = DYNAMIC_PER_MIN_PENCE * (m / 60.0) / 100.0
+    mu_share = SHARE.intercept - SHARE.per_pound * fare_pounds
 
+    bins = DEFAULT_SPLIT_BINS
     labels = bin_labels(bins)
     probs = dict.fromkeys(labels, 0.0)
-    sd = sm.noise_sd
+    sd = SHARE.noise_sd
     for i, label in enumerate(labels):
         lo_edge, hi_edge = bins[i], bins[i + 1]
         first, last = i == 0, i == len(labels) - 1  # the end bins are open-ended
-        if sd == 0.0:
-            above = np.ones_like(mu_share, bool) if first else mu_share >= lo_edge
-            mass = np.where(above & (last or mu_share < hi_edge), 1.0, 0.0)
-        else:
-            hi_cdf = np.ones_like(mu_share) if last else _phi_vec((hi_edge - mu_share) / sd)
-            lo_cdf = np.zeros_like(mu_share) if first else _phi_vec((lo_edge - mu_share) / sd)
-            mass = hi_cdf - lo_cdf
-        probs[label] = float(np.sum(w * scale * pdf * mass))
+        hi_cdf = np.ones_like(mu_share) if last else _phi_vec((hi_edge - mu_share) / sd)
+        lo_cdf = np.zeros_like(mu_share) if first else _phi_vec((lo_edge - mu_share) / sd)
+        probs[label] = float(np.sum(w * scale * pdf * (hi_cdf - lo_cdf)))
 
     total = sum(probs.values())
     return {k: v / total for k, v in probs.items()}
@@ -536,7 +488,7 @@ def _gen_driver(
     def marker() -> str:
         nonlocal marker_n
         marker_n += 1
-        return f"{config.marker_prefix}d{index}n{marker_n}"
+        return f"{MARKER_PREFIX}d{index}n{marker_n}"
 
     day = month_days(config.first_month)[0]
     last_day = month_days(config.last_month)[1] - _DAY
@@ -559,36 +511,25 @@ def _gen_driver(
         sessions.append(AppSession(session_start, session_end))
         session_iv.append((session_start, session_end))
 
-        era_here = era_at(session_start)
-        standby_scale = (
-            config.standby_inflation_post if era_here is Era.DYNAMIC_PRICING else 1.0
-        )
-
         cursor = session_start
         while True:
-            gap_s = config.standby_min_s + rng.exponential(
-                max(config.standby_mean_s - config.standby_min_s, 1) * standby_scale
-            )
+            gap_s = STANDBY_MIN_S + rng.exponential(STANDBY_MEAN_S - STANDBY_MIN_S)
             request_ms = cursor + int(gap_s) * MS
-            wait_s = config.wait_min_s + rng.random() * (config.wait_max_s - config.wait_min_s)
+            wait_s = WAIT_MIN_S + rng.random() * (WAIT_MAX_S - WAIT_MIN_S)
             accept_ms = request_ms + int(wait_s) * MS
 
             # rejected offers before this accepted one (geometric count)
-            n_reject = int(rng.geometric(config.acceptance_rate)) - 1
+            n_reject = int(rng.geometric(ACCEPTANCE_RATE)) - 1
             for _ in range(n_reject):
                 pos = cursor + int(rng.random() * max(request_ms - cursor - MS, MS))
                 offers.append(DispatchOffer(clock.claim(pos), False))
 
-            en_route_s = config.en_route_min_s + rng.random() * (
-                config.en_route_max_s - config.en_route_min_s
-            )
+            en_route_s = EN_ROUTE_MIN_S + rng.random() * (EN_ROUTE_MAX_S - EN_ROUTE_MIN_S)
             pickup_ms = accept_ms + int(en_route_s) * MS
 
             era = era_at(pickup_ms)
-            if era is Era.DYNAMIC_PRICING:
-                duration_s = _trunc_lognormal(rng, config.duration_dynamic)
-            else:
-                duration_s = _trunc_lognormal(rng, config.duration_fixed)
+            duration = DURATION_DYNAMIC if era is Era.DYNAMIC_PRICING else DURATION_FIXED
+            duration_s = _trunc_lognormal(rng, duration)
             dropoff_ms = pickup_ms + int(duration_s) * MS
 
             if dropoff_ms > session_end - 60 * MS:
@@ -604,7 +545,7 @@ def _gen_driver(
             accept_ms = clock.claim(accept_ms)
             offers.append(DispatchOffer(request_ms, True))
 
-            if rng.random() < config.cancel_prob:
+            if rng.random() < CANCEL_PROB:
                 status = (
                     TripStatus.RIDER_CANCELLED
                     if rng.random() < 0.5
@@ -621,7 +562,7 @@ def _gen_driver(
                         original_fare=None,
                         origin_tag=f"zone-{int(rng.integers(1, 9))}#{marker()}",
                         dest_tag=f"zone-{int(rng.integers(1, 9))}#{marker()}",
-                        product=_pick_weighted(rng, config.products),
+                        product=_pick_weighted(rng, PRODUCTS),
                     )
                 )
                 n_cancelled += 1
@@ -635,39 +576,32 @@ def _gen_driver(
             year = days.date(pickup_ms).year
             drop_month = month_label(month_of(days.date(dropoff_ms)))
             if era is Era.DYNAMIC_PRICING:
-                fare_pence = max(int(round(config.dynamic_per_min_pence * minutes)), 100)
-                raw_share = (
-                    config.share.mean_share(fare_pence / 100.0)
-                    + rng.standard_normal() * config.share.noise_sd
-                )
-                share_true = min(max(raw_share, config.share.lo), config.share.hi)
+                fare_pence = max(int(round(DYNAMIC_PER_MIN_PENCE * minutes)), 100)
+                noise = rng.standard_normal() * SHARE.noise_sd
+                raw_share = SHARE.mean_share(fare_pence / 100.0) + noise
+                share_true = min(max(raw_share, SHARE.lo), SHARE.hi)
                 pay_pence = max(int(round(share_true * fare_pence)), 1)
                 fare_out: int | None = fare_pence
-                distance = config.speed_mph * (minutes / 60.0) * (
-                    1.0 + rng.standard_normal() * config.distance_noise_sd
+                distance = SPEED_MPH * (minutes / 60.0) * (
+                    1.0 + rng.standard_normal() * DISTANCE_NOISE_SD
                 )
             else:
-                rule = config.fixed_rule
+                rule = FIXED_RULE
                 if config.switch_year is not None and year >= config.switch_year:
                     rule = config.switch_rule
-                distance = config.speed_mph * (minutes / 60.0) * (
-                    1.0 + rng.standard_normal() * config.distance_noise_sd
+                distance = SPEED_MPH * (minutes / 60.0) * (
+                    1.0 + rng.standard_normal() * DISTANCE_NOISE_SD
                 )
                 raw = rule.fare_pence(distance, minutes)
                 fare_pence = max(int(round(raw / q)) * q, q * math.ceil(100 / q))
                 pay_pence = fare_pence * pay_num // q
-                if config.pay_noise_sd > 0.0:
-                    pay_pence = max(
-                        int(round(pay_pence * (1.0 + rng.standard_normal() * config.pay_noise_sd))),
-                        1,
-                    )
                 fare_out = fare_pence
 
             distance = max(round(distance, 2), 0.1)
             if pay_factor != 1.0 and drop_month in post_months:
                 pay_pence = max(int(round(pay_pence * pay_factor)), 1)
 
-            airport = rng.random() < config.airport_prob
+            airport = rng.random() < AIRPORT_PROB
             origin = (
                 f"airport-LHR#{marker()}" if airport else f"zone-{int(rng.integers(1, 9))}#{marker()}"
             )
@@ -687,7 +621,7 @@ def _gen_driver(
                 original_fare=fare_out,
                 origin_tag=origin,
                 dest_tag=dest,
-                product=_pick_weighted(rng, config.products),
+                product=_pick_weighted(rng, PRODUCTS),
             )
             trips.append(trip)
             n_completed += 1
@@ -717,9 +651,9 @@ def _gen_driver(
                 if era is Era.DYNAMIC_PRICING:
                     dyn_shares.append(realized)
 
-            if rng.random() < config.tip_prob:
+            if rng.random() < TIP_PROB:
                 tip_ms = clock.claim(dropoff_ms + int((600 + rng.random() * 3000)) * MS)
-                tip = int(rng.integers(50, config.tip_max_pence + 1))
+                tip = int(rng.integers(50, TIP_MAX_PENCE + 1))
                 payments.append(
                     PaymentEvent(
                         ts=tip_ms,
@@ -912,8 +846,8 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    genders = _quota_assign(config.n_drivers, config.gender_mix)
-    ages = _quota_assign(config.n_drivers, config.age_mix)
+    genders = _quota_assign(config.n_drivers, GENDER_MIX)
+    ages = _quota_assign(config.n_drivers, AGE_MIX)
 
     factors = [1.0] * config.n_drivers
     skip: list[set[str]] = [set() for _ in range(config.n_drivers)]
@@ -922,7 +856,7 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
         regular = config.n_drivers - plan.gap_drivers
         n_cut = int(round(regular * plan.cut_fraction))
         for i in range(regular):
-            factors[i] = plan.cut_factor if i < n_cut else plan.raise_factor
+            factors[i] = CUT_FACTOR if i < n_cut else RAISE_FACTOR
         gap_month = month_range(*plan.window_post)[0]
         for i in range(regular, config.n_drivers):
             skip[i] = {gap_month}
@@ -966,7 +900,7 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
         dynamic_share_mean=mean,
         dynamic_share_median=median,
         dynamic_share_n=n_dyn,
-        analytic_bin_probs=analytic_bin_probs(config) if n_dyn else {},
+        analytic_bin_probs=analytic_bin_probs() if n_dyn else {},
         cohort=_cohort_truth(config, truths),
     )
     with open(out_root / "ground_truth.json", "w", encoding="utf-8") as fh:
@@ -991,12 +925,12 @@ def _config_dict(config: GenConfig) -> dict:
         "opaque_start": config.opaque_start,
         "dynamic_start": config.dynamic_start,
         "commission": config.commission,
-        "fixed_rule": asdict(config.fixed_rule),
+        "fixed_rule": asdict(FIXED_RULE),
         "switch_year": config.switch_year,
-        "dynamic_per_min_pence": config.dynamic_per_min_pence,
-        "share": asdict(config.share),
+        "dynamic_per_min_pence": DYNAMIC_PER_MIN_PENCE,
+        "share": asdict(SHARE),
         "jitter_sd_s": config.jitter_sd_s,
-        "acceptance_rate": config.acceptance_rate,
-        "marker_prefix": config.marker_prefix,
+        "acceptance_rate": ACCEPTANCE_RATE,
+        "marker_prefix": MARKER_PREFIX,
         "n_corrupt": asdict(config.corrupt),
     }

@@ -44,6 +44,7 @@ from fareaudit.model import (
 )
 from fareaudit.predictability import feature_blocks, fit_ols, r2, year_matrix
 from fareaudit.synthgen import (
+    MARKER_PREFIX,
     CohortPlan,
     FareRule,
     GenConfig,
@@ -446,7 +447,7 @@ def test_criterion_09_cohort_partition(tmp_path_factory):
 
 def test_criterion_10_anonymization_sweep(fixed_fleet, tmp_path):
     with criterion(10, "anonymization marker sweep"):
-        marker = GenConfig().marker_prefix
+        marker = MARKER_PREFIX
         raw_hits = sum(
             path.read_text().count(marker)
             for path in fixed_fleet.root.rglob("*.csv")

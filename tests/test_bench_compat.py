@@ -1,22 +1,25 @@
 """The benchmark's tracer wraps functions by name; every name must still exist,
-and every count it takes must read the shape its function really returns."""
+and every count it takes must read the shape its function really returns. The
+generator configs of the benchmark and of the paper-scale run must still load."""
 
 import importlib
 import importlib.util
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from fareaudit.ingest import load_bundle, normalize
+from fareaudit.synthgen import GenConfig
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @contextmanager
@@ -35,7 +38,7 @@ def installed(tracer):
 
 
 def test_tracer_wrapped_names_resolve():
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     assert tracer.WRAPPED
     for module_name, attr, _span, _counts in tracer.WRAPPED:
         module = importlib.import_module(f"fareaudit.{module_name}")
@@ -59,7 +62,7 @@ def test_tracer_counts_read_real_results(bundle_dir):
         "build_segments": {"worktime.segments": 2},
     }
     got = {}
-    for module_name, attr, _span, counts in load_tracer().WRAPPED:
+    for module_name, attr, _span, counts in load_bench("tracer").WRAPPED:
         if counts is not None:
             fn = getattr(importlib.import_module(f"fareaudit.{module_name}"), attr)
             got[attr] = counts(fn(*args[attr]))
@@ -72,7 +75,7 @@ def test_tracer_sees_the_worker_entry_of_audit_and_predict(bundle_dir, tmp_path_
     # leave both spans empty
     out = tmp_path_factory.mktemp("traced")
     recorded = {}
-    with installed(load_tracer()) as spans:
+    with installed(load_bench("tracer")) as spans:
         cli = importlib.import_module("fareaudit.cli")
         for command in ("audit", "predict"):
             spans.spans.clear()
@@ -91,7 +94,7 @@ def test_tracer_sees_the_generator_and_its_writes(tmp_path):
     # cli.generate, and the writes inside it, must still be recorded
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 3, "n_drivers": 2, "last_month": "2021-01"}))
-    with installed(load_tracer()) as spans:
+    with installed(load_bench("tracer")) as spans:
         cli = importlib.import_module("fareaudit.cli")
         assert cli.main(["synth", str(config), "--out", str(tmp_path / "fleet")]) == 0
     got = [s["name"] for s in spans.spans]
@@ -104,7 +107,7 @@ def test_tracer_records_a_span_of_every_wrapped_name(tmp_path):
     # its per-layer metric; one small fleet, fixed in 2022-12 and on dynamic
     # pricing in 2023-02, takes every wrapped layer through synth, audit with
     # charts and cohort windows, and predict
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "seed": 4, "n_drivers": 2, "first_month": "2022-12", "last_month": "2023-02",
@@ -126,3 +129,19 @@ def test_tracer_records_a_span_of_every_wrapped_name(tmp_path):
     got = {s["name"] for s in spans.spans}
     want = {span for _m, _attr, span, _counts in tracer.WRAPPED}
     assert want - got == set()
+
+
+def test_benchmark_and_scale_configs_load(monkeypatch):
+    # the benchmark's synth step and the paper-scale run need every generator
+    # field they set; run.py imports its neighbours by their bare names
+    for name in ("checks", "tracer"):
+        monkeypatch.setitem(sys.modules, name, load_bench(name))
+    run = load_bench("run")
+    configs = [json.loads((ROOT / "scale" / "paper.json").read_text(encoding="utf-8"))]
+    for spec in run.WORKLOADS.values():
+        configs.append({**spec["config"], "seed": 1})
+        if "pinned" in spec:
+            configs.append(spec["pinned"])
+    assert len(configs) == 5
+    for config in configs:
+        GenConfig.from_dict(json.loads(json.dumps(config)))  # as synth reads its file

@@ -20,7 +20,7 @@ import fareaudit
 from fareaudit.anonymize import SALT_ENV_VAR
 from fareaudit.cli import _bundle_dirs, main
 from fareaudit.report import AuditOptions, process_bundle
-from fareaudit.synthgen import CohortPlan, CorruptionPlan, GenConfig, generate
+from fareaudit.synthgen import MARKER_PREFIX, CohortPlan, CorruptionPlan, GenConfig, generate
 from conftest import (
     PAYMENT_HEADER,
     TRIP_HEADER,
@@ -103,7 +103,7 @@ def test_synth_rejects_bad_config(tmp_path):
     [
         {"first_month": "2021-13"},
         {"cohort": {"window_pre": ["2021-2", "2021-03"], "window_post": ["2021-09", "2021-10"]}},
-        # a weight that is no number, and a mix entry without its weight
+        # a field the generator does not take
         {"n_drivers": 1, "last_month": "2021-01", "products": [["UberX", "x"]]},
         {"n_drivers": 1, "last_month": "2021-01", "products": [["UberX"]]},
         {"n_drivers": 1, "last_month": "2021-01", "cohort": {"window_post": ["2021-01"] * 2}},
@@ -714,7 +714,7 @@ def test_anon_output_is_clean(bundles, tmp_path, monkeypatch):
     original_ids = {p.name for p in bundles.iterdir() if p.is_dir()}
     for path in out.rglob("*.csv"):
         text = path.read_text()
-        assert SMALL.marker_prefix not in text
+        assert MARKER_PREFIX not in text
         for driver_id in original_ids:
             assert driver_id not in text
 

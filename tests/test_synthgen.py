@@ -46,11 +46,19 @@ def test_config_validation():
     with pytest.raises(InvalidConfig):
         GenConfig(commission="1.50")
     with pytest.raises(InvalidConfig):
-        GenConfig(gender_mix=(("M", 0.5),))  # weights must sum to 1
-    with pytest.raises(InvalidConfig):
         GenConfig(cohort=CohortPlan(("2021-01", "2021-03"), ("2021-02", "2021-04")))
     with pytest.raises(InvalidConfig):
         GenConfig(opaque_start="2023-02", dynamic_start="2023-02")
+
+
+def test_config_rejects_non_finite_numbers():
+    # a config made in Python never passes the JSON reader, which rejects them too
+    for value in (math.nan, math.inf, -math.inf):
+        for name in ("work_prob", "session_min_h", "session_max_h", "jitter_sd_s", "rpi_yoy"):
+            with pytest.raises(InvalidConfig):
+                GenConfig(**{name: value})
+        with pytest.raises(InvalidConfig):
+            CohortPlan(("2021-01", "2021-02"), ("2021-03", "2021-04"), cut_fraction=value)
 
 
 def test_truth_dates_eras_without_the_audit_calendar():
@@ -172,16 +180,14 @@ def test_markers_present_before_anonymization(tmp_path):
 
 
 def test_analytic_bin_probs_normalized():
-    cfg = GenConfig(seed=1, n_drivers=1, first_month="2023-03", last_month="2023-06")
-    probs = analytic_bin_probs(cfg)
+    probs = analytic_bin_probs()
     assert probs
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
     assert all(p >= 0 for p in probs.values())
 
 
 def test_analytic_bin_probs_match_monte_carlo():
-    cfg = GenConfig(seed=1, n_drivers=1, first_month="2023-03", last_month="2023-06")
-    probs = analytic_bin_probs(cfg)
+    probs = analytic_bin_probs()
 
     # crude Monte Carlo oracle over the same generative model
     import numpy as np
@@ -189,7 +195,7 @@ def test_analytic_bin_probs_match_monte_carlo():
     from fareaudit.metrics import DEFAULT_SPLIT_BINS, bin_labels, _bin_index
 
     rng = np.random.default_rng(123)
-    dm = cfg.duration_dynamic
+    dm = synthgen.DURATION_DYNAMIC
     mu = math.log(dm.median_s)
     n = 200_000
     samples = []
@@ -199,11 +205,10 @@ def test_analytic_bin_probs_match_monte_carlo():
         samples.extend(draw.tolist())
     samples = np.asarray(samples[:n])
     minutes = samples / 60.0
-    fare = np.maximum(np.round(cfg.dynamic_per_min_pence * minutes), 100.0)
-    mean_share = cfg.share.intercept - cfg.share.per_pound * fare / 100.0
-    share = np.clip(
-        mean_share + rng.normal(0.0, cfg.share.noise_sd, n), cfg.share.lo, cfg.share.hi
-    )
+    fare = np.maximum(np.round(synthgen.DYNAMIC_PER_MIN_PENCE * minutes), 100.0)
+    sm = synthgen.SHARE
+    mean_share = sm.intercept - sm.per_pound * fare / 100.0
+    share = np.clip(mean_share + rng.normal(0.0, sm.noise_sd, n), sm.lo, sm.hi)
     labels = bin_labels(DEFAULT_SPLIT_BINS)
     counts = dict.fromkeys(labels, 0)
     for s in share:
@@ -263,9 +268,9 @@ def test_switch_rule_changes_fixed_era_fares(tmp_path):
         return err
 
     # quantization to the commission denominator shifts fares by < 4 pence
-    assert rule_residual(pre, cfg.fixed_rule) <= 4
+    assert rule_residual(pre, synthgen.FIXED_RULE) <= 4
     assert rule_residual(post, cfg.switch_rule) <= 4
-    assert rule_residual(post, cfg.fixed_rule) > 100  # rules genuinely differ
+    assert rule_residual(post, synthgen.FIXED_RULE) > 100  # rules genuinely differ
 
 
 # Every file synth writes for a small fleet with three eras, a fare-rule switch
@@ -320,7 +325,7 @@ def test_synth_files_keep_their_golden_digests(tmp_path):
     # the quadrature oracle's last bits follow numpy's LAPACK and SIMD kernels,
     # which vary by CPU; it is checked against itself and the rest is pinned
     truth = load_ground_truth(tmp_path)
-    assert truth.pop("analytic_bin_probs") == analytic_bin_probs(GOLDEN)
+    assert truth.pop("analytic_bin_probs") == analytic_bin_probs()
     text = json.dumps(truth, sort_keys=True, indent=1) + "\n"
     got["ground_truth.json"] = hashlib.sha256(text.encode()).hexdigest()
     assert got == GOLDEN_SHA256
