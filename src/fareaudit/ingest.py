@@ -348,16 +348,21 @@ def normalize(
                 continue
             seen.add(row)
             try:
-                ok.append(parser(row, ctx))
+                record = parser(row, ctx)
+                if table == "profile" and ok:
+                    raise RecordError("a second profile row conflicts with the first")
+                ok.append(record)
             except (RecordError, ValueError) as exc:
                 bad += 1
                 fields = dict(zip(TABLE_FIELDS[table], row))
                 quarantine.append(QuarantinedRow(table, number, _reason(exc), fields))
         typed[table] = ok
         table_reports[table] = TableReport(len(rows), len(ok), deduped, bad)
-        if rows and bad / len(rows) > malformed_threshold:
+        if bad and bad / len(rows) > malformed_threshold:
+            first = quarantine[-bad]  # this table's first bad row
             raise MalformedTable(
-                f"bundle {raw.driver_id}: table {table!r} has {bad}/{len(rows)} bad rows"
+                f"bundle {raw.driver_id}: table {table!r} has {bad}/{len(rows)} bad rows,"
+                f" the first at row {first.row_number}: {first.reason}"
             )
 
     profile_rows = typed.get("profile", [])

@@ -43,15 +43,7 @@ DEFAULT_SPLIT_BINS = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.5)
 KDE_BLOCK_ELEMENTS = 1 << 14
 
 
-class ZeroHours(AuditError):
-    pass
-
-
 class MissingRpiMonth(AuditError):
-    pass
-
-
-class NoOffers(AuditError):
     pass
 
 
@@ -73,21 +65,16 @@ def weekly_rows(ledger: TimeLedger) -> tuple[tuple[str, Bucket], ...]:
     )
 
 
-def pay_per_hour(
-    rows: Iterable[tuple[str, Bucket]],
-    definition: HoursDefinition,
-    weeks: set[str] | None = None,
-) -> float:
-    """Pooled pay per hour over (ISO week, bucket) rows, optionally filtered by week."""
+def pay_per_hour(buckets: Iterable[Bucket], definition: HoursDefinition) -> float | None:
+    """Pooled pay per hour over week or month buckets, summed in the order given;
+    None when they hold no working time under the chosen definition."""
     pence = 0
     hours = 0.0
-    for week, totals in rows:
-        if weeks is not None and week not in weeks:
-            continue
+    for totals in buckets:
         pence += totals.pay or 0
         hours += hours_worked(totals, definition)
     if hours <= 0.0:
-        raise ZeroHours("no working time under the chosen definition")
+        return None
     return (pence / 100.0) / hours
 
 
@@ -420,8 +407,8 @@ class CohortSplit:
     pct_change: Mapping[str, float]
     paid_less: tuple[str, ...]
     paid_same_or_more: tuple[str, ...]
-    pooled_pre: float
-    pooled_post: float
+    pooled_pre: float | None  # None when no driver qualified
+    pooled_post: float | None
 
     def __post_init__(self) -> None:
         if set(self.paid_less) | set(self.paid_same_or_more) != set(self.qualified):
@@ -445,6 +432,11 @@ def cohort_months(pre: tuple[str, str], post: tuple[str, str]) -> tuple[set[int]
     return pre_months, post_months
 
 
+def _in_window(rows: Sequence[tuple[str, Bucket]], months: set[int]) -> list[Bucket]:
+    """The buckets of a driver's weekly rows whose week's Monday falls in the months."""
+    return [totals for week, totals in rows if month_of(week_monday(week)) in months]
+
+
 def cohort_pay_change(
     rows_by_driver: Mapping[str, Sequence[tuple[str, Bucket]]],
     months_by_driver: Mapping[str, Mapping[int, Bucket]],
@@ -461,9 +453,6 @@ def cohort_pay_change(
     """
     pre_set, post_set = cohort_months(window_pre, window_post)
 
-    def week_in(row: tuple[str, Bucket], months: set[int]) -> bool:
-        return month_of(week_monday(row[0])) in months
-
     qualified: list[str] = []
     pre_rate: dict[str, float] = {}
     post_rate: dict[str, float] = {}
@@ -477,14 +466,9 @@ def cohort_pay_change(
         if not (pre_set <= active_months and post_set <= active_months):
             continue
         rows = rows_by_driver.get(driver_id, ())
-        try:
-            pre = pay_per_hour(
-                [r for r in rows if week_in(r, pre_set)], HoursDefinition.TRIBUNAL
-            )
-            post = pay_per_hour(
-                [r for r in rows if week_in(r, post_set)], HoursDefinition.TRIBUNAL
-            )
-        except ZeroHours:
+        pre = pay_per_hour(_in_window(rows, pre_set), HoursDefinition.TRIBUNAL)
+        post = pay_per_hour(_in_window(rows, post_set), HoursDefinition.TRIBUNAL)
+        if pre is None or post is None:
             continue
         qualified.append(driver_id)
         pre_rate[driver_id] = pre
@@ -495,18 +479,13 @@ def cohort_pay_change(
         else:
             paid_same_or_more.append(driver_id)
 
-    def pooled(months: set[int]) -> float:
-        rows = [
-            r
-            for d in qualified
-            for r in rows_by_driver.get(d, ())
-            if week_in(r, months)
-        ]
-        try:
-            return pay_per_hour(rows, HoursDefinition.TRIBUNAL)
-        except ZeroHours:
-            return math.nan
-
+    pooled_pre, pooled_post = (
+        pay_per_hour(
+            [b for d in qualified for b in _in_window(rows_by_driver.get(d, ()), window)],
+            HoursDefinition.TRIBUNAL,
+        )
+        for window in (pre_set, post_set)
+    )
     return CohortSplit(
         window_pre=window_pre,
         window_post=window_post,
@@ -516,8 +495,8 @@ def cohort_pay_change(
         pct_change=pct,
         paid_less=tuple(paid_less),
         paid_same_or_more=tuple(paid_same_or_more),
-        pooled_pre=pooled(pre_set),
-        pooled_post=pooled(post_set),
+        pooled_pre=pooled_pre,
+        pooled_post=pooled_post,
     )
 
 
@@ -525,10 +504,10 @@ def cohort_pay_change(
 # Acceptance rate
 
 
-def acceptance_rate(totals: Bucket) -> float:
-    """The accepted share of a bucket's dispatch offers."""
+def acceptance_rate(totals: Bucket) -> float | None:
+    """The accepted share of a bucket's dispatch offers; None without offers."""
     if not totals.offered:
-        raise NoOffers("no dispatch offers")
+        return None
     return totals.accepted / totals.offered
 
 

@@ -21,7 +21,6 @@ from .linkage import DEFAULT_WINDOW_S, link
 from .metrics import (
     MissingRpiMonth,
     TripColumns,
-    ZeroHours,
     acceptance_rate,
     adjust_inflation,
     cohort_months,
@@ -175,28 +174,20 @@ def dumps_report(report: Mapping) -> str:
     return json.dumps(json_ready(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _pooled_rate(rows: Sequence[tuple[str, Bucket]], definition: HoursDefinition,
-                 weeks: set[str] | None) -> float | None:
-    try:
-        return pay_per_hour(rows, definition, weeks)
-    except ZeroHours:
-        return None
-
-
 def _weekly_pooled(rows: Sequence[tuple[str, Bucket]]) -> dict:
-    """Each week's rows pooled; a driver has at most one row a week."""
-    by_week: dict[str, list[tuple[str, Bucket]]] = {}
-    for row in rows:
-        by_week.setdefault(row[0], []).append(row)
+    """Each week's buckets pooled; a driver has at most one row a week."""
+    by_week: dict[str, list[Bucket]] = {}
+    for week, totals in rows:
+        by_week.setdefault(week, []).append(totals)
     out = {}
     for week in sorted(by_week):
         group = by_week[week]
         out[week] = {
-            "net_pay_pounds": sum(b.pay or 0 for _, b in group) / 100.0,
-            "hours_tribunal": sum(hours_worked(b, HoursDefinition.TRIBUNAL) for _, b in group),
-            "hours_platform": sum(hours_worked(b, HoursDefinition.PLATFORM) for _, b in group),
-            "rate_tribunal": _pooled_rate(group, HoursDefinition.TRIBUNAL, None),
-            "rate_platform": _pooled_rate(group, HoursDefinition.PLATFORM, None),
+            "net_pay_pounds": sum(b.pay or 0 for b in group) / 100.0,
+            "hours_tribunal": sum(hours_worked(b, HoursDefinition.TRIBUNAL) for b in group),
+            "hours_platform": sum(hours_worked(b, HoursDefinition.PLATFORM) for b in group),
+            "rate_tribunal": pay_per_hour(group, HoursDefinition.TRIBUNAL),
+            "rate_platform": pay_per_hour(group, HoursDefinition.PLATFORM),
             "drivers": len(group),
         }
     return out
@@ -209,9 +200,8 @@ def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict
         return {"error": "no payments"}
     nominal: dict[int, float] = {}
     for month in range(min(months), max(months) + 1):
-        label = month_label(month)
-        rows = [(label, res.ledger.months[month]) for res in results if month in res.ledger.months]
-        rate = _pooled_rate(rows, HoursDefinition.TRIBUNAL, None)
+        buckets = [res.ledger.months[month] for res in results if month in res.ledger.months]
+        rate = pay_per_hour(buckets, HoursDefinition.TRIBUNAL)
         if rate is not None:
             nominal[month] = rate
     if not nominal:
@@ -317,6 +307,7 @@ def build_report(
         for month, totals in res.ledger.months.items():
             pooled.setdefault(month, Bucket()).add(totals)
     weeks = set(options.weeks) if options.weeks else None
+    chosen = [totals for week, totals in all_rows if weeks is None or week in weeks]
 
     report: dict = {
         "parameters": {
@@ -359,8 +350,8 @@ def build_report(
             for res in results  # in driver order, each driver's rows in week order
             for week, totals in rows[res.driver_id]
         ],
-        "pooled_rate_tribunal": _pooled_rate(all_rows, HoursDefinition.TRIBUNAL, weeks),
-        "pooled_rate_platform": _pooled_rate(all_rows, HoursDefinition.PLATFORM, weeks),
+        "pooled_rate_tribunal": pay_per_hour(chosen, HoursDefinition.TRIBUNAL),
+        "pooled_rate_platform": pay_per_hour(chosen, HoursDefinition.PLATFORM),
         "weekly_pooled": _weekly_pooled(all_rows),
     }
 

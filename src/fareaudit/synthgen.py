@@ -61,6 +61,14 @@ class InvalidConfig(AuditError):
 # Config
 
 
+def _whole(config: object, *names: str) -> None:
+    """Each named field must be an int; a bool is an int subclass but no count."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise InvalidConfig(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FareRule:
     """Linear time+distance pricing in pence."""
@@ -68,6 +76,9 @@ class FareRule:
     base_pence: int = 250
     per_mile_pence: int = 110
     per_min_pence: int = 12
+
+    def __post_init__(self) -> None:
+        _whole(self, "base_pence", "per_mile_pence", "per_min_pence")
 
     def fare_pence(self, distance_miles: float, minutes: float) -> float:
         return self.base_pence + self.per_mile_pence * distance_miles + self.per_min_pence * minutes
@@ -115,6 +126,9 @@ class CohortPlan:
             raise InvalidConfig("cohort windows overlap")
         if not 0.0 <= self.cut_fraction <= 1.0:
             raise InvalidConfig("cut_fraction out of [0,1]")
+        _whole(self, "gap_drivers")
+        if self.gap_drivers < 0:
+            raise InvalidConfig("gap_drivers must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -124,6 +138,7 @@ class CorruptionPlan:
     malformed_money: int = 0
 
     def __post_init__(self) -> None:
+        _whole(self, "duplicate_payments", "inverted_trips", "malformed_money")
         if min(self.duplicate_payments, self.inverted_trips, self.malformed_money) < 0:
             raise InvalidConfig("corruption counts must be non-negative")
 
@@ -185,8 +200,11 @@ class GenConfig:
     rpi_yoy: float | None = None
 
     def __post_init__(self) -> None:
-        if type(self.seed) is not int or self.seed < 0:  # bool is an int subclass
-            raise InvalidConfig(f"seed must be a whole number >= 0, got {self.seed!r}")
+        _whole(self, "seed", "n_drivers")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if self.switch_year is not None:
+            _whole(self, "switch_year")
         for name in ("work_prob", "session_min_h", "session_max_h", "jitter_sd_s", "rpi_yoy"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -195,12 +213,18 @@ class GenConfig:
             raise InvalidConfig(f"work_prob must lie in [0,1], got {self.work_prob}")
         if self.jitter_sd_s < 0:
             raise InvalidConfig("jitter must be >= 0")
+        if not 0 < self.session_min_h <= self.session_max_h:
+            raise InvalidConfig("sessions need 0 < session_min_h <= session_max_h")
         if self.n_drivers < 1:
             raise InvalidConfig("need at least one driver")
+        if self.cohort is not None and self.cohort.gap_drivers > self.n_drivers:
+            raise InvalidConfig("gap_drivers must not exceed n_drivers")
         if month_index(self.first_month) > month_index(self.last_month):
             raise InvalidConfig("month range reversed")
         if month_index(self.opaque_start) >= month_index(self.dynamic_start):
             raise InvalidConfig("era boundaries out of order")
+        if not isinstance(self.commission, str):  # a float such as 0.1 is not exact
+            raise InvalidConfig(f"commission must be text, got {self.commission!r}")
         c = self.commission_fraction
         if not 0 <= c < 1:
             raise InvalidConfig("commission must lie in [0,1)")
@@ -216,11 +240,6 @@ class GenConfig:
     def fixed_share_float(self) -> float:
         c = self.commission_fraction
         return (c.denominator - c.numerator) / c.denominator
-
-    def to_dict(self) -> dict:
-        # asdict output round-trips through from_dict (and through JSON:
-        # tuples decode as lists, which from_dict re-tuples).
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "GenConfig":

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import gc
 import hashlib
 import json
 import logging
@@ -12,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,8 @@ import pytest
 import fareaudit
 from fareaudit.anonymize import SALT_ENV_VAR
 from fareaudit.cli import _bundle_dirs, main
-from fareaudit.report import AuditOptions, process_bundle
+from fareaudit.model import RpiSeries, month_label
+from fareaudit.report import AuditOptions, BundleFailure, build_report, process_bundle
 from fareaudit.synthgen import MARKER_PREFIX, CohortPlan, CorruptionPlan, GenConfig, generate
 from conftest import (
     PAYMENT_HEADER,
@@ -110,6 +113,23 @@ def test_synth_rejects_bad_config(tmp_path):
         # json reads NaN, and generation could not round it
         {"n_drivers": 1, "last_month": "2021-01", "jitter_sd_s": math.nan},
         {"n_drivers": 1, "last_month": "2021-01", "session_min_h": math.nan},
+        # counts are whole numbers, and true is no count
+        {"n_drivers": 1.5, "last_month": "2021-01"},
+        {"n_drivers": True, "last_month": "2021-01"},
+        {"n_drivers": 1, "last_month": "2021-01", "switch_year": "2021"},
+        {"n_drivers": 1, "last_month": "2021-01", "corrupt": {"duplicate_payments": 1.5}},
+        {"n_drivers": 1, "last_month": "2021-01", "switch_year": 2021,
+         "switch_rule": {"base_pence": "x"}},
+        # a float commission is not the exact fraction the fares are built on
+        {"n_drivers": 1, "last_month": "2021-01", "commission": 0.1},
+        {"n_drivers": 1, "last_month": "2021-01", "session_min_h": 5, "session_max_h": 1},
+        {"n_drivers": 1, "last_month": "2021-01", "session_min_h": -3, "session_max_h": -1},
+        *(
+            {"n_drivers": 1, "last_month": "2021-02", "cohort": {
+                "window_pre": ["2021-01"] * 2, "window_post": ["2021-02"] * 2, "gap_drivers": gap,
+            }}
+            for gap in (5, -1)
+        ),
     ],
 )
 def test_synth_malformed_month_label_is_a_config_error(tmp_path, caplog, config):
@@ -124,7 +144,7 @@ def test_synth_seed_repeat_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps(
-            GenConfig(seed=3, n_drivers=1, first_month="2021-03", last_month="2021-04").to_dict()
+            asdict(GenConfig(seed=3, n_drivers=1, first_month="2021-03", last_month="2021-04"))
         )
     )
     assert main(["synth", str(cfg), "--out", str(tmp_path / "a")]) == 0
@@ -239,6 +259,84 @@ def test_worker_results_stay_reduced(bundles):
     assert rows > 500
     assert not hasattr(features, "bundle") and not hasattr(features, "links")
     assert len(pickle.dumps(features)) < 200 * rows
+
+
+# two drivers each of the benchmark's audit_eras and audit_wide fleets
+SHAPES = (
+    GenConfig(
+        seed=1, n_drivers=2, first_month="2021-07", last_month="2023-12", work_prob=0.9,
+        session_min_h=0.75, session_max_h=1.25, rpi_yoy=4.0,
+        corrupt=CorruptionPlan(duplicate_payments=4, inverted_trips=4, malformed_money=2),
+    ),
+    GenConfig(
+        seed=1, n_drivers=2, first_month="2021-01", last_month="2021-01", work_prob=0.9,
+        session_min_h=1.0, session_max_h=2.0,
+    ),
+)
+
+
+@pytest.mark.parametrize("features_only", [False, True])
+def test_workers_leave_no_reference_cycles(tmp_path, features_only):
+    # a worker may run with the collector off; a record type with a cycle
+    # would then leak instead of being freed when its bundle is done
+    dirs = []
+    for k, config in enumerate(SHAPES):
+        generate(config, tmp_path / str(k))
+        dirs += _bundle_dirs(str(tmp_path / str(k)))
+    options = AuditOptions(features_only=features_only)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for directory in dirs:
+            result = process_bundle(directory, options)
+            assert not isinstance(result, BundleFailure)
+            del result
+            assert gc.collect() == 0, directory
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_pay_per_hour_figures_pool_the_ledgers_buckets(tmp_path):
+    # the oracle: pence over hours, each summed over the drivers in id order and
+    # each driver's weeks or months in ledger order, to the bit
+    generate(THREE_ERAS, tmp_path)
+    results = [process_bundle(d, AuditOptions()) for d in _bundle_dirs(str(tmp_path))]
+    ledgers = [r.ledger for r in sorted(results, key=lambda r: r.driver_id)]
+    rpi = RpiSeries.from_csv(tmp_path / "rpi.csv")
+
+    def pooled(buckets, standby: bool) -> str | None:
+        pence, hours = 0, 0.0
+        for b in buckets:
+            pence += b.pay or 0
+            hours += (b.en_route_ms + b.on_trip_ms + (b.standby_ms if standby else 0)) / 3_600_000
+        return None if hours <= 0.0 else (pence / 100.0 / hours).hex()
+
+    def bits(rate: float | None) -> str | None:
+        return None if rate is None else rate.hex()
+
+    weeks = sorted({week for ledger in ledgers for week in ledger.weeks})
+    chosen = (weeks[1], weeks[len(weeks) // 2], weeks[-2], "2099-W01")
+    report = build_report(results, AuditOptions(weeks=chosen), rpi)
+    pay = report["weekly_pay"]
+    assert len(pay["weekly_pooled"]) > 20
+    for standby, name in ((True, "tribunal"), (False, "platform")):
+        want = pooled((b for l in ledgers for w, b in l.weeks.items() if w in chosen), standby)
+        assert want is not None and bits(pay[f"pooled_rate_{name}"]) == want
+        for week, row in pay["weekly_pooled"].items():
+            want = pooled((l.weeks[week] for l in ledgers if week in l.weeks), standby)
+            assert bits(row[f"rate_{name}"]) == want
+    months = sorted({m for ledger in ledgers for m in ledger.months})
+    nominal = {
+        month_label(m): pooled((l.months[m] for l in ledgers if m in l.months), True)
+        for m in months
+    }
+    got = {label: bits(rate) for label, rate in report["inflation"]["nominal"].items()}
+    assert len(got) > 10 and got == {k: v for k, v in nominal.items() if v is not None}
+
+    unworked = build_report(results, AuditOptions(weeks=("2099-W01",)), rpi)["weekly_pay"]
+    assert unworked["pooled_rate_tribunal"] is None and unworked["pooled_rate_platform"] is None
 
 
 def test_audit_failed_write_keeps_the_old_report(bundles, tmp_path, monkeypatch):

@@ -122,6 +122,25 @@ def test_exact_duplicates_deduped(tmp_path):
     assert report.tables["payments"].rows_deduped == 2
 
 
+def test_a_second_profile_row_is_quarantined(tmp_path):
+    d = tmp_path / "d"
+    write_table(d, "trips", TRIP_HEADER, [trip_csv_row()])
+    write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
+    first = {"first_trip_ts": "2021-03-02T09:00:00Z", "gender": "F", "age_band": "30-39"}
+    rows = [first, {**first, "gender": "M", "age_band": "50+"}, first]
+    write_table(d, "profile", list(first), rows)
+    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    assert (bundle.profile.gender, bundle.profile.age_band) == ("F", "30-39")
+    t = report.tables["profile"]
+    assert (t.rows_in, t.rows_ok, t.rows_deduped, t.rows_quarantined) == (3, 1, 1, 1)
+    (q,) = report.quarantine
+    assert (q.table, q.row_number, q.row["gender"]) == ("profile", 3, "M")
+    assert "second profile row" in q.reason
+    # 1 of 3 rows is over the 5 % threshold, and the bundle's reason names the conflict
+    with pytest.raises(MalformedTable, match="row 3: a second profile row conflicts"):
+        normalize(load_bundle(d))
+
+
 def test_quarantine_conserves_rows(tmp_path):
     d = tmp_path / "d"
     rows = [

@@ -11,10 +11,8 @@ from fareaudit.metrics import (
     KDE_BLOCK_ELEMENTS,
     CohortSplit,
     MissingRpiMonth,
-    NoOffers,
     PerMinuteBin,
     TripColumns,
-    ZeroHours,
     acceptance_rate,
     adjust_inflation,
     bin_labels,
@@ -121,19 +119,20 @@ def test_pay_per_hour_pooled_and_week_filter():
     t = trip_at("2021-03-02T09:00:00Z", on_min=55)
     segs = build_segments([covering_session(t)], [t]).segments
     rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")], [t], []))
-    rate = pay_per_hour(rows, HoursDefinition.TRIBUNAL)
+    rate = pay_per_hour([totals for _, totals in rows], HoursDefinition.TRIBUNAL)
     # session is 80 minutes: 10 before request + 70 through dropoff+10
     assert rate == pytest.approx(12.0 / (80 / 60))
-    with pytest.raises(ZeroHours):
-        pay_per_hour(rows, HoursDefinition.TRIBUNAL, weeks={"2099-W01"})
+    unworked = [totals for week, totals in rows if week in {"2099-W01"}]
+    assert pay_per_hour(unworked, HoursDefinition.TRIBUNAL) is None
 
 
 def test_pay_per_hour_platform_dominates_for_nonnegative_pay():
     t = trip_at("2021-03-02T09:00:00Z", on_min=55)
     segs = build_segments([covering_session(t)], [t]).segments
     rows = weekly_rows(build_ledger(segs, [pay_at("2021-03-02T10:05:00Z", 0, "12.00")], [t], []))
-    assert pay_per_hour(rows, HoursDefinition.PLATFORM) >= pay_per_hour(
-        rows, HoursDefinition.TRIBUNAL
+    buckets = [totals for _, totals in rows]
+    assert pay_per_hour(buckets, HoursDefinition.PLATFORM) >= pay_per_hour(
+        buckets, HoursDefinition.TRIBUNAL
     )
 
 
@@ -559,8 +558,7 @@ def test_acceptance_rate_window():
     offers = [offer(float(m), m % 3 != 0) for m in range(30)]
     assert acceptance_rate(offer_totals(offers)) == pytest.approx(20 / 30)
     assert acceptance_rate(offer_totals(offers[:1])) == 0.0
-    with pytest.raises(NoOffers):
-        acceptance_rate(offer_totals([]))
+    assert acceptance_rate(offer_totals([])) is None
 
 
 # ---------------------------------------------------------------------------

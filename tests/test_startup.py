@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -158,7 +159,7 @@ def test_openblas_keeps_one_thread_unless_told_otherwise():
 
 def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(TWO_YEARS.to_dict()))
+    config.write_text(json.dumps(asdict(TWO_YEARS)))
     digests = {}
     for threads in (1, 2):
         fleet = tmp_path / f"fleet{threads}"

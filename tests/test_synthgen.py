@@ -3,6 +3,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
@@ -77,7 +78,7 @@ def test_truth_dates_eras_without_the_audit_calendar():
 def test_config_from_json_roundtrip(tmp_path):
     cfg = GenConfig(**SMALL)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(asdict(cfg)))
     again = GenConfig.from_json(path)
     assert again == cfg
 
