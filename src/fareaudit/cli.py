@@ -17,7 +17,7 @@ from concurrent import futures  # loads its process pool only when one is made
 from pathlib import Path
 
 from .anonymize import DEFAULT_STRIP_POLICY, STRIPPABLE_FIELDS, WeakSalt, anonymize, load_salt
-from .ingest import load_bundle, normalize, write_bundle
+from .ingest import load_bundle, normalize, replacing, write_bundle
 from .linkage import DEFAULT_WINDOW_S
 from .model import AuditError, EraBoundaries, RpiSeries, parse_month, week_monday
 from .report import (
@@ -120,16 +120,6 @@ def _out_dir(text: str) -> str:
     if not (os.path.isdir(nearest) and os.access(nearest, os.W_OK | os.X_OK)):
         raise argparse.ArgumentTypeError(f"not a directory that can be written: {text!r}")
     return text
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step; a failed write leaves it whole."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _log_skip(failure: BundleFailure) -> None:
@@ -240,10 +230,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "audit_report.json", dumps_report(report))
+    with replacing(out / "audit_report.json") as fh:
+        fh.write(dumps_report(report))
     if args.charts:
         for name, svg in render_charts(report):
-            _write_atomic(out / name, svg)
+            with replacing(out / name) as fh:
+                fh.write(svg)
     log.info("report written to %s", out / "audit_report.json")
     return EXIT_OK
 
@@ -269,9 +261,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "predict_matrix.csv", matrix.to_csv())
-    payload = dumps_report({**matrix.to_dict(), "seed": args.seed})
-    _write_atomic(out / "predict_matrix.json", payload)
+    with replacing(out / "predict_matrix.csv") as fh:
+        fh.write(matrix.to_csv())
+    with replacing(out / "predict_matrix.json") as fh:
+        fh.write(dumps_report({**matrix.to_dict(), "seed": args.seed}))
     log.info("matrix written to %s", out / "predict_matrix.csv")
     return EXIT_OK
 

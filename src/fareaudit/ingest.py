@@ -11,10 +11,12 @@ payment row in a currency other than GBP is quarantined.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     AppSession,
@@ -450,13 +452,33 @@ def payment_row(p: PaymentEvent) -> Row:
     return (_fmt_ts(p.ts), p.category.value, format_pence(p.amount), CURRENCY, p.memo or "")
 
 
+@contextmanager
+def replacing(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """A UTF-8 text file that replaces ``path`` in one step when the block ends.
+
+    It is written beside ``path`` under a temporary name, so a block that fails
+    leaves ``path`` as it was and no temporary file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_bundle(bundle: NormalizedBundle, directory: str | Path) -> None:
-    """Write a bundle back out in the canonical format (stable byte output)."""
+    """Write a bundle back out in the canonical format (stable byte output).
+
+    Each file replaces the old one only once it is whole.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     def dump(table: str, rows: Iterable[Row]) -> None:
-        with open(directory / TABLE_FILES[table], "w", newline="", encoding="utf-8") as fh:
+        with replacing(directory / TABLE_FILES[table], newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TABLE_FIELDS[table])
             writer.writerows(rows)

@@ -116,42 +116,25 @@ def _monthly_factor(rpi: RpiSeries, month: int) -> float:
 # ---------------------------------------------------------------------------
 # Share-valid trips as columns
 
-# each column's array typecode: int32, int32, float64, int64, int64, float64
-_TYPECODES = {
-    "driver": "i",
-    "month": "i",
-    "share": "d",
-    "driver_pence": "q",
-    "fare_pence": "q",
-    "on_trip_minutes": "d",
-}
-
-
 @dataclass(frozen=True)
 class TripColumns:
-    """Share-valid linked trips as parallel ``array.array`` columns, one row per trip.
+    """One driver's share-valid linked trips as parallel ``array.array`` columns.
 
-    Rows keep the order they were given in. ``driver`` indexes ``driver_ids``;
-    one bundle's columns hold its one driver, at index 0. ``month`` is the
-    ``month_index`` of the local month of the trip's anchor, ``share`` is the
-    driver share of the rider fare, and the pence are the trip's earnings and
-    its rider fare.
+    Rows keep the order they were given in, one row per trip. ``month`` is
+    the ``month_index`` of the local month of the trip's anchor, ``share`` is
+    the driver share of the rider fare, and the pence are the trip's earnings
+    and its rider fare. A fleet is its drivers' columns in driver order.
     """
 
-    driver_ids: tuple[str, ...]
-    driver: array
-    month: array
-    share: array
-    driver_pence: array
-    fare_pence: array
-    on_trip_minutes: array
+    month: array  # int32
+    share: array  # float64
+    driver_pence: array  # int64
+    fare_pence: array  # int64
+    on_trip_minutes: array  # float64
 
     @classmethod
     def from_linked(
-        cls,
-        linked: Iterable[LinkedTrip],
-        driver_id: str,
-        boundaries: EraBoundaries = DEFAULT_ERAS,
+        cls, linked: Iterable[LinkedTrip], boundaries: EraBoundaries = DEFAULT_ERAS
     ) -> "TripColumns":
         """The share-valid trips of one driver's bundle.
 
@@ -163,31 +146,13 @@ class TripColumns:
         gap = {m for m in set(months) if era_of(m, boundaries) is Era.OPAQUE_GAP}
         rows = [(lt, month) for lt, month in zip(shared, months) if month not in gap]
         valid = [lt for lt, _ in rows]
-        values = {
-            "driver": [0] * len(valid),
-            "month": [month for _, month in rows],
-            "share": [lt.driver_share for lt in valid],
-            "driver_pence": [lt.driver_total for lt in valid],
-            "fare_pence": [lt.trip.original_fare for lt in valid],
-            "on_trip_minutes": [lt.trip.on_trip_minutes for lt in valid],
-        }
-        return cls((driver_id,), **{k: array(_TYPECODES[k], v) for k, v in values.items()})
-
-    @classmethod
-    def concat(cls, parts: Sequence["TripColumns"]) -> "TripColumns":
-        """The parts' rows one after another; each part holds one driver, as
-        ``from_linked`` gives, and no two parts the same one."""
-        driver_ids = []
-        for part in parts:
-            (driver_id,) = part.driver_ids
-            driver_ids.append(driver_id)
-        # one column at a time, so that each grows alone and mostly in place
-        columns = {name: array(code) for name, code in _TYPECODES.items()}
-        for name, column in columns.items():
-            for k, part in enumerate(parts):
-                rows = array("i", [k]) * len(part) if name == "driver" else getattr(part, name)
-                column.extend(rows)
-        return cls(tuple(driver_ids), **columns)
+        return cls(
+            month=array("i", [month for _, month in rows]),
+            share=array("d", [lt.driver_share for lt in valid]),
+            driver_pence=array("q", [lt.driver_total for lt in valid]),
+            fare_pence=array("q", [lt.trip.original_fare for lt in valid]),
+            on_trip_minutes=array("d", [lt.trip.on_trip_minutes for lt in valid]),
+        )
 
     def __len__(self) -> int:
         return len(self.share)
@@ -223,11 +188,12 @@ def _bin_index(share: float, bins: Sequence[float]) -> int:
     return min(max(idx, 0), len(bins) - 2)
 
 
-def take_rate_histogram(trips: TripColumns) -> dict[str, int]:
+def take_rate_histogram(fleet: Sequence[TripColumns]) -> dict[str, int]:
     labels = bin_labels()
     counts = [0] * len(labels)
-    for idx in trips.share_bin:
-        counts[idx] += 1
+    for trips in fleet:
+        for idx in trips.share_bin:
+            counts[idx] += 1
     return dict(zip(labels, counts))
 
 
@@ -240,21 +206,25 @@ class TakeRateStats:
     n_drivers: int
 
 
-def take_rate_stats(trips: TripColumns) -> tuple[TakeRateStats, TakeRateStats]:
-    """Driver-share statistics by trip and by driver, from one grouping pass.
+def take_rate_stats(fleet: Sequence[TripColumns]) -> tuple[TakeRateStats, TakeRateStats]:
+    """Driver-share statistics by trip and by driver.
 
     Each holds the mean and median driver share and the fraction of drivers
     holding 0.75. The first pools all trips; the second averages within driver
-    first. The 0.75 statistic is driver-based in both.
+    first, over the drivers with any trip. The 0.75 statistic is driver-based
+    in both.
     """
-    per_driver: dict[int, list[float]] = {}
-    all_shares = trips.share.tolist()
-    for driver, share in zip(trips.driver.tolist(), all_shares):
-        per_driver.setdefault(driver, []).append(share)
+    all_shares: list[float] = []
+    driver_means: list[float] = []
+    for trips in fleet:
+        if len(trips):
+            shares = trips.share.tolist()
+            all_shares.extend(shares)
+            driver_means.append(statistics.fmean(shares))
     if not all_shares:
         raise AuditError("no share-valid trips")
 
-    driver_means = sorted(statistics.fmean(v) for v in per_driver.values())
+    driver_means.sort()
     at_or_above = sum(1 for m in driver_means if m >= 0.75) / len(driver_means)
     by_trip, by_driver = (
         TakeRateStats(
@@ -262,7 +232,7 @@ def take_rate_stats(trips: TripColumns) -> tuple[TakeRateStats, TakeRateStats]:
             median=statistics.median(sorted(pool)),
             drivers_at_or_above_075=at_or_above,
             n_trips=len(all_shares),
-            n_drivers=len(per_driver),
+            n_drivers=len(driver_means),
         )
         for pool in (all_shares, driver_means)
     )
@@ -283,35 +253,34 @@ class SurplusPoint:
 
 
 def surplus_series(
-    trips: TripColumns, on_trip_ms: Mapping[str, Mapping[int, int]]
+    fleet: Iterable[tuple[TripColumns, Mapping[int, Bucket]]],
 ) -> tuple[SurplusPoint, ...]:
     """Monthly platform surplus per on-trip hour, with interior gaps interpolated.
 
+    The fleet is each driver's trip columns with its ledger's month buckets.
     A month's direct value needs at least one share-valid linked trip; the
     denominator is the on-trip hours that month of the drivers contributing
-    those trips (``on_trip_ms[driver_id][month_index]``), summed in integer
-    milliseconds so that it does not depend on the order of the drivers.
-    Months without a direct value between two valid months are filled
-    linearly and flagged; gaps at either edge stay missing.
+    those trips, summed in integer milliseconds so that it does not depend on
+    the order of the drivers. Months without a direct value between two valid
+    months are filled linearly and flagged; gaps at either edge stay missing.
     """
     surplus: dict[int, int] = {}  # pence by month index
-    drivers: dict[int, set[int]] = {}
-    for driver, month, fare, pay in zip(
-        trips.driver.tolist(),
-        trips.month.tolist(),
-        trips.fare_pence.tolist(),
-        trips.driver_pence.tolist(),
-    ):
-        surplus[month] = surplus.get(month, 0) + (fare - pay)
-        drivers.setdefault(month, set()).add(driver)
+    on_trip_ms: dict[int, int] = {}
+    for trips, buckets in fleet:
+        for month, fare, pay in zip(
+            trips.month.tolist(), trips.fare_pence.tolist(), trips.driver_pence.tolist()
+        ):
+            surplus[month] = surplus.get(month, 0) + (fare - pay)
+        for month in set(trips.month):
+            totals = buckets.get(month)
+            on_trip_ms[month] = on_trip_ms.get(month, 0) + (totals.on_trip_ms if totals else 0)
     if not surplus:
         return ()
 
     months = range(min(surplus), max(surplus) + 1)
     direct: dict[int, SurplusPoint] = {}
     for month, pence in surplus.items():
-        on_trip = sum(on_trip_ms[trips.driver_ids[d]].get(month, 0) for d in drivers[month])
-        hours = on_trip / MS_PER_HOUR
+        hours = on_trip_ms[month] / MS_PER_HOUR
         if hours > 0.0:
             direct[month] = SurplusPoint(
                 month_label(month), (pence / 100.0) / hours, False, pence, hours
@@ -353,28 +322,29 @@ class PerMinuteBin:
             raise RecordError("per-minute bin does not conserve fare")
 
 
-def per_minute_fare_by_split(trips: TripColumns) -> tuple[PerMinuteBin, ...]:
+def per_minute_fare_by_split(fleet: Sequence[TripColumns]) -> tuple[PerMinuteBin, ...]:
     """Driver and platform pounds per on-trip minute, bucketed by driver share.
 
     Conservation is exact in pence: driver + platform = fare within every bin.
     The per-minute floats share one denominator, so they sum to the fare rate
-    up to float rounding only. Minutes are summed in row order.
+    up to float rounding only. Minutes are summed in driver order, then row order.
     """
     labels = bin_labels()
     acc: dict[int, list] = {}
-    for idx, minutes, driver, fare in zip(
-        trips.share_bin,
-        trips.on_trip_minutes.tolist(),
-        trips.driver_pence.tolist(),
-        trips.fare_pence.tolist(),
-    ):
-        if minutes <= 0.0:
-            continue
-        slot = acc.setdefault(idx, [0, 0.0, 0, 0])
-        slot[0] += 1
-        slot[1] += minutes
-        slot[2] += driver
-        slot[3] += fare
+    for trips in fleet:
+        for idx, minutes, driver, fare in zip(
+            trips.share_bin,
+            trips.on_trip_minutes.tolist(),
+            trips.driver_pence.tolist(),
+            trips.fare_pence.tolist(),
+        ):
+            if minutes <= 0.0:
+                continue
+            slot = acc.setdefault(idx, [0, 0.0, 0, 0])
+            slot[0] += 1
+            slot[1] += minutes
+            slot[2] += driver
+            slot[3] += fare
     out = []
     for idx in sorted(acc):
         n, minutes, driver, fare = acc[idx]

@@ -142,7 +142,7 @@ def process_bundle(
         orphan_trips=len(timeline.orphan_trips),
         ledger=ledger,
         # the one place a worker meets the era boundaries
-        trips=TripColumns.from_linked(links.linked, bundle.driver_id, options.eras),
+        trips=TripColumns.from_linked(links.linked, options.eras),
         profile=bundle.profile,
     )
 
@@ -216,23 +216,24 @@ def _monthly_real_rates(results: Sequence[DriverResult], rpi: RpiSeries) -> dict
     return {"base_month": month_label(base), "nominal": labelled, "real": real}
 
 
-def _take_rate_section(trips: TripColumns) -> dict:
-    if not len(trips):
+def _take_rate_section(fleet: Sequence[TripColumns]) -> dict:
+    n_trips = sum(len(trips) for trips in fleet)
+    if not n_trips:
         return {"n_trips": 0}
-    hist = take_rate_histogram(trips)
     monthly: dict[int, list[float]] = {}  # by month index, labelled once per month
-    for month, share in zip(trips.month.tolist(), trips.share.tolist()):
-        monthly.setdefault(month, []).append(share)
+    for trips in fleet:
+        for month, share in zip(trips.month.tolist(), trips.share.tolist()):
+            monthly.setdefault(month, []).append(share)
 
-    by_trip, by_driver = take_rate_stats(trips)
+    by_trip, by_driver = take_rate_stats(fleet)
     return {
         "by_trip": asdict(by_trip),
         "by_driver": asdict(by_driver),
-        "histogram": hist,
+        "histogram": take_rate_histogram(fleet),
         "monthly_median_share": {
             month_label(m): statistics.median(sorted(v)) for m, v in sorted(monthly.items())
         },
-        "n_trips": len(trips),
+        "n_trips": n_trips,
     }
 
 
@@ -265,11 +266,12 @@ def _acceptance_section(pooled: Mapping[int, Bucket]) -> dict:
     }
 
 
-def _distribution_section(trips: TripColumns, eras: EraBoundaries) -> dict | None:
-    era = {month: era_of(month, eras) for month in set(trips.month)}
+def _distribution_section(fleet: Sequence[TripColumns], eras: EraBoundaries) -> dict | None:
     by_era: dict[Era, list[float]] = {e: [] for e in Era}
-    for month, share in zip(trips.month, trips.share):
-        by_era[era[month]].append(share)
+    for trips in fleet:
+        era = {month: era_of(month, eras) for month in set(trips.month)}
+        for month, share in zip(trips.month, trips.share):
+            by_era[era[month]].append(share)
     fixed = by_era[Era.FIXED_COMMISSION]
     dynamic = by_era[Era.DYNAMIC_PRICING]
     if not fixed or not dynamic:
@@ -301,7 +303,7 @@ def build_report(
 
     rows = {res.driver_id: weekly_rows(res.ledger) for res in results}
     all_rows = [row for driver_rows in rows.values() for row in driver_rows]
-    trips = TripColumns.concat([res.trips for res in results])
+    fleet = [res.trips for res in results]
     pooled: dict[int, Bucket] = {}  # every driver's month buckets, summed exactly
     for res in results:
         for month, totals in res.ledger.months.items():
@@ -358,14 +360,11 @@ def build_report(
     if rpi is not None:
         report["inflation"] = _monthly_real_rates(results, rpi)
 
-    report["take_rates"] = _take_rate_section(trips)
-
-    on_trip_ms = {
-        res.driver_id: {m: t.on_trip_ms for m, t in res.ledger.months.items()}
-        for res in results
-    }
-    report["surplus"] = [asdict(p) for p in surplus_series(trips, on_trip_ms)]
-    report["per_minute_by_split"] = [asdict(b) for b in per_minute_fare_by_split(trips)]
+    report["take_rates"] = _take_rate_section(fleet)
+    report["surplus"] = [
+        asdict(p) for p in surplus_series((res.trips, res.ledger.months) for res in results)
+    ]
+    report["per_minute_by_split"] = [asdict(b) for b in per_minute_fare_by_split(fleet)]
 
     report["utilisation"] = _utilisation_section(pooled)
     report["acceptance"] = _acceptance_section(pooled)
@@ -395,7 +394,7 @@ def build_report(
             },
         }
 
-    distribution = _distribution_section(trips, options.eras)
+    distribution = _distribution_section(fleet, options.eras)
     if distribution is not None:
         report["share_distribution"] = distribution
 

@@ -124,7 +124,7 @@ class CohortPlan:
             raise InvalidConfig("cohort windows must cover equal month counts")
         if set(pre) & set(post):
             raise InvalidConfig("cohort windows overlap")
-        if not 0.0 <= self.cut_fraction <= 1.0:
+        if isinstance(self.cut_fraction, bool) or not 0.0 <= self.cut_fraction <= 1.0:
             raise InvalidConfig("cut_fraction out of [0,1]")
         _whole(self, "gap_drivers")
         if self.gap_drivers < 0:
@@ -206,8 +206,8 @@ class GenConfig:
         if self.switch_year is not None:
             _whole(self, "switch_year")
         for name in ("work_prob", "session_min_h", "session_max_h", "jitter_sd_s", "rpi_yoy"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            value = getattr(self, name)  # a bool is an int subclass but no number
+            if isinstance(value, bool) or value is not None and not math.isfinite(value):
                 raise InvalidConfig(f"{name} must be a finite number, got {value}")
         if not 0.0 <= self.work_prob <= 1.0:
             raise InvalidConfig(f"work_prob must lie in [0,1], got {self.work_prob}")
@@ -219,8 +219,14 @@ class GenConfig:
             raise InvalidConfig("need at least one driver")
         if self.cohort is not None and self.cohort.gap_drivers > self.n_drivers:
             raise InvalidConfig("gap_drivers must not exceed n_drivers")
-        if month_index(self.first_month) > month_index(self.last_month):
+        first, last = month_index(self.first_month), month_index(self.last_month)
+        if first > last:
             raise InvalidConfig("month range reversed")
+        if first < month_index("0001-02") or last > month_index("9998-11"):
+            # the months whose every day the calendar dates
+            raise InvalidConfig("months must lie in 0001-02..9998-11")
+        if self.rpi_yoy is not None and self.rpi_yoy <= -100.0:
+            raise InvalidConfig(f"rpi_yoy must be above -100, got {self.rpi_yoy}")
         if month_index(self.opaque_start) >= month_index(self.dynamic_start):
             raise InvalidConfig("era boundaries out of order")
         if not isinstance(self.commission, str):  # a float such as 0.1 is not exact

@@ -129,9 +129,7 @@ def dynamic_fleet(tmp_path_factory):
     generate(cfg, root)
     drivers = process_fleet(root)
     linked = [lt for d in drivers.values() for lt in d.links.linked]
-    columns = TripColumns.concat(
-        [TripColumns.from_linked(d.links.linked, name) for name, d in drivers.items()]
-    )
+    columns = [TripColumns.from_linked(d.links.linked) for d in drivers.values()]
     return SimpleNamespace(
         root=root, truth=load_ground_truth(root), drivers=drivers, linked=linked, columns=columns
     )
@@ -333,7 +331,7 @@ def test_criterion_06_surplus_gap_handling():
             pay_at("2021-01-05T10:06:00Z", "12.00"),  # surplus 8 pounds/hour
             pay_at("2021-03-05T10:06:00Z", "8.00"),  # surplus 12 pounds/hour
         ]
-        linked = TripColumns.from_linked(link(trips, pays).linked, "d1")
+        linked = TripColumns.from_linked(link(trips, pays).linked)
         segments = build_segments(
             [
                 AppSession(
@@ -345,11 +343,7 @@ def test_criterion_06_surplus_gap_handling():
             trips,
         ).segments
         ledger = build_ledger(segments, pays, [], [])
-        on_trip = {
-            m: ledger.months.get(m, Bucket()).on_trip_ms
-            for m in range(month_index("2021-01"), month_index("2021-03") + 1)
-        }
-        series = {p.month: p for p in surplus_series(linked, {"d1": on_trip})}
+        series = {p.month: p for p in surplus_series([(linked, ledger.months)])}
         feb = series["2021-02"]
         assert feb.interpolated
         assert abs(feb.value - 10.0) < 1e-9

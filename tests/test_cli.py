@@ -130,6 +130,21 @@ def test_synth_rejects_bad_config(tmp_path):
             }}
             for gap in (5, -1)
         ),
+        # months outside 0001-02..9998-11 have days the calendar cannot date
+        {"first_month": "0000-01"},
+        {"last_month": "9999-12"},
+        {"n_drivers": 1, "first_month": "9999-01", "last_month": "9999-01"},
+        # an rpi.csv the audit would refuse
+        {"n_drivers": 1, "last_month": "2021-01", "rpi_yoy": -100},
+        # true is no number
+        {"n_drivers": 1, "last_month": "2021-01", "session_min_h": True, "session_max_h": True},
+        *(
+            {"n_drivers": 1, "last_month": "2021-01", name: True}
+            for name in ("work_prob", "jitter_sd_s", "rpi_yoy")
+        ),
+        {"n_drivers": 1, "last_month": "2021-01", "cohort": {
+            "window_pre": ["2021-01"] * 2, "window_post": ["2021-02"] * 2, "cut_fraction": True,
+        }},
     ],
 )
 def test_synth_malformed_month_label_is_a_config_error(tmp_path, caplog, config):
@@ -138,6 +153,21 @@ def test_synth_malformed_month_label_is_a_config_error(tmp_path, caplog, config)
     assert main(["synth", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "invalid config" in caplog.text
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("month", ["0001-02", "9998-11"])
+def test_synth_fleet_at_the_calendar_edges_audits_clean(tmp_path, month):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"n_drivers": 1, "first_month": month, "last_month": month, "rpi_yoy": 2.0})
+    )
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "f")]) == 0
+    assert main(["audit", str(tmp_path / "f"), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "audit_report.json").read_text())
+    assert report["drivers"] == 1 and report["failures"] == []
+    tables = [t for info in report["bundles"].values() for t in info["ingest"]["tables"].values()]
+    assert sum(t["rows_in"] for t in tables) > 0
+    assert sum(t["rows_quarantined"] for t in tables) == 0
 
 
 def test_synth_seed_repeat_identical(tmp_path):
@@ -348,6 +378,29 @@ def test_audit_failed_write_keeps_the_old_report(bundles, tmp_path, monkeypatch)
         main(["audit", str(bundles), "--out", str(out)])
     assert (out / "audit_report.json").read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["audit_report.json"]
+
+
+def test_anon_failed_write_keeps_the_old_bundles(bundles, tmp_path, monkeypatch):
+    monkeypatch.setenv(SALT_ENV_VAR, "0123456789abcdef0123")
+    out = tmp_path / "o"
+    assert main(["anon", str(bundles), "--out", str(out)]) == 0
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert sum(1 for p in before if p.name == "trips.csv") == 2
+
+    trip_row = fareaudit.ingest.trip_row
+    written = []
+
+    def fails_after_100_rows(t):
+        if len(written) == 100:
+            raise OSError("no space left on device")
+        written.append(t)
+        return trip_row(t)
+
+    monkeypatch.setattr("fareaudit.ingest.trip_row", fails_after_100_rows)
+    with pytest.raises(OSError):
+        main(["anon", str(bundles), "--out", str(out)])
+    assert len(written) == 100
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 
 def test_audit_tight_window_loses_matches(bundles, tmp_path):

@@ -337,9 +337,9 @@ def test_fare_semantics_flags_opaque_gap(tmp_path):
     )
     (fixed_link,) = link(fixed.trips, fixed.payments).linked
     assert fixed_link.driver_share == 0.75
-    assert TripColumns.from_linked([fixed_link], "d1").share.tolist() == [0.75]
+    assert TripColumns.from_linked([fixed_link]).share.tolist() == [0.75]
     (gap_link,) = link(gap.trips, gap.payments).linked
-    assert len(TripColumns.from_linked([gap_link], "d1")) == 0
+    assert len(TripColumns.from_linked([gap_link])) == 0
 
 
 def test_trip_straddling_an_era_boundary_takes_its_dropoff_era(tmp_path):
@@ -353,7 +353,7 @@ def test_trip_straddling_an_era_boundary_takes_its_dropoff_era(tmp_path):
     months = build_ledger([], [], bundle.trips, []).months
     assert trips_per_era(months, DEFAULT_ERAS) == {Era.OPAQUE_GAP.value: 1}
     (linked,) = link(bundle.trips, bundle.payments).linked
-    assert len(TripColumns.from_linked([linked], "d1")) == 0
+    assert len(TripColumns.from_linked([linked])) == 0
 
 
 def test_write_bundle_roundtrip_is_fixed_point(tmp_path, bundle_dir):

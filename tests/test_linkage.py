@@ -97,7 +97,7 @@ def test_share_none_in_opaque_gap():
     assert lt.driver_total == 750  # pay still counted
     # linkage knows no eras; the audit's columns leave the gap's share out
     assert lt.driver_share == 0.75
-    assert len(TripColumns.from_linked([lt], "d1")) == 0
+    assert len(TripColumns.from_linked([lt])) == 0
 
 
 def test_share_none_when_fare_missing():

@@ -1,15 +1,20 @@
 import math
 import pickle
+import statistics
 import struct
+from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fareaudit import report
 from fareaudit.linkage import LinkedTrip, link
 from fareaudit.metrics import (
     KDE_BLOCK_ELEMENTS,
     CohortSplit,
+    DistributionComparison,
     MissingRpiMonth,
     PerMinuteBin,
     TripColumns,
@@ -28,19 +33,24 @@ from fareaudit.metrics import (
     weekly_rows,
 )
 from fareaudit.model import (
+    DEFAULT_ERAS,
+    MS_PER_HOUR,
     AuditError,
     DriverProfile,
+    Era,
     PaymentCategory,
     PaymentEvent,
     RpiSeries,
     TripRecord,
     TripStatus,
+    era_of,
     iso_week_label,
     month_index,
     month_label,
     month_range,
     parse_pence,
 )
+from fareaudit.report import _distribution_section, _take_rate_section
 from fareaudit.worktime import Bucket, HoursDefinition, build_ledger, build_segments, hours_worked
 from conftest import at, instant, london, offer, payment, trip
 
@@ -252,7 +262,7 @@ def test_adjust_inflation_across_new_year_matches_the_label_oracle(case):
 def linked_with_shares(rows):
     """Columns of one linked trip per (driver, fare_pounds, pay_pounds) row, fixed era.
 
-    Each driver's rows are one bundle's columns, joined in order of first appearance.
+    Each driver's rows are one bundle's columns, listed in order of first appearance.
     """
     by_driver: dict[str, list] = {}
     for i, (driver, fare, pays) in enumerate(rows):
@@ -262,7 +272,7 @@ def linked_with_shares(rows):
         )
         p = payment(ts_min=i * 120.0 + 26, amount=f"{pays:.2f}")
         by_driver.setdefault(driver, []).extend(link([t], [p]).linked)
-    return TripColumns.concat([TripColumns.from_linked(v, d) for d, v in by_driver.items()])
+    return [TripColumns.from_linked(v) for v in by_driver.values()]
 
 
 def test_take_rate_stats_by_trip_and_driver():
@@ -301,20 +311,11 @@ def surplus_fixture():
     trips = [t_jan, t_mar]
     linked = link(trips, pays).linked
     segs = build_segments([covering_session(t) for t in trips], trips).segments
-    return list(linked), {"d1": on_trip_by_month(build_ledger(segs, pays, [], []))}
-
-
-def on_trip_by_month(ledger):
-    """A driver's on-trip milliseconds in each month around the fixture's trips."""
-    return {
-        m: ledger.months.get(m, Bucket()).on_trip_ms
-        for m in range(month_index("2020-12"), month_index("2021-04") + 1)
-    }
+    return TripColumns.from_linked(linked), build_ledger(segs, pays, [], []).months
 
 
 def test_surplus_interior_gap_interpolated_and_flagged():
-    linked, on_trip = surplus_fixture()
-    series = surplus_series(TripColumns.from_linked(linked, "d1"), on_trip)
+    series = surplus_series([surplus_fixture()])
     by_month = {p.month: p for p in series}
     assert by_month["2021-01"].value == pytest.approx(8.0)
     assert not by_month["2021-01"].interpolated
@@ -324,8 +325,7 @@ def test_surplus_interior_gap_interpolated_and_flagged():
 
 
 def test_surplus_edge_gap_is_missing_not_extrapolated():
-    linked, on_trip = surplus_fixture()
-    by_month = {p.month: p for p in surplus_series(TripColumns.from_linked(linked, "d1"), on_trip)}
+    by_month = {p.month: p for p in surplus_series([surplus_fixture()])}
     for month in ("2020-12", "2021-04"):
         assert month not in by_month or by_month[month].value is None
 
@@ -341,27 +341,23 @@ def test_surplus_gap_across_new_year_is_interpolated_and_labelled():
     ]
     segs = build_segments([covering_session(t) for t in trips], trips).segments
     ledger = build_ledger(segs, pays, [], [])
-    series = surplus_series(
-        TripColumns.from_linked(link(trips, pays).linked, "d1"),
-        {"d1": {m: bucket.on_trip_ms for m, bucket in ledger.months.items()}},
-    )
+    series = surplus_series([(TripColumns.from_linked(link(trips, pays).linked), ledger.months)])
     assert [p.month for p in series] == ["2020-11", "2020-12", "2021-01", "2021-02"]
     assert [p.interpolated for p in series] == [False, True, True, False]
     assert [p.value for p in series] == pytest.approx([8.0, 8.0 + 4 / 3, 8.0 + 8 / 3, 12.0])
 
 
 def test_surplus_denominator_only_contributing_drivers():
-    linked, on_trip = surplus_fixture()
     # a second driver with on-trip time but no valid shares must not dilute
     t_other = trip_at("2021-01-07T09:00:00Z", on_min=120, fare=None)
     segs2 = build_segments([covering_session(t_other)], [t_other]).segments
     pays2 = [pay_at("2021-01-07T11:06:00Z", 0, "9.00")]
     linked2 = link([t_other], pays2).linked
     series = surplus_series(
-        TripColumns.concat(
-            [TripColumns.from_linked(linked, "d1"), TripColumns.from_linked(linked2, "d2")]
-        ),
-        {**on_trip, "d2": on_trip_by_month(build_ledger(segs2, pays2, [], []))},
+        [
+            surplus_fixture(),
+            (TripColumns.from_linked(linked2), build_ledger(segs2, pays2, [], []).months),
+        ]
     )
     jan = next(p for p in series if p.month == "2021-01")
     assert jan.value == pytest.approx(8.0)
@@ -396,8 +392,8 @@ def linked_trips(draw) -> LinkedTrip:
 
 def column_values(columns: TripColumns) -> dict:
     """Every column as Python values, floats as their bits, with its typecode."""
-    out = {"driver_ids": columns.driver_ids}
-    for name in ("driver", "month", "driver_pence", "fare_pence"):
+    out = {}
+    for name in ("month", "driver_pence", "fare_pence"):
         out[name] = (getattr(columns, name).typecode, getattr(columns, name).tolist())
     for name in ("share", "on_trip_minutes"):
         out[name] = (getattr(columns, name).typecode, float_bits(getattr(columns, name).tolist()))
@@ -407,37 +403,207 @@ def column_values(columns: TripColumns) -> dict:
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.lists(linked_trips(), max_size=6), max_size=4))
 def test_trip_columns_give_back_every_value_bit_for_bit(drivers):
-    parts = [TripColumns.from_linked(linked, f"d{k}") for k, linked in enumerate(drivers)]
-    whole = TripColumns.concat(parts)
-    # share-valid trips outside the opaque gap, 2022-02..2023-01 in London
-    valid = [
-        (k, lt)
-        for k, linked in enumerate(drivers)
-        for lt in linked
-        if lt.driver_share is not None
-        and not "2022-02" <= f"{london(lt.trip.dropoff_ts):%Y-%m}" < "2023-02"
-    ]
-    local = [london(lt.trip.dropoff_ts) for _, lt in valid]
-    assert column_values(whole) == {
-        "driver_ids": tuple(f"d{k}" for k in range(len(drivers))),
-        "driver": ("i", [k for k, _ in valid]),
-        "month": ("i", [d.year * 12 + d.month - 1 for d in local]),
-        "share": ("d", float_bits(lt.driver_share for _, lt in valid)),
-        "driver_pence": ("q", [lt.driver_total for _, lt in valid]),
-        "fare_pence": ("q", [lt.trip.original_fare for _, lt in valid]),
-        "on_trip_minutes": (
-            "d", float_bits((lt.trip.dropoff_ts - lt.trip.pickup_ts) / MIN for _, lt in valid)
-        ),
-    }
-    assert len(whole) == len(valid)
-    for columns in (whole, *parts):
+    for linked in drivers:
+        columns = TripColumns.from_linked(linked)
+        # share-valid trips outside the opaque gap, 2022-02..2023-01 in London
+        valid = [
+            lt
+            for lt in linked
+            if lt.driver_share is not None
+            and not "2022-02" <= f"{london(lt.trip.dropoff_ts):%Y-%m}" < "2023-02"
+        ]
+        local = [london(lt.trip.dropoff_ts) for lt in valid]
+        assert column_values(columns) == {
+            "month": ("i", [d.year * 12 + d.month - 1 for d in local]),
+            "share": ("d", float_bits(lt.driver_share for lt in valid)),
+            "driver_pence": ("q", [lt.driver_total for lt in valid]),
+            "fare_pence": ("q", [lt.trip.original_fare for lt in valid]),
+            "on_trip_minutes": (
+                "d", float_bits((lt.trip.dropoff_ts - lt.trip.pickup_ts) / MIN for lt in valid)
+            ),
+        }
+        assert len(columns) == len(valid)
         assert column_values(pickle.loads(pickle.dumps(columns))) == column_values(columns)
 
 
-def test_trip_columns_concat_takes_one_driver_a_part():
-    two = TripColumns.concat([TripColumns.from_linked([], "a"), TripColumns.from_linked([], "b")])
-    with pytest.raises(ValueError):
-        TripColumns.concat([two])
+# ---------------------------------------------------------------------------
+# The fleet metrics against one concatenated table
+
+
+TRIP_COLUMNS = ("month", "share", "driver_pence", "fare_pence", "on_trip_minutes")
+
+
+def one_table(fleet) -> dict[str, list]:
+    """The fleet's rows one driver after another, with a driver index column."""
+    table = {name: [] for name in ("driver", *TRIP_COLUMNS)}
+    for k, trips in enumerate(fleet):
+        table["driver"] += [k] * len(trips)
+        for name in TRIP_COLUMNS:
+            table[name] += getattr(trips, name).tolist()
+    return table
+
+
+def bin_of(share: float) -> int:
+    edges = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.5)
+    inside = [k for k in range(len(edges) - 1) if edges[k] <= share]
+    return min(inside[-1], len(edges) - 2) if inside else 0
+
+
+def table_histogram(table: dict) -> dict[str, int]:
+    counts = [0] * len(bin_labels())
+    for share in table["share"]:
+        counts[bin_of(share)] += 1
+    return dict(zip(bin_labels(), counts))
+
+
+def table_stats(table: dict) -> list[dict]:
+    """Take-rate statistics by trip and by driver, grouped by the driver index."""
+    per_driver: dict[int, list[float]] = {}
+    for driver, share in zip(table["driver"], table["share"]):
+        per_driver.setdefault(driver, []).append(share)
+    if not per_driver:
+        raise AuditError("no share-valid trips")
+    means = sorted(statistics.fmean(v) for v in per_driver.values())
+    at_or_above = sum(1 for m in means if m >= 0.75) / len(means)
+    return [
+        {
+            "mean": statistics.fmean(pool),
+            "median": statistics.median(sorted(pool)),
+            "drivers_at_or_above_075": at_or_above,
+            "n_trips": len(table["share"]),
+            "n_drivers": len(per_driver),
+        }
+        for pool in (table["share"], means)
+    ]
+
+
+def table_take_rates(table: dict) -> dict:
+    if not table["share"]:
+        return {"n_trips": 0}
+    monthly: dict[int, list[float]] = {}
+    for month, share in zip(table["month"], table["share"]):
+        monthly.setdefault(month, []).append(share)
+    by_trip, by_driver = table_stats(table)
+    return {
+        "by_trip": by_trip,
+        "by_driver": by_driver,
+        "histogram": table_histogram(table),
+        "monthly_median_share": {
+            month_label(m): statistics.median(sorted(v)) for m, v in sorted(monthly.items())
+        },
+        "n_trips": len(table["share"]),
+    }
+
+
+def table_per_minute(table: dict) -> list[tuple]:
+    acc: dict[int, list] = {}
+    for share, minutes, driver, fare in zip(
+        table["share"], table["on_trip_minutes"], table["driver_pence"], table["fare_pence"]
+    ):
+        if minutes > 0.0:
+            slot = acc.setdefault(bin_of(share), [0, 0.0, 0, 0])
+            for k, value in enumerate((1, minutes, driver, fare)):
+                slot[k] += value
+    return [
+        (bin_labels()[b], n, minutes, driver, fare - driver, fare,
+         driver / 100.0 / minutes, (fare - driver) / 100.0 / minutes)
+        for b, (n, minutes, driver, fare) in sorted(acc.items())
+    ]
+
+
+def table_surplus(table: dict, on_trip_ms: list[dict[int, int]]) -> list[tuple]:
+    """Each month's surplus per on-trip hour of the drivers with trips that month."""
+    pence: dict[int, int] = {}
+    drivers: dict[int, set[int]] = {}
+    for driver, month, fare, pay in zip(
+        table["driver"], table["month"], table["fare_pence"], table["driver_pence"]
+    ):
+        pence[month] = pence.get(month, 0) + fare - pay
+        drivers.setdefault(month, set()).add(driver)
+    direct = {}
+    for month in pence:
+        hours = sum(on_trip_ms[d].get(month, 0) for d in drivers[month]) / MS_PER_HOUR
+        if hours > 0.0:
+            direct[month] = (pence[month] / 100.0 / hours, pence[month], hours)
+    out = []
+    for month in range(min(pence), max(pence) + 1) if pence else ():
+        before = [m for m in direct if m < month]
+        after = [m for m in direct if m > month]
+        if month in direct:
+            value, cut, hours = direct[month]
+            out.append((month_label(month), value, False, cut, hours))
+        elif before and after:
+            m0, m1 = max(before), min(after)
+            v0, v1 = direct[m0][0], direct[m1][0]
+            value = v0 + (v1 - v0) * ((month - m0) / (m1 - m0))
+            out.append((month_label(month), value, True, 0, 0.0))
+        else:
+            out.append((month_label(month), None, False, 0, 0.0))
+    return out
+
+
+def exact(value):
+    """A value with each float as its bits, so that -0.0, NaN and inf compare exactly."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return value
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, exactly, or the type of what it raises."""
+    try:
+        return "returned", exact(f(*args))
+    except Exception as exc:  # the oracle must raise the same
+        return "raised", type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(linked_trips(), max_size=6), max_size=4), st.data())
+def test_fleet_metrics_match_one_concatenated_table(drivers, data):
+    fleet = [TripColumns.from_linked(linked) for linked in drivers]
+    # on-trip time in any month of the fleet's trips, whether the driver has trips in it or not
+    months = sorted({month for trips in fleet for month in trips.month})
+    ledgers = [
+        data.draw(
+            st.dictionaries(
+                st.sampled_from(months) if months else st.nothing(),
+                st.builds(Bucket, on_trip_ms=st.integers(0, 40 * MS_PER_HOUR)),
+            )
+        )
+        for _ in fleet
+    ]
+    table = one_table(fleet)
+    on_trip_ms = [{m: b.on_trip_ms for m, b in months.items()} for months in ledgers]
+
+    assert outcome(take_rate_histogram, fleet) == outcome(table_histogram, table)
+    assert outcome(lambda f: [asdict(s) for s in take_rate_stats(f)], fleet) == outcome(
+        table_stats, table
+    )
+    assert outcome(_take_rate_section, fleet) == outcome(table_take_rates, table)
+    assert outcome(
+        lambda f: [tuple(asdict(b).values()) for b in per_minute_fare_by_split(f)], fleet
+    ) == outcome(table_per_minute, table)
+    assert outcome(
+        lambda f: [tuple(asdict(p).values()) for p in surplus_series(zip(f, ledgers))], fleet
+    ) == outcome(table_surplus, table, on_trip_ms)
+
+    samples = []
+
+    def split_only(*eras):  # the densities are not the fleet's concern
+        samples.extend(eras)
+        return DistributionComparison((), (), (), 0.0, 0.0)
+
+    with mock.patch.object(report, "distribution_compare", split_only):
+        _distribution_section(fleet, DEFAULT_ERAS)
+    by_era = {era: [] for era in Era}
+    for month, share in zip(table["month"], table["share"]):
+        by_era[era_of(month, DEFAULT_ERAS)].append(share)
+    fixed, dynamic = by_era[Era.FIXED_COMMISSION], by_era[Era.DYNAMIC_PRICING]
+    assert exact(samples) == (exact([fixed, dynamic]) if fixed and dynamic else [])
 
 
 # ---------------------------------------------------------------------------
