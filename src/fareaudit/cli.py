@@ -39,10 +39,20 @@ EXIT_NO_DATA = 3
 EXIT_WEAK_SALT = 4
 
 
-def _bundle_dirs(root: str) -> list[str]:
-    """The bundle directories under ``root``, sorted; finding none is logged."""
+def _bundle_dirs(root: str, out: str | None = None) -> list[str]:
+    """The bundle directories under ``root``, sorted; finding none is logged.
+
+    The command's own output directory ``out`` is never one of them, so a
+    rerun does not read what the last run wrote there; leaving it out is logged.
+    """
     base = Path(root)
-    dirs = [str(p) for p in sorted(base.iterdir()) if p.is_dir()] if base.is_dir() else []
+    mine = Path(out).resolve() if out is not None else None
+    dirs = []
+    for p in sorted(base.iterdir()) if base.is_dir() else ():
+        if p.is_dir() and p.resolve() == mine:
+            log.warning("%s is the output directory, not read as a bundle", p)
+        elif p.is_dir():
+            dirs.append(str(p))
     if not dirs:
         log.error("no bundle directories under %s", root)
     return dirs
@@ -213,7 +223,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         log.error("rpi file not found: %s", args.rpi)
         return EXIT_CONFIG
 
-    dirs = _bundle_dirs(args.bundle_root)
+    dirs = _bundle_dirs(args.bundle_root, args.out)
     if not dirs:
         return EXIT_NO_DATA
 
@@ -231,7 +241,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with replacing(out / "audit_report.json") as fh:
-        fh.write(dumps_report(report))
+        dumps_report(report, fh)
     if args.charts:
         for name, svg in render_charts(report):
             with replacing(out / name) as fh:
@@ -242,7 +252,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     options = AuditOptions(link_window_s=args.link_window_seconds, features_only=True)
-    dirs = _bundle_dirs(args.bundle_root)
+    dirs = _bundle_dirs(args.bundle_root, args.out)
     if not dirs:
         return EXIT_NO_DATA
 
@@ -264,7 +274,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with replacing(out / "predict_matrix.csv") as fh:
         fh.write(matrix.to_csv())
     with replacing(out / "predict_matrix.json") as fh:
-        fh.write(dumps_report({**matrix.to_dict(), "seed": args.seed}))
+        dumps_report({**matrix.to_dict(), "seed": args.seed}, fh)
     log.info("matrix written to %s", out / "predict_matrix.csv")
     return EXIT_OK
 
@@ -276,7 +286,7 @@ def cmd_anon(args: argparse.Namespace) -> int:
         log.error("salt unusable: %s", exc)
         return EXIT_WEAK_SALT
 
-    dirs = _bundle_dirs(args.bundle_root)
+    dirs = _bundle_dirs(args.bundle_root, args.out)
     if not dirs:
         return EXIT_NO_DATA
 

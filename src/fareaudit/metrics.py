@@ -8,12 +8,14 @@ final division.
 
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .linkage import LinkedTrip
@@ -213,30 +215,42 @@ def take_rate_stats(fleet: Sequence[TripColumns]) -> tuple[TakeRateStats, TakeRa
     holding 0.75. The first pools all trips; the second averages within driver
     first, over the drivers with any trip. The 0.75 statistic is driver-based
     in both.
-    """
-    all_shares: list[float] = []
-    driver_means: list[float] = []
-    for trips in fleet:
-        if len(trips):
-            shares = trips.share.tolist()
-            all_shares.extend(shares)
-            driver_means.append(statistics.fmean(shares))
-    if not all_shares:
-        raise AuditError("no share-valid trips")
 
-    driver_means.sort()
+    The pooled statistics are taken from each driver's column, never from one
+    list of every share: the mean is ``fmean``'s exact sum over the columns in
+    turn, and the median comes from merging each driver's sorted shares.
+    """
+    columns = [trips.share for trips in fleet if len(trips)]
+    if not columns:
+        raise AuditError("no share-valid trips")
+    n_trips = sum(map(len, columns))
+    driver_means = sorted(statistics.fmean(shares) for shares in columns)
     at_or_above = sum(1 for m in driver_means if m >= 0.75) / len(driver_means)
     by_trip, by_driver = (
         TakeRateStats(
-            mean=statistics.fmean(pool),
-            median=statistics.median(sorted(pool)),
+            mean=mean,
+            median=median,
             drivers_at_or_above_075=at_or_above,
-            n_trips=len(all_shares),
+            n_trips=n_trips,
             n_drivers=len(driver_means),
         )
-        for pool in (all_shares, driver_means)
+        for mean, median in (
+            (math.fsum(chain.from_iterable(columns)) / n_trips, _merged_median(columns)),
+            (statistics.fmean(driver_means), statistics.median(driver_means)),
+        )
     )
     return by_trip, by_driver
+
+
+def _merged_median(columns: Sequence[array]) -> float:
+    """``statistics.median`` of the columns joined end to end, holding them sorted
+    one column at a time: ``merge`` takes equal values in column order, as the
+    stable ``sorted`` of the joined columns has them, so even -0.0 and 0.0 come
+    out alike."""
+    n = sum(map(len, columns))
+    merged = heapq.merge(*(array("d", sorted(shares)) for shares in columns))
+    lower = next(islice(merged, (n - 1) // 2, None))
+    return lower if n % 2 else (lower + next(merged)) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +519,7 @@ def silverman_bandwidth(values: Sequence[float]) -> float:
         raise AuditError("empty sample")
     sd = statistics.stdev(values) if n > 1 else 0.0
     if n >= 2:
-        q = statistics.quantiles(sorted(values), n=4, method="inclusive")
+        q = statistics.quantiles(values, n=4, method="inclusive")
         iqr = q[2] - q[0]
     else:
         iqr = 0.0

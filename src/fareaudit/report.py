@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 import statistics
+from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Mapping, Sequence
 
 from .ingest import IngestReport, load_bundle, normalize
 from .linkage import DEFAULT_WINDOW_S, link
@@ -170,8 +173,14 @@ def json_ready(obj):
     return obj
 
 
-def dumps_report(report: Mapping) -> str:
-    return json.dumps(json_ready(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+def dumps_report(report: Mapping, fh: IO[str]) -> None:
+    """Write the report's JSON to ``fh`` chunk by chunk as it is encoded.
+
+    With an indent, ``json.dump`` runs the same encoder as ``json.dumps``, so
+    the bytes are those of the whole text, which is never held at once.
+    """
+    json.dump(json_ready(report), fh, sort_keys=True, indent=2, allow_nan=False)
+    fh.write("\n")
 
 
 def _weekly_pooled(rows: Sequence[tuple[str, Bucket]]) -> dict:
@@ -220,10 +229,10 @@ def _take_rate_section(fleet: Sequence[TripColumns]) -> dict:
     n_trips = sum(len(trips) for trips in fleet)
     if not n_trips:
         return {"n_trips": 0}
-    monthly: dict[int, list[float]] = {}  # by month index, labelled once per month
+    monthly: dict[int, array] = defaultdict(partial(array, "d"))  # labelled once per month
     for trips in fleet:
-        for month, share in zip(trips.month.tolist(), trips.share.tolist()):
-            monthly.setdefault(month, []).append(share)
+        for month, share in zip(trips.month, trips.share):
+            monthly[month].append(share)
 
     by_trip, by_driver = take_rate_stats(fleet)
     return {
@@ -231,7 +240,7 @@ def _take_rate_section(fleet: Sequence[TripColumns]) -> dict:
         "by_driver": asdict(by_driver),
         "histogram": take_rate_histogram(fleet),
         "monthly_median_share": {
-            month_label(m): statistics.median(sorted(v)) for m, v in sorted(monthly.items())
+            month_label(m): statistics.median(v) for m, v in sorted(monthly.items())
         },
         "n_trips": n_trips,
     }
@@ -267,7 +276,7 @@ def _acceptance_section(pooled: Mapping[int, Bucket]) -> dict:
 
 
 def _distribution_section(fleet: Sequence[TripColumns], eras: EraBoundaries) -> dict | None:
-    by_era: dict[Era, list[float]] = {e: [] for e in Era}
+    by_era = {e: array("d") for e in Era}
     for trips in fleet:
         era = {month: era_of(month, eras) for month in set(trips.month)}
         for month, share in zip(trips.month, trips.share):

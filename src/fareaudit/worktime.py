@@ -173,6 +173,21 @@ class Bucket:
     offered: int = 0  # dispatch offers
     accepted: int = 0  # of those, the accepted offers
 
+    def __reduce__(self):
+        """Pickle as the nine values, not as a dict of slot names: workers ship
+        every week and month this way."""
+        return Bucket, (
+            self.standby_ms,
+            self.en_route_ms,
+            self.on_trip_ms,
+            self.pay,
+            self.active_days,
+            self.trips,
+            self.completed,
+            self.offered,
+            self.accepted,
+        )
+
     def add(self, other: Bucket) -> None:
         """Add each of ``other``'s totals to this bucket's."""
         self.standby_ms += other.standby_ms

@@ -22,7 +22,14 @@ import fareaudit
 from fareaudit.anonymize import SALT_ENV_VAR
 from fareaudit.cli import _bundle_dirs, main
 from fareaudit.model import RpiSeries, month_label
-from fareaudit.report import AuditOptions, BundleFailure, build_report, process_bundle
+from fareaudit.report import (
+    AuditOptions,
+    BundleFailure,
+    build_report,
+    dumps_report,
+    json_ready,
+    process_bundle,
+)
 from fareaudit.synthgen import MARKER_PREFIX, CohortPlan, CorruptionPlan, GenConfig, generate
 from conftest import (
     PAYMENT_HEADER,
@@ -373,11 +380,41 @@ def test_audit_failed_write_keeps_the_old_report(bundles, tmp_path, monkeypatch)
     out = tmp_path / "o"
     assert main(["audit", str(bundles), "--out", str(out)]) == 0
     before = (out / "audit_report.json").read_bytes()
-    monkeypatch.setattr("fareaudit.cli.dumps_report", lambda report: "\ud800")
-    with pytest.raises(UnicodeEncodeError):
+
+    def fails_after_the_first_key(report, fh):  # the report goes out as it is encoded
+        fh.write(before[: before.index(b"\n  ")].decode())
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("fareaudit.cli.dumps_report", fails_after_the_first_key)
+    with pytest.raises(OSError):
         main(["audit", str(bundles), "--out", str(out)])
     assert (out / "audit_report.json").read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["audit_report.json"]
+
+
+def test_dumps_report_writes_what_json_dumps_gives(tmp_path):
+    report = {
+        3: (1.0, -0.0, math.nan),
+        "b": [math.inf, -math.inf, {10: None, 2: True, "x": 1 / 3}],
+        "a": {"t": (1, 2.5e-7, "\u00e9\U0001f600"), 1: -123456789.0},
+    }
+    want = json.dumps(json_ready(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    with open(tmp_path / "r.json", "w", encoding="utf-8") as fh:
+        dumps_report(report, fh)
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == want
+    assert '"3": [\n    1.0,\n    -0.0,\n    null\n  ]' in want  # the cases are in it
+
+
+def test_audit_never_reads_its_own_out_directory(bundles, tmp_path, caplog):
+    root = tmp_path / "b"
+    shutil.copytree(bundles, root)
+    reports = []
+    for _ in range(2):
+        assert main(["audit", str(root), "--out", str(root / "report")]) == 0
+        reports.append((root / "report" / "audit_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["failures"] == []
+    assert "report is the output directory, not read as a bundle" in caplog.text
 
 
 def test_anon_failed_write_keeps_the_old_bundles(bundles, tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
 import math
 import pickle
+import random
 import statistics
 import struct
+import tracemalloc
+from array import array
 from dataclasses import asdict
 from unittest import mock
 
@@ -548,7 +551,7 @@ def exact(value):
         return struct.pack("<d", value)
     if isinstance(value, dict):
         return {k: exact(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, array)):
         return [exact(v) for v in value]
     return value
 
@@ -604,6 +607,50 @@ def test_fleet_metrics_match_one_concatenated_table(drivers, data):
         by_era[era_of(month, DEFAULT_ERAS)].append(share)
     fixed, dynamic = by_era[Era.FIXED_COMMISSION], by_era[Era.DYNAMIC_PRICING]
     assert exact(samples) == (exact([fixed, dynamic]) if fixed and dynamic else [])
+
+
+def uniform_fleet(drivers: int, trips: int) -> list[TripColumns]:
+    """Drivers with ``trips`` share-valid trips each, spread over 2021-07..2023-12."""
+    months = [
+        m
+        for m in range(month_index("2021-07"), month_index("2023-12") + 1)
+        if era_of(m, DEFAULT_ERAS) is not Era.OPAQUE_GAP
+    ]
+    fleet = []
+    for k in range(drivers):
+        rng = random.Random(k)
+        fleet.append(
+            TripColumns(
+                month=array("i", sorted(rng.choice(months) for _ in range(trips))),
+                share=array("d", [rng.uniform(0.4, 1.0) for _ in range(trips)]),
+                driver_pence=array("q", [rng.randrange(300, 3000) for _ in range(trips)]),
+                fare_pence=array("q", [rng.randrange(400, 4000) for _ in range(trips)]),
+                on_trip_minutes=array("d", [rng.uniform(3.0, 60.0) for _ in range(trips)]),
+            )
+        )
+    return fleet
+
+
+# Traced peak bytes a share, above the fleet's own columns. A share costs 8
+# bytes in an array('d') and 32 as a float object in a list: sections that
+# copied the fleet's shares into lists read 82 and 54 bytes a share here.
+@pytest.mark.parametrize(
+    "section, bound",
+    [
+        (_take_rate_section, 40),
+        (lambda fleet: _distribution_section(fleet, DEFAULT_ERAS), 42),
+    ],
+    ids=["take_rate", "distribution"],
+)
+def test_report_sections_keep_the_shares_unboxed(section, bound):
+    fleet = uniform_fleet(8, 4000)
+    tracemalloc.start()  # numpy is imported above, so its import is not traced
+    try:
+        section(fleet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 4000) < bound
 
 
 # ---------------------------------------------------------------------------

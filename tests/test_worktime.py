@@ -1,5 +1,7 @@
 import datetime as dt
+import pickle
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fareaudit.metrics import weekly_rows
@@ -304,6 +306,17 @@ def test_zero_pay_is_pay_but_makes_no_weekly_row():
     assert ledger.weeks[BASE_WEEK] == Bucket(pay=0)
     assert ledger.months[month_index("2021-03")] == Bucket(pay=0)
     assert weekly_rows(ledger) == ()
+
+
+@pytest.mark.parametrize("pay", [None, 0, -500, 2**70])
+def test_bucket_pickles_as_its_values(pay):
+    bucket = Bucket(1, 2, 3, pay, 4, 5, 6, 7, 8)
+    data = pickle.dumps(bucket)
+    copy = pickle.loads(data)
+    assert copy == bucket and type(copy.pay) is type(pay)
+    assert b"standby_ms" not in data  # the values, not a dict of slot names
+    copy.add(bucket)  # still a bucket that sums
+    assert copy.pay == (None if pay is None else 2 * pay) and copy.accepted == 16
 
 
 # Independent clip-and-sum oracle for hours: which states each definition
