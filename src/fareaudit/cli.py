@@ -17,9 +17,9 @@ from concurrent import futures  # loads its process pool only when one is made
 from pathlib import Path
 
 from .anonymize import DEFAULT_STRIP_POLICY, STRIPPABLE_FIELDS, WeakSalt, anonymize, load_salt
-from .ingest import load_bundle, normalize, replacing, write_bundle
+from .ingest import load_bundle, load_rpi, normalize, replacing, write_bundle
 from .linkage import DEFAULT_WINDOW_S
-from .model import AuditError, EraBoundaries, RpiSeries, parse_month, week_monday
+from .model import AuditError, EraBoundaries, parse_month, week_monday
 from .report import (
     BUNDLE_ERRORS,
     AuditOptions,
@@ -215,7 +215,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     rpi_path = args.rpi or str(Path(args.bundle_root) / "rpi.csv")
     if Path(rpi_path).is_file():
         try:
-            rpi = RpiSeries.from_csv(rpi_path)
+            rpi = load_rpi(rpi_path)
         except (AuditError, ValueError) as exc:
             log.error("bad rpi file %s: %s", rpi_path, exc)
             return EXIT_CONFIG

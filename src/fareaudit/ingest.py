@@ -3,7 +3,8 @@
 A bundle is one directory per driver holding ``trips.csv``, ``payments.csv``,
 ``dispatches.csv``, ``sessions.csv`` and ``profile.csv`` (UTF-8, header row
 required; only trips and payments are mandatory). Each column header is
-resolved through a built-in table of aliases seen in real exports.
+resolved through a built-in table of aliases seen in real exports. The
+inflation series ``rpi.csv`` is read by the same reader.
 Amounts are pounds with at most two decimals, read into integer pence; a
 payment row in a currency other than GBP is quarantined.
 """
@@ -26,76 +27,57 @@ from .model import (
     PaymentCategory,
     PaymentEvent,
     RecordError,
+    RpiSeries,
     TripRecord,
     TripStatus,
     format_instant,
     format_pence,
+    month_index,
+    month_label,
     parse_instant,
     parse_pence,
     trip_anchor,
 )
 
-TABLE_FILES = {
-    "trips": "trips.csv",
-    "payments": "payments.csv",
-    "dispatches": "dispatches.csv",
-    "sessions": "sessions.csv",
-    "profile": "profile.csv",
+# each bundle table, read from <table>.csv: its fields in row order, each field
+# the headers seen for it in real exports, its own name first
+TABLES = {
+    "trips": (
+        ("request_ts", "request_time", "requested_at"),
+        ("accept_ts", "accept_time", "accepted_at"),
+        ("pickup_ts", "begintrip_time", "pickup_time"),
+        ("dropoff_ts", "dropoff_time", "completed_at"),
+        ("distance_miles", "trip_distance_miles", "distance"),
+        ("status", "trip_status"),
+        ("original_fare", "rider_fare", "customer_fare"),
+        ("origin_tag", "begin_geo"),
+        ("dest_tag", "dropoff_geo"),
+        ("product", "product_name", "vehicle_view"),
+    ),
+    "payments": (
+        ("ts", "timestamp", "event_time"),
+        ("category", "item_type"),
+        ("amount", "local_amount"),
+        ("currency", "currency_code"),
+        ("memo", "description", "note"),
+    ),
+    "dispatches": (("offered_ts", "dispatch_time"), ("accepted", "was_accepted")),
+    "sessions": (("login_ts", "session_start", "begin_ts"), ("logout_ts", "session_end", "end_ts")),
+    "profile": (
+        ("first_trip_ts", "signup_ts", "first_trip"),
+        ("gender",),
+        ("age_band", "age_bracket"),
+    ),
 }
+TABLE_FIELDS = {table: tuple(names[0] for names in fields) for table, fields in TABLES.items()}
+RPI_FIELDS = (("month",), ("yoy_pct",))  # of rpi.csv, beside the bundles
 REQUIRED_TABLES = ("trips", "payments")
 CURRENCY = "GBP"  # of every amount; a payment row in any other is quarantined
+MALFORMED_THRESHOLD = 0.05  # the share of a table's rows past which quarantine is fatal
 
 # fields that may be absent as whole columns; they then take their defaults
 OPTIONAL_FIELDS = {
-    "trips": ("original_fare", "origin_tag", "dest_tag", "product"),
-    "payments": ("memo", "currency"),
-    "profile": ("gender", "age_band"),
-    "dispatches": (),
-    "sessions": (),
-}
-
-TABLE_FIELDS = {
-    "trips": (
-        "request_ts",
-        "accept_ts",
-        "pickup_ts",
-        "dropoff_ts",
-        "distance_miles",
-        "status",
-        "original_fare",
-        "origin_tag",
-        "dest_tag",
-        "product",
-    ),
-    "payments": ("ts", "category", "amount", "currency", "memo"),
-    "dispatches": ("offered_ts", "accepted"),
-    "sessions": ("login_ts", "logout_ts"),
-    "profile": ("first_trip_ts", "gender", "age_band"),
-}
-
-_DEFAULT_ALIASES = {
-    "request_ts": ("request_ts", "request_time", "requested_at"),
-    "accept_ts": ("accept_ts", "accept_time", "accepted_at"),
-    "pickup_ts": ("pickup_ts", "begintrip_time", "pickup_time"),
-    "dropoff_ts": ("dropoff_ts", "dropoff_time", "completed_at"),
-    "distance_miles": ("distance_miles", "trip_distance_miles", "distance"),
-    "status": ("status", "trip_status"),
-    "original_fare": ("original_fare", "rider_fare", "customer_fare"),
-    "origin_tag": ("origin_tag", "begin_geo"),
-    "dest_tag": ("dest_tag", "dropoff_geo"),
-    "product": ("product", "product_name", "vehicle_view"),
-    "ts": ("ts", "timestamp", "event_time"),
-    "category": ("category", "item_type"),
-    "amount": ("amount", "local_amount"),
-    "currency": ("currency", "currency_code"),
-    "memo": ("memo", "description", "note"),
-    "offered_ts": ("offered_ts", "dispatch_time"),
-    "accepted": ("accepted", "was_accepted"),
-    "login_ts": ("login_ts", "session_start", "begin_ts"),
-    "logout_ts": ("logout_ts", "session_end", "end_ts"),
-    "first_trip_ts": ("first_trip_ts", "signup_ts", "first_trip"),
-    "gender": ("gender",),
-    "age_band": ("age_band", "age_bracket"),
+    "original_fare", "origin_tag", "dest_tag", "product", "memo", "currency", "gender", "age_band"
 }
 
 _TRUE = {"true", "1", "yes", "y"}
@@ -108,23 +90,6 @@ class MissingTable(AuditError):
 
 class MalformedTable(AuditError):
     """A table cannot be used: unresolvable columns or too many bad rows."""
-
-
-def _resolve_columns(table: str, headers: Sequence[str]) -> dict[str, str | None]:
-    """Map each of the table's canonical fields to its header, None if absent.
-
-    A field's aliases are tried in order; the first header present in the file
-    wins.
-    """
-    have = set(headers)
-    out = {
-        name: next((c for c in _DEFAULT_ALIASES[name] if c in have), None)
-        for name in TABLE_FIELDS[table]
-    }
-    for name, actual in out.items():
-        if actual is None and name not in OPTIONAL_FIELDS[table]:
-            raise MalformedTable(f"table {table!r}: no column for required field {name!r}")
-    return out
 
 
 Row = tuple[str, ...]  # a table's stripped source text in TABLE_FIELDS order
@@ -192,17 +157,15 @@ def load_bundle(directory: str | Path) -> RawBundle:
     if not directory.is_dir():
         raise MissingTable(f"bundle directory not found: {directory}")
 
-    file_for_table = {v: k for k, v in TABLE_FILES.items()}
     tables: dict[str, tuple[Row, ...]] = {}
     skipped: list[str] = []
     for entry in sorted(directory.iterdir()):
         if not entry.is_file():
             continue
-        table = file_for_table.get(entry.name)
-        if table is None:
+        if entry.suffix == ".csv" and entry.stem in TABLES:
+            tables[entry.stem] = _read_table(entry, TABLES[entry.stem])
+        else:
             skipped.append(entry.name)
-            continue
-        tables[table] = _read_table(entry, table)
 
     missing = [t for t in REQUIRED_TABLES if t not in tables]
     if missing:
@@ -210,7 +173,34 @@ def load_bundle(directory: str | Path) -> RawBundle:
     return RawBundle(directory.name, tables, tuple(skipped))
 
 
-def _read_table(path: Path, table: str) -> tuple[Row, ...]:
+def load_rpi(path: str | Path) -> RpiSeries:
+    """The inflation series of ``rpi.csv``, read like a bundle table."""
+    series: dict[int, float] = {}
+    for month_text, pct in _read_table(Path(path), RPI_FIELDS):
+        month = month_index(month_text)
+        if month in series:
+            raise RecordError(f"month listed twice: {month_label(month)}")
+        series[month] = float(pct)  # a short row reads "", which float() refuses
+    return RpiSeries(series)
+
+
+def _columns(path: Path, fields: Sequence[tuple[str, ...]], header: Sequence[str]) -> list[int]:
+    """Each field's column: the first of its names in ``header``.
+
+    An optional field with no column reads the cell one past the header,
+    which is always "".
+    """
+    column = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
+    out = []
+    for names in fields:
+        found = [column[name] for name in names if name in column]
+        if not found and names[0] not in OPTIONAL_FIELDS:
+            raise MalformedTable(f"table {path.stem!r}: no column for required field {names[0]!r}")
+        out.append(found[0] if found else len(header))
+    return out
+
+
+def _read_table(path: Path, fields: Sequence[tuple[str, ...]]) -> tuple[Row, ...]:
     """The rows of one file, as ``csv.DictReader`` would read them.
 
     Blank lines are skipped, a short row reads "" past its end, extra cells
@@ -223,14 +213,8 @@ def _read_table(path: Path, table: str) -> tuple[Row, ...]:
             header = next(reader, None)
             if header is None:
                 raise MalformedTable(f"{path.name}: empty file, header row required")
-            resolution = _resolve_columns(table, header)
             width = len(header)
-            column = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
-            # an absent field reads the cell one past the header, which is always ""
-            pick = itemgetter(
-                *(width if resolution[f] is None else column[resolution[f]]
-                  for f in TABLE_FIELDS[table])
-            )
+            pick = itemgetter(*_columns(path, fields, header))
             rows = []
             for row in reader:
                 if len(row) != width:
@@ -325,13 +309,11 @@ _PARSERS = {
 }
 
 
-def normalize(
-    raw: RawBundle, malformed_threshold: float = 0.05
-) -> tuple[NormalizedBundle, IngestReport]:
+def normalize(raw: RawBundle) -> tuple[NormalizedBundle, IngestReport]:
     """Type-check every row: dedupe exact duplicates, quarantine bad rows.
 
     Conservation holds per table: rows_in = rows_ok + deduped + quarantined.
-    A table whose quarantined fraction exceeds ``malformed_threshold`` is fatal.
+    A table whose quarantined fraction exceeds ``MALFORMED_THRESHOLD`` is fatal.
     """
     ctx = _RowContext()
     typed: dict[str, list] = {}
@@ -360,7 +342,7 @@ def normalize(
                 quarantine.append(QuarantinedRow(table, number, _reason(exc), fields))
         typed[table] = ok
         table_reports[table] = TableReport(len(rows), len(ok), deduped, bad)
-        if bad and bad / len(rows) > malformed_threshold:
+        if bad and bad / len(rows) > MALFORMED_THRESHOLD:
             first = quarantine[-bad]  # this table's first bad row
             raise MalformedTable(
                 f"bundle {raw.driver_id}: table {table!r} has {bad}/{len(rows)} bad rows,"
@@ -478,7 +460,7 @@ def write_bundle(bundle: NormalizedBundle, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
 
     def dump(table: str, rows: Iterable[Row]) -> None:
-        with replacing(directory / TABLE_FILES[table], newline="") as fh:
+        with replacing(directory / f"{table}.csv", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TABLE_FIELDS[table])
             writer.writerows(rows)

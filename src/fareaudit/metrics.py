@@ -162,7 +162,7 @@ class TripColumns:
     @cached_property
     def share_bin(self) -> array:
         """Each row's index into ``bin_labels()``, binned once for every section."""
-        return array("b", [_bin_index(share, DEFAULT_SPLIT_BINS) for share in self.share.tolist()])
+        return array("b", [_bin_index(share) for share in self.share.tolist()])
 
 
 def trips_per_era(months: Mapping[int, Bucket], boundaries: EraBoundaries) -> dict[str, int]:
@@ -179,15 +179,15 @@ def trips_per_era(months: Mapping[int, Bucket], boundaries: EraBoundaries) -> di
 # Take rates
 
 
-def bin_labels(bins: Sequence[float] = DEFAULT_SPLIT_BINS) -> tuple[str, ...]:
-    pct = [f"{edge * 100:g}" for edge in bins]
-    return tuple(f"{pct[i]}-{pct[i + 1]}" for i in range(len(bins) - 1))
+def bin_labels() -> tuple[str, ...]:
+    pct = [f"{edge * 100:g}" for edge in DEFAULT_SPLIT_BINS]
+    return tuple(f"{pct[i]}-{pct[i + 1]}" for i in range(len(pct) - 1))
 
 
-def _bin_index(share: float, bins: Sequence[float]) -> int:
+def _bin_index(share: float) -> int:
     # end bins absorb out-of-range shares so counts always conserve
-    idx = bisect_right(bins, share) - 1
-    return min(max(idx, 0), len(bins) - 2)
+    idx = bisect_right(DEFAULT_SPLIT_BINS, share) - 1
+    return min(max(idx, 0), len(DEFAULT_SPLIT_BINS) - 2)
 
 
 def take_rate_histogram(fleet: Sequence[TripColumns]) -> dict[str, int]:

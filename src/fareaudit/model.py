@@ -6,14 +6,12 @@ parallel workers.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import enum
 import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 from zoneinfo import ZoneInfo
 
@@ -437,22 +435,3 @@ class RpiSeries:
         if indexes != list(range(indexes[0], indexes[-1] + 1)):
             raise RecordError("inflation series has month gaps")
         object.__setattr__(self, "yoy_pct", dict(sorted(self.yoy_pct.items())))
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "RpiSeries":
-        """Load a two-column CSV with header ``month,yoy_pct``; a UTF-8 BOM is allowed."""
-        series: dict[int, float] = {}
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh, restval="")  # so a short row fails float() with ValueError
-            try:
-                for column in ("month", "yoy_pct"):
-                    if column not in (reader.fieldnames or ()):
-                        raise RecordError(f"no {column!r} column in the header")
-                for row in reader:
-                    month = month_index(row["month"].strip())
-                    if month in series:
-                        raise RecordError(f"month listed twice: {month_label(month)}")
-                    series[month] = float(row["yoy_pct"])
-            except csv.Error as exc:
-                raise RecordError(f"not CSV: {exc}") from None
-        return cls(series)

@@ -341,12 +341,11 @@ def analytic_bin_probs() -> dict[str, float]:
     fare_pounds = DYNAMIC_PER_MIN_PENCE * (m / 60.0) / 100.0
     mu_share = SHARE.intercept - SHARE.per_pound * fare_pounds
 
-    bins = DEFAULT_SPLIT_BINS
-    labels = bin_labels(bins)
+    labels = bin_labels()
     probs = dict.fromkeys(labels, 0.0)
     sd = SHARE.noise_sd
     for i, label in enumerate(labels):
-        lo_edge, hi_edge = bins[i], bins[i + 1]
+        lo_edge, hi_edge = DEFAULT_SPLIT_BINS[i : i + 2]
         first, last = i == 0, i == len(labels) - 1  # the end bins are open-ended
         hi_cdf = np.ones_like(mu_share) if last else _phi_vec((hi_edge - mu_share) / sd)
         lo_cdf = np.zeros_like(mu_share) if first else _phi_vec((lo_edge - mu_share) / sd)

@@ -21,7 +21,8 @@ import pytest
 import fareaudit
 from fareaudit.anonymize import SALT_ENV_VAR
 from fareaudit.cli import _bundle_dirs, main
-from fareaudit.model import RpiSeries, month_label
+from fareaudit.ingest import load_rpi
+from fareaudit.model import month_label
 from fareaudit.report import (
     AuditOptions,
     BundleFailure,
@@ -341,7 +342,7 @@ def test_pay_per_hour_figures_pool_the_ledgers_buckets(tmp_path):
     generate(THREE_ERAS, tmp_path)
     results = [process_bundle(d, AuditOptions()) for d in _bundle_dirs(str(tmp_path))]
     ledgers = [r.ledger for r in sorted(results, key=lambda r: r.driver_id)]
-    rpi = RpiSeries.from_csv(tmp_path / "rpi.csv")
+    rpi = load_rpi(tmp_path / "rpi.csv")
 
     def pooled(buckets, standby: bool) -> str | None:
         pence, hours = 0, 0.0
@@ -653,6 +654,31 @@ def test_audit_quarantines_an_oversized_fare(bundles, tmp_path, jobs):
     quarantine = report["bundles"]["driver000"]["ingest"]["quarantine"]
     reasons = [q["reason"] for q in quarantine if q["row"].get("original_fare") == huge]
     assert reasons == [f"money amount above 1000000000.00: {huge!r}"]
+
+
+def test_audit_failure_reasons_name_the_file_and_the_fault(bundles, tmp_path):
+    # a header no alias matches, a zero-byte file and bytes that are not UTF-8
+    root = tmp_path / "b"
+    shutil.copytree(bundles, root)
+    for name in ("driver002", "driver003", "driver004"):
+        shutil.copytree(bundles / "driver000", root / name)
+    trips = root / "driver002" / "trips.csv"
+    trips.write_text(trips.read_text(encoding="utf-8").replace("request_ts", "asked_at", 1))
+    (root / "driver003" / "sessions.csv").write_bytes(b"")
+    payments = root / "driver004" / "payments.csv"
+    payments.write_bytes(b"\xff" + payments.read_bytes())
+    out = tmp_path / "o"
+    assert main(["audit", str(root), "--out", str(out)]) == 0
+    report = json.loads((out / "audit_report.json").read_text())
+    assert report["failures"] == [
+        {"driver_id": "driver002",
+         "reason": "table 'trips': no column for required field 'request_ts'"},
+        {"driver_id": "driver003", "reason": "sessions.csv: empty file, header row required"},
+        {"driver_id": "driver004",
+         "reason": "payments.csv: 'utf-8' codec can't decode byte 0xff in position 0:"
+                   " invalid start byte"},
+    ]
+    assert list(report["bundles"]) == ["driver000", "driver001"]
 
 
 def _no_bundle_is_read(directory, options):

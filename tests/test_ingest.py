@@ -5,26 +5,31 @@ import io
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fareaudit
+from fareaudit import ingest
 from fareaudit.ingest import (
     OPTIONAL_FIELDS,
     REQUIRED_TABLES,
+    RPI_FIELDS,
     TABLE_FIELDS,
-    _DEFAULT_ALIASES,
+    TABLES,
     MalformedTable,
     MissingTable,
     RawBundle,
+    _read_table,
     load_bundle,
+    load_rpi,
     normalize,
     write_bundle,
 )
 from fareaudit.linkage import link
 from fareaudit.metrics import TripColumns, trips_per_era
-from fareaudit.model import DEFAULT_ERAS, Era, TripStatus
+from fareaudit.model import DEFAULT_ERAS, AuditError, Era, RpiSeries, TripStatus, month_index
 from fareaudit.worktime import build_ledger
 from conftest import (
     PAYMENT_HEADER,
@@ -129,7 +134,8 @@ def test_a_second_profile_row_is_quarantined(tmp_path):
     first = {"first_trip_ts": "2021-03-02T09:00:00Z", "gender": "F", "age_band": "30-39"}
     rows = [first, {**first, "gender": "M", "age_band": "50+"}, first]
     write_table(d, "profile", list(first), rows)
-    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    with mock.patch.object(ingest, "MALFORMED_THRESHOLD", 0.9):
+        bundle, report = normalize(load_bundle(d))
     assert (bundle.profile.gender, bundle.profile.age_band) == ("F", "30-39")
     t = report.tables["profile"]
     assert (t.rows_in, t.rows_ok, t.rows_deduped, t.rows_quarantined) == (3, 1, 1, 1)
@@ -150,7 +156,8 @@ def test_quarantine_conserves_rows(tmp_path):
     ]
     write_table(d, "trips", TRIP_HEADER, rows)
     write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
-    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    with mock.patch.object(ingest, "MALFORMED_THRESHOLD", 0.9):
+        bundle, report = normalize(load_bundle(d))
     t = report.tables["trips"]
     assert (t.rows_in, t.rows_ok, t.rows_quarantined) == (3, 1, 2)
     reasons = {q.reason for q in report.quarantine}
@@ -192,7 +199,8 @@ def test_bad_money_quarantined(tmp_path):
             payment_csv_row(ts="2021-03-02T09:27:00Z", currency=""),  # blank reads as GBP
         ],
     )
-    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    with mock.patch.object(ingest, "MALFORMED_THRESHOLD", 0.9):
+        bundle, report = normalize(load_bundle(d))
     assert report.tables["payments"].rows_quarantined == 2
     assert [(q.row_number, q.reason) for q in report.quarantine] == [
         (3, "not a money amount: '12.3456'"),
@@ -210,7 +218,8 @@ def test_non_finite_distance_quarantined(tmp_path):
     bad = [trip_csv_row(distance_miles=text) for text in ("nan", "inf", "-inf")]
     write_table(d, "trips", TRIP_HEADER, [trip_csv_row(), *bad])
     write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row()])
-    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    with mock.patch.object(ingest, "MALFORMED_THRESHOLD", 0.9):
+        bundle, report = normalize(load_bundle(d))
     assert [(q.row_number, q.reason) for q in report.quarantine] == [
         (3, "non-finite distance: nan"),
         (4, "non-finite distance: inf"),
@@ -227,7 +236,8 @@ def test_instants_the_calendar_cannot_date_are_quarantined(tmp_path):
     sentinels = ("9999-12-31T00:00:00.000Z", "0001-01-01T00:00:00Z")
     rows = [payment_csv_row(ts=ts, category="adjustment", amount="-1.00") for ts in sentinels]
     write_table(d, "payments", PAYMENT_HEADER, [payment_csv_row(), *rows])
-    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    with mock.patch.object(ingest, "MALFORMED_THRESHOLD", 0.9):
+        bundle, report = normalize(load_bundle(d))
     assert [(q.row_number, q.reason) for q in report.quarantine] == [
         (3, "timestamp outside the calendar: '9999-12-31T00:00:00.000Z'"),
         (4, "timestamp outside the calendar: '0001-01-01T00:00:00Z'"),
@@ -246,7 +256,8 @@ def test_sessions_and_trips_keep_their_own_reasons(tmp_path):
         {"login_ts": "2021-03-02T13:00:00Z", "logout_ts": "2021-03-02T13:00:00Z"},
     ]
     write_table(d, "sessions", ["login_ts", "logout_ts"], sessions)
-    _, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    with mock.patch.object(ingest, "MALFORMED_THRESHOLD", 0.9):
+        _, report = normalize(load_bundle(d))
     assert [(q.table, q.row_number, q.reason) for q in report.quarantine] == [
         ("sessions", 3, "empty or inverted session"),
         ("trips", 3, "inverted timestamps"),
@@ -260,7 +271,8 @@ def test_unknown_status_and_category_keep_the_enum_reason(tmp_path):
         d, "payments", PAYMENT_HEADER,
         [payment_csv_row(), payment_csv_row(ts="2021-03-02T09:25:00Z", category="bonus")],
     )
-    bundle, report = normalize(load_bundle(d), malformed_threshold=0.9)
+    with mock.patch.object(ingest, "MALFORMED_THRESHOLD", 0.9):
+        bundle, report = normalize(load_bundle(d))
     assert [(q.table, q.row_number, q.reason) for q in report.quarantine] == [
         ("payments", 3, "unparseable value: 'bonus' is not a valid PaymentCategory"),
         ("trips", 3, "unparseable value: 'Completed' is not a valid TripStatus"),
@@ -395,34 +407,36 @@ CELLS = {
     "amount": ["7.50", "12", "1.234"],
     "currency": ["GBP", "EUR", ""],
     "memo": ["", "payout, late", "x"],
+    "month": ["2021-01", " 2021-02", "2021-03", "March"],
+    "yoy_pct": ["1.5", "-0.25 ", "", "x"],
     None: ["", "junk"],  # a column no field reads
 }
 
 
-def dictreader_rows(path: Path, table: str) -> list[dict[str, str]]:
-    """A table as csv.DictReader reads it: canonical field -> stripped text."""
+def dictreader_rows(path: Path, fields) -> list[dict[str, str]]:
+    """A table as csv.DictReader reads it: each field's own name -> stripped text."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         source = {
-            f: next((a for a in _DEFAULT_ALIASES[f] if a in reader.fieldnames), None)
-            for f in TABLE_FIELDS[table]
+            names[0]: next((a for a in names if a in reader.fieldnames), None) for names in fields
         }
         return [
-            {f: (raw.get(source[f]) or "").strip() if source[f] else "" for f in TABLE_FIELDS[table]}
+            {f: (raw.get(a) or "").strip() if a else "" for f, a in source.items()}
             for raw in reader
         ]
 
 
 @st.composite
-def messy_table(draw, table: str) -> bytes:
-    """A CSV file of ``table`` with aliased, reordered, absent and repeated
-    columns, short and long rows, blank lines and perhaps a BOM."""
+def messy_table(draw, fields) -> bytes:
+    """A CSV file of ``fields`` with aliased, reordered, absent and repeated
+    columns, short and long rows, blank lines, LF or CRLF line ends and
+    perhaps a BOM."""
     columns = [
-        (draw(st.sampled_from(_DEFAULT_ALIASES[f])), f)
-        for f in TABLE_FIELDS[table]
-        if f not in OPTIONAL_FIELDS[table] or draw(st.booleans())
+        (draw(st.sampled_from(names)), names[0])
+        for names in fields
+        if names[0] not in OPTIONAL_FIELDS or draw(st.booleans())
     ]
-    every = [(a, f) for f in TABLE_FIELDS[table] for a in _DEFAULT_ALIASES[f]] + [("junk", None)]
+    every = [(a, names[0]) for names in fields for a in names] + [("junk", None)]
     columns = draw(st.permutations(columns + draw(st.lists(st.sampled_from(every), max_size=3))))
     pad = st.sampled_from(["", " ", "\t "])
     cell = lambda f: st.tuples(pad, st.sampled_from(CELLS[f]), pad).map("".join)  # noqa: E731
@@ -433,14 +447,14 @@ def messy_table(draw, table: str) -> bytes:
     rows = draw(st.lists(st.one_of(row, st.just([])), max_size=12))
     rows += draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
     text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
+    writer = csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
     writer.writerow([name for name, _ in columns])
     writer.writerows(rows)  # an empty row is a blank line
     bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
     return bom + text.getvalue().encode("utf-8")
 
 
-@given(trips=messy_table("trips"), payments=messy_table("payments"))
+@given(trips=messy_table(TABLES["trips"]), payments=messy_table(TABLES["payments"]))
 @settings(max_examples=200, deadline=None)
 def test_loader_reads_what_dictreader_reads(trips, payments):
     with tempfile.TemporaryDirectory() as tmp:
@@ -448,15 +462,16 @@ def test_loader_reads_what_dictreader_reads(trips, payments):
         d.mkdir()
         (d / "trips.csv").write_bytes(trips)
         (d / "payments.csv").write_bytes(payments)
-        want = {table: dictreader_rows(d / f"{table}.csv", table) for table in REQUIRED_TABLES}
+        want = {t: dictreader_rows(d / f"{t}.csv", TABLES[t]) for t in REQUIRED_TABLES}
         raw = load_bundle(d)
     for table, rows in want.items():
         assert [dict(zip(TABLE_FIELDS[table], r)) for r in raw.tables[table]] == rows
     oracle = RawBundle(
         "driverH", {t: tuple(tuple(r.values()) for r in rows) for t, rows in want.items()}
     )
-    bundle, report = normalize(raw, malformed_threshold=1.0)
-    same = (bundle, report) == normalize(oracle, malformed_threshold=1.0)
+    with mock.patch.object(ingest, "MALFORMED_THRESHOLD", 1.0):
+        bundle, report = normalize(raw)
+        same = (bundle, report) == normalize(oracle)
     assert same  # not compared inside the assert, whose diff of records is slow to build
     for table, rows in want.items():
         counts = report.tables[table]
@@ -465,3 +480,32 @@ def test_loader_reads_what_dictreader_reads(trips, payments):
         assert counts.rows_ok == len(getattr(bundle, table))
     for q in report.quarantine:
         assert q.row == want[q.table][q.row_number - 2]
+
+
+def rpi_oracle(rows: list[dict[str, str]]) -> dict[int, float] | None:
+    """The series the DictReader rows give, None where they give none."""
+    series: dict[int, float] = {}
+    try:
+        for row in rows:
+            month = month_index(row["month"])
+            if month in series:
+                return None
+            series[month] = float(row["yoy_pct"])
+        return RpiSeries(series).yoy_pct
+    except (AuditError, ValueError):
+        return None
+
+
+@given(rpi=messy_table(RPI_FIELDS))
+@settings(max_examples=100, deadline=None)
+def test_rpi_reader_reads_what_dictreader_reads(rpi):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rpi.csv"
+        path.write_bytes(rpi)
+        rows = dictreader_rows(path, RPI_FIELDS)
+        assert [dict(zip(("month", "yoy_pct"), r)) for r in _read_table(path, RPI_FIELDS)] == rows
+        try:
+            got = load_rpi(path).yoy_pct
+        except (AuditError, ValueError):
+            got = None
+    assert got == rpi_oracle(rows)

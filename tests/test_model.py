@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fareaudit
+from fareaudit.ingest import load_rpi
 from fareaudit.model import (
     CALENDAR,
     DEFAULT_ERAS,
@@ -478,5 +479,5 @@ def test_rpi_rejects_non_finite_or_total_deflation(bad):
 def test_rpi_from_csv(tmp_path):
     path = tmp_path / "rpi.csv"
     path.write_text("month,yoy_pct\n2021-01,1.5\n2021-02,2.0\n")
-    series = RpiSeries.from_csv(path)
+    series = load_rpi(path)
     assert series.yoy_pct[month_index("2021-02")] == 2.0

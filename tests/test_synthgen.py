@@ -193,7 +193,7 @@ def test_analytic_bin_probs_match_monte_carlo():
     # crude Monte Carlo oracle over the same generative model
     import numpy as np
 
-    from fareaudit.metrics import DEFAULT_SPLIT_BINS, bin_labels, _bin_index
+    from fareaudit.metrics import bin_labels, _bin_index
 
     rng = np.random.default_rng(123)
     dm = synthgen.DURATION_DYNAMIC
@@ -210,10 +210,10 @@ def test_analytic_bin_probs_match_monte_carlo():
     sm = synthgen.SHARE
     mean_share = sm.intercept - sm.per_pound * fare / 100.0
     share = np.clip(mean_share + rng.normal(0.0, sm.noise_sd, n), sm.lo, sm.hi)
-    labels = bin_labels(DEFAULT_SPLIT_BINS)
+    labels = bin_labels()
     counts = dict.fromkeys(labels, 0)
     for s in share:
-        counts[labels[_bin_index(float(s), DEFAULT_SPLIT_BINS)]] += 1
+        counts[labels[_bin_index(float(s))]] += 1
     for label in labels:
         assert abs(counts[label] / n - probs.get(label, 0.0)) < 0.005
 
