@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from .model import left_sum
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 760, 320
@@ -83,6 +85,31 @@ def _x_tick_labels(labels: Sequence[str], positions: Sequence[float]) -> list[st
     return out
 
 
+def _legend_entry(k: int, name: str, step: int) -> str:
+    """Series ``k``'s swatch and name, two lines of the SVG, ``step`` px right
+    of series ``k - 1``'s."""
+    x = _ML + 8 + step * k
+    return (
+        f'<rect x="{x}" y="{_MT - 6}" width="10" height="10" fill="{PALETTE[k % len(PALETTE)]}"/>\n'
+        f'<text x="{x + 14}" y="{_MT + 3}">{_esc(name)}</text>'
+    )
+
+
+def _bar_slots(labels: Sequence[str]) -> tuple[list[float], float, list[str]]:
+    """Each label's bar: its left edge, the bars' width, and the ticks under them."""
+    slot = (_W - _ML - _MR) / len(labels)
+    xs = [_ML + slot * i + slot * 0.15 for i in range(len(labels))]
+    width = slot * 0.7
+    return xs, width, _x_tick_labels(labels, [x + width / 2 for x in xs])
+
+
+def _bar(x: float, y: float, width: float, height: float, color: str) -> str:
+    return (
+        f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" '
+        f'height="{_fmt(height)}" fill="{color}"/>'
+    )
+
+
 def line_chart(
     title: str,
     x_labels: Sequence[str],
@@ -125,36 +152,19 @@ def line_chart(
                     f'<polyline points="{" ".join(chunk)}" fill="none" '
                     f'stroke="{color}" stroke-width="1.6"/>'
                 )
-        body.append(
-            f'<rect x="{_ML + 8 + 140 * k}" y="{_MT - 6}" width="10" height="10" fill="{color}"/>'
-        )
-        body.append(
-            f'<text x="{_ML + 22 + 140 * k}" y="{_MT + 3}">{_esc(name)}</text>'
-        )
+        body.append(_legend_entry(k, name, 140))
     return _frame(title, body)
 
 
 def bar_chart(title: str, labels: Sequence[str], values: Sequence[float], y_label: str) -> str:
-    if not labels:
-        return _frame(title, ['<text x="60" y="60">no data</text>'])
-    y_lo, y_hi = _y_scale(list(values))
-    body, scale = _axes(y_lo, y_hi)
-    plot_w = _W - _ML - _MR
-    n = len(labels)
-    slot = plot_w / n
-    zero_y = _H - _MB - (0.0 - y_lo) * scale
-    xs = []
-    for i, value in enumerate(values):
-        x = _ML + slot * i + slot * 0.15
-        top = _H - _MB - (value - y_lo) * scale
-        y = min(top, zero_y)
-        height = abs(top - zero_y)
-        body.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(slot * 0.7)}" '
-            f'height="{_fmt(height)}" fill="{PALETTE[0]}"/>'
-        )
-        xs.append(x + slot * 0.35)
-    body.extend(_x_tick_labels(labels, xs))
+    """One bar per label; the values are counts, so each bar rises from zero."""
+    body, scale = _axes(*_y_scale(values))
+    xs, width, ticks = _bar_slots(labels)
+    bottom = _H - _MB
+    for x, value in zip(xs, values):
+        top = bottom - value * scale
+        body.append(_bar(x, top, width, bottom - top, PALETTE[0]))
+    body.extend(ticks)
     body.append(_y_label(y_label))
     return _frame(title, body)
 
@@ -166,35 +176,17 @@ def stacked_bar_chart(
     y_label: str,
 ) -> str:
     """Stacked non-negative bars, one stack per label."""
-    if not labels:
-        return _frame(title, ['<text x="60" y="60">no data</text>'])
-    totals = [
-        sum(series[name][i] for name in series) for i in range(len(labels))
-    ]
-    y_lo, y_hi = 0.0, max(totals + [1e-9]) * 1.06
-    body, scale = _axes(y_lo, y_hi)
-    plot_w = _W - _ML - _MR
-    n = len(labels)
-    slot = plot_w / n
-    xs = []
-    for i in range(n):
-        x = _ML + slot * i + slot * 0.15
+    stacks = list(zip(*series.values()))
+    totals = [left_sum(stack) for stack in stacks]
+    body, scale = _axes(0.0, max(totals + [1e-9]) * 1.06)
+    xs, width, ticks = _bar_slots(labels)
+    for x, stack in zip(xs, stacks):
         base = _H - _MB
-        for k, name in enumerate(series):
-            value = series[name][i]
+        for k, value in enumerate(stack):
             height = value * scale
             base -= height
-            body.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(base)}" width="{_fmt(slot * 0.7)}" '
-                f'height="{_fmt(height)}" fill="{PALETTE[k % len(PALETTE)]}"/>'
-            )
-        xs.append(x + slot * 0.35)
-    body.extend(_x_tick_labels(labels, xs))
-    for k, name in enumerate(series):
-        color = PALETTE[k % len(PALETTE)]
-        body.append(
-            f'<rect x="{_ML + 8 + 120 * k}" y="{_MT - 6}" width="10" height="10" fill="{color}"/>'
-        )
-        body.append(f'<text x="{_ML + 22 + 120 * k}" y="{_MT + 3}">{_esc(name)}</text>')
+            body.append(_bar(x, base, width, height, PALETTE[k % len(PALETTE)]))
+    body.extend(ticks)
+    body.extend(_legend_entry(k, name, 120) for k, name in enumerate(series))
     body.append(_y_label(y_label))
     return _frame(title, body)

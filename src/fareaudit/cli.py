@@ -216,7 +216,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if Path(rpi_path).is_file():
         try:
             rpi = load_rpi(rpi_path)
-        except (AuditError, ValueError) as exc:
+        except (AuditError, OSError, ValueError) as exc:
             log.error("bad rpi file %s: %s", rpi_path, exc)
             return EXIT_CONFIG
     elif args.rpi:

@@ -12,7 +12,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 from zoneinfo import ZoneInfo
 
 DEFAULT_TIMEZONE = "Europe/London"
@@ -79,6 +79,16 @@ def format_pence(pence: int) -> str:
     sign = "-" if pence < 0 else ""
     whole, frac = divmod(abs(pence), 100)
     return f"{sign}{whole}.{frac:02d}"
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, the order in which the built-in ``sum``
+    added floats before Python 3.12 compensated it, so that a float total
+    written to a report or a chart has the same bits on every Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Collection, Mapping, Sequence
 
 from .ingest import IngestReport, load_bundle, normalize
 from .linkage import DEFAULT_WINDOW_S, link
@@ -47,6 +47,7 @@ from .model import (
     EraBoundaries,
     RpiSeries,
     era_of,
+    left_sum,
     month_label,
 )
 from .worktime import (
@@ -193,8 +194,8 @@ def _weekly_pooled(rows: Sequence[tuple[str, Bucket]]) -> dict:
         group = by_week[week]
         out[week] = {
             "net_pay_pounds": sum(b.pay or 0 for b in group) / 100.0,
-            "hours_tribunal": sum(hours_worked(b, HoursDefinition.TRIBUNAL) for b in group),
-            "hours_platform": sum(hours_worked(b, HoursDefinition.PLATFORM) for b in group),
+            "hours_tribunal": left_sum(hours_worked(b, HoursDefinition.TRIBUNAL) for b in group),
+            "hours_platform": left_sum(hours_worked(b, HoursDefinition.PLATFORM) for b in group),
             "rate_tribunal": pay_per_hour(group, HoursDefinition.TRIBUNAL),
             "rate_platform": pay_per_hour(group, HoursDefinition.PLATFORM),
             "drivers": len(group),
@@ -419,112 +420,61 @@ def build_report(
 # Charts
 
 
+def _columns(rows: Collection[Mapping], **fields: str) -> dict[str, list]:
+    """One series per keyword: its field of each row, in row order."""
+    return {name: [row[field] for row in rows] for name, field in fields.items()}
+
+
 def render_charts(report: Mapping) -> list[tuple[str, str]]:
-    """(filename, svg) pairs derived from report data only."""
+    """(filename, svg) pairs derived from report data only, one per non-empty section."""
     from . import charts  # loaded only when charts are asked for
 
-    out: list[tuple[str, str]] = []
-
-    weekly = report.get("weekly_pay", {}).get("weekly_pooled", {})
-    if weekly:
-        labels = list(weekly)
-        out.append(
-            (
-                "weekly_rates.svg",
-                charts.line_chart(
-                    "Pooled pay per hour by week",
-                    labels,
-                    {
-                        "tribunal": [weekly[w]["rate_tribunal"] for w in labels],
-                        "platform": [weekly[w]["rate_platform"] for w in labels],
-                    },
-                    y_label="GBP/hour",
-                ),
-            )
-        )
-
-    hist = report.get("take_rates", {}).get("histogram")
-    if hist:
-        labels = list(hist)
-        out.append(
-            (
-                "take_rate_hist.svg",
-                charts.bar_chart(
-                    "Driver share of rider fare", labels, [hist[k] for k in labels],
-                    y_label="trips",
-                ),
-            )
-        )
-
-    surplus = report.get("surplus", [])
-    if surplus:
-        labels = [p["month"] for p in surplus]
-        out.append(
-            (
-                "surplus.svg",
-                charts.line_chart(
-                    "Platform surplus per on-trip hour",
-                    labels,
-                    {"surplus": [p["value"] for p in surplus]},
-                    y_label="GBP/hour",
-                ),
-            )
-        )
-
-    util = report.get("utilisation", {})
-    if util:
-        labels = list(util)
-        out.append(
-            (
-                "utilisation.svg",
-                charts.stacked_bar_chart(
-                    "Hours per active day",
-                    labels,
-                    {
-                        "on_trip": [util[m]["on_trip_hours"] for m in labels],
-                        "en_route": [util[m]["en_route_hours"] for m in labels],
-                        "standby": [util[m]["standby_hours"] for m in labels],
-                    },
-                    y_label="hours",
-                ),
-            )
-        )
-
-    per_min = report.get("per_minute_by_split", [])
-    if per_min:
-        labels = [b["label"] for b in per_min]
-        out.append(
-            (
-                "per_minute_by_split.svg",
-                charts.line_chart(
-                    "Fare per on-trip minute by driver share",
-                    labels,
-                    {
-                        "driver": [b["driver_per_min"] for b in per_min],
-                        "platform": [b["platform_per_min"] for b in per_min],
-                    },
-                    y_label="GBP/min",
-                ),
-            )
-        )
-
-    dist = report.get("share_distribution")
-    if dist:
-        grid = dist["grid"]
-        labels = [f"{g:.2f}" for g in grid]
-        out.append(
-            (
-                "share_kde.svg",
-                charts.line_chart(
-                    "Driver share density by era",
-                    labels,
-                    {
-                        "fixed_commission": list(dist["density_fixed_commission"]),
-                        "dynamic_pricing": list(dist["density_dynamic_pricing"]),
-                    },
-                    y_label="density",
-                ),
-            )
-        )
-
-    return out
+    weekly = report["weekly_pay"]["weekly_pooled"]
+    hist = report["take_rates"].get("histogram", {})  # absent without share-valid trips
+    surplus = report["surplus"]
+    util = report["utilisation"]
+    per_min = report["per_minute_by_split"]
+    kde = report.get("share_distribution", {})  # absent unless both eras have trips
+    table = (  # file, drawing, title, y label, x labels (one per entry), series
+        (
+            "weekly_rates.svg", charts.line_chart, "Pooled pay per hour by week", "GBP/hour",
+            list(weekly),
+            _columns(weekly.values(), tribunal="rate_tribunal", platform="rate_platform"),
+        ),
+        (
+            "take_rate_hist.svg", charts.bar_chart, "Driver share of rider fare", "trips",
+            list(hist),
+            list(hist.values()),
+        ),
+        (
+            "surplus.svg", charts.line_chart, "Platform surplus per on-trip hour", "GBP/hour",
+            [p["month"] for p in surplus],
+            _columns(surplus, surplus="value"),
+        ),
+        (
+            "utilisation.svg", charts.stacked_bar_chart, "Hours per active day", "hours",
+            list(util),
+            _columns(
+                util.values(),
+                on_trip="on_trip_hours",
+                en_route="en_route_hours",
+                standby="standby_hours",
+            ),
+        ),
+        (
+            "per_minute_by_split.svg", charts.line_chart,
+            "Fare per on-trip minute by driver share", "GBP/min",
+            [b["label"] for b in per_min],
+            _columns(per_min, driver="driver_per_min", platform="platform_per_min"),
+        ),
+        (
+            "share_kde.svg", charts.line_chart, "Driver share density by era", "density",
+            [f"{g:.2f}" for g in kde.get("grid", ())],
+            {era: kde.get(f"density_{era}") for era in ("fixed_commission", "dynamic_pricing")},
+        ),
+    )
+    return [
+        (name, draw(title, labels, series, y_label))
+        for name, draw, title, y_label, labels, series in table
+        if labels
+    ]

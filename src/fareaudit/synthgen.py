@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -319,6 +319,14 @@ def _phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
+def _added(values: Iterable[float]) -> float:
+    """Left to right, as the built-in sum() added floats before Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def analytic_bin_probs() -> dict[str, float]:
     """Exact-by-quadrature share-bin probabilities for the dynamic era.
 
@@ -351,7 +359,7 @@ def analytic_bin_probs() -> dict[str, float]:
         lo_cdf = np.zeros_like(mu_share) if first else _phi_vec((lo_edge - mu_share) / sd)
         probs[label] = float(np.sum(w * scale * pdf * (hi_cdf - lo_cdf)))
 
-    total = sum(probs.values())
+    total = _added(probs.values())
     return {k: v / total for k, v in probs.items()}
 
 
@@ -915,7 +923,7 @@ def generate(config: GenConfig, out_root: str | Path) -> GroundTruth:
     median = mean = None
     if n_dyn:
         median = dyn_sorted[mid] if n_dyn % 2 else (dyn_sorted[mid - 1] + dyn_sorted[mid]) / 2.0
-        mean = sum(dyn_sorted) / n_dyn
+        mean = _added(dyn_sorted) / n_dyn
 
     truth = GroundTruth(
         config=_config_dict(config),

@@ -580,6 +580,19 @@ def test_audit_bad_rpi_file_is_a_config_error(bundles, tmp_path, caplog):
     assert not (tmp_path / "o").exists()
 
 
+def test_audit_unreadable_rpi_file_is_a_config_error(bundles, tmp_path, monkeypatch, caplog):
+    # the file is there, but opening it fails, as it does without read permission
+    def refuse_rpi(path, *args, **kwargs):
+        if Path(path).name == "rpi.csv":
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(fareaudit.ingest, "open", refuse_rpi, raising=False)
+    assert main(["audit", str(bundles), "--out", str(tmp_path / "o")]) == 2
+    assert "bad rpi file" in caplog.text and "Permission denied" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "-150"])
 def test_audit_rpi_value_out_of_range_is_a_config_error(bundles, tmp_path, caplog, value):
     # 2021-03 lies between the fleet's months and the base month, so the

@@ -1,7 +1,8 @@
-"""No public function or class exists only for the tests: each top-level one in
-the package is referenced somewhere in the package besides its definition.
-``cli.main`` needs no exception: ``python -m fareaudit.cli`` calls it. Nor does
-an audit worker ship a field of its result that the report never reads."""
+"""No function or class exists only for the tests, or is left behind by a
+change: each top-level one in the package, public or private, is referenced
+somewhere in the package besides its definition. ``cli.main`` needs no
+exception: ``python -m fareaudit.cli`` calls it. Nor does an audit worker ship
+a field of its result that the report never reads."""
 
 import ast
 from collections import Counter
@@ -26,7 +27,6 @@ def test_every_public_name_is_used_in_the_package():
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
         and not used[node.name]
     ]
     assert unused == []
